@@ -94,10 +94,13 @@ impl CacheInner {
         self.evictions += 1;
         let victim = self.map.iter().find_map(|(&obj, &slot)| {
             let m = &self.pool[slot].lock;
-            let idle = m.owner().is_none()
+            // No outstanding handle first: handles are only cloned under
+            // the cache mutex we hold, so with none left the monitor's
+            // state is frozen and the three reads below agree.
+            let idle = Arc::strong_count(m) == 1
+                && m.owner().is_none()
                 && m.entry_queue_len() == 0
-                && m.wait_set_len() == 0
-                && Arc::strong_count(&self.pool[slot].lock) == 1;
+                && m.wait_set_len() == 0;
             idle.then_some((obj, slot))
         });
         match victim {

@@ -209,10 +209,14 @@ impl HotLocks {
     /// mutex held.
     fn try_promote(&self, inner: &mut ColdInner, obj: ObjRef, cold_slot: usize) -> Option<usize> {
         let entry = &inner.pool[cold_slot];
-        let idle = entry.lock.owner().is_none()
+        // No outstanding handle first: handles are only cloned under the
+        // cache mutex we hold, so with none left the monitor's state is
+        // frozen. Checked last, an acquirer could take the monitor and
+        // drop its handle between the owner read and the count read.
+        let idle = Arc::strong_count(&entry.lock) == 1
+            && entry.lock.owner().is_none()
             && entry.lock.entry_queue_len() == 0
-            && entry.lock.wait_set_len() == 0
-            && Arc::strong_count(&entry.lock) == 1;
+            && entry.lock.wait_set_len() == 0;
         if !idle {
             return None;
         }
@@ -252,10 +256,11 @@ impl HotLocks {
         let victim = inner.map.iter().find_map(|(&obj, &binding)| match binding {
             Binding::Cold(slot) => {
                 let m = &inner.pool[slot].lock;
-                let idle = m.owner().is_none()
+                // No outstanding handle first (see `try_promote`).
+                let idle = Arc::strong_count(m) == 1
+                    && m.owner().is_none()
                     && m.entry_queue_len() == 0
-                    && m.wait_set_len() == 0
-                    && Arc::strong_count(m) == 1;
+                    && m.wait_set_len() == 0;
                 idle.then_some((obj, slot))
             }
             Binding::Hot(_) => None,

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 use thinlock::config::DynamicConfig;
-use thinlock::{TasukiLocks, ThinLocks};
+use thinlock::{CjmLocks, ThinLocks};
 use thinlock_bench::{median_time, DEFAULT_REPS};
 use thinlock_runtime::backoff::SpinPolicy;
 use thinlock_runtime::heap::Heap;
@@ -43,25 +43,25 @@ fn deflation_ablation() {
     });
     report("ablation_deflation", "ThinLock (stays fat)", median);
 
-    let tasuki = TasukiLocks::with_capacity(2);
-    let obj2 = tasuki.heap().alloc().unwrap();
+    let cjm = CjmLocks::with_capacity(2);
+    let obj2 = cjm.heap().alloc().unwrap();
     {
-        let reg = tasuki.registry().register().unwrap();
+        let reg = cjm.registry().register().unwrap();
         let t = reg.token();
-        tasuki.lock(obj2, t).unwrap();
-        let _ = tasuki.wait(obj2, t, Some(std::time::Duration::from_millis(1)));
-        tasuki.unlock(obj2, t).unwrap();
+        cjm.lock(obj2, t).unwrap();
+        let _ = cjm.wait(obj2, t, Some(std::time::Duration::from_millis(1)));
+        cjm.unlock(obj2, t).unwrap();
     }
-    assert!(tasuki.lock_word(obj2).is_unlocked());
-    let reg2 = tasuki.registry().register().unwrap();
+    assert!(cjm.lock_word(obj2).is_unlocked());
+    let reg2 = cjm.registry().register().unwrap();
     let t2 = reg2.token();
     let median = median_time(DEFAULT_REPS, || {
         for _ in 0..OPS {
-            tasuki.lock(obj2, t2).unwrap();
-            tasuki.unlock(obj2, t2).unwrap();
+            cjm.lock(obj2, t2).unwrap();
+            cjm.unlock(obj2, t2).unwrap();
         }
     });
-    report("ablation_deflation", "Tasuki (deflated)", median);
+    report("ablation_deflation", "CJM (deflated)", median);
 }
 
 /// Uncontended fast-path cost per spin policy (the policy only matters

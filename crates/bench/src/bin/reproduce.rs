@@ -3,7 +3,7 @@
 //! ```text
 //! reproduce [all|table1|table2|fig3|fig4|fig5|fig6|ablations|churn|fairness|predict|lockcheck|lockmc|profile]
 //!           [--iters N] [--scale N] [--quick] [--json PATH] [--profile-json PATH]
-//!           [--backend <thin|cjm|tasuki|fissile|hapax|adaptive>]
+//!           [--backend <thin|cjm|fissile|hapax>]
 //! ```
 //!
 //! `--backend` narrows the `churn` and `fairness` sections to one
@@ -84,7 +84,7 @@ fn parse_args() -> Result<Options, String> {
                     "usage: reproduce [all|table1|table2|fig3|fig4|fig5|fig6|ablations|churn\
                             |fairness|predict|lockcheck|lockmc|profile] [--iters N] [--scale N] \
                             [--quick] [--json PATH] [--profile-json PATH] \
-                            [--backend <thin|cjm|tasuki|fissile|hapax|adaptive>]"
+                            [--backend <thin|cjm|fissile|hapax>]"
                         .to_string(),
                 )
             }

@@ -44,7 +44,7 @@ fn run() -> Result<(), String> {
         println!("{trace}");
         println!("  {}", characterize(&trace));
         if args[0] == "--replay" {
-            for kind in ProtocolKind::ALL_EXTENDED {
+            for kind in ProtocolKind::ALL_BACKENDS {
                 let protocol = kind.build(trace.required_heap_capacity(), 0);
                 let reg = protocol.registry().register().map_err(|e| e.to_string())?;
                 let out = replay(&*protocol, &trace, reg.token()).map_err(|e| e.to_string())?;

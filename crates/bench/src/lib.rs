@@ -25,7 +25,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use thinlock::config::{DynamicConfig, FastPathConfig, StaticMp, StaticUp};
-use thinlock::{AdaptiveLocks, BackendChoice, TasukiLocks, ThinLocks};
+use thinlock::{BackendChoice, CjmLocks, FissileLocks, ThinLocks};
 use thinlock_baselines::{HotLocks, MonitorCache};
 use thinlock_runtime::arch::ArchProfile;
 use thinlock_runtime::backend::SyncBackend;
@@ -40,8 +40,8 @@ use thinlock_trace::table1::{BenchmarkProfile, MACRO_BENCHMARKS};
 use thinlock_vm::programs::MicroBench;
 use thinlock_vm::{Value, Vm};
 
-/// The three locking implementations of Section 3, plus the Tasuki-style
-/// extension used by the ablation studies.
+/// The three locking implementations of Section 3, plus the workspace's
+/// other thin-word backends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProtocolKind {
     /// The paper's contribution (this workspace's `thinlock` crate).
@@ -50,9 +50,6 @@ pub enum ProtocolKind {
     Jdk111,
     /// IBM JDK 1.1.2 hot locks.
     Ibm112,
-    /// Deflating park-based variant (`thinlock::tasuki`), not part of the
-    /// paper's figures; see DESIGN.md §8.
-    Tasuki,
     /// Compact Java Monitors (`thinlock::cjm`): deflation plus a bounded
     /// recycling monitor pool; see BACKENDS.md.
     Cjm,
@@ -74,23 +71,14 @@ impl ProtocolKind {
         ProtocolKind::Ibm112,
     ];
 
-    /// The paper's protocols plus the Tasuki-style extension.
-    pub const ALL_EXTENDED: [ProtocolKind; 4] = [
-        ProtocolKind::ThinLock,
-        ProtocolKind::Jdk111,
-        ProtocolKind::Ibm112,
-        ProtocolKind::Tasuki,
-    ];
-
-    /// Every protocol the workspace implements — the paper's three, both
-    /// deflating extensions, and the contention-adaptive backends. The
+    /// Every protocol the workspace implements — the paper's three, the
+    /// deflating CJM backend, and the contention-adaptive backends. The
     /// observational-equivalence matrix (`tests/cross_protocol.rs`) and
     /// the concurrent macro replay run over this set.
-    pub const ALL_BACKENDS: [ProtocolKind; 7] = [
+    pub const ALL_BACKENDS: [ProtocolKind; 6] = [
         ProtocolKind::ThinLock,
         ProtocolKind::Jdk111,
         ProtocolKind::Ibm112,
-        ProtocolKind::Tasuki,
         ProtocolKind::Cjm,
         ProtocolKind::Fissile,
         ProtocolKind::Hapax,
@@ -102,7 +90,6 @@ impl ProtocolKind {
             ProtocolKind::ThinLock => "ThinLock",
             ProtocolKind::Jdk111 => "JDK111",
             ProtocolKind::Ibm112 => "IBM112",
-            ProtocolKind::Tasuki => "Tasuki",
             ProtocolKind::Cjm => "CJM",
             ProtocolKind::Fissile => "Fissile",
             ProtocolKind::Hapax => "Hapax",
@@ -126,9 +113,8 @@ impl ProtocolKind {
                 thinlock_baselines::cache::DEFAULT_CACHE_CAPACITY,
                 thinlock_baselines::hot::DEFAULT_HOT_THRESHOLD,
             )),
-            ProtocolKind::Tasuki => Box::new(TasukiLocks::new(heap, registry)),
-            ProtocolKind::Cjm => Box::new(thinlock::CjmLocks::new(heap, registry)),
-            ProtocolKind::Fissile => Box::new(thinlock::FissileLocks::new(heap, registry)),
+            ProtocolKind::Cjm => Box::new(CjmLocks::new(heap, registry)),
+            ProtocolKind::Fissile => Box::new(FissileLocks::new(heap, registry)),
             ProtocolKind::Hapax => Box::new(thinlock::HapaxLocks::new(heap, registry)),
         }
     }
@@ -634,18 +620,19 @@ pub struct PhasedAblation {
     /// Time the base protocol (permanently inflated after phase 1) took
     /// for the private phase.
     pub thin_private: Duration,
-    /// Time the deflating protocol took for the private phase.
-    pub tasuki_private: Duration,
+    /// Time the deflating CJM protocol took for the private phase.
+    pub cjm_private: Duration,
     /// Inflations performed by the deflating protocol.
-    pub tasuki_inflations: u64,
+    pub cjm_inflations: u64,
     /// Deflations performed by the deflating protocol.
-    pub tasuki_deflations: u64,
+    pub cjm_deflations: u64,
 }
 
 impl PhasedAblation {
-    /// How much faster the deflating variant runs the private phase.
+    /// How much faster the deflating backend runs the private phase
+    /// (thin over CJM).
     pub fn private_phase_speedup(&self) -> f64 {
-        self.thin_private.as_secs_f64() / self.tasuki_private.as_secs_f64().max(f64::MIN_POSITIVE)
+        self.thin_private.as_secs_f64() / self.cjm_private.as_secs_f64().max(f64::MIN_POSITIVE)
     }
 }
 
@@ -654,9 +641,9 @@ impl PhasedAblation {
 /// single-threaded lock/unlock (phase 2).
 ///
 /// Under the paper's design the lock stays fat and phase 2 pays the
-/// monitor cost forever; under the Tasuki-style variant it deflates and
+/// monitor cost forever; under CJM the quiet release deflates it and
 /// phase 2 runs at thin-lock speed. The return value quantifies the gap —
-/// and `tasuki_inflations` shows the price (re-inflation on each
+/// and `cjm_inflations` shows the price (re-inflation on each
 /// contended episode) that made the paper choose permanence for
 /// simplicity.
 pub fn phased_ablation(private_iters: u32) -> PhasedAblation {
@@ -686,17 +673,17 @@ pub fn phased_ablation(private_iters: u32) -> PhasedAblation {
     assert!(thin.lock_word(ObjRef::from_index(0)).is_fat());
     let thin_private = private_phase(&thin, private_iters);
 
-    let tasuki = TasukiLocks::with_capacity(2);
-    tasuki.heap().alloc().expect("alloc");
-    contend_once(&tasuki);
-    assert!(tasuki.lock_word(ObjRef::from_index(0)).is_unlocked());
-    let tasuki_private = private_phase(&tasuki, private_iters);
+    let cjm = CjmLocks::with_capacity(2);
+    cjm.heap().alloc().expect("alloc");
+    contend_once(&cjm);
+    assert!(cjm.lock_word(ObjRef::from_index(0)).is_unlocked());
+    let cjm_private = private_phase(&cjm, private_iters);
 
     PhasedAblation {
         thin_private,
-        tasuki_private,
-        tasuki_inflations: tasuki.inflation_count(),
-        tasuki_deflations: tasuki.deflation_count(),
+        cjm_private,
+        cjm_inflations: cjm.inflation_count(),
+        cjm_deflations: cjm.deflation_count(),
     }
 }
 
@@ -938,7 +925,7 @@ pub fn run_fairness(choice: BackendChoice, threads: usize, acquisitions: u64) ->
 /// every per-acquisition `lock()` wall time in ns, in no particular
 /// order across threads. [`run_fairness`] wraps this in fresh-instance
 /// repetitions; the adaptive pipeline calls it directly — once to
-/// record a contention profile on a traced [`AdaptiveLocks`] instance,
+/// record a contention profile on a traced [`FissileLocks`] instance,
 /// and again after [`apply_plan`] to re-measure the pinned object.
 pub fn fairness_rep(
     locks: &Arc<dyn SyncBackend + Send + Sync>,
@@ -993,7 +980,7 @@ pub fn fairness_rep(
     (counts, latencies)
 }
 
-/// A per-object strategy plan for the adaptive backend: which objects a
+/// A per-object strategy plan for the fissile backend: which objects a
 /// contention profile says should rest in FIFO mode. See
 /// [`plan_from_profile`] and [`apply_plan`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1010,7 +997,7 @@ pub struct AdaptivePlan {
 /// acquisitions). This is the profile → policy half the core crate
 /// deliberately leaves to its consumers (it sits below `thinlock-obs`
 /// in the dependency order); the mechanism half is
-/// [`AdaptiveLocks::pin_fifo`].
+/// [`FissileLocks::pin_fifo`](thinlock::LockCore::pin_fifo).
 pub fn plan_from_profile(
     profile: &thinlock_obs::ContentionProfile,
     threshold: u64,
@@ -1032,11 +1019,11 @@ pub fn plan_from_profile(
 /// fresh profile converges instead of accumulating stale pins.
 ///
 /// ```
-/// use thinlock::AdaptiveLocks;
+/// use thinlock::FissileLocks;
 /// use thinlock_bench::{apply_plan, AdaptivePlan};
 /// use thinlock_runtime::protocol::SyncProtocol;
 ///
-/// let locks = AdaptiveLocks::with_capacity(4);
+/// let locks = FissileLocks::with_capacity(4);
 /// let hot = locks.heap().alloc()?;
 /// apply_plan(&locks, &AdaptivePlan { pin: vec![hot], threshold: 1 });
 /// assert!(locks.pinned(hot));
@@ -1045,7 +1032,7 @@ pub fn plan_from_profile(
 /// assert!(!locks.pinned(hot));
 /// # Ok::<(), thinlock_runtime::SyncError>(())
 /// ```
-pub fn apply_plan(locks: &AdaptiveLocks, plan: &AdaptivePlan) {
+pub fn apply_plan(locks: &FissileLocks, plan: &AdaptivePlan) {
     for index in 0..locks.heap().capacity() {
         let obj = ObjRef::from_index(index);
         if locks.pinned(obj) && !plan.pin.contains(&obj) {
@@ -1465,8 +1452,8 @@ mod tests {
     #[test]
     fn phased_ablation_shows_deflation_benefit() {
         let r = phased_ablation(2_000);
-        assert_eq!(r.tasuki_deflations, 1);
-        assert_eq!(r.tasuki_inflations, 1);
+        assert_eq!(r.cjm_deflations, 1);
+        assert_eq!(r.cjm_inflations, 1);
         assert!(
             r.private_phase_speedup() > 1.0,
             "deflated private phase must be faster: {r:?}"
@@ -1570,7 +1557,7 @@ mod tests {
             max_threads: 8,
             ring_capacity: 4096,
         }));
-        let locks = AdaptiveLocks::with_capacity(4)
+        let locks = FissileLocks::with_capacity(4)
             .with_trace_sink(Arc::clone(&tracer) as Arc<dyn TraceSink>);
         let hot = locks.heap().alloc().unwrap();
         let cold = locks.heap().alloc().unwrap();
@@ -1693,7 +1680,7 @@ mod tests {
             max_threads: 2,
             ring_capacity: 4096,
         }));
-        let locks = AdaptiveLocks::with_capacity(2)
+        let locks = FissileLocks::with_capacity(2)
             .with_trace_sink(Arc::clone(&tracer) as Arc<dyn TraceSink>);
         let obj = locks.heap().alloc().unwrap();
         let reg = locks.registry().register().unwrap();
@@ -1778,10 +1765,10 @@ mod tests {
             "static pass pins the hot site: {plan:?}"
         );
 
-        // Apply the static plan to a fresh adaptive backend and measure
+        // Apply the static plan to a fresh fissile backend and measure
         // fairness on the pinned object.
         let threads = entry.total_threads() as usize;
-        let adaptive = Arc::new(AdaptiveLocks::with_capacity(
+        let adaptive = Arc::new(FissileLocks::with_capacity(
             entry.program.pool_size() as usize + 1,
         ));
         let pool: Vec<ObjRef> = (0..entry.program.pool_size())
@@ -1818,16 +1805,6 @@ mod tests {
             p.lock(obj, reg.token()).unwrap();
             p.unlock(obj, reg.token()).unwrap();
         }
-    }
-
-    #[test]
-    fn tasuki_builds_through_protocol_kind() {
-        let p = ProtocolKind::Tasuki.build(4, 0);
-        assert_eq!(p.name(), "Tasuki");
-        let reg = p.registry().register().unwrap();
-        let obj = p.heap().alloc().unwrap();
-        p.lock(obj, reg.token()).unwrap();
-        p.unlock(obj, reg.token()).unwrap();
     }
 
     #[test]

@@ -485,8 +485,8 @@ fn churn(iters: i32, backends: &[thinlock::BackendChoice], out: &mut BenchReport
 /// backends that actually promise admission order
 /// ([`thinlock::BackendChoice::fifo_admission`]); thin's index and the
 /// hand-off latency percentiles are informational. Ends with the
-/// adaptive pipeline demo: profile a traced burst, derive a pin plan,
-/// apply it, re-measure.
+/// adaptive pipeline demo on the fissile backend: profile a traced
+/// burst, derive a pin plan, apply it, re-measure.
 fn fairness(iters: i32, backends: &[thinlock::BackendChoice], out: &mut BenchReport) {
     use std::sync::Arc;
     use thinlock_runtime::backend::SyncBackend;
@@ -565,7 +565,7 @@ fn fairness(iters: i32, backends: &[thinlock::BackendChoice], out: &mut BenchRep
         ring_capacity: 16_384,
     }));
     let adaptive = Arc::new(
-        thinlock::AdaptiveLocks::with_capacity(4)
+        thinlock::FissileLocks::with_capacity(4)
             .with_trace_sink(Arc::clone(&tracer) as Arc<dyn thinlock_runtime::events::TraceSink>),
     );
     let hot = adaptive.heap().alloc().expect("heap has room");
@@ -710,17 +710,17 @@ fn predict(iters: i32, out: &mut BenchReport) {
 fn ablations(cfg: &TraceConfig, iters: i32, out: &mut BenchReport) {
     heading("Ablations: the paper's design choices, measured (DESIGN.md §8)");
 
-    println!("(a) One-way inflation vs deflation (Tasuki-style):");
+    println!("(a) One-way inflation vs deflation (CJM):");
     let phased = crate::phased_ablation((iters / 4).max(1_000) as u32);
     println!(
         "    private phase after one contended episode: permanent-fat {:.2?} vs deflating {:.2?} ({:.1}x)",
         phased.thin_private,
-        phased.tasuki_private,
+        phased.cjm_private,
         phased.private_phase_speedup()
     );
     println!(
-        "    deflating variant performed {} inflation(s) / {} deflation(s)",
-        phased.tasuki_inflations, phased.tasuki_deflations
+        "    deflating backend performed {} inflation(s) / {} deflation(s)",
+        phased.cjm_inflations, phased.cjm_deflations
     );
     out.push(BenchRecord::scalar(
         "ablations/phased/thin_private_ns",
@@ -732,13 +732,13 @@ fn ablations(cfg: &TraceConfig, iters: i32, out: &mut BenchReport) {
         phased.thin_private.as_nanos() as f64,
     ));
     out.push(BenchRecord::scalar(
-        "ablations/phased/tasuki_private_ns",
+        "ablations/phased/cjm_private_ns",
         "ablations",
-        Some("Tasuki"),
+        Some("CJM"),
         "ns",
         GateClass::Macro,
         Direction::LowerIsBetter,
-        phased.tasuki_private.as_nanos() as f64,
+        phased.cjm_private.as_nanos() as f64,
     ));
     out.push(BenchRecord::scalar(
         "ablations/phased/private_phase_speedup",
@@ -750,22 +750,22 @@ fn ablations(cfg: &TraceConfig, iters: i32, out: &mut BenchReport) {
         phased.private_phase_speedup(),
     ));
     out.push(BenchRecord::scalar(
-        "ablations/phased/tasuki_inflations",
+        "ablations/phased/cjm_inflations",
         "ablations",
-        Some("Tasuki"),
+        Some("CJM"),
         "count",
         GateClass::Exact,
         Direction::Informational,
-        phased.tasuki_inflations as f64,
+        phased.cjm_inflations as f64,
     ));
     out.push(BenchRecord::scalar(
-        "ablations/phased/tasuki_deflations",
+        "ablations/phased/cjm_deflations",
         "ablations",
-        Some("Tasuki"),
+        Some("CJM"),
         "count",
         GateClass::Exact,
         Direction::Informational,
-        phased.tasuki_deflations as f64,
+        phased.cjm_deflations as f64,
     ));
 
     println!("(b) Nest-count width (paper: \"2 or 3 bits is probably sufficient\"):");
@@ -1283,10 +1283,10 @@ pub fn expected_ids() -> Vec<String> {
     }
 
     ids.push("ablations/phased/thin_private_ns".into());
-    ids.push("ablations/phased/tasuki_private_ns".into());
+    ids.push("ablations/phased/cjm_private_ns".into());
     ids.push("ablations/phased/private_phase_speedup".into());
-    ids.push("ablations/phased/tasuki_inflations".into());
-    ids.push("ablations/phased/tasuki_deflations".into());
+    ids.push("ablations/phased/cjm_inflations".into());
+    ids.push("ablations/phased/cjm_deflations".into());
     for bits in 1..=8 {
         ids.push(format!(
             "ablations/count_width/bits={bits}/worst_overflow_fraction"

@@ -22,12 +22,8 @@ use thinlock_runtime::fault::FaultInjector;
 use thinlock_runtime::schedule::Schedule;
 use thinlock_runtime::stats::LockStats;
 
-use crate::adaptive::AdaptiveLocks;
-use crate::cjm::CjmLocks;
-use crate::fissile::FissileLocks;
-use crate::hapax::HapaxLocks;
-use crate::tasuki::TasukiLocks;
-use crate::thin::ThinLocks;
+use crate::lockcore::{LockCore, Policy};
+use crate::{CjmLocks, FissileLocks, HapaxLocks, ThinLocks};
 
 /// The protocols selectable by name from harness CLIs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -35,9 +31,6 @@ pub enum BackendChoice {
     /// The paper's protocol: one-way inflation into a grow-only monitor
     /// table ([`ThinLocks`]).
     Thin,
-    /// Tasuki-style deflation on observed-quiet release, still over a
-    /// grow-only table ([`TasukiLocks`]).
-    Tasuki,
     /// Compact Java Monitors: deflation plus a bounded recycling monitor
     /// pool ([`CjmLocks`]).
     Cjm,
@@ -47,22 +40,13 @@ pub enum BackendChoice {
     /// Constant-time ticketed arrival with FIFO admission on every
     /// blocking acquisition ([`HapaxLocks`]).
     Hapax,
-    /// Per-object composite: fissile semantics plus a pin policy driven
-    /// by observed contention ([`AdaptiveLocks`]).
-    Adaptive,
 }
 
 /// Optional instrumentation threaded into a backend at construction.
-///
-/// The thin, CJM, fissile, hapax, and adaptive backends accept all five
-/// seams. The Tasuki backend honors `fault_injector` and
-/// `orphan_recovery` (so the chaos harness and the crash matrix cover
-/// it) but ignores `stats`, `trace_sink`, and `schedule` — harnesses
-/// that depend on one of those restrict themselves to
-/// [`BackendChoice::schedulable`] choices.
+/// Every backend honors all five seams.
 #[derive(Default)]
 pub struct BackendSeams {
-    /// Statistics counters (`ThinLocks::with_stats` discipline).
+    /// Statistics counters (`LockCore::with_stats` discipline).
     pub stats: Option<Arc<LockStats>>,
     /// Event sink for the full transition stream.
     pub trace_sink: Option<Arc<dyn TraceSink>>,
@@ -86,40 +70,53 @@ impl fmt::Debug for BackendSeams {
     }
 }
 
+impl BackendSeams {
+    /// Threads these seams into `locks` (sink and injector before the
+    /// orphan sweeper, so the sweeper inherits them).
+    fn apply<P: Policy>(self, mut locks: LockCore<P>) -> Arc<dyn SyncBackend + Send + Sync> {
+        if let Some(stats) = self.stats {
+            locks = locks.with_stats(stats);
+        }
+        if let Some(sink) = self.trace_sink {
+            locks = locks.with_trace_sink(sink);
+        }
+        if let Some(injector) = self.fault_injector {
+            locks = locks.with_fault_injector(injector);
+        }
+        if let Some(schedule) = self.schedule {
+            locks = locks.with_schedule(schedule);
+        }
+        if self.orphan_recovery {
+            locks = locks.with_orphan_recovery();
+        }
+        Arc::new(locks)
+    }
+}
+
 impl BackendChoice {
     /// Every selectable backend, in CLI-listing order.
-    pub const ALL: [BackendChoice; 6] = [
+    pub const ALL: [BackendChoice; 4] = [
         BackendChoice::Thin,
-        BackendChoice::Tasuki,
         BackendChoice::Cjm,
         BackendChoice::Fissile,
         BackendChoice::Hapax,
-        BackendChoice::Adaptive,
     ];
 
-    /// Parses a CLI name (case-insensitive): `thin`, `tasuki`, `cjm`,
-    /// `fissile`, `hapax`, `adaptive`.
+    /// Parses a CLI name (case-insensitive): `thin`, `cjm`, `fissile`,
+    /// `hapax`.
     pub fn from_name(name: &str) -> Option<Self> {
-        match name.to_ascii_lowercase().as_str() {
-            "thin" => Some(BackendChoice::Thin),
-            "tasuki" => Some(BackendChoice::Tasuki),
-            "cjm" => Some(BackendChoice::Cjm),
-            "fissile" => Some(BackendChoice::Fissile),
-            "hapax" => Some(BackendChoice::Hapax),
-            "adaptive" => Some(BackendChoice::Adaptive),
-            _ => None,
-        }
+        Self::ALL
+            .into_iter()
+            .find(|choice| choice.name().eq_ignore_ascii_case(name))
     }
 
     /// The CLI name; [`BackendChoice::from_name`] round-trips it.
     pub fn name(self) -> &'static str {
         match self {
             BackendChoice::Thin => "thin",
-            BackendChoice::Tasuki => "tasuki",
             BackendChoice::Cjm => "cjm",
             BackendChoice::Fissile => "fissile",
             BackendChoice::Hapax => "hapax",
-            BackendChoice::Adaptive => "adaptive",
         }
     }
 
@@ -129,44 +126,7 @@ impl BackendChoice {
     /// contention outside the word, so their inflation (wait/notify,
     /// overflow, hints only) stays strictly one-way.
     pub fn deflation_capable(self) -> bool {
-        match self {
-            BackendChoice::Thin
-            | BackendChoice::Fissile
-            | BackendChoice::Hapax
-            | BackendChoice::Adaptive => false,
-            BackendChoice::Tasuki | BackendChoice::Cjm => true,
-        }
-    }
-
-    /// Whether the backend honors all [`BackendSeams`] — harnesses that
-    /// depend on the `schedule` seam (the model checker) only offer
-    /// these choices.
-    pub fn schedulable(self) -> bool {
-        !matches!(self, BackendChoice::Tasuki)
-    }
-
-    /// Whether the backend consults [`FaultInjector`] at its labeled
-    /// injection points — the capability the chaos harness and the
-    /// crash-chaos supervisor require. Every backend qualifies.
-    pub fn fault_injectable(self) -> bool {
-        true
-    }
-
-    /// Whether the backend installs a registry exit sweeper when
-    /// [`BackendSeams::orphan_recovery`] is set, force-releasing a dead
-    /// thread's locks (and, for the ticket-queue backends, retiring the
-    /// dead owner's pending FIFO hand-off). Every backend qualifies.
-    pub fn orphan_recoverable(self) -> bool {
-        true
-    }
-
-    /// Whether `monitors_live`/`monitors_peak` are bounded by the number
-    /// of simultaneously-inflated objects. The Tasuki table never reuses
-    /// an index (its deflation revalidation relies on that), so its
-    /// reported population is the *cumulative* inflation count and the
-    /// chaos harness must not grade it against the live-object bound.
-    pub fn bounded_monitor_population(self) -> bool {
-        !matches!(self, BackendChoice::Tasuki)
+        matches!(self, BackendChoice::Cjm)
     }
 
     /// Whether contended acquisitions are admitted in FIFO arrival
@@ -174,13 +134,9 @@ impl BackendChoice {
     /// harnesses gate the Jain index only for these backends — a
     /// barging acquirer makes no admission-order promise to regress.
     /// Fissile qualifies because its fissioned mode is the FIFO queue
-    /// and contention is exactly what fissions the word; adaptive
-    /// inherits fissile's machinery.
+    /// and contention is exactly what fissions the word.
     pub fn fifo_admission(self) -> bool {
-        matches!(
-            self,
-            BackendChoice::Fissile | BackendChoice::Hapax | BackendChoice::Adaptive
-        )
+        matches!(self, BackendChoice::Fissile | BackendChoice::Hapax)
     }
 
     /// Builds an uninstrumented backend over a fresh heap of `capacity`
@@ -189,119 +145,17 @@ impl BackendChoice {
         self.build_with(capacity, BackendSeams::default())
     }
 
-    /// Builds a backend with instrumentation seams attached (see
-    /// [`BackendSeams`] for the Tasuki caveat).
+    /// Builds a backend with instrumentation seams attached.
     pub fn build_with(
         self,
         capacity: usize,
         seams: BackendSeams,
     ) -> Arc<dyn SyncBackend + Send + Sync> {
         match self {
-            BackendChoice::Thin => {
-                let mut p = ThinLocks::with_capacity(capacity);
-                if let Some(stats) = seams.stats {
-                    p = p.with_stats(stats);
-                }
-                if let Some(sink) = seams.trace_sink {
-                    p = p.with_trace_sink(sink);
-                }
-                if let Some(injector) = seams.fault_injector {
-                    p = p.with_fault_injector(injector);
-                }
-                if let Some(schedule) = seams.schedule {
-                    p = p.with_schedule(schedule);
-                }
-                if seams.orphan_recovery {
-                    p = p.with_orphan_recovery();
-                }
-                Arc::new(p)
-            }
-            BackendChoice::Tasuki => {
-                let mut p = TasukiLocks::with_capacity(capacity);
-                if let Some(injector) = seams.fault_injector {
-                    p = p.with_fault_injector(injector);
-                }
-                if seams.orphan_recovery {
-                    p = p.with_orphan_recovery();
-                }
-                Arc::new(p)
-            }
-            BackendChoice::Cjm => {
-                let mut p = CjmLocks::with_capacity(capacity);
-                if let Some(stats) = seams.stats {
-                    p = p.with_stats(stats);
-                }
-                if let Some(sink) = seams.trace_sink {
-                    p = p.with_trace_sink(sink);
-                }
-                if let Some(injector) = seams.fault_injector {
-                    p = p.with_fault_injector(injector);
-                }
-                if let Some(schedule) = seams.schedule {
-                    p = p.with_schedule(schedule);
-                }
-                if seams.orphan_recovery {
-                    p = p.with_orphan_recovery();
-                }
-                Arc::new(p)
-            }
-            BackendChoice::Fissile => {
-                let mut p = FissileLocks::with_capacity(capacity);
-                if let Some(stats) = seams.stats {
-                    p = p.with_stats(stats);
-                }
-                if let Some(sink) = seams.trace_sink {
-                    p = p.with_trace_sink(sink);
-                }
-                if let Some(injector) = seams.fault_injector {
-                    p = p.with_fault_injector(injector);
-                }
-                if let Some(schedule) = seams.schedule {
-                    p = p.with_schedule(schedule);
-                }
-                if seams.orphan_recovery {
-                    p = p.with_orphan_recovery();
-                }
-                Arc::new(p)
-            }
-            BackendChoice::Hapax => {
-                let mut p = HapaxLocks::with_capacity(capacity);
-                if let Some(stats) = seams.stats {
-                    p = p.with_stats(stats);
-                }
-                if let Some(sink) = seams.trace_sink {
-                    p = p.with_trace_sink(sink);
-                }
-                if let Some(injector) = seams.fault_injector {
-                    p = p.with_fault_injector(injector);
-                }
-                if let Some(schedule) = seams.schedule {
-                    p = p.with_schedule(schedule);
-                }
-                if seams.orphan_recovery {
-                    p = p.with_orphan_recovery();
-                }
-                Arc::new(p)
-            }
-            BackendChoice::Adaptive => {
-                let mut p = AdaptiveLocks::with_capacity(capacity);
-                if let Some(stats) = seams.stats {
-                    p = p.with_stats(stats);
-                }
-                if let Some(sink) = seams.trace_sink {
-                    p = p.with_trace_sink(sink);
-                }
-                if let Some(injector) = seams.fault_injector {
-                    p = p.with_fault_injector(injector);
-                }
-                if let Some(schedule) = seams.schedule {
-                    p = p.with_schedule(schedule);
-                }
-                if seams.orphan_recovery {
-                    p = p.with_orphan_recovery();
-                }
-                Arc::new(p)
-            }
+            BackendChoice::Thin => seams.apply(ThinLocks::with_capacity(capacity)),
+            BackendChoice::Cjm => seams.apply(CjmLocks::with_capacity(capacity)),
+            BackendChoice::Fissile => seams.apply(FissileLocks::with_capacity(capacity)),
+            BackendChoice::Hapax => seams.apply(HapaxLocks::with_capacity(capacity)),
         }
     }
 }
@@ -361,55 +215,12 @@ mod tests {
     #[test]
     fn capability_matrix() {
         for choice in BackendChoice::ALL {
-            assert!(choice.fault_injectable(), "{choice}");
-            assert!(choice.orphan_recoverable(), "{choice}");
-            if choice != BackendChoice::Tasuki {
-                assert!(choice.schedulable(), "{choice}");
-                assert!(choice.bounded_monitor_population(), "{choice}");
-            }
-        }
-        assert!(!BackendChoice::Tasuki.bounded_monitor_population());
-        assert!(!BackendChoice::Tasuki.schedulable());
-        for queueing in [
-            BackendChoice::Fissile,
-            BackendChoice::Hapax,
-            BackendChoice::Adaptive,
-        ] {
-            assert!(
-                !queueing.deflation_capable(),
-                "{queueing}: queue backends keep one-way inflation"
+            assert_eq!(choice.deflation_capable(), choice == BackendChoice::Cjm);
+            assert_eq!(
+                choice.fifo_admission(),
+                matches!(choice, BackendChoice::Fissile | BackendChoice::Hapax),
+                "{choice}"
             );
         }
-    }
-
-    #[test]
-    fn tasuki_honors_fault_and_orphan_seams() {
-        use thinlock_runtime::fault::{FaultAction, InjectionPoint};
-
-        #[derive(Debug, Default)]
-        struct Counting(std::sync::atomic::AtomicUsize);
-        impl FaultInjector for Counting {
-            fn decide(&self, _point: InjectionPoint) -> FaultAction {
-                self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                FaultAction::Proceed
-            }
-        }
-
-        let injector = Arc::new(Counting::default());
-        let seams = BackendSeams {
-            fault_injector: Some(Arc::clone(&injector) as Arc<dyn FaultInjector>),
-            orphan_recovery: true,
-            ..BackendSeams::default()
-        };
-        let locks = BackendChoice::Tasuki.build_with(4, seams);
-        let r = locks.registry().register().unwrap();
-        let t = r.token();
-        let obj = locks.heap().alloc().unwrap();
-        locks.lock(obj, t).unwrap();
-        locks.unlock(obj, t).unwrap();
-        assert!(
-            injector.0.load(std::sync::atomic::Ordering::Relaxed) >= 2,
-            "tasuki must consult the injector on lock and unlock"
-        );
     }
 }

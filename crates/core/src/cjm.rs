@@ -12,6 +12,12 @@
 //! quiesces, so the pool of monitors tracks the number of *currently
 //! contended* objects instead of the number ever contended.
 //!
+//! Everything but the [`Cjm`] policy is the shared [`LockCore`]: the
+//! thin fast path and the contention inflation are the paper's; CJM
+//! adds revalidation after a fat acquisition, deflation on the sole
+//! quiescent release, [`reclaim_idle`](LockCore::reclaim_idle) and a
+//! monitor bound.
+//!
 //! State machine of one object's lock word:
 //!
 //! ```text
@@ -41,7 +47,10 @@
 //! * **Bounded population:** monitors come from a recycling
 //!   [`MonitorPool`]; a deflated slot returns to the free list, so the
 //!   live population is bounded by the number of simultaneously
-//!   inflated objects, not by the total ever inflated.
+//!   inflated objects, not by the total ever inflated. The deflating
+//!   owner counts its slot out of the population *before* the neutral
+//!   store, so a contender that re-inflates the object right after never
+//!   finds it holding two slots.
 //!
 //! # The deflate / re-inflate races
 //!
@@ -64,30 +73,159 @@
 //!    A transient foreign acquisition is harmless — the mistaken holder
 //!    releases immediately and never blocks while holding.
 
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use thinlock_monitor::{FatLock, MonitorPool};
 use thinlock_runtime::arch::LockWordCell;
-use thinlock_runtime::backend::{MonitorProbe, SyncBackend};
-use thinlock_runtime::backoff::Backoff;
-use thinlock_runtime::error::{SyncError, SyncResult};
+use thinlock_runtime::error::SyncResult;
 use thinlock_runtime::events::{TraceEventKind, TraceSink};
-use thinlock_runtime::fault::{FaultAction, FaultInjector, InjectionPoint};
+use thinlock_runtime::fault::{FaultInjector, InjectionPoint};
 use thinlock_runtime::heap::{Heap, ObjRef};
-use thinlock_runtime::lockword::{LockWord, MonitorIndex, ThreadIndex, MAX_THIN_COUNT};
-use thinlock_runtime::protocol::{SyncProtocol, WaitOutcome};
-use thinlock_runtime::registry::{ExitSweeper, ThreadRecord, ThreadRegistry, ThreadToken};
+use thinlock_runtime::lockword::{LockWord, MonitorIndex};
+use thinlock_runtime::registry::{ThreadRegistry, ThreadToken};
 use thinlock_runtime::schedule::{SchedPoint, Schedule};
-use thinlock_runtime::stats::{InflationCause, LockScenario, LockStats};
 
-use crate::config::{DynamicConfig, FastPathConfig, UnlockStrategy};
+use crate::config::{DynamicConfig, FastPathConfig};
+use crate::lockcore::{LockCore, Monitors, Policy};
 
-/// Nesting depth at or below which an acquisition counts as "shallow" in
-/// the statistics (Section 3.2 of the paper).
-const SHALLOW_DEPTH: u32 = 4;
+#[inline]
+fn obj_index(obj: ObjRef) -> u32 {
+    u32::try_from(obj.index()).expect("heap index fits in 32 bits")
+}
+
+/// The recycling pool: a slot is bound to its object while inflated and
+/// returns to the free list on deflation.
+impl Monitors for MonitorPool {
+    #[inline]
+    fn get(&self, idx: MonitorIndex) -> Option<&FatLock> {
+        MonitorPool::get(self, idx)
+    }
+
+    /// The slot may be recycled and transiently held by a stale acquirer,
+    /// so an owned installation adopts the monitor through its queue
+    /// (`lock_n`) instead of constructing a pre-owned monitor.
+    #[inline]
+    fn install(
+        &self,
+        obj: ObjRef,
+        owner: Option<(ThreadToken, u32)>,
+        registry: &ThreadRegistry,
+    ) -> SyncResult<MonitorIndex> {
+        let idx = self.acquire(obj_index(obj))?;
+        if let Some((t, count)) = owner {
+            let monitor = MonitorPool::get(self, idx).expect("acquired slot resolves");
+            if let Err(e) = monitor.lock_n(t, count, registry) {
+                // Adoption failed (stale token): unbind and return the slot
+                // before anyone can see it.
+                self.release(idx);
+                return Err(e);
+            }
+        }
+        Ok(idx)
+    }
+
+    /// Unlike the one-way table, the pool takes a slot that lost its
+    /// installing race back instead of leaking it.
+    #[inline]
+    fn discard(&self, idx: MonitorIndex) {
+        self.release(idx);
+    }
+
+    fn set_sink(&self, sink: Arc<dyn TraceSink>) {
+        MonitorPool::set_sink(self, sink);
+    }
+
+    fn set_fault_injector(&self, injector: Arc<dyn FaultInjector>) {
+        MonitorPool::set_fault_injector(self, injector);
+    }
+
+    fn set_schedule(&self, schedule: Arc<dyn Schedule>) {
+        MonitorPool::set_schedule(self, schedule);
+    }
+
+    #[inline]
+    fn live(&self) -> usize {
+        MonitorPool::live(self)
+    }
+
+    #[inline]
+    fn peak(&self) -> usize {
+        MonitorPool::peak(self)
+    }
+
+    #[inline]
+    fn allocated(&self) -> u64 {
+        self.allocated_total()
+    }
+}
+
+/// The CJM rule: the thin protocol's contention inflation into a bounded
+/// [`MonitorPool`], revalidation after every fresh fat acquisition, and
+/// deflation on the sole quiescent release.
+#[derive(Debug)]
+pub struct Cjm {
+    pool: MonitorPool,
+    inflations: AtomicU64,
+    deflations: AtomicU64,
+}
+
+impl Policy for Cjm {
+    type Monitors = MonitorPool;
+    const NAME: &'static str = "CJM";
+    const TYPE_NAME: &'static str = "CjmLocks";
+    const DEFLATES: bool = true;
+
+    #[inline]
+    fn monitors(&self) -> &MonitorPool {
+        &self.pool
+    }
+
+    #[inline]
+    fn inflated(&self) {
+        self.inflations.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The acquisition stands only if the word still carries this index
+    /// *and* the slot is still bound to this object. Evaluated while
+    /// holding the monitor, so a `true` answer cannot be invalidated
+    /// concurrently — deflation requires sole ownership.
+    #[inline]
+    fn revalidate(
+        &self,
+        cell: &LockWordCell,
+        obj: ObjRef,
+        word: LockWord,
+        idx: MonitorIndex,
+    ) -> bool {
+        cell.load_acquire() == word && self.pool.binding(idx) == Some(obj_index(obj))
+    }
+
+    /// Deflate iff the releaser is the sole quiescent owner — one atomic
+    /// snapshot; see [`FatLock::is_sole_quiescent_owner`] for why the
+    /// check cannot be three separate reads.
+    fn release_fat<C: FastPathConfig>(
+        core: &LockCore<Self, C>,
+        obj: ObjRef,
+        t: ThreadToken,
+        idx: MonitorIndex,
+        monitor: &FatLock,
+    ) -> Option<SyncResult<()>> {
+        monitor
+            .is_sole_quiescent_owner(t)
+            .then(|| core.deflate_and_release(obj, idx, monitor, t))
+    }
+
+    #[inline]
+    fn inflation_count(&self) -> u64 {
+        self.inflations.load(Ordering::Relaxed)
+    }
+
+    #[inline]
+    fn deflation_count(&self) -> u64 {
+        self.deflations.load(Ordering::Relaxed)
+    }
+}
 
 /// The Compact-Java-Monitors protocol: the thin-lock fast path, plus
 /// deflation back to the neutral word when a monitor quiesces, over a
@@ -125,18 +263,7 @@ const SHALLOW_DEPTH: u32 = 4;
 /// assert_eq!(locks.monitors_allocated(), 2, "but allocations keep counting");
 /// # Ok::<(), thinlock_runtime::SyncError>(())
 /// ```
-pub struct CjmLocks {
-    heap: Arc<Heap>,
-    registry: ThreadRegistry,
-    pool: Arc<MonitorPool>,
-    config: DynamicConfig,
-    stats: Option<Arc<LockStats>>,
-    tracer: Option<Arc<dyn TraceSink>>,
-    injector: Option<Arc<dyn FaultInjector>>,
-    schedule: Option<Arc<dyn Schedule>>,
-    inflations: AtomicU64,
-    deflations: AtomicU64,
-}
+pub type CjmLocks = LockCore<Cjm>;
 
 impl CjmLocks {
     /// Creates a protocol over a fresh heap of `capacity` objects, with
@@ -160,215 +287,30 @@ impl CjmLocks {
     /// Creates a protocol with an explicit monitor-pool bound — the hard
     /// ceiling on simultaneously live monitors. A bound below the number
     /// of simultaneously contended objects makes inflation fail with
-    /// [`SyncError::MonitorIndexExhausted`]; contention inflation
-    /// tolerates that (contenders keep spinning), `wait`/`notify`
-    /// surface it to the caller.
+    /// [`SyncError::MonitorIndexExhausted`](thinlock_runtime::SyncError);
+    /// contention inflation tolerates that (contenders keep spinning),
+    /// `wait`/`notify` surface it to the caller.
     pub fn with_monitor_bound(heap: Arc<Heap>, registry: ThreadRegistry, bound: usize) -> Self {
-        CjmLocks {
-            heap,
-            registry,
-            pool: Arc::new(MonitorPool::with_capacity(bound)),
-            config: DynamicConfig::default(),
-            stats: None,
-            tracer: None,
-            injector: None,
-            schedule: None,
+        let policy = Cjm {
+            pool: MonitorPool::with_capacity(bound),
             inflations: AtomicU64::new(0),
             deflations: AtomicU64::new(0),
-        }
+        };
+        LockCore::from_parts(heap, registry, policy, DynamicConfig::default())
     }
+}
 
-    /// Attaches statistics counters (same discipline as
-    /// `ThinLocks::with_stats`).
-    #[must_use]
-    pub fn with_stats(mut self, stats: Arc<LockStats>) -> Self {
-        self.stats = Some(stats);
-        self
-    }
-
-    /// The attached statistics, if any.
-    pub fn stats(&self) -> Option<&LockStats> {
-        self.stats.as_deref()
-    }
-
-    /// Attaches an event sink; every transition — including
-    /// [`TraceEventKind::Deflated`] — streams through it, and the pool
-    /// emits [`TraceEventKind::MonitorAllocated`] on every slot
-    /// acquisition, recycled slots included.
-    #[must_use]
-    pub fn with_trace_sink(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        self.pool.set_sink(Arc::clone(&sink));
-        self.tracer = Some(sink);
-        self
-    }
-
-    /// Attaches a fault injector, propagated into the pool (stamped into
-    /// every fat lock it creates) and the heap.
-    #[must_use]
-    pub fn with_fault_injector(mut self, injector: Arc<dyn FaultInjector>) -> Self {
-        self.pool.set_fault_injector(Arc::clone(&injector));
-        self.heap.set_fault_injector(Arc::clone(&injector));
-        self.injector = Some(injector);
-        self
-    }
-
-    /// Attaches a cooperative schedule, propagated into the pool. On top
-    /// of the thin protocol's points this backend passes through
-    /// [`SchedPoint::Deflate`] between the quiescence decision and the
-    /// deflating store — the window the deflation-safety invariant
-    /// probes.
-    #[must_use]
-    pub fn with_schedule(mut self, schedule: Arc<dyn Schedule>) -> Self {
-        self.pool.set_schedule(Arc::clone(&schedule));
-        self.schedule = Some(schedule);
-        self
-    }
-
-    /// Installs the orphaned-lock sweeper (see
-    /// `ThinLocks::with_orphan_recovery`); dead owners of pooled
-    /// monitors are reclaimed the same way, and the freed monitor is
-    /// left live for the next release or [`CjmLocks::reclaim_idle`] pass
-    /// to deflate.
-    #[must_use]
-    pub fn with_orphan_recovery(self) -> Self {
-        self.enable_orphan_recovery();
-        self
-    }
-
-    /// Non-consuming form of [`CjmLocks::with_orphan_recovery`].
-    pub fn enable_orphan_recovery(&self) {
-        self.registry.set_exit_sweeper(Arc::new(CjmOrphanSweeper {
-            heap: Arc::clone(&self.heap),
-            pool: Arc::clone(&self.pool),
-            tracer: self.tracer.clone(),
-            injector: self.injector.clone(),
-            config: self.config,
-        }));
-    }
-
+impl<C: FastPathConfig> LockCore<Cjm, C> {
     /// The monitor pool — population gauges for benchmarks and tests.
     pub fn pool(&self) -> &MonitorPool {
-        &self.pool
-    }
-
-    /// The raw lock word of `obj` — diagnostics and tests.
-    pub fn lock_word(&self, obj: ObjRef) -> LockWord {
-        self.cell(obj).load_relaxed()
-    }
-
-    #[inline]
-    fn cell(&self, obj: ObjRef) -> &LockWordCell {
-        self.heap.header(obj).lock_word()
-    }
-
-    #[inline]
-    fn obj_index(obj: ObjRef) -> u32 {
-        u32::try_from(obj.index()).expect("heap index fits in 32 bits")
-    }
-
-    #[inline]
-    fn record_lock(&self, scenario: LockScenario, depth: u32) {
-        if let Some(s) = &self.stats {
-            s.record_lock(scenario, depth);
-        }
-    }
-
-    #[inline]
-    fn emit(&self, thread: Option<ThreadIndex>, obj: Option<ObjRef>, kind: TraceEventKind) {
-        if let Some(sink) = &self.tracer {
-            sink.record(thread, obj, kind);
-        }
-    }
-
-    #[inline]
-    fn inject(&self, point: InjectionPoint) -> FaultAction {
-        match &self.injector {
-            None => FaultAction::Proceed,
-            Some(injector) => injector.decide(point),
-        }
-    }
-
-    #[inline]
-    fn reach(&self, point: SchedPoint, obj: ObjRef) {
-        if let Some(s) = &self.schedule {
-            let _ = s.reached(point, Some(obj));
-        }
-    }
-
-    /// Resolves the fat lock of an inflated word (the slot may already
-    /// be recycled — callers revalidate after acquiring).
-    fn monitor_of(&self, word: LockWord) -> Option<(MonitorIndex, &FatLock)> {
-        let idx = word.monitor_index()?;
-        Some((idx, self.pool.get(idx)?))
-    }
-
-    /// The fat monitor currently backing `obj`, if its word is fat.
-    pub fn monitor_for(&self, obj: ObjRef) -> Option<&FatLock> {
-        let word = self.cell(obj).load_acquire();
-        if word.is_fat() {
-            self.monitor_of(word).map(|(_, m)| m)
-        } else {
-            None
-        }
-    }
-
-    /// True if the acquisition of `monitor` (slot `idx`) still stands
-    /// for `obj`: the word still carries this index and the slot is
-    /// still bound to this object. Evaluated *while holding* the
-    /// monitor, so a `true` answer cannot be invalidated concurrently —
-    /// deflation requires sole ownership.
-    fn revalidate(&self, obj: ObjRef, word: LockWord, idx: MonitorIndex) -> bool {
-        self.cell(obj).load_acquire() == word
-            && self.pool.binding(idx) == Some(Self::obj_index(obj))
-    }
-
-    /// Owner-only inflation: replaces the thin word the caller holds
-    /// `locks` times with a pooled fat monitor owned the same number of
-    /// times. The slot may be recycled and transiently held by a stale
-    /// acquirer, so adoption goes through the monitor's queue
-    /// (`lock_n`) instead of constructing a pre-owned monitor.
-    fn inflate_owned(
-        &self,
-        obj: ObjRef,
-        t: ThreadToken,
-        locks: u32,
-        cause: InflationCause,
-    ) -> SyncResult<&FatLock> {
-        self.reach(SchedPoint::Inflate, obj);
-        if self.inject(InjectionPoint::Inflate) == FaultAction::Yield {
-            std::thread::yield_now();
-        }
-        let idx = self.pool.acquire(Self::obj_index(obj))?;
-        let monitor = self.pool.get(idx).expect("acquired slot resolves");
-        if let Err(e) = monitor.lock_n(t, locks, &self.registry) {
-            // Adoption failed (stale token): unbind and return the slot
-            // before anyone can see it.
-            self.pool.release(idx);
-            return Err(e);
-        }
-        let cell = self.cell(obj);
-        let current = cell.load_relaxed();
-        debug_assert_eq!(
-            current.thin_owner().map(ThreadIndex::get),
-            Some(t.index().get())
-        );
-        cell.store_release(current.inflated(idx));
-        self.inflations.fetch_add(1, Ordering::Relaxed);
-        if let Some(s) = &self.stats {
-            s.record_inflation(cause);
-        }
-        self.emit(
-            Some(t.index()),
-            Some(obj),
-            TraceEventKind::Inflated { cause },
-        );
-        Ok(monitor)
+        &self.policy.pool
     }
 
     /// The deflating release: the caller holds `monitor` as its sole
-    /// quiescent owner. Restores the neutral word *before* releasing the
-    /// monitor (a contender that acquired first would pass revalidation
-    /// against a monitor about to be unbound), then frees the slot.
+    /// quiescent owner. Unbinds the slot, restores the neutral word
+    /// *before* releasing the monitor (a contender that acquired first
+    /// would pass revalidation against a monitor about to be unbound),
+    /// then puts the slot back on the free list.
     fn deflate_and_release(
         &self,
         obj: ObjRef,
@@ -377,284 +319,29 @@ impl CjmLocks {
         t: ThreadToken,
     ) -> SyncResult<()> {
         self.reach(SchedPoint::Deflate, obj);
-        if self.inject(InjectionPoint::UnlockStore) == FaultAction::Yield {
-            // Deschedule between the quiescence decision and the
-            // deflating store — the window in which fresh contenders can
-            // still enqueue (they revalidate and retry; the chaos suite
-            // leans on this).
-            std::thread::yield_now();
-        }
+        // Deschedule between the quiescence decision and the deflating
+        // store — the window in which fresh contenders can still enqueue
+        // (they revalidate and retry; the chaos suite leans on this).
+        self.yield_point(InjectionPoint::UnlockStore);
+        // Count the slot out of the population before the neutral store:
+        // a contender may thin-lock the neutral word and re-inflate at
+        // once, and must not find this object still holding a slot. We
+        // hold the monitor throughout, so revalidation is unaffected.
+        let pool = &self.policy.pool;
+        pool.unbind(idx);
         let cell = self.cell(obj);
         let current = cell.load_relaxed();
         debug_assert!(current.is_fat(), "only the sole owner deflates");
         cell.store_release(current.with_lock_field_clear());
-        self.deflations.fetch_add(1, Ordering::Relaxed);
-        self.emit(
-            Some(t.index()),
-            Some(obj),
-            TraceEventKind::Deflated { index: idx.get() },
-        );
+        self.policy.deflations.fetch_add(1, Ordering::Relaxed);
+        self.emit(t, obj, TraceEventKind::Deflated { index: idx.get() });
         // Release wakes the front of the entry queue, if any contender
         // slipped in after the snapshot; it will revalidate and retry.
         let r = monitor.unlock(t, &self.registry);
         debug_assert!(r.is_ok(), "sole owner release cannot fail");
-        self.pool.release(idx);
-        if let Some(s) = &self.stats {
-            s.record_unlock_fat();
-        }
-        self.emit(Some(t.index()), Some(obj), TraceEventKind::UnlockFat);
+        pool.recycle(idx);
+        self.record_fat_unlock(t, obj);
         r
-    }
-
-    /// The complete lock algorithm — the thin fast path is bit-for-bit
-    /// the paper's (Section 2.3), only the slow path differs.
-    #[inline]
-    fn lock_impl(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<()> {
-        let profile = self.config.profile();
-        let cell = self.cell(obj);
-
-        let old = cell.load_relaxed().with_lock_field_clear();
-        let new = LockWord::from_bits(old.bits() | t.shifted());
-        self.reach(SchedPoint::LockFast, obj);
-        let fast = match self.inject(InjectionPoint::LockFastCas) {
-            FaultAction::FailCas => false,
-            FaultAction::Yield => {
-                std::thread::yield_now();
-                true
-            }
-            _ => true,
-        };
-        if fast && cell.try_cas(old, new, profile).is_ok() {
-            self.record_lock(LockScenario::Unlocked, 1);
-            self.emit(Some(t.index()), Some(obj), TraceEventKind::AcquireUnlocked);
-            return Ok(());
-        }
-
-        let word = cell.load_relaxed();
-        if word.can_nest(t.shifted()) {
-            self.reach(SchedPoint::LockNest, obj);
-            cell.store_relaxed(word.with_count_incremented());
-            let depth = u32::from(word.thin_count()) + 2;
-            self.record_lock(
-                if depth <= SHALLOW_DEPTH {
-                    LockScenario::NestedShallow
-                } else {
-                    LockScenario::NestedDeep
-                },
-                depth,
-            );
-            self.emit(
-                Some(t.index()),
-                Some(obj),
-                TraceEventKind::AcquireNested { depth },
-            );
-            return Ok(());
-        }
-
-        self.lock_slow(obj, t, word)
-    }
-
-    /// Slow path: count overflow, inflated locks (with revalidation),
-    /// and contention.
-    #[inline(never)]
-    fn lock_slow(&self, obj: ObjRef, t: ThreadToken, mut word: LockWord) -> SyncResult<()> {
-        let profile = self.config.profile();
-        let cell = self.cell(obj);
-        // Jittered per-thread backoff (runtime::backoff): spinners that
-        // collided in lockstep draw distinct pulse sequences, seeded by
-        // the thread index so seeded replays stay deterministic.
-        let mut backoff = Backoff::jittered(self.config.spin_policy(), u64::from(t.index().get()));
-        let mut spun = false;
-        let mut waiting = BlockedOnGuard(None);
-        loop {
-            if word.is_fat() {
-                let Some((idx, monitor)) = self.monitor_of(word) else {
-                    word = cell.load_acquire();
-                    continue;
-                };
-                let (depth, contended) = match monitor.lock_uncontended(t) {
-                    Some(depth) => (depth, depth > 1),
-                    None => {
-                        waiting.publish(&self.registry, t, obj);
-                        monitor.lock(t, &self.registry)?;
-                        (monitor.count(), true)
-                    }
-                };
-                // A re-entrant acquisition (depth > 1) needs no check:
-                // we already held the monitor, so the word cannot have
-                // deflated. A fresh one must revalidate against
-                // deflate-and-recycle.
-                if depth == 1 && !self.revalidate(obj, word, idx) {
-                    let r = monitor.unlock(t, &self.registry);
-                    debug_assert!(r.is_ok());
-                    // Advisory spin point so a serializing scheduler
-                    // regains control on every retry.
-                    self.reach(SchedPoint::LockSpin, obj);
-                    word = cell.load_acquire();
-                    continue;
-                }
-                if let Some(s) = &self.stats {
-                    s.record_lock(
-                        if depth > 1 {
-                            if depth <= SHALLOW_DEPTH {
-                                LockScenario::NestedShallow
-                            } else {
-                                LockScenario::NestedDeep
-                            }
-                        } else if contended {
-                            LockScenario::FatContended
-                        } else {
-                            LockScenario::FatUncontended
-                        },
-                        depth,
-                    );
-                    s.record_spin_rounds(backoff.rounds());
-                }
-                self.emit(
-                    Some(t.index()),
-                    Some(obj),
-                    TraceEventKind::AcquireFat { contended },
-                );
-                return Ok(());
-            }
-
-            if word.is_thin_owned_by(t.shifted()) {
-                debug_assert_eq!(u32::from(word.thin_count()), MAX_THIN_COUNT);
-                let locks = u32::from(word.thin_count()) + 1 + 1;
-                self.emit(
-                    Some(t.index()),
-                    Some(obj),
-                    TraceEventKind::AcquireNested { depth: locks },
-                );
-                self.inflate_owned(obj, t, locks, InflationCause::CountOverflow)?;
-                self.record_lock(LockScenario::NestedDeep, locks);
-                return Ok(());
-            }
-
-            if word.is_unlocked() {
-                let new = LockWord::from_bits(word.bits() | t.shifted());
-                self.reach(SchedPoint::LockSlowCas, obj);
-                let attempt = match self.inject(InjectionPoint::LockSlowCas) {
-                    FaultAction::FailCas => false,
-                    FaultAction::Yield => {
-                        std::thread::yield_now();
-                        true
-                    }
-                    _ => true,
-                };
-                if attempt && cell.try_cas(word, new, profile).is_ok() {
-                    if spun {
-                        let rounds = u32::try_from(backoff.rounds()).unwrap_or(u32::MAX);
-                        self.emit(
-                            Some(t.index()),
-                            Some(obj),
-                            TraceEventKind::AcquireContendedThin {
-                                spin_rounds: rounds,
-                            },
-                        );
-                        // Post-contention inflation is an optimization;
-                        // a full pool keeps the thin lock and lets the
-                        // next contender spin.
-                        match self.inflate_owned(obj, t, 1, InflationCause::Contention) {
-                            Ok(_) | Err(SyncError::MonitorIndexExhausted) => {}
-                            Err(e) => return Err(e),
-                        }
-                        self.record_lock(LockScenario::ContendedThin, 1);
-                        if let Some(s) = &self.stats {
-                            s.record_spin_rounds(backoff.rounds());
-                        }
-                    } else {
-                        self.record_lock(LockScenario::Unlocked, 1);
-                        self.emit(Some(t.index()), Some(obj), TraceEventKind::AcquireUnlocked);
-                    }
-                    return Ok(());
-                }
-                word = cell.load_acquire();
-                continue;
-            }
-
-            spun = true;
-            waiting.publish(&self.registry, t, obj);
-            self.reach(SchedPoint::LockSpin, obj);
-            if self.inject(InjectionPoint::LockSpin) == FaultAction::Yield {
-                std::thread::yield_now();
-            }
-            backoff.snooze();
-            word = cell.load_acquire();
-        }
-    }
-
-    /// The complete unlock algorithm; identical to the thin protocol's
-    /// until the fat release, which deflates when quiescent.
-    #[inline]
-    fn unlock_impl(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<()> {
-        let profile = self.config.profile();
-        let cell = self.cell(obj);
-        let word = cell.load_relaxed();
-
-        if word.is_locked_once_by(t.shifted()) {
-            self.reach(SchedPoint::UnlockThin, obj);
-            if self.inject(InjectionPoint::UnlockStore) == FaultAction::Yield {
-                std::thread::yield_now();
-            }
-            let restored = word.with_lock_field_clear();
-            match self.config.unlock_strategy() {
-                UnlockStrategy::Store => cell.store_unlock(restored, profile),
-                UnlockStrategy::CompareAndSwap => {
-                    let r = cell.try_cas_release(word, restored, profile);
-                    debug_assert!(r.is_ok(), "owner-only discipline violated");
-                }
-            }
-            if let Some(s) = &self.stats {
-                s.record_unlock_thin();
-            }
-            self.emit(Some(t.index()), Some(obj), TraceEventKind::UnlockThin);
-            return Ok(());
-        }
-
-        if word.is_thin_owned_by(t.shifted()) {
-            debug_assert!(word.thin_count() > 0);
-            self.reach(SchedPoint::UnlockNest, obj);
-            cell.store_relaxed(word.with_count_decremented());
-            if let Some(s) = &self.stats {
-                s.record_unlock_thin();
-            }
-            self.emit(Some(t.index()), Some(obj), TraceEventKind::UnlockThin);
-            return Ok(());
-        }
-
-        self.unlock_slow(obj, t, word)
-    }
-
-    #[inline(never)]
-    fn unlock_slow(&self, obj: ObjRef, t: ThreadToken, word: LockWord) -> SyncResult<()> {
-        if word.is_fat() {
-            let Some((idx, monitor)) = self.monitor_of(word) else {
-                // A fat word always resolves while its owner holds it;
-                // reaching here means the caller does not own the lock.
-                return Err(SyncError::NotOwner);
-            };
-            // Deflate iff we are the sole quiescent owner — one atomic
-            // snapshot; see FatLock::is_sole_quiescent_owner for why the
-            // check cannot be three separate reads.
-            if monitor.is_sole_quiescent_owner(t) {
-                return self.deflate_and_release(obj, idx, monitor, t);
-            }
-            self.reach(SchedPoint::FatUnlock, obj);
-            let r = monitor.unlock(t, &self.registry);
-            if r.is_ok() {
-                if let Some(s) = &self.stats {
-                    s.record_unlock_fat();
-                }
-                self.emit(Some(t.index()), Some(obj), TraceEventKind::UnlockFat);
-            }
-            return r;
-        }
-        if word.is_unlocked() {
-            Err(SyncError::NotLocked)
-        } else {
-            Err(SyncError::NotOwner)
-        }
     }
 
     /// Idle-scan reclaimer: walks the heap and deflates every fat word
@@ -668,11 +355,12 @@ impl CjmLocks {
     pub fn reclaim_idle(&self, t: ThreadToken) -> usize {
         let mut reclaimed = 0;
         for obj in self.heap.iter() {
-            let word = self.cell(obj).load_acquire();
-            if !word.is_fat() {
+            let cell = self.cell(obj);
+            let word = cell.load_acquire();
+            let Some(idx) = word.monitor_index().filter(|_| word.is_fat()) else {
                 continue;
-            }
-            let Some((idx, monitor)) = self.monitor_of(word) else {
+            };
+            let Some(monitor) = self.policy.pool.get(idx) else {
                 continue;
             };
             // Try to become the owner without blocking; holding the
@@ -681,7 +369,7 @@ impl CjmLocks {
             if !monitor.try_lock(t) {
                 continue;
             }
-            if self.revalidate(obj, word, idx) && monitor.is_sole_quiescent_owner(t) {
+            if self.policy.revalidate(cell, obj, word, idx) && monitor.is_sole_quiescent_owner(t) {
                 if self.deflate_and_release(obj, idx, monitor, t).is_ok() {
                     reclaimed += 1;
                 }
@@ -691,514 +379,23 @@ impl CjmLocks {
         }
         reclaimed
     }
-
-    /// Pre-inflates `obj` with an unowned pooled monitor (the receiving
-    /// end of a `lockcheck` hint). Under this backend the hint is
-    /// advisory twice over: the first quiet release deflates the monitor
-    /// again, which is exactly the backend's contract.
-    ///
-    /// # Errors
-    ///
-    /// [`SyncError::MonitorIndexExhausted`] if the pool is at its bound.
-    pub fn pre_inflate(&self, obj: ObjRef) -> SyncResult<bool> {
-        let cell = self.cell(obj);
-        let word = cell.load_relaxed();
-        if !word.is_unlocked() {
-            return Ok(false);
-        }
-        let idx = self.pool.acquire(Self::obj_index(obj))?;
-        let inflated = word.inflated(idx);
-        if cell.try_cas(word, inflated, self.config.profile()).is_ok() {
-            self.inflations.fetch_add(1, Ordering::Relaxed);
-            if let Some(s) = &self.stats {
-                s.record_inflation(InflationCause::Hint);
-            }
-            self.emit(
-                None,
-                Some(obj),
-                TraceEventKind::Inflated {
-                    cause: InflationCause::Hint,
-                },
-            );
-            Ok(true)
-        } else {
-            // Lost the installing race: unlike the one-way table, the
-            // pool takes the slot back instead of leaking it.
-            self.pool.release(idx);
-            Ok(false)
-        }
-    }
-
-    /// Ensures `obj`'s lock is fat, inflating if the caller holds it
-    /// thin. While the caller owns the resolved monitor the word cannot
-    /// deflate, so no revalidation loop is needed here.
-    fn require_fat(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<&FatLock> {
-        let word = self.cell(obj).load_acquire();
-        if word.is_fat() {
-            let Some((_, monitor)) = self.monitor_of(word) else {
-                return Err(SyncError::NotLocked);
-            };
-            if !monitor.holds(t) {
-                return Err(if monitor.owner().is_some() {
-                    SyncError::NotOwner
-                } else {
-                    SyncError::NotLocked
-                });
-            }
-            return Ok(monitor);
-        }
-        if word.is_thin_owned_by(t.shifted()) {
-            let locks = u32::from(word.thin_count()) + 1;
-            return self.inflate_owned(obj, t, locks, InflationCause::WaitNotify);
-        }
-        if word.is_unlocked() {
-            Err(SyncError::NotLocked)
-        } else {
-            Err(SyncError::NotOwner)
-        }
-    }
-
-    /// One non-blocking acquisition attempt. The fat branch loops only
-    /// to absorb deflate/re-inflate transitions observed mid-attempt.
-    fn try_lock_impl(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<bool> {
-        let profile = self.config.profile();
-        let cell = self.cell(obj);
-
-        let old = cell.load_relaxed().with_lock_field_clear();
-        let new = LockWord::from_bits(old.bits() | t.shifted());
-        let fast = match self.inject(InjectionPoint::LockFastCas) {
-            FaultAction::FailCas => false,
-            FaultAction::Yield => {
-                std::thread::yield_now();
-                true
-            }
-            _ => true,
-        };
-        if fast && cell.try_cas(old, new, profile).is_ok() {
-            self.record_lock(LockScenario::Unlocked, 1);
-            self.emit(Some(t.index()), Some(obj), TraceEventKind::AcquireUnlocked);
-            return Ok(true);
-        }
-
-        loop {
-            let word = cell.load_relaxed();
-            if word.can_nest(t.shifted()) {
-                cell.store_relaxed(word.with_count_incremented());
-                let depth = u32::from(word.thin_count()) + 2;
-                self.record_lock(
-                    if depth <= SHALLOW_DEPTH {
-                        LockScenario::NestedShallow
-                    } else {
-                        LockScenario::NestedDeep
-                    },
-                    depth,
-                );
-                self.emit(
-                    Some(t.index()),
-                    Some(obj),
-                    TraceEventKind::AcquireNested { depth },
-                );
-                return Ok(true);
-            }
-
-            if word.is_fat() {
-                let Some((idx, monitor)) = self.monitor_of(word) else {
-                    continue;
-                };
-                let contended = monitor.owner().is_some();
-                if !monitor.try_lock(t) {
-                    return Ok(false);
-                }
-                let depth = monitor.count();
-                if depth == 1 && !self.revalidate(obj, word, idx) {
-                    let r = monitor.unlock(t, &self.registry);
-                    debug_assert!(r.is_ok());
-                    continue;
-                }
-                self.record_lock(
-                    if depth > 1 {
-                        if depth <= SHALLOW_DEPTH {
-                            LockScenario::NestedShallow
-                        } else {
-                            LockScenario::NestedDeep
-                        }
-                    } else if contended {
-                        LockScenario::FatContended
-                    } else {
-                        LockScenario::FatUncontended
-                    },
-                    depth,
-                );
-                self.emit(
-                    Some(t.index()),
-                    Some(obj),
-                    TraceEventKind::AcquireFat { contended },
-                );
-                return Ok(true);
-            }
-
-            if word.is_thin_owned_by(t.shifted()) {
-                debug_assert_eq!(u32::from(word.thin_count()), MAX_THIN_COUNT);
-                let locks = u32::from(word.thin_count()) + 2;
-                self.emit(
-                    Some(t.index()),
-                    Some(obj),
-                    TraceEventKind::AcquireNested { depth: locks },
-                );
-                self.inflate_owned(obj, t, locks, InflationCause::CountOverflow)?;
-                self.record_lock(LockScenario::NestedDeep, locks);
-                return Ok(true);
-            }
-
-            if word.is_unlocked() {
-                let new = LockWord::from_bits(word.bits() | t.shifted());
-                if cell.try_cas(word, new, profile).is_ok() {
-                    self.record_lock(LockScenario::Unlocked, 1);
-                    self.emit(Some(t.index()), Some(obj), TraceEventKind::AcquireUnlocked);
-                    return Ok(true);
-                }
-                continue;
-            }
-
-            // Thin-held by another thread: non-blocking means give up.
-            return Ok(false);
-        }
-    }
-
-    /// Deadline-bounded acquisition (see `ThinLocks::lock_deadline`);
-    /// the fat branch revalidates like the untimed path.
-    fn lock_deadline_impl(&self, obj: ObjRef, t: ThreadToken, timeout: Duration) -> SyncResult<()> {
-        if self.try_lock_impl(obj, t)? {
-            return Ok(());
-        }
-        let now = Instant::now();
-        let deadline = now
-            .checked_add(timeout)
-            .unwrap_or_else(|| now + Duration::from_secs(86_400 * 365));
-        let mut waiting = BlockedOnGuard(None);
-        waiting.publish(&self.registry, t, obj);
-        // Jittered per-thread backoff (runtime::backoff): spinners that
-        // collided in lockstep draw distinct pulse sequences, seeded by
-        // the thread index so seeded replays stay deterministic.
-        let mut backoff = Backoff::jittered(self.config.spin_policy(), u64::from(t.index().get()));
-        loop {
-            let word = self.cell(obj).load_acquire();
-            if word.is_fat() {
-                let Some((idx, monitor)) = self.monitor_of(word) else {
-                    continue;
-                };
-                let contended = monitor.owner().is_some();
-                match monitor.lock_n_deadline(t, 1, &self.registry, deadline) {
-                    Ok(()) => {
-                        let depth = monitor.count();
-                        if depth == 1 && !self.revalidate(obj, word, idx) {
-                            let r = monitor.unlock(t, &self.registry);
-                            debug_assert!(r.is_ok());
-                            if Instant::now() >= deadline {
-                                return self.deadline_expired(obj, t);
-                            }
-                            continue;
-                        }
-                        if let Some(s) = &self.stats {
-                            s.record_lock(
-                                if depth > 1 {
-                                    if depth <= SHALLOW_DEPTH {
-                                        LockScenario::NestedShallow
-                                    } else {
-                                        LockScenario::NestedDeep
-                                    }
-                                } else if contended {
-                                    LockScenario::FatContended
-                                } else {
-                                    LockScenario::FatUncontended
-                                },
-                                depth,
-                            );
-                        }
-                        self.emit(
-                            Some(t.index()),
-                            Some(obj),
-                            TraceEventKind::AcquireFat { contended },
-                        );
-                        return Ok(());
-                    }
-                    Err(SyncError::Timeout) => return self.deadline_expired(obj, t),
-                    Err(e) => return Err(e),
-                }
-            }
-            if self.try_lock_impl(obj, t)? {
-                return Ok(());
-            }
-            if Instant::now() >= deadline {
-                return self.deadline_expired(obj, t);
-            }
-            if self.inject(InjectionPoint::LockSpin) == FaultAction::Yield {
-                std::thread::yield_now();
-            }
-            backoff.snooze();
-        }
-    }
-
-    fn deadline_expired(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<()> {
-        self.emit(Some(t.index()), Some(obj), TraceEventKind::AcquireTimedOut);
-        if let Some(report) = crate::watchdog::confirm_cycle(self, t.index(), obj) {
-            let threads = u32::try_from(report.threads.len()).unwrap_or(u32::MAX);
-            self.emit(
-                Some(t.index()),
-                Some(obj),
-                TraceEventKind::DeadlockDetected { threads },
-            );
-            return Err(SyncError::DeadlockDetected);
-        }
-        Err(SyncError::Timeout)
-    }
-}
-
-/// RAII publication of a thread's waits-for edge; mirrors the thin
-/// protocol's guard.
-struct BlockedOnGuard(Option<Arc<ThreadRecord>>);
-
-impl BlockedOnGuard {
-    fn publish(&mut self, registry: &ThreadRegistry, t: ThreadToken, obj: ObjRef) {
-        if self.0.is_none() {
-            if let Ok(record) = registry.record(t.index()) {
-                record.set_blocked_on(Some(obj));
-                self.0 = Some(record);
-            }
-        }
-    }
-}
-
-impl Drop for BlockedOnGuard {
-    fn drop(&mut self) {
-        if let Some(record) = &self.0 {
-            record.set_blocked_on(None);
-        }
-    }
-}
-
-/// The registry exit sweep over the pool: force-releases every lock a
-/// dead thread left behind. A reclaimed fat monitor stays live (unowned,
-/// word still fat) — the next contender's quiet release, or a
-/// [`CjmLocks::reclaim_idle`] pass, deflates it.
-struct CjmOrphanSweeper {
-    heap: Arc<Heap>,
-    pool: Arc<MonitorPool>,
-    tracer: Option<Arc<dyn TraceSink>>,
-    injector: Option<Arc<dyn FaultInjector>>,
-    config: DynamicConfig,
-}
-
-impl CjmOrphanSweeper {
-    fn emit_reclaim(&self, dead: ThreadIndex, obj: ObjRef, fat: bool) {
-        if let Some(sink) = &self.tracer {
-            sink.record(
-                Some(dead),
-                Some(obj),
-                TraceEventKind::OrphanReclaimed { fat },
-            );
-        }
-    }
-}
-
-impl ExitSweeper for CjmOrphanSweeper {
-    fn sweep_thread(&self, dead: ThreadIndex, registry: &ThreadRegistry) {
-        if let Some(injector) = &self.injector {
-            if injector.decide(InjectionPoint::RegistryRelease) == FaultAction::Yield {
-                std::thread::yield_now();
-            }
-        }
-        for obj in self.heap.iter() {
-            let cell = self.heap.header(obj).lock_word();
-            let word = cell.load_acquire();
-            if word.is_fat() {
-                let Some(idx) = word.monitor_index() else {
-                    continue;
-                };
-                if let Some(monitor) = self.pool.get(idx) {
-                    if monitor.reclaim_orphan(dead, registry) {
-                        self.emit_reclaim(dead, obj, true);
-                    }
-                }
-            } else if word.thin_owner() == Some(dead) {
-                let cleared = word.with_lock_field_clear();
-                if cell.try_cas(word, cleared, self.config.profile()).is_ok() {
-                    self.emit_reclaim(dead, obj, false);
-                }
-            }
-        }
-    }
-}
-
-impl SyncProtocol for CjmLocks {
-    #[inline]
-    fn lock(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<()> {
-        self.lock_impl(obj, t)
-    }
-
-    #[inline]
-    fn unlock(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<()> {
-        self.unlock_impl(obj, t)
-    }
-
-    fn try_lock(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<bool> {
-        let acquired = self.try_lock_impl(obj, t)?;
-        if !acquired {
-            self.emit(Some(t.index()), Some(obj), TraceEventKind::AcquireTimedOut);
-        }
-        Ok(acquired)
-    }
-
-    fn lock_deadline(&self, obj: ObjRef, t: ThreadToken, timeout: Duration) -> SyncResult<()> {
-        self.lock_deadline_impl(obj, t, timeout)
-    }
-
-    fn wait(
-        &self,
-        obj: ObjRef,
-        t: ThreadToken,
-        timeout: Option<Duration>,
-    ) -> SyncResult<WaitOutcome> {
-        if let Some(s) = &self.stats {
-            s.record_wait();
-        }
-        let monitor = self.require_fat(obj, t)?;
-        self.emit(Some(t.index()), Some(obj), TraceEventKind::Wait);
-        // While we sit in the wait set (and later the entry queue) the
-        // monitor can never pass the quiescence snapshot, so the word
-        // stays fat until we have re-acquired and released it.
-        monitor.wait(t, &self.registry, timeout)
-    }
-
-    fn notify(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<()> {
-        if let Some(s) = &self.stats {
-            s.record_notify();
-        }
-        let monitor = self.require_fat(obj, t)?;
-        self.emit(Some(t.index()), Some(obj), TraceEventKind::Notify);
-        self.reach(SchedPoint::Notify, obj);
-        monitor.notify(t)
-    }
-
-    fn notify_all(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<()> {
-        if let Some(s) = &self.stats {
-            s.record_notify();
-        }
-        let monitor = self.require_fat(obj, t)?;
-        self.emit(Some(t.index()), Some(obj), TraceEventKind::Notify);
-        self.reach(SchedPoint::Notify, obj);
-        monitor.notify_all(t)
-    }
-
-    fn holds_lock(&self, obj: ObjRef, t: ThreadToken) -> bool {
-        let word = self.cell(obj).load_acquire();
-        if word.is_fat() {
-            self.monitor_of(word).is_some_and(|(_, m)| m.holds(t))
-        } else {
-            word.is_thin_owned_by(t.shifted())
-        }
-    }
-
-    fn pre_inflate_hint(&self, obj: ObjRef) -> bool {
-        let applied = self.pre_inflate(obj).unwrap_or(false);
-        self.emit(None, Some(obj), TraceEventKind::PreInflateHint { applied });
-        applied
-    }
-
-    fn trace_sink(&self) -> Option<&dyn TraceSink> {
-        self.tracer.as_deref()
-    }
-
-    fn heap(&self) -> &Heap {
-        &self.heap
-    }
-
-    fn registry(&self) -> &ThreadRegistry {
-        &self.registry
-    }
-
-    fn name(&self) -> &'static str {
-        "CJM"
-    }
-}
-
-impl SyncBackend for CjmLocks {
-    fn monitor_probe(&self, obj: ObjRef) -> Option<MonitorProbe> {
-        let monitor = self.monitor_for(obj)?;
-        Some(MonitorProbe {
-            owner: monitor.owner(),
-            count: monitor.count(),
-            entry_queue_len: monitor.entry_queue_len(),
-            wait_set_len: monitor.wait_set_len(),
-        })
-    }
-
-    fn in_wait_set(&self, obj: ObjRef, t: ThreadToken) -> bool {
-        self.monitor_for(obj).is_some_and(|m| m.is_waiting(t))
-    }
-
-    fn deflation_capable(&self) -> bool {
-        true
-    }
-
-    fn inflation_count(&self) -> u64 {
-        self.inflations.load(Ordering::Relaxed)
-    }
-
-    fn deflation_count(&self) -> u64 {
-        self.deflations.load(Ordering::Relaxed)
-    }
-
-    fn monitors_live(&self) -> usize {
-        self.pool.live()
-    }
-
-    fn monitors_peak(&self) -> usize {
-        self.pool.peak()
-    }
-
-    fn monitors_allocated(&self) -> u64 {
-        self.pool.allocated_total()
-    }
-}
-
-impl fmt::Debug for CjmLocks {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CjmLocks")
-            .field("heap", &self.heap)
-            .field("live", &self.pool.live())
-            .field("peak", &self.pool.peak())
-            .field("inflations", &self.inflations.load(Ordering::Relaxed))
-            .field("deflations", &self.deflations.load(Ordering::Relaxed))
-            .finish()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
     use std::thread;
+    use std::time::Duration;
+    use thinlock_runtime::backend::SyncBackend;
+    use thinlock_runtime::error::SyncError;
+    use thinlock_runtime::protocol::{SyncProtocol, WaitOutcome};
+    use thinlock_runtime::stats::LockStats;
 
     fn fresh(capacity: usize) -> CjmLocks {
         CjmLocks::with_capacity(capacity)
     }
 
-    #[test]
-    fn thin_fast_path_matches_paper() {
-        let p = fresh(4);
-        let r = p.registry().register().unwrap();
-        let t = r.token();
-        let obj = p.heap().alloc().unwrap();
-        let before = p.lock_word(obj);
-        p.lock(obj, t).unwrap();
-        let held = p.lock_word(obj);
-        assert_eq!(held.thin_owner().map(|o| o.get()), Some(t.index().get()));
-        assert_eq!(held.header_bits(), before.header_bits());
-        p.unlock(obj, t).unwrap();
-        assert_eq!(p.lock_word(obj), before, "word restored bit-for-bit");
-        assert_eq!(p.inflation_count(), 0);
-    }
+    crate::conformance::rows!(fresh);
 
     #[test]
     fn quiet_fat_release_deflates_and_recycles() {
@@ -1283,8 +480,7 @@ mod tests {
         // The churn loop: every round inflates (wait-notify cause) and
         // the quiet release deflates. Monitor population must stay at
         // one slot regardless of the number of rounds — the table-based
-        // protocols grow their footprint per object (thin) or per
-        // inflation (tasuki).
+        // protocols grow their footprint per object.
         const ROUNDS: u64 = 500;
         let p = fresh(8);
         let r = p.registry().register().unwrap();
@@ -1379,40 +575,6 @@ mod tests {
         owner.join().unwrap();
         assert!(p.lock_word(obj).is_unlocked(), "deflated after the burst");
         assert_eq!(p.monitors_live(), 0);
-    }
-
-    #[test]
-    fn count_overflow_inflates_and_unwinds_to_neutral() {
-        let p = fresh(4);
-        let r = p.registry().register().unwrap();
-        let t = r.token();
-        let obj = p.heap().alloc().unwrap();
-        for _ in 0..257 {
-            p.lock(obj, t).unwrap();
-        }
-        assert!(p.lock_word(obj).is_fat());
-        for _ in 0..257 {
-            p.unlock(obj, t).unwrap();
-        }
-        assert!(p.lock_word(obj).is_unlocked(), "full unwind deflates");
-        assert_eq!(p.deflation_count(), 1);
-        assert_eq!(p.monitors_live(), 0);
-    }
-
-    #[test]
-    fn unlock_errors_mirror_java() {
-        let p = fresh(4);
-        let ra = p.registry().register().unwrap();
-        let rb = p.registry().register().unwrap();
-        let obj = p.heap().alloc().unwrap();
-        assert_eq!(p.unlock(obj, ra.token()), Err(SyncError::NotLocked));
-        p.lock(obj, ra.token()).unwrap();
-        assert_eq!(p.unlock(obj, rb.token()), Err(SyncError::NotOwner));
-        // Same through the fat shape.
-        p.notify(obj, ra.token()).unwrap();
-        assert_eq!(p.unlock(obj, rb.token()), Err(SyncError::NotOwner));
-        p.unlock(obj, ra.token()).unwrap();
-        assert_eq!(p.unlock(obj, ra.token()), Err(SyncError::NotLocked));
     }
 
     #[test]

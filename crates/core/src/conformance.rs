@@ -1,0 +1,354 @@
+//! One conformance table for the four backends. Each test body here is
+//! written once against [`LockCore`] and [`rows!`] stamps it into every
+//! backend's `tests` module with that backend's constructor, so each
+//! shared behaviour has one definition and one row per backend. Tests of
+//! one policy's own mechanism stay with that policy.
+
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
+use std::thread;
+use std::time::Duration;
+
+use thinlock_runtime::backend::SyncBackend;
+use thinlock_runtime::error::SyncError;
+use thinlock_runtime::fault::{FaultAction, FaultInjector, InjectionPoint};
+use thinlock_runtime::protocol::{SyncProtocol, WaitOutcome};
+
+use crate::lockcore::{LockCore, Policy};
+
+/// Builds a backend over a fresh heap of the given capacity.
+pub(crate) type Fresh<P> = fn(usize) -> LockCore<P>;
+
+/// Stamps every conformance test into the calling module as a `#[test]`
+/// over the backend built by `$fresh`.
+macro_rules! rows {
+    ($fresh:expr) => {
+        $crate::conformance::rows!(@each $fresh;
+            lock_unlock_restores_word_exactly,
+            unlock_errors_mirror_java,
+            count_overflow_inflates_at_257th_lock,
+            mutual_exclusion_many_threads_one_object,
+            wait_notify_inflates_and_works,
+            try_lock_thin_nested_and_contended,
+            try_lock_on_fat_lock,
+            lock_deadline_times_out_thin_without_inflating,
+            lock_deadline_times_out_on_fat_lock,
+            deadline_prefers_acquisition_over_punctuality,
+            orphaned_thin_lock_is_reclaimed_on_registration_drop,
+            orphaned_fat_lock_is_reclaimed_and_queue_woken,
+            injected_cas_failure_routes_through_slow_path,
+        );
+    };
+    (@each $fresh:expr; $($name:ident),* $(,)?) => {
+        $(
+            #[test]
+            fn $name() {
+                $crate::conformance::$name($fresh);
+            }
+        )*
+    };
+}
+pub(crate) use rows;
+
+/// A thread that takes `obj`, lets the caller run between two barrier
+/// waits, then releases — the deterministic contention the timed tests
+/// need.
+fn hold_between_barriers<P: Policy>(
+    p: &Arc<LockCore<P>>,
+    obj: thinlock_runtime::heap::ObjRef,
+    barrier: &Arc<Barrier>,
+) -> thread::JoinHandle<()> {
+    let (p, barrier) = (Arc::clone(p), Arc::clone(barrier));
+    thread::spawn(move || {
+        let r = p.registry().register().unwrap();
+        let t = r.token();
+        p.lock(obj, t).unwrap();
+        barrier.wait(); // the caller starts its attempt
+        barrier.wait(); // the caller is done
+        p.unlock(obj, t).unwrap();
+    })
+}
+
+pub(crate) fn lock_unlock_restores_word_exactly<P: Policy>(fresh: Fresh<P>) {
+    let p = fresh(4);
+    let r = p.registry().register().unwrap();
+    let t = r.token();
+    let obj = p.heap().alloc().unwrap();
+    let before = p.lock_word(obj);
+    p.lock(obj, t).unwrap();
+    let held = p.lock_word(obj);
+    assert_eq!(held.thin_owner().map(|o| o.get()), Some(t.index().get()));
+    assert_eq!(held.thin_count(), 0);
+    assert_eq!(held.header_bits(), before.header_bits());
+    p.unlock(obj, t).unwrap();
+    assert_eq!(p.lock_word(obj), before, "word restored bit-for-bit");
+    assert_eq!(p.inflated_count(), 0);
+}
+
+pub(crate) fn unlock_errors_mirror_java<P: Policy>(fresh: Fresh<P>) {
+    let p = fresh(4);
+    let ra = p.registry().register().unwrap();
+    let rb = p.registry().register().unwrap();
+    let obj = p.heap().alloc().unwrap();
+    assert_eq!(p.unlock(obj, ra.token()), Err(SyncError::NotLocked));
+    p.lock(obj, ra.token()).unwrap();
+    assert_eq!(p.unlock(obj, rb.token()), Err(SyncError::NotOwner));
+    // Same through the fat shape.
+    p.notify(obj, ra.token()).unwrap();
+    assert_eq!(p.unlock(obj, rb.token()), Err(SyncError::NotOwner));
+    p.unlock(obj, ra.token()).unwrap();
+    assert_eq!(p.unlock(obj, ra.token()), Err(SyncError::NotLocked));
+}
+
+pub(crate) fn count_overflow_inflates_at_257th_lock<P: Policy>(fresh: Fresh<P>) {
+    let p = fresh(4);
+    let r = p.registry().register().unwrap();
+    let t = r.token();
+    let obj = p.heap().alloc().unwrap();
+    for _ in 0..256 {
+        p.lock(obj, t).unwrap();
+    }
+    assert!(p.lock_word(obj).is_thin_shape(), "256 locks still thin");
+    assert_eq!(u32::from(p.lock_word(obj).thin_count()), 255);
+    p.lock(obj, t).unwrap(); // the paper's "excessive" 257th
+    assert!(p.lock_word(obj).is_fat());
+    assert_eq!(p.inflated_count(), 1);
+    // All 257 unlocks must succeed through the fat path.
+    for _ in 0..257 {
+        p.unlock(obj, t).unwrap();
+    }
+    assert!(!p.holds_lock(obj, t));
+    // One-way inflation keeps the monitor; a deflating policy's full
+    // unwind restores the neutral word.
+    let deflates = p.deflation_capable();
+    assert_eq!(p.lock_word(obj).is_fat(), !deflates);
+    assert_eq!(p.deflation_count(), u64::from(deflates));
+    assert_eq!(p.monitors_live(), usize::from(!deflates));
+    // And the lock remains usable.
+    p.lock(obj, t).unwrap();
+    p.unlock(obj, t).unwrap();
+}
+
+pub(crate) fn mutual_exclusion_many_threads_one_object<P: Policy>(fresh: Fresh<P>) {
+    let p = Arc::new(fresh(4));
+    let obj = p.heap().alloc().unwrap();
+    let total = Arc::new(AtomicU64::new(0));
+    const THREADS: usize = 4;
+    const ITERS: u64 = 300;
+    let handles: Vec<_> = (0..THREADS)
+        .map(|_| {
+            let (p, total) = (Arc::clone(&p), Arc::clone(&total));
+            thread::spawn(move || {
+                let r = p.registry().register().unwrap();
+                let t = r.token();
+                for _ in 0..ITERS {
+                    p.lock(obj, t).unwrap();
+                    let v = total.load(Ordering::Relaxed);
+                    std::hint::spin_loop();
+                    total.store(v + 1, Ordering::Relaxed);
+                    p.unlock(obj, t).unwrap();
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+    assert_eq!(total.load(Ordering::Relaxed), THREADS as u64 * ITERS);
+    // Whether inflation occurred depends on the schedule, but the lock
+    // must end fully released either way.
+    let r = p.registry().register().unwrap();
+    assert!(!p.holds_lock(obj, r.token()));
+    assert!(p.monitors_peak() <= 1, "one object: at most one monitor");
+}
+
+pub(crate) fn wait_notify_inflates_and_works<P: Policy>(fresh: Fresh<P>) {
+    let p = Arc::new(fresh(4));
+    let obj = p.heap().alloc().unwrap();
+    let waiter = {
+        let p = Arc::clone(&p);
+        thread::spawn(move || {
+            let r = p.registry().register().unwrap();
+            let t = r.token();
+            p.lock(obj, t).unwrap();
+            assert!(p.lock_word(obj).is_thin_shape());
+            let out = p.wait(obj, t, None).unwrap(); // inflates
+            assert!(p.holds_lock(obj, t));
+            p.unlock(obj, t).unwrap();
+            out
+        })
+    };
+    // Wait for the inflation caused by wait().
+    while !p.lock_word(obj).is_fat() {
+        thread::yield_now();
+    }
+    let r = p.registry().register().unwrap();
+    let t = r.token();
+    p.lock(obj, t).unwrap();
+    p.notify(obj, t).unwrap();
+    p.unlock(obj, t).unwrap();
+    assert_eq!(waiter.join().unwrap(), WaitOutcome::Notified);
+    assert_eq!(p.inflated_count(), 1);
+}
+
+pub(crate) fn try_lock_thin_nested_and_contended<P: Policy>(fresh: Fresh<P>) {
+    let p = fresh(4);
+    let ra = p.registry().register().unwrap();
+    let rb = p.registry().register().unwrap();
+    let obj = p.heap().alloc().unwrap();
+    assert_eq!(p.try_lock(obj, ra.token()), Ok(true), "uncontended");
+    assert_eq!(p.try_lock(obj, ra.token()), Ok(true), "nested");
+    assert_eq!(p.try_lock(obj, rb.token()), Ok(false), "held by other");
+    assert!(p.lock_word(obj).is_thin_shape(), "try_lock never inflates");
+    p.unlock(obj, ra.token()).unwrap();
+    p.unlock(obj, ra.token()).unwrap();
+    assert_eq!(p.try_lock(obj, rb.token()), Ok(true));
+    p.unlock(obj, rb.token()).unwrap();
+}
+
+pub(crate) fn try_lock_on_fat_lock<P: Policy>(fresh: Fresh<P>) {
+    let p = fresh(4);
+    let ra = p.registry().register().unwrap();
+    let rb = p.registry().register().unwrap();
+    let obj = p.heap().alloc().unwrap();
+    assert!(p.pre_inflate(obj).unwrap());
+    assert_eq!(p.try_lock(obj, ra.token()), Ok(true));
+    assert_eq!(p.try_lock(obj, ra.token()), Ok(true), "fat re-entrant");
+    assert_eq!(p.try_lock(obj, rb.token()), Ok(false));
+    p.unlock(obj, ra.token()).unwrap();
+    p.unlock(obj, ra.token()).unwrap();
+    assert_eq!(p.try_lock(obj, rb.token()), Ok(true));
+    p.unlock(obj, rb.token()).unwrap();
+}
+
+pub(crate) fn lock_deadline_times_out_thin_without_inflating<P: Policy>(fresh: Fresh<P>) {
+    let p = Arc::new(fresh(4));
+    let obj = p.heap().alloc().unwrap();
+    let barrier = Arc::new(Barrier::new(2));
+    let owner = hold_between_barriers(&p, obj, &barrier);
+    let r = p.registry().register().unwrap();
+    let t = r.token();
+    barrier.wait();
+    let err = p.lock_deadline(obj, t, Duration::from_millis(40));
+    assert_eq!(err, Err(SyncError::Timeout));
+    assert!(
+        p.lock_word(obj).is_thin_shape(),
+        "a timed-out acquisition leaves no trace"
+    );
+    barrier.wait();
+    owner.join().unwrap();
+    // And afterwards the object is acquirable within any deadline.
+    p.lock_deadline(obj, t, Duration::from_secs(5)).unwrap();
+    p.unlock(obj, t).unwrap();
+}
+
+pub(crate) fn lock_deadline_times_out_on_fat_lock<P: Policy>(fresh: Fresh<P>) {
+    let p = Arc::new(fresh(4));
+    let obj = p.heap().alloc().unwrap();
+    assert!(p.pre_inflate(obj).unwrap());
+    let barrier = Arc::new(Barrier::new(2));
+    let owner = hold_between_barriers(&p, obj, &barrier);
+    let r = p.registry().register().unwrap();
+    let t = r.token();
+    barrier.wait();
+    assert_eq!(
+        p.lock_deadline(obj, t, Duration::from_millis(40)),
+        Err(SyncError::Timeout)
+    );
+    assert!(!p.holds_lock(obj, t));
+    barrier.wait();
+    owner.join().unwrap();
+    p.lock_deadline(obj, t, Duration::from_secs(5)).unwrap();
+    p.unlock(obj, t).unwrap();
+}
+
+pub(crate) fn deadline_prefers_acquisition_over_punctuality<P: Policy>(fresh: Fresh<P>) {
+    let p = fresh(4);
+    let r = p.registry().register().unwrap();
+    let t = r.token();
+    let obj = p.heap().alloc().unwrap();
+    // A zero timeout on a free lock still acquires.
+    p.lock_deadline(obj, t, Duration::ZERO).unwrap();
+    assert!(p.holds_lock(obj, t));
+    p.unlock(obj, t).unwrap();
+}
+
+pub(crate) fn orphaned_thin_lock_is_reclaimed_on_registration_drop<P: Policy>(fresh: Fresh<P>) {
+    let p = fresh(4);
+    p.enable_orphan_recovery();
+    let obj = p.heap().alloc().unwrap();
+    let r = p.registry().register().unwrap();
+    let t = r.token();
+    p.lock(obj, t).unwrap();
+    p.lock(obj, t).unwrap(); // nested: count survives until the sweep
+    assert!(p.lock_word(obj).is_thin_shape());
+    drop(r); // thread "dies" while owning the thin lock
+    assert!(
+        p.lock_word(obj).is_unlocked(),
+        "sweep cleared the orphaned thin lock"
+    );
+    // A fresh registration — which recycles the dead index — can acquire
+    // the previously-orphaned object (under a queueing policy only if the
+    // sweep also retired the dead owner's ticket).
+    let r2 = p.registry().register().unwrap();
+    assert_eq!(r2.token().index().get(), t.index().get(), "index reused");
+    p.lock(obj, r2.token()).unwrap();
+    assert!(p.holds_lock(obj, r2.token()));
+    p.unlock(obj, r2.token()).unwrap();
+}
+
+pub(crate) fn orphaned_fat_lock_is_reclaimed_and_queue_woken<P: Policy>(fresh: Fresh<P>) {
+    let p = Arc::new(fresh(4).with_orphan_recovery());
+    let obj = p.heap().alloc().unwrap();
+    let r = p.registry().register().unwrap();
+    let t = r.token();
+    p.lock(obj, t).unwrap();
+    p.notify(obj, t).unwrap(); // inflates
+    assert!(p.lock_word(obj).is_fat());
+    let barrier = Arc::new(Barrier::new(2));
+    let contender = {
+        let (p, barrier) = (Arc::clone(&p), Arc::clone(&barrier));
+        thread::spawn(move || {
+            let r = p.registry().register().unwrap();
+            let t = r.token();
+            barrier.wait();
+            p.lock(obj, t).unwrap(); // blocks until the sweep releases
+            p.unlock(obj, t).unwrap();
+        })
+    };
+    barrier.wait();
+    thread::sleep(Duration::from_millis(30)); // let the contender park
+    drop(r); // owner dies; sweep reclaims and wakes the queue
+    contender.join().unwrap();
+    let r2 = p.registry().register().unwrap();
+    assert!(!p.holds_lock(obj, r2.token()));
+}
+
+pub(crate) fn injected_cas_failure_routes_through_slow_path<P: Policy>(fresh: Fresh<P>) {
+    #[derive(Debug, Default)]
+    struct FailFastCas(AtomicUsize);
+    impl FaultInjector for FailFastCas {
+        fn decide(&self, point: InjectionPoint) -> FaultAction {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            if point == InjectionPoint::LockFastCas {
+                FaultAction::FailCas
+            } else {
+                FaultAction::Proceed
+            }
+        }
+    }
+
+    let injector = Arc::new(FailFastCas::default());
+    let p = fresh(4).with_fault_injector(Arc::clone(&injector) as Arc<dyn FaultInjector>);
+    let r = p.registry().register().unwrap();
+    let t = r.token();
+    let obj = p.heap().alloc().unwrap();
+    p.lock(obj, t).unwrap(); // fast CAS suppressed, slow path wins
+    assert!(p.holds_lock(obj, t));
+    p.unlock(obj, t).unwrap();
+    assert!(p.lock_word(obj).is_unlocked());
+    assert!(
+        injector.0.load(Ordering::Relaxed) >= 1,
+        "injector consulted"
+    );
+}

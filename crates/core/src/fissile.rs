@@ -18,8 +18,8 @@
 //!      │        retired, none outstanding)            │ FIFO tickets
 //!      └──────────────────────────────────────────────┘
 //!
-//!   PINNED: FISSIONED forced by the adaptive policy; never re-coheres
-//!   until [`release_fifo`](FissileLocks::release_fifo).
+//!   PINNED: FISSIONED forced by a pin (a contention profile's plan);
+//!   never re-coheres until [`release_fifo`](LockCore::release_fifo).
 //! ```
 //!
 //! * **Cohered** — the fast path is the paper's single CAS and the
@@ -39,7 +39,10 @@
 //! Because every queueing structure lives outside the lock word, the
 //! word obeys the same invariants as the thin backend (header
 //! preservation, owner-only writes, one-way inflation) and the model
-//! checker's word-conformance sweep applies unchanged.
+//! checker's word-conformance sweep applies unchanged. The [`Fissile`]
+//! policy is only the mode byte and the spin budget over the shared
+//! [`LockCore`]; the admission loop, the ticketed release and the
+//! ticket-aware orphan sweep are shared with [`hapax`](crate::hapax).
 //!
 //! # Fission lifecycle
 //!
@@ -62,31 +65,16 @@
 //! # Ok::<(), thinlock_runtime::SyncError>(())
 //! ```
 
-use std::fmt;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-use thinlock_monitor::{FatLock, MonitorTable};
-use thinlock_runtime::arch::LockWordCell;
-use thinlock_runtime::backend::{MonitorProbe, SyncBackend};
-use thinlock_runtime::backoff::Backoff;
-use thinlock_runtime::error::{SyncError, SyncResult};
-use thinlock_runtime::events::{TraceEventKind, TraceSink};
-use thinlock_runtime::fault::{FaultAction, FaultInjector, InjectionPoint};
+use thinlock_monitor::MonitorTable;
 use thinlock_runtime::heap::{Heap, ObjRef};
-use thinlock_runtime::lockword::{LockWord, ThreadIndex, MAX_THIN_COUNT};
-use thinlock_runtime::protocol::{SyncProtocol, WaitOutcome};
-use thinlock_runtime::registry::{ExitSweeper, ThreadRecord, ThreadRegistry, ThreadToken};
-use thinlock_runtime::schedule::{SchedPoint, Schedule};
-use thinlock_runtime::stats::{InflationCause, LockScenario, LockStats};
+use thinlock_runtime::registry::ThreadRegistry;
 
-use crate::config::{DynamicConfig, FastPathConfig, UnlockStrategy};
+use crate::config::{DynamicConfig, FastPathConfig};
+use crate::lockcore::{LockCore, Policy};
 use crate::ticket::TicketLedger;
-
-/// Nesting depth at or below which an acquisition counts as "shallow"
-/// in the statistics (same convention as the thin backend).
-const SHALLOW_DEPTH: u32 = 4;
 
 /// Spin rounds a cohered contender tolerates before fissioning the
 /// lock. Small by design: Dice & Kogan size the TS phase to cover only
@@ -97,65 +85,80 @@ const FISSION_SPIN_BUDGET: u64 = 6;
 const COHERED: u8 = 0;
 /// Mode byte: blocking lockers draw FIFO tickets.
 const FISSIONED: u8 = 1;
-/// Mode byte: fissioned by the adaptive policy; exempt from re-cohesion.
+/// Mode byte: fissioned by a pin; exempt from re-cohesion.
 const PINNED: u8 = 2;
 
-/// Per-object fission mode bytes, shared with the orphan sweeper.
+/// The fissile rule: spin against a small budget, then fission the
+/// object into FIFO ticket admission until its queue drains.
 #[derive(Debug)]
-struct FissionMap {
+pub struct Fissile {
+    monitors: MonitorTable,
+    tickets: TicketLedger,
     modes: Box<[AtomicU8]>,
 }
 
-impl FissionMap {
-    fn new(objects: usize) -> Self {
-        FissionMap {
-            modes: (0..objects).map(|_| AtomicU8::new(COHERED)).collect(),
-        }
-    }
-
+impl Fissile {
+    #[inline]
     fn mode(&self, obj: ObjRef) -> u8 {
         self.modes[obj.index()].load(Ordering::Acquire)
     }
 
-    /// COHERED → FISSIONED; loses benignly to a concurrent fission or a
-    /// pin.
-    fn fission(&self, obj: ObjRef) -> bool {
+    /// `from` → `to`; loses benignly to a concurrent transition or a pin.
+    #[inline]
+    fn shift(&self, obj: ObjRef, from: u8, to: u8) -> bool {
         self.modes[obj.index()]
-            .compare_exchange(COHERED, FISSIONED, Ordering::AcqRel, Ordering::Acquire)
+            .compare_exchange(from, to, Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
     }
+}
 
-    /// FISSIONED → COHERED; a PINNED object stays fissioned.
-    fn recohere(&self, obj: ObjRef) -> bool {
-        self.modes[obj.index()]
-            .compare_exchange(FISSIONED, COHERED, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
+impl Policy for Fissile {
+    type Monitors = MonitorTable;
+    const NAME: &'static str = "Fissile";
+    const TYPE_NAME: &'static str = "FissileLocks";
+    const FISSION_BUDGET: Option<u64> = Some(FISSION_SPIN_BUDGET);
+
+    #[inline]
+    fn monitors(&self) -> &MonitorTable {
+        &self.monitors
     }
 
-    fn pin(&self, obj: ObjRef) {
+    #[inline]
+    fn tickets(&self) -> Option<&TicketLedger> {
+        Some(&self.tickets)
+    }
+
+    #[inline]
+    fn queue(&self, obj: ObjRef) -> Option<&TicketLedger> {
+        (self.mode(obj) != COHERED).then_some(&self.tickets)
+    }
+
+    #[inline]
+    fn fission(&self, obj: ObjRef) {
+        // A lost CAS means someone else just fissioned (or pinned) it.
+        self.shift(obj, COHERED, FISSIONED);
+    }
+
+    /// The release that retires the last outstanding ticket re-coheres
+    /// the lock; a pinned object stays fissioned.
+    #[inline]
+    fn retired(&self, obj: ObjRef) {
+        if self.tickets.outstanding(obj) == 0 {
+            self.shift(obj, FISSIONED, COHERED);
+        }
+    }
+
+    #[inline]
+    fn pin(&self, obj: ObjRef) -> bool {
         self.modes[obj.index()].store(PINNED, Ordering::Release);
-    }
-
-    fn unpin(&self, obj: ObjRef) {
-        self.modes[obj.index()].store(COHERED, Ordering::Release);
+        true
     }
 }
 
 /// The fissile-lock protocol: thin fast path, FIFO queue under
 /// contention, re-cohesion when the queue drains. See the module docs
 /// for the mode machine.
-pub struct FissileLocks {
-    heap: Arc<Heap>,
-    registry: ThreadRegistry,
-    monitors: Arc<MonitorTable>,
-    config: DynamicConfig,
-    tickets: Arc<TicketLedger>,
-    fission: Arc<FissionMap>,
-    stats: Option<Arc<LockStats>>,
-    tracer: Option<Arc<dyn TraceSink>>,
-    injector: Option<Arc<dyn FaultInjector>>,
-    schedule: Option<Arc<dyn Schedule>>,
-}
+pub type FissileLocks = LockCore<Fissile>;
 
 impl FissileLocks {
     /// Creates a protocol over a fresh heap of `capacity` objects.
@@ -167,106 +170,23 @@ impl FissileLocks {
     }
 
     /// Creates a protocol over an existing heap and registry. The
-    /// monitor table and ticket ledger are sized to the heap.
+    /// monitor table, ticket ledger and mode bytes are sized to the heap.
     pub fn new(heap: Arc<Heap>, registry: ThreadRegistry) -> Self {
-        let monitors = Arc::new(MonitorTable::with_capacity(heap.capacity()));
-        let tickets = Arc::new(TicketLedger::new(heap.capacity(), registry.max_threads()));
-        let fission = Arc::new(FissionMap::new(heap.capacity()));
-        FissileLocks {
-            heap,
-            registry,
-            monitors,
-            config: DynamicConfig::default(),
-            tickets,
-            fission,
-            stats: None,
-            tracer: None,
-            injector: None,
-            schedule: None,
-        }
+        let objects = heap.capacity();
+        let policy = Fissile {
+            monitors: MonitorTable::with_capacity(objects),
+            tickets: TicketLedger::new(objects, registry.max_threads()),
+            modes: (0..objects).map(|_| AtomicU8::new(COHERED)).collect(),
+        };
+        LockCore::from_parts(heap, registry, policy, DynamicConfig::default())
     }
+}
 
-    /// Attaches statistics counters (`ThinLocks::with_stats` discipline).
-    #[must_use]
-    pub fn with_stats(mut self, stats: Arc<LockStats>) -> Self {
-        self.stats = Some(stats);
-        self
-    }
-
-    /// Attaches an event sink for the full transition stream.
-    #[must_use]
-    pub fn with_trace_sink(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        self.monitors.set_sink(Arc::clone(&sink));
-        self.tracer = Some(sink);
-        self
-    }
-
-    /// Attaches a fault injector, propagated into the monitor table and
-    /// the heap so one injector covers the whole stack.
-    #[must_use]
-    pub fn with_fault_injector(mut self, injector: Arc<dyn FaultInjector>) -> Self {
-        self.monitors.set_fault_injector(Arc::clone(&injector));
-        self.heap.set_fault_injector(Arc::clone(&injector));
-        self.injector = Some(injector);
-        self
-    }
-
-    /// Attaches a cooperative schedule (model checker). Timed paths
-    /// carry no schedule points, matching the thin backend.
-    #[must_use]
-    pub fn with_schedule(mut self, schedule: Arc<dyn Schedule>) -> Self {
-        self.monitors.set_schedule(Arc::clone(&schedule));
-        self.schedule = Some(schedule);
-        self
-    }
-
-    /// Installs the orphaned-lock sweeper on this protocol's registry.
-    /// The sweep force-releases a dead thread's words *and* retires its
-    /// pending ticket hand-off, so a queue behind a dead owner drains
-    /// instead of stalling.
-    #[must_use]
-    pub fn with_orphan_recovery(self) -> Self {
-        self.enable_orphan_recovery();
-        self
-    }
-
-    /// Non-consuming form of [`FissileLocks::with_orphan_recovery`].
-    pub fn enable_orphan_recovery(&self) {
-        self.registry.set_exit_sweeper(Arc::new(FissileSweeper {
-            heap: Arc::clone(&self.heap),
-            monitors: Arc::clone(&self.monitors),
-            tracer: self.tracer.clone(),
-            injector: self.injector.clone(),
-            profile: self.config.profile(),
-            tickets: Arc::clone(&self.tickets),
-            fission: Arc::clone(&self.fission),
-        }));
-    }
-
-    /// Number of locks inflated so far (monitors allocated).
-    pub fn inflated_count(&self) -> usize {
-        self.monitors.len()
-    }
-
-    /// The raw lock word of `obj` — diagnostics and tests.
-    pub fn lock_word(&self, obj: ObjRef) -> LockWord {
-        self.cell(obj).load_relaxed()
-    }
-
-    /// The fat monitor of `obj`, if its lock has inflated.
-    pub fn monitor_for(&self, obj: ObjRef) -> Option<&FatLock> {
-        let word = self.cell(obj).load_acquire();
-        if word.is_fat() {
-            Some(self.monitor_of(word))
-        } else {
-            None
-        }
-    }
-
+impl<C: FastPathConfig> LockCore<Fissile, C> {
     /// True while `obj` is in a fissioned mode (including pinned) —
     /// blocking acquisitions are drawing FIFO tickets.
     pub fn is_fissioned(&self, obj: ObjRef) -> bool {
-        self.fission.mode(obj) != COHERED
+        self.policy.mode(obj) != COHERED
     }
 
     /// Fissions `obj` by hand — exactly what a contender does when its
@@ -274,925 +194,41 @@ impl FissileLocks {
     /// fissioned (or pinned). Unlike inflation this is reversible: the
     /// release that drains the queue re-coheres the lock.
     pub fn fission(&self, obj: ObjRef) -> bool {
-        self.fission.fission(obj)
+        self.policy.shift(obj, COHERED, FISSIONED)
     }
 
-    /// Pins `obj` into FIFO mode: like [`fission`](FissileLocks::fission)
-    /// but exempt from re-cohesion, for objects the adaptive policy has
+    /// Pins `obj` into FIFO mode: like [`fission`](LockCore::fission)
+    /// but exempt from re-cohesion, for objects a contention profile has
     /// classified as persistently contended.
     pub fn pin_fifo(&self, obj: ObjRef) {
-        self.fission.pin(obj);
+        self.policy.pin(obj);
     }
 
-    /// Releases an adaptive pin, restoring the cohered fast path.
-    /// Outstanding tickets keep draining through the exactly-once
-    /// retirement rule; new lockers go back to the thin fast path.
+    /// Releases a pin, restoring the cohered fast path. Outstanding
+    /// tickets keep draining through the exactly-once retirement rule;
+    /// new lockers go back to the thin fast path.
     pub fn release_fifo(&self, obj: ObjRef) {
-        self.fission.unpin(obj);
+        self.policy.modes[obj.index()].store(COHERED, Ordering::Release);
     }
 
-    /// True while `obj` is pinned by the adaptive policy.
+    /// True while `obj` is pinned.
     pub fn pinned(&self, obj: ObjRef) -> bool {
-        self.fission.mode(obj) == PINNED
-    }
-
-    #[inline]
-    fn cell(&self, obj: ObjRef) -> &LockWordCell {
-        self.heap.header(obj).lock_word()
-    }
-
-    #[inline]
-    fn record_lock(&self, scenario: LockScenario, depth: u32) {
-        if let Some(s) = &self.stats {
-            s.record_lock(scenario, depth);
-        }
-    }
-
-    #[inline]
-    fn record_inflation(&self, cause: InflationCause) {
-        if let Some(s) = &self.stats {
-            s.record_inflation(cause);
-        }
-    }
-
-    #[inline]
-    fn emit(&self, thread: Option<ThreadIndex>, obj: Option<ObjRef>, kind: TraceEventKind) {
-        if let Some(sink) = &self.tracer {
-            sink.record(thread, obj, kind);
-        }
-    }
-
-    #[inline]
-    fn inject(&self, point: InjectionPoint) -> FaultAction {
-        match &self.injector {
-            None => FaultAction::Proceed,
-            Some(injector) => injector.decide(point),
-        }
-    }
-
-    #[inline]
-    fn reach(&self, point: SchedPoint, obj: ObjRef) {
-        if let Some(s) = &self.schedule {
-            let _ = s.reached(point, Some(obj));
-        }
-    }
-
-    fn monitor_of(&self, word: LockWord) -> &FatLock {
-        let idx = word.monitor_index().expect("word must be inflated");
-        self.monitors
-            .get(idx)
-            .expect("inflated word references an allocated monitor")
-    }
-
-    /// Owner-only inflation, identical to the thin backend's. Reached
-    /// only from `wait`/`notify` and count overflow — contention
-    /// fissions instead.
-    fn inflate_owned(
-        &self,
-        obj: ObjRef,
-        t: ThreadToken,
-        locks: u32,
-        cause: InflationCause,
-    ) -> SyncResult<&FatLock> {
-        self.reach(SchedPoint::Inflate, obj);
-        if self.inject(InjectionPoint::Inflate) == FaultAction::Yield {
-            std::thread::yield_now();
-        }
-        let idx = self.monitors.allocate(FatLock::new_owned(t, locks))?;
-        let cell = self.cell(obj);
-        let current = cell.load_relaxed();
-        cell.store_release(current.inflated(idx));
-        self.record_inflation(cause);
-        self.emit(
-            Some(t.index()),
-            Some(obj),
-            TraceEventKind::Inflated { cause },
-        );
-        Ok(self.monitor_of(current.inflated(idx)))
-    }
-
-    /// Fat-monitor acquisition (entry queue), shared by the cohered slow
-    /// path and the ticket queue's divert-on-inflation arm.
-    fn lock_fat(
-        &self,
-        obj: ObjRef,
-        t: ThreadToken,
-        word: LockWord,
-        waiting: &mut BlockedOnGuard,
-    ) -> SyncResult<()> {
-        // The monitor's own park point carries no object (the fat lock
-        // does not know which word references it); a scheduler resolves
-        // it to the caller's most recent announced object. A fissioned
-        // word reaches here without passing the cohered fast path's
-        // announcement, so make one now or the park would be attributed
-        // to a stale object — or none at all.
-        self.reach(SchedPoint::LockFast, obj);
-        let monitor = self.monitor_of(word);
-        let (depth, contended) = match monitor.lock_uncontended(t) {
-            Some(depth) => (depth, depth > 1),
-            None => {
-                waiting.publish(&self.registry, t, obj);
-                monitor.lock(t, &self.registry)?;
-                (monitor.count(), true)
-            }
-        };
-        self.record_lock(
-            if depth > 1 {
-                if depth <= SHALLOW_DEPTH {
-                    LockScenario::NestedShallow
-                } else {
-                    LockScenario::NestedDeep
-                }
-            } else if contended {
-                LockScenario::FatContended
-            } else {
-                LockScenario::FatUncontended
-            },
-            depth,
-        );
-        self.emit(
-            Some(t.index()),
-            Some(obj),
-            TraceEventKind::AcquireFat { contended },
-        );
-        Ok(())
-    }
-
-    /// The complete lock algorithm.
-    #[inline]
-    fn lock_impl(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<()> {
-        let profile = self.config.profile();
-        let cell = self.cell(obj);
-
-        // Cohered fast path — the paper's single CAS, gated on the mode
-        // byte so a fissioned object routes lockers to the queue.
-        if self.fission.mode(obj) == COHERED {
-            let old = cell.load_relaxed().with_lock_field_clear();
-            let new = LockWord::from_bits(old.bits() | t.shifted());
-            self.reach(SchedPoint::LockFast, obj);
-            let fast = match self.inject(InjectionPoint::LockFastCas) {
-                FaultAction::FailCas => false,
-                FaultAction::Yield => {
-                    std::thread::yield_now();
-                    true
-                }
-                _ => true,
-            };
-            if fast && cell.try_cas(old, new, profile).is_ok() {
-                self.record_lock(LockScenario::Unlocked, 1);
-                self.emit(Some(t.index()), Some(obj), TraceEventKind::AcquireUnlocked);
-                return Ok(());
-            }
-        }
-
-        // Nested locking by this thread — mode-independent, the word is
-        // owned by us either way.
-        let word = cell.load_relaxed();
-        if word.can_nest(t.shifted()) {
-            self.reach(SchedPoint::LockNest, obj);
-            cell.store_relaxed(word.with_count_incremented());
-            let depth = u32::from(word.thin_count()) + 2;
-            self.record_lock(
-                if depth <= SHALLOW_DEPTH {
-                    LockScenario::NestedShallow
-                } else {
-                    LockScenario::NestedDeep
-                },
-                depth,
-            );
-            self.emit(
-                Some(t.index()),
-                Some(obj),
-                TraceEventKind::AcquireNested { depth },
-            );
-            return Ok(());
-        }
-
-        self.lock_slow(obj, t, word)
-    }
-
-    /// Cohered slow path: fat locks, count overflow, and the bounded
-    /// spin that ends in fission instead of inflation.
-    #[inline(never)]
-    fn lock_slow(&self, obj: ObjRef, t: ThreadToken, mut word: LockWord) -> SyncResult<()> {
-        let profile = self.config.profile();
-        let cell = self.cell(obj);
-        let mut backoff = Backoff::jittered(self.config.spin_policy(), u64::from(t.index().get()));
-        let mut spun = false;
-        let mut waiting = BlockedOnGuard(None);
-        loop {
-            if word.is_fat() {
-                return self.lock_fat(obj, t, word, &mut waiting);
-            }
-
-            if word.is_thin_owned_by(t.shifted()) {
-                // Owned by us at the maximum count: the 257th acquisition.
-                debug_assert_eq!(u32::from(word.thin_count()), MAX_THIN_COUNT);
-                let locks = u32::from(word.thin_count()) + 1 + 1;
-                self.emit(
-                    Some(t.index()),
-                    Some(obj),
-                    TraceEventKind::AcquireNested { depth: locks },
-                );
-                self.inflate_owned(obj, t, locks, InflationCause::CountOverflow)?;
-                self.record_lock(LockScenario::NestedDeep, locks);
-                return Ok(());
-            }
-
-            if self.fission.mode(obj) != COHERED {
-                // Someone (possibly us, below) fissioned the lock while
-                // we were in the slow path: join the queue.
-                return self.queue_lock(obj, t, waiting);
-            }
-
-            if word.is_unlocked() {
-                let new = LockWord::from_bits(word.bits() | t.shifted());
-                self.reach(SchedPoint::LockSlowCas, obj);
-                let attempt = match self.inject(InjectionPoint::LockSlowCas) {
-                    FaultAction::FailCas => false,
-                    FaultAction::Yield => {
-                        std::thread::yield_now();
-                        true
-                    }
-                    _ => true,
-                };
-                if attempt && cell.try_cas(word, new, profile).is_ok() {
-                    if spun {
-                        // Where the thin backend inflates
-                        // (InflationCause::Contention), fissile stays
-                        // thin: contention is the queue's job.
-                        let rounds = u32::try_from(backoff.rounds()).unwrap_or(u32::MAX);
-                        self.emit(
-                            Some(t.index()),
-                            Some(obj),
-                            TraceEventKind::AcquireContendedThin {
-                                spin_rounds: rounds,
-                            },
-                        );
-                        self.record_lock(LockScenario::ContendedThin, 1);
-                        if let Some(s) = &self.stats {
-                            s.record_spin_rounds(backoff.rounds());
-                        }
-                    } else {
-                        self.record_lock(LockScenario::Unlocked, 1);
-                        self.emit(Some(t.index()), Some(obj), TraceEventKind::AcquireUnlocked);
-                    }
-                    return Ok(());
-                }
-                word = cell.load_acquire();
-                continue;
-            }
-
-            // Thin-locked by another thread: spin against the budget.
-            spun = true;
-            waiting.publish(&self.registry, t, obj);
-            if backoff.rounds() >= FISSION_SPIN_BUDGET {
-                // Budget exhausted: fission (a lost CAS means someone
-                // else just did) and queue on the next iteration.
-                self.fission.fission(obj);
-                word = cell.load_acquire();
-                continue;
-            }
-            self.reach(SchedPoint::LockSpin, obj);
-            if self.inject(InjectionPoint::LockSpin) == FaultAction::Yield {
-                std::thread::yield_now();
-            }
-            backoff.snooze();
-            word = cell.load_acquire();
-        }
-    }
-
-    /// Fissioned acquisition: draw a ticket, wait for admission, take
-    /// the word. Inflation permanently diverts the whole queue to the
-    /// fat monitor (stranded tickets are harmless — every iteration
-    /// checks for the fat shape first).
-    fn queue_lock(
-        &self,
-        obj: ObjRef,
-        t: ThreadToken,
-        mut waiting: BlockedOnGuard,
-    ) -> SyncResult<()> {
-        let profile = self.config.profile();
-        let cell = self.cell(obj);
-        let mut backoff = Backoff::jittered(self.config.spin_policy(), u64::from(t.index().get()));
-
-        let word = cell.load_acquire();
-        if word.is_fat() {
-            return self.lock_fat(obj, t, word, &mut waiting);
-        }
-        let ticket = self.tickets.take_ticket(obj);
-        self.tickets.publish_wait(t, obj, ticket);
-        loop {
-            let word = cell.load_acquire();
-            if word.is_fat() {
-                self.tickets.clear_wait(t);
-                return self.lock_fat(obj, t, word, &mut waiting);
-            }
-            if self.tickets.is_admitted(obj, ticket) && word.is_unlocked() {
-                let new = LockWord::from_bits(word.bits() | t.shifted());
-                self.reach(SchedPoint::LockSlowCas, obj);
-                let attempt = match self.inject(InjectionPoint::LockSlowCas) {
-                    FaultAction::FailCas => false,
-                    FaultAction::Yield => {
-                        std::thread::yield_now();
-                        true
-                    }
-                    _ => true,
-                };
-                if attempt && cell.try_cas(word, new, profile).is_ok() {
-                    self.tickets.clear_wait(t);
-                    self.tickets.record_admitted(obj, ticket);
-                    let rounds = backoff.rounds();
-                    if rounds == 0 {
-                        self.record_lock(LockScenario::Unlocked, 1);
-                        self.emit(Some(t.index()), Some(obj), TraceEventKind::AcquireUnlocked);
-                    } else {
-                        self.emit(
-                            Some(t.index()),
-                            Some(obj),
-                            TraceEventKind::AcquireContendedThin {
-                                spin_rounds: u32::try_from(rounds).unwrap_or(u32::MAX),
-                            },
-                        );
-                        self.record_lock(LockScenario::ContendedThin, 1);
-                        if let Some(s) = &self.stats {
-                            s.record_spin_rounds(rounds);
-                        }
-                    }
-                    return Ok(());
-                }
-                // Lost the word to a barger; re-check from the top.
-                continue;
-            }
-            waiting.publish(&self.registry, t, obj);
-            self.reach(SchedPoint::LockSpin, obj);
-            if self.inject(InjectionPoint::LockSpin) == FaultAction::Yield {
-                std::thread::yield_now();
-            }
-            backoff.snooze();
-        }
-    }
-
-    /// Retires a pending ticket hand-off after releasing the word, and
-    /// re-coheres the lock once the queue has fully drained.
-    #[inline]
-    fn finish_ticketed_release(&self, obj: ObjRef, snapshot: u64) {
-        if self.tickets.retire_admitted(obj, snapshot) && self.tickets.outstanding(obj) == 0 {
-            self.fission.recohere(obj);
-        }
-    }
-
-    /// The complete unlock algorithm: the thin backend's word
-    /// transitions plus the ticket hand-off.
-    #[inline]
-    fn unlock_impl(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<()> {
-        let profile = self.config.profile();
-        let cell = self.cell(obj);
-        let word = cell.load_relaxed();
-
-        if word.is_locked_once_by(t.shifted()) {
-            // Snapshot the hand-off obligation *before* the word clear:
-            // afterwards a new ticketed owner could arm a fresh one.
-            let snapshot = self.tickets.admitted_snapshot(obj);
-            self.reach(SchedPoint::UnlockThin, obj);
-            if self.inject(InjectionPoint::UnlockStore) == FaultAction::Yield {
-                std::thread::yield_now();
-            }
-            let restored = word.with_lock_field_clear();
-            match self.config.unlock_strategy() {
-                UnlockStrategy::Store => cell.store_unlock(restored, profile),
-                UnlockStrategy::CompareAndSwap => {
-                    let r = cell.try_cas_release(word, restored, profile);
-                    debug_assert!(r.is_ok(), "owner-only discipline violated");
-                }
-            }
-            self.finish_ticketed_release(obj, snapshot);
-            if let Some(s) = &self.stats {
-                s.record_unlock_thin();
-            }
-            self.emit(Some(t.index()), Some(obj), TraceEventKind::UnlockThin);
-            return Ok(());
-        }
-
-        if word.is_thin_owned_by(t.shifted()) {
-            debug_assert!(word.thin_count() > 0);
-            self.reach(SchedPoint::UnlockNest, obj);
-            cell.store_relaxed(word.with_count_decremented());
-            if let Some(s) = &self.stats {
-                s.record_unlock_thin();
-            }
-            self.emit(Some(t.index()), Some(obj), TraceEventKind::UnlockThin);
-            return Ok(());
-        }
-
-        self.unlock_slow(obj, t, word)
-    }
-
-    #[inline(never)]
-    fn unlock_slow(&self, obj: ObjRef, t: ThreadToken, word: LockWord) -> SyncResult<()> {
-        if word.is_fat() {
-            self.reach(SchedPoint::FatUnlock, obj);
-            let r = self.monitor_of(word).unlock(t, &self.registry);
-            if r.is_ok() {
-                if let Some(s) = &self.stats {
-                    s.record_unlock_fat();
-                }
-                self.emit(Some(t.index()), Some(obj), TraceEventKind::UnlockFat);
-            }
-            return r;
-        }
-        if word.is_unlocked() {
-            Err(SyncError::NotLocked)
-        } else {
-            Err(SyncError::NotOwner)
-        }
-    }
-
-    /// Pre-inflation hint, identical to the thin backend's.
-    ///
-    /// # Errors
-    ///
-    /// [`SyncError::MonitorIndexExhausted`] if the monitor table is full.
-    pub fn pre_inflate(&self, obj: ObjRef) -> SyncResult<bool> {
-        let cell = self.cell(obj);
-        let word = cell.load_relaxed();
-        if !word.is_unlocked() {
-            return Ok(false);
-        }
-        let idx = self.monitors.allocate(FatLock::new())?;
-        if cell
-            .try_cas(word, word.inflated(idx), self.config.profile())
-            .is_ok()
-        {
-            self.record_inflation(InflationCause::Hint);
-            self.emit(
-                None,
-                Some(obj),
-                TraceEventKind::Inflated {
-                    cause: InflationCause::Hint,
-                },
-            );
-            Ok(true)
-        } else {
-            Ok(false)
-        }
-    }
-
-    /// Ensures `obj`'s lock is fat, inflating if the caller holds it thin.
-    fn require_fat(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<&FatLock> {
-        let word = self.cell(obj).load_acquire();
-        if word.is_fat() {
-            let monitor = self.monitor_of(word);
-            if !monitor.holds(t) {
-                return Err(if monitor.owner().is_some() {
-                    SyncError::NotOwner
-                } else {
-                    SyncError::NotLocked
-                });
-            }
-            return Ok(monitor);
-        }
-        if word.is_thin_owned_by(t.shifted()) {
-            let locks = u32::from(word.thin_count()) + 1;
-            return self.inflate_owned(obj, t, locks, InflationCause::WaitNotify);
-        }
-        if word.is_unlocked() {
-            Err(SyncError::NotLocked)
-        } else {
-            Err(SyncError::NotOwner)
-        }
-    }
-
-    /// One non-blocking acquisition attempt. A `try_lock` holds no
-    /// ticket: it may barge past the queue (and its release may retire
-    /// a dead ticketed owner's hand-off via the exactly-once rule).
-    fn try_lock_impl(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<bool> {
-        let profile = self.config.profile();
-        let cell = self.cell(obj);
-
-        let old = cell.load_relaxed().with_lock_field_clear();
-        let new = LockWord::from_bits(old.bits() | t.shifted());
-        let fast = match self.inject(InjectionPoint::LockFastCas) {
-            FaultAction::FailCas => false,
-            FaultAction::Yield => {
-                std::thread::yield_now();
-                true
-            }
-            _ => true,
-        };
-        if fast && cell.try_cas(old, new, profile).is_ok() {
-            self.record_lock(LockScenario::Unlocked, 1);
-            self.emit(Some(t.index()), Some(obj), TraceEventKind::AcquireUnlocked);
-            return Ok(true);
-        }
-
-        let word = cell.load_relaxed();
-        if word.can_nest(t.shifted()) {
-            cell.store_relaxed(word.with_count_incremented());
-            let depth = u32::from(word.thin_count()) + 2;
-            self.record_lock(
-                if depth <= SHALLOW_DEPTH {
-                    LockScenario::NestedShallow
-                } else {
-                    LockScenario::NestedDeep
-                },
-                depth,
-            );
-            self.emit(
-                Some(t.index()),
-                Some(obj),
-                TraceEventKind::AcquireNested { depth },
-            );
-            return Ok(true);
-        }
-
-        if word.is_fat() {
-            let monitor = self.monitor_of(word);
-            let contended = monitor.owner().is_some();
-            if monitor.try_lock(t) {
-                let depth = monitor.count();
-                self.record_lock(
-                    if depth > 1 {
-                        if depth <= SHALLOW_DEPTH {
-                            LockScenario::NestedShallow
-                        } else {
-                            LockScenario::NestedDeep
-                        }
-                    } else if contended {
-                        LockScenario::FatContended
-                    } else {
-                        LockScenario::FatUncontended
-                    },
-                    depth,
-                );
-                self.emit(
-                    Some(t.index()),
-                    Some(obj),
-                    TraceEventKind::AcquireFat { contended },
-                );
-                return Ok(true);
-            }
-            return Ok(false);
-        }
-
-        if word.is_thin_owned_by(t.shifted()) {
-            debug_assert_eq!(u32::from(word.thin_count()), MAX_THIN_COUNT);
-            let locks = u32::from(word.thin_count()) + 2;
-            self.emit(
-                Some(t.index()),
-                Some(obj),
-                TraceEventKind::AcquireNested { depth: locks },
-            );
-            self.inflate_owned(obj, t, locks, InflationCause::CountOverflow)?;
-            self.record_lock(LockScenario::NestedDeep, locks);
-            return Ok(true);
-        }
-
-        if word.is_unlocked() {
-            let new = LockWord::from_bits(word.bits() | t.shifted());
-            if cell.try_cas(word, new, profile).is_ok() {
-                self.record_lock(LockScenario::Unlocked, 1);
-                self.emit(Some(t.index()), Some(obj), TraceEventKind::AcquireUnlocked);
-                return Ok(true);
-            }
-        }
-        Ok(false)
-    }
-
-    /// Deadline-bounded acquisition, identical in shape to the thin
-    /// backend's: ticketless spinning (barging) on a thin word, timed
-    /// parking on a fat one, and never a trace left on timeout.
-    fn lock_deadline_impl(&self, obj: ObjRef, t: ThreadToken, timeout: Duration) -> SyncResult<()> {
-        if self.try_lock_impl(obj, t)? {
-            return Ok(());
-        }
-        let now = Instant::now();
-        let deadline = now
-            .checked_add(timeout)
-            .unwrap_or_else(|| now + Duration::from_secs(86_400 * 365));
-        let mut waiting = BlockedOnGuard(None);
-        waiting.publish(&self.registry, t, obj);
-        let mut backoff = Backoff::jittered(self.config.spin_policy(), u64::from(t.index().get()));
-        loop {
-            let word = self.cell(obj).load_acquire();
-            if word.is_fat() {
-                let monitor = self.monitor_of(word);
-                let contended = monitor.owner().is_some();
-                return match monitor.lock_n_deadline(t, 1, &self.registry, deadline) {
-                    Ok(()) => {
-                        let depth = monitor.count();
-                        self.record_lock(
-                            if depth > 1 {
-                                if depth <= SHALLOW_DEPTH {
-                                    LockScenario::NestedShallow
-                                } else {
-                                    LockScenario::NestedDeep
-                                }
-                            } else if contended {
-                                LockScenario::FatContended
-                            } else {
-                                LockScenario::FatUncontended
-                            },
-                            depth,
-                        );
-                        self.emit(
-                            Some(t.index()),
-                            Some(obj),
-                            TraceEventKind::AcquireFat { contended },
-                        );
-                        Ok(())
-                    }
-                    Err(SyncError::Timeout) => self.deadline_expired(obj, t),
-                    Err(e) => Err(e),
-                };
-            }
-            if self.try_lock_impl(obj, t)? {
-                return Ok(());
-            }
-            if Instant::now() >= deadline {
-                return self.deadline_expired(obj, t);
-            }
-            if self.inject(InjectionPoint::LockSpin) == FaultAction::Yield {
-                std::thread::yield_now();
-            }
-            backoff.snooze();
-        }
-    }
-
-    fn deadline_expired(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<()> {
-        self.emit(Some(t.index()), Some(obj), TraceEventKind::AcquireTimedOut);
-        if let Some(report) = crate::watchdog::confirm_cycle(self, t.index(), obj) {
-            let threads = u32::try_from(report.threads.len()).unwrap_or(u32::MAX);
-            self.emit(
-                Some(t.index()),
-                Some(obj),
-                TraceEventKind::DeadlockDetected { threads },
-            );
-            return Err(SyncError::DeadlockDetected);
-        }
-        Err(SyncError::Timeout)
-    }
-}
-
-/// RAII publication of a thread's waits-for edge (same discipline as
-/// the thin backend).
-struct BlockedOnGuard(Option<Arc<ThreadRecord>>);
-
-impl BlockedOnGuard {
-    fn publish(&mut self, registry: &ThreadRegistry, t: ThreadToken, obj: ObjRef) {
-        if self.0.is_none() {
-            if let Ok(record) = registry.record(t.index()) {
-                record.set_blocked_on(Some(obj));
-                self.0 = Some(record);
-            }
-        }
-    }
-}
-
-impl Drop for BlockedOnGuard {
-    fn drop(&mut self) {
-        if let Some(record) = &self.0 {
-            record.set_blocked_on(None);
-        }
-    }
-}
-
-/// The registry exit sweep: the thin sweeper's word reclamation plus
-/// ticket-queue repair — a dead ticketed owner's hand-off is retired so
-/// the threads queued behind it keep draining.
-struct FissileSweeper {
-    heap: Arc<Heap>,
-    monitors: Arc<MonitorTable>,
-    tracer: Option<Arc<dyn TraceSink>>,
-    injector: Option<Arc<dyn FaultInjector>>,
-    profile: thinlock_runtime::arch::ArchProfile,
-    tickets: Arc<TicketLedger>,
-    fission: Arc<FissionMap>,
-}
-
-impl FissileSweeper {
-    fn emit_reclaim(&self, dead: ThreadIndex, obj: ObjRef, fat: bool) {
-        if let Some(sink) = &self.tracer {
-            sink.record(
-                Some(dead),
-                Some(obj),
-                TraceEventKind::OrphanReclaimed { fat },
-            );
-        }
-    }
-}
-
-impl ExitSweeper for FissileSweeper {
-    fn sweep_thread(&self, dead: ThreadIndex, registry: &ThreadRegistry) {
-        if let Some(injector) = &self.injector {
-            if injector.decide(InjectionPoint::RegistryRelease) == FaultAction::Yield {
-                std::thread::yield_now();
-            }
-        }
-        self.tickets.clear_wait_index(dead);
-        for obj in self.heap.iter() {
-            let cell = self.heap.header(obj).lock_word();
-            let word = cell.load_acquire();
-            if word.is_fat() {
-                let Some(idx) = word.monitor_index() else {
-                    continue;
-                };
-                if let Some(monitor) = self.monitors.get(idx) {
-                    if monitor.reclaim_orphan(dead, registry) {
-                        self.emit_reclaim(dead, obj, true);
-                    }
-                }
-            } else if word.thin_owner() == Some(dead) {
-                // Snapshot before the clearing CAS, mirroring unlock:
-                // the obligation is either 0 or the dead owner's.
-                let snapshot = self.tickets.admitted_snapshot(obj);
-                let cleared = word.with_lock_field_clear();
-                if cell.try_cas(word, cleared, self.profile).is_ok() {
-                    if self.tickets.retire_admitted(obj, snapshot)
-                        && self.tickets.outstanding(obj) == 0
-                    {
-                        self.fission.recohere(obj);
-                    }
-                    self.emit_reclaim(dead, obj, false);
-                }
-            }
-        }
-    }
-}
-
-impl SyncProtocol for FissileLocks {
-    fn lock(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<()> {
-        self.lock_impl(obj, t)
-    }
-
-    fn unlock(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<()> {
-        self.unlock_impl(obj, t)
-    }
-
-    fn try_lock(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<bool> {
-        let acquired = self.try_lock_impl(obj, t)?;
-        if !acquired {
-            self.emit(Some(t.index()), Some(obj), TraceEventKind::AcquireTimedOut);
-        }
-        Ok(acquired)
-    }
-
-    fn lock_deadline(&self, obj: ObjRef, t: ThreadToken, timeout: Duration) -> SyncResult<()> {
-        self.lock_deadline_impl(obj, t, timeout)
-    }
-
-    fn wait(
-        &self,
-        obj: ObjRef,
-        t: ThreadToken,
-        timeout: Option<Duration>,
-    ) -> SyncResult<WaitOutcome> {
-        if let Some(s) = &self.stats {
-            s.record_wait();
-        }
-        let monitor = self.require_fat(obj, t)?;
-        self.emit(Some(t.index()), Some(obj), TraceEventKind::Wait);
-        monitor.wait(t, &self.registry, timeout)
-    }
-
-    fn notify(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<()> {
-        if let Some(s) = &self.stats {
-            s.record_notify();
-        }
-        let monitor = self.require_fat(obj, t)?;
-        self.emit(Some(t.index()), Some(obj), TraceEventKind::Notify);
-        self.reach(SchedPoint::Notify, obj);
-        monitor.notify(t)
-    }
-
-    fn notify_all(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<()> {
-        if let Some(s) = &self.stats {
-            s.record_notify();
-        }
-        let monitor = self.require_fat(obj, t)?;
-        self.emit(Some(t.index()), Some(obj), TraceEventKind::Notify);
-        self.reach(SchedPoint::Notify, obj);
-        monitor.notify_all(t)
-    }
-
-    fn holds_lock(&self, obj: ObjRef, t: ThreadToken) -> bool {
-        let word = self.cell(obj).load_acquire();
-        if word.is_fat() {
-            self.monitor_of(word).holds(t)
-        } else {
-            word.is_thin_owned_by(t.shifted())
-        }
-    }
-
-    fn pre_inflate_hint(&self, obj: ObjRef) -> bool {
-        let applied = self.pre_inflate(obj).unwrap_or(false);
-        self.emit(None, Some(obj), TraceEventKind::PreInflateHint { applied });
-        applied
-    }
-
-    fn pin_fifo_hint(&self, obj: ObjRef) -> bool {
-        self.pin_fifo(obj);
-        true
-    }
-
-    fn trace_sink(&self) -> Option<&dyn TraceSink> {
-        self.tracer.as_deref()
-    }
-
-    fn heap(&self) -> &Heap {
-        &self.heap
-    }
-
-    fn registry(&self) -> &ThreadRegistry {
-        &self.registry
-    }
-
-    fn name(&self) -> &'static str {
-        "Fissile"
-    }
-}
-
-impl SyncBackend for FissileLocks {
-    fn monitor_probe(&self, obj: ObjRef) -> Option<MonitorProbe> {
-        let monitor = self.monitor_for(obj)?;
-        Some(MonitorProbe {
-            owner: monitor.owner(),
-            count: monitor.count(),
-            entry_queue_len: monitor.entry_queue_len(),
-            wait_set_len: monitor.wait_set_len(),
-        })
-    }
-
-    fn in_wait_set(&self, obj: ObjRef, t: ThreadToken) -> bool {
-        self.monitor_for(obj).is_some_and(|m| m.is_waiting(t))
-    }
-
-    fn spin_enabled(&self, obj: ObjRef, t: ThreadToken) -> bool {
-        let word = self.probe_word(obj);
-        match self.tickets.waiting_ticket(t, obj) {
-            // Queued: progress needs the fat shape (divert) or an
-            // admitted ticket with the word free.
-            Some(ticket) => {
-                word.is_fat() || (word.is_unlocked() && self.tickets.is_admitted(obj, ticket))
-            }
-            // Cohered spinner: every granted spin burns budget toward
-            // fission, so the step always makes (bounded) progress.
-            None => true,
-        }
-    }
-
-    fn inflation_count(&self) -> u64 {
-        self.monitors.len() as u64
-    }
-
-    fn monitors_live(&self) -> usize {
-        self.monitors.len()
-    }
-
-    fn monitors_peak(&self) -> usize {
-        self.monitors.len()
-    }
-
-    fn monitors_allocated(&self) -> u64 {
-        self.monitors.len() as u64
-    }
-}
-
-impl fmt::Debug for FissileLocks {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FissileLocks")
-            .field("heap", &self.heap)
-            .field("inflated", &self.monitors.len())
-            .finish()
+        self.policy.mode(obj) == PINNED
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
     use std::thread;
+    use std::time::Duration;
+    use thinlock_runtime::protocol::SyncProtocol;
 
     fn fresh(capacity: usize) -> FissileLocks {
         FissileLocks::with_capacity(capacity)
     }
 
-    #[test]
-    fn cohered_lock_unlock_is_thin_identical() {
-        let p = fresh(4);
-        let r = p.registry().register().unwrap();
-        let t = r.token();
-        let obj = p.heap().alloc().unwrap();
-        let before = p.lock_word(obj);
-        p.lock(obj, t).unwrap();
-        let held = p.lock_word(obj);
-        assert_eq!(held.thin_owner().map(|o| o.get()), Some(t.index().get()));
-        assert_eq!(held.header_bits(), before.header_bits());
-        p.unlock(obj, t).unwrap();
-        assert_eq!(p.lock_word(obj), before, "word restored bit-for-bit");
-        assert!(!p.is_fissioned(obj));
-        assert_eq!(p.inflated_count(), 0);
-    }
+    crate::conformance::rows!(fresh);
 
     #[test]
     fn forced_fission_recoheres_when_queue_drains() {
@@ -1280,49 +316,6 @@ mod tests {
     }
 
     #[test]
-    fn count_overflow_still_inflates() {
-        let p = fresh(4);
-        let r = p.registry().register().unwrap();
-        let t = r.token();
-        let obj = p.heap().alloc().unwrap();
-        for _ in 0..257 {
-            p.lock(obj, t).unwrap();
-        }
-        assert!(p.lock_word(obj).is_fat());
-        assert_eq!(p.inflated_count(), 1);
-        for _ in 0..257 {
-            p.unlock(obj, t).unwrap();
-        }
-        assert!(!p.holds_lock(obj, t));
-    }
-
-    #[test]
-    fn wait_notify_inflates_and_works() {
-        let p = Arc::new(fresh(4));
-        let obj = p.heap().alloc().unwrap();
-        let waiter = {
-            let p = Arc::clone(&p);
-            thread::spawn(move || {
-                let r = p.registry().register().unwrap();
-                let t = r.token();
-                p.lock(obj, t).unwrap();
-                let out = p.wait(obj, t, None).unwrap();
-                p.unlock(obj, t).unwrap();
-                out
-            })
-        };
-        while !p.lock_word(obj).is_fat() {
-            thread::yield_now();
-        }
-        let r = p.registry().register().unwrap();
-        let t = r.token();
-        p.lock(obj, t).unwrap();
-        p.notify(obj, t).unwrap();
-        p.unlock(obj, t).unwrap();
-        assert_eq!(waiter.join().unwrap(), WaitOutcome::Notified);
-    }
-
-    #[test]
     fn inflation_diverts_a_fissioned_queue() {
         // Fission first, then inflate via a hint: queued acquisitions
         // must divert to the fat monitor instead of stalling on
@@ -1353,6 +346,14 @@ mod tests {
         }
         assert!(p.lock_word(obj).is_unlocked(), "sweeper cleared the word");
         assert!(!p.is_fissioned(obj), "sweeper re-cohered the drained queue");
+        // A pinned object keeps its pin through the same repair.
+        p.pin_fifo(obj);
+        {
+            let r = p.registry().register().unwrap();
+            p.lock(obj, r.token()).unwrap();
+        }
+        assert!(p.lock_word(obj).is_unlocked());
+        assert!(p.pinned(obj), "sweep retires the ticket but keeps the pin");
         let r = p.registry().register().unwrap();
         let t = r.token();
         p.lock(obj, t).unwrap();
@@ -1370,49 +371,5 @@ mod tests {
         assert!(p.holds_lock(obj, t));
         p.unlock(obj, t).unwrap();
         assert!(p.lock_word(obj).is_unlocked());
-    }
-
-    #[test]
-    fn mutual_exclusion_many_threads_one_object() {
-        let p = Arc::new(fresh(4));
-        let obj = p.heap().alloc().unwrap();
-        let total = Arc::new(AtomicU64::new(0));
-        const THREADS: usize = 4;
-        const ITERS: u64 = 300;
-        let mut handles = Vec::new();
-        for _ in 0..THREADS {
-            let p = Arc::clone(&p);
-            let total = Arc::clone(&total);
-            handles.push(thread::spawn(move || {
-                let r = p.registry().register().unwrap();
-                let t = r.token();
-                for _ in 0..ITERS {
-                    p.lock(obj, t).unwrap();
-                    let v = total.load(Ordering::Relaxed);
-                    std::hint::spin_loop();
-                    total.store(v + 1, Ordering::Relaxed);
-                    p.unlock(obj, t).unwrap();
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(total.load(Ordering::Relaxed), THREADS as u64 * ITERS);
-        assert_eq!(p.inflated_count(), 0, "contention never inflates");
-        let r = p.registry().register().unwrap();
-        assert!(!p.holds_lock(obj, r.token()));
-    }
-
-    #[test]
-    fn unlock_errors_mirror_java() {
-        let p = fresh(4);
-        let ra = p.registry().register().unwrap();
-        let rb = p.registry().register().unwrap();
-        let obj = p.heap().alloc().unwrap();
-        assert_eq!(p.unlock(obj, ra.token()), Err(SyncError::NotLocked));
-        p.lock(obj, ra.token()).unwrap();
-        assert_eq!(p.unlock(obj, rb.token()), Err(SyncError::NotOwner));
-        p.unlock(obj, ra.token()).unwrap();
     }
 }

@@ -49,22 +49,32 @@
 //! compare-and-swap. These are expressed through [`config::FastPathConfig`]
 //! so they can be benchmarked side by side without duplicating the
 //! protocol; see the `thinlock-bench` crate.
+//!
+//! # One core, four policies
+//!
+//! Every backend is the same [`LockCore`] — the word protocol above, owner
+//! inflation, timed and non-blocking acquisition, `wait`/`notify`, the
+//! orphan sweep and the instrumentation seams — with a [`Policy`](lockcore::Policy) type
+//! parameter that adds only a contention and release rule: [`ThinLocks`]
+//! (the paper), [`CjmLocks`] (deflation into a bounded pool),
+//! [`FissileLocks`] (FIFO tickets once spinning fails) and
+//! [`HapaxLocks`] (FIFO tickets always).
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
-pub mod adaptive;
 pub mod backend;
 pub mod cjm;
 pub mod config;
+#[cfg(test)]
+mod conformance;
 pub mod fissile;
 pub mod hapax;
-pub mod tasuki;
+pub mod lockcore;
 pub mod thin;
-pub(crate) mod ticket;
+mod ticket;
 pub mod watchdog;
 
-pub use adaptive::AdaptiveLocks;
 pub use backend::{BackendChoice, BackendSeams};
 pub use cjm::CjmLocks;
 pub use config::{
@@ -72,6 +82,6 @@ pub use config::{
 };
 pub use fissile::FissileLocks;
 pub use hapax::HapaxLocks;
-pub use tasuki::TasukiLocks;
+pub use lockcore::LockCore;
 pub use thin::ThinLocks;
 pub use watchdog::{DeadlockReport, Watchdog};

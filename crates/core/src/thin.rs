@@ -22,31 +22,39 @@
 //!   are never recycled while the heap lives.
 //! * **Header preservation:** the low 8 bits of the header word are never
 //!   changed by any lock operation.
+//!
+//! Everything above is the shared [`LockCore`]; the [`Thin`] policy is
+//! the core's defaults over a grow-only [`MonitorTable`]: a contender
+//! spins until the owner releases, acquires, then inflates
+//! ([`InflationCause::Contention`](thinlock_runtime::stats::InflationCause))
+//! so the next contender queues instead of spinning.
 
-use std::fmt;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-use thinlock_monitor::{FatLock, MonitorTable};
-use thinlock_runtime::arch::{ArchProfile, LockWordCell};
-use thinlock_runtime::backend::{MonitorProbe, SyncBackend};
-use thinlock_runtime::backoff::Backoff;
-use thinlock_runtime::error::{SyncError, SyncResult};
-use thinlock_runtime::events::{TraceEventKind, TraceSink};
-use thinlock_runtime::fault::{FaultAction, FaultInjector, InjectionPoint};
-use thinlock_runtime::heap::{Heap, ObjRef};
-use thinlock_runtime::lockword::{LockWord, ThreadIndex, MAX_THIN_COUNT};
-use thinlock_runtime::protocol::{SyncProtocol, WaitOutcome};
-use thinlock_runtime::registry::{ExitSweeper, ThreadRecord, ThreadRegistry, ThreadToken};
-use thinlock_runtime::schedule::{SchedPoint, Schedule};
-use thinlock_runtime::stats::{InflationCause, LockScenario, LockStats};
+use thinlock_monitor::MonitorTable;
+use thinlock_runtime::heap::Heap;
+use thinlock_runtime::registry::ThreadRegistry;
 
-use crate::config::{DynamicConfig, FastPathConfig, UnlockStrategy};
+use crate::config::{DynamicConfig, FastPathConfig};
+use crate::lockcore::{LockCore, Policy};
 
-/// Nesting depth at or below which an acquisition counts as "shallow" in
-/// the statistics — the paper never observed nesting deeper than four
-/// (Section 3.2).
-const SHALLOW_DEPTH: u32 = 4;
+/// The paper's contention rule: spin, acquire, inflate into a grow-only
+/// monitor table sized to the heap (each object inflates at most once).
+#[derive(Debug)]
+pub struct Thin {
+    monitors: MonitorTable,
+}
+
+impl Policy for Thin {
+    type Monitors = MonitorTable;
+    const NAME: &'static str = "ThinLock";
+    const TYPE_NAME: &'static str = "ThinLocks";
+
+    #[inline]
+    fn monitors(&self) -> &MonitorTable {
+        &self.monitors
+    }
+}
 
 /// The thin-lock monitor protocol.
 ///
@@ -68,16 +76,7 @@ const SHALLOW_DEPTH: u32 = 4;
 /// locks.unlock(obj, reg.token())?;
 /// # Ok::<(), thinlock_runtime::SyncError>(())
 /// ```
-pub struct ThinLocks<C: FastPathConfig = DynamicConfig> {
-    heap: Arc<Heap>,
-    registry: ThreadRegistry,
-    monitors: Arc<MonitorTable>,
-    config: C,
-    stats: Option<Arc<LockStats>>,
-    tracer: Option<Arc<dyn TraceSink>>,
-    injector: Option<Arc<dyn FaultInjector>>,
-    schedule: Option<Arc<dyn Schedule>>,
-}
+pub type ThinLocks<C = DynamicConfig> = LockCore<Thin, C>;
 
 impl ThinLocks<DynamicConfig> {
     /// Creates a protocol over a fresh heap of `capacity` objects with the
@@ -102,1033 +101,38 @@ impl<C: FastPathConfig> ThinLocks<C> {
     /// The monitor table is sized to the heap: each object inflates at
     /// most once, so `heap.capacity()` monitors can never be exceeded.
     pub fn with_config(heap: Arc<Heap>, registry: ThreadRegistry, config: C) -> Self {
-        let monitors = Arc::new(MonitorTable::with_capacity(heap.capacity()));
-        ThinLocks {
-            heap,
-            registry,
-            monitors,
-            config,
-            stats: None,
-            tracer: None,
-            injector: None,
-            schedule: None,
-        }
-    }
-
-    /// Attaches statistics counters (scenario characterization); counting
-    /// costs a couple of relaxed increments per operation.
-    #[must_use]
-    pub fn with_stats(mut self, stats: Arc<LockStats>) -> Self {
-        self.stats = Some(stats);
-        self
-    }
-
-    /// The attached statistics, if any.
-    pub fn stats(&self) -> Option<&LockStats> {
-        self.stats.as_deref()
-    }
-
-    /// Attaches an event sink: every protocol transition (acquire,
-    /// unlock, inflation with its cause, wait/notify, monitor-table
-    /// allocation) is streamed to `sink` as a [`TraceEventKind`] event.
-    ///
-    /// When no sink is attached the only hot-path cost is one
-    /// never-taken branch — the same zero-cost-when-disabled discipline
-    /// as [`ThinLocks::with_stats`].
-    #[must_use]
-    pub fn with_trace_sink(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        self.monitors.set_sink(Arc::clone(&sink));
-        self.tracer = Some(sink);
-        self
-    }
-
-    /// Attaches a fault injector: the protocol consults it at each labeled
-    /// [`InjectionPoint`] (fast-path CAS, slow-path CAS, spin, unlock
-    /// store, inflation) and propagates it into the monitor table (which
-    /// stamps it into every fat lock it publishes) and the heap, so one
-    /// injector covers the whole stack.
-    ///
-    /// When no injector is attached the only cost is one never-taken
-    /// branch per point — the same zero-cost-when-disabled discipline as
-    /// [`ThinLocks::with_trace_sink`].
-    #[must_use]
-    pub fn with_fault_injector(mut self, injector: Arc<dyn FaultInjector>) -> Self {
-        self.monitors.set_fault_injector(Arc::clone(&injector));
-        self.heap.set_fault_injector(Arc::clone(&injector));
-        self.injector = Some(injector);
-        self
-    }
-
-    /// Attaches a cooperative schedule: the protocol announces each
-    /// labeled [`SchedPoint`] (fast-path CAS, nested stores, slow-path
-    /// CAS, spin, inflation publish, unlock stores, fat release, notify)
-    /// to it before executing the step, and propagates it into the
-    /// monitor table (which stamps it into every fat lock it publishes,
-    /// covering the two park points). A serializing scheduler — the
-    /// `thinlock-modelcheck` crate — blocks the calling thread inside
-    /// [`Schedule::reached`] to take ownership of the interleaving.
-    ///
-    /// When no schedule is attached the only cost is one never-taken
-    /// branch per point — the same zero-cost-when-disabled discipline as
-    /// [`ThinLocks::with_fault_injector`].
-    ///
-    /// Timed paths (`try_lock`, `lock_deadline`) carry no schedule
-    /// points: the model checker only drives the untimed operations.
-    #[must_use]
-    pub fn with_schedule(mut self, schedule: Arc<dyn Schedule>) -> Self {
-        self.monitors.set_schedule(Arc::clone(&schedule));
-        self.schedule = Some(schedule);
-        self
-    }
-
-    /// Installs the orphaned-lock sweeper on this protocol's registry:
-    /// when a [`Registration`](thinlock_runtime::registry::Registration)
-    /// drops while its thread still owns thin or fat locks, the sweep
-    /// force-releases them *before* the 15-bit index becomes reusable, so
-    /// a recycled index can never be mistaken for the dead owner
-    /// (stale-owner ABA).
-    ///
-    /// Call after [`with_trace_sink`](ThinLocks::with_trace_sink) /
-    /// [`with_fault_injector`](ThinLocks::with_fault_injector) so the
-    /// sweeper inherits them. The sweep is a full heap scan — linear in
-    /// heap capacity, paid once per thread exit.
-    #[must_use]
-    pub fn with_orphan_recovery(self) -> Self {
-        self.enable_orphan_recovery();
-        self
-    }
-
-    /// Non-consuming form of [`ThinLocks::with_orphan_recovery`] for
-    /// protocols already behind an `Arc`. Replaces any previously
-    /// installed sweeper.
-    pub fn enable_orphan_recovery(&self) {
-        self.registry.set_exit_sweeper(Arc::new(OrphanSweeper {
-            heap: Arc::clone(&self.heap),
-            monitors: Arc::clone(&self.monitors),
-            tracer: self.tracer.clone(),
-            injector: self.injector.clone(),
-            profile: self.config.profile(),
-        }));
-    }
-
-    /// The fast-path configuration.
-    pub fn config(&self) -> &C {
-        &self.config
-    }
-
-    /// Number of locks inflated so far (monitors allocated).
-    pub fn inflated_count(&self) -> usize {
-        self.monitors.len()
-    }
-
-    /// The raw lock word of `obj` — diagnostics and tests.
-    pub fn lock_word(&self, obj: ObjRef) -> LockWord {
-        self.cell(obj).load_relaxed()
-    }
-
-    #[inline]
-    fn cell(&self, obj: ObjRef) -> &LockWordCell {
-        self.heap.header(obj).lock_word()
-    }
-
-    #[inline]
-    fn record_lock(&self, scenario: LockScenario, depth: u32) {
-        if let Some(s) = &self.stats {
-            s.record_lock(scenario, depth);
-        }
-    }
-
-    #[inline]
-    fn record_inflation(&self, cause: InflationCause) {
-        if let Some(s) = &self.stats {
-            s.record_inflation(cause);
-        }
-    }
-
-    #[inline]
-    fn emit(&self, thread: Option<ThreadIndex>, obj: Option<ObjRef>, kind: TraceEventKind) {
-        if let Some(sink) = &self.tracer {
-            sink.record(thread, obj, kind);
-        }
-    }
-
-    #[inline]
-    fn inject(&self, point: InjectionPoint) -> FaultAction {
-        match &self.injector {
-            None => FaultAction::Proceed,
-            Some(injector) => injector.decide(point),
-        }
-    }
-
-    #[inline]
-    fn reach(&self, point: SchedPoint, obj: ObjRef) {
-        if let Some(s) = &self.schedule {
-            // Thin-path points ignore the returned action: SkipPark only
-            // applies at the monitor-layer park points.
-            let _ = s.reached(point, Some(obj));
-        }
-    }
-
-    /// Resolves the fat lock of an inflated word.
-    fn monitor_of(&self, word: LockWord) -> &FatLock {
-        let idx = word.monitor_index().expect("word must be inflated");
-        self.monitors
-            .get(idx)
-            .expect("inflated word references an allocated monitor")
-    }
-
-    /// The fat monitor of `obj`, if its lock has inflated — a
-    /// diagnostics/model-checking probe pairing with
-    /// [`ThinLocks::lock_word`].
-    pub fn monitor_for(&self, obj: ObjRef) -> Option<&FatLock> {
-        let word = self.cell(obj).load_acquire();
-        if word.is_fat() {
-            Some(self.monitor_of(word))
-        } else {
-            None
-        }
-    }
-
-    /// Owner-only inflation: the calling thread holds the thin lock with
-    /// `locks` acquisitions and replaces it with a fat monitor owned the
-    /// same number of times. The release store publishes the monitor's
-    /// contents along with the new word.
-    fn inflate_owned(
-        &self,
-        obj: ObjRef,
-        t: ThreadToken,
-        locks: u32,
-        cause: InflationCause,
-    ) -> SyncResult<&FatLock> {
-        self.reach(SchedPoint::Inflate, obj);
-        if self.inject(InjectionPoint::Inflate) == FaultAction::Yield {
-            // Deschedule between deciding to inflate and publishing the
-            // fat word — the window in which other threads still spin.
-            std::thread::yield_now();
-        }
-        let idx = self.monitors.allocate(FatLock::new_owned(t, locks))?;
-        let cell = self.cell(obj);
-        let current = cell.load_relaxed();
-        debug_assert_eq!(
-            current.thin_owner().map(ThreadTokenIndex::of),
-            Some(ThreadTokenIndex::of(t.index()))
-        );
-        cell.store_release(current.inflated(idx));
-        self.record_inflation(cause);
-        self.emit(
-            Some(t.index()),
-            Some(obj),
-            TraceEventKind::Inflated { cause },
-        );
-        Ok(self.monitor_of(current.inflated(idx)))
-    }
-
-    /// The complete lock algorithm. `#[inline]` so that with a static
-    /// config the fast path compiles to the paper's handful of
-    /// instructions at each call site.
-    #[inline]
-    fn lock_impl(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<()> {
-        let profile = self.config.profile();
-        let cell = self.cell(obj);
-
-        // Scenario 1 — locking an unlocked object. Build the old value by
-        // masking the loaded word, OR in the pre-shifted thread index, CAS.
-        let old = cell.load_relaxed().with_lock_field_clear();
-        let new = LockWord::from_bits(old.bits() | t.shifted());
-        self.reach(SchedPoint::LockFast, obj);
-        let fast = match self.inject(InjectionPoint::LockFastCas) {
-            FaultAction::FailCas => false,
-            FaultAction::Yield => {
-                std::thread::yield_now();
-                true
-            }
-            _ => true,
-        };
-        if fast && cell.try_cas(old, new, profile).is_ok() {
-            self.record_lock(LockScenario::Unlocked, 1);
-            self.emit(Some(t.index()), Some(obj), TraceEventKind::AcquireUnlocked);
-            return Ok(());
-        }
-
-        // Scenario 2 — nested locking by this thread: XOR + compare, then
-        // an ADD of 1<<8 written with a plain store.
-        let word = cell.load_relaxed();
-        if word.can_nest(t.shifted()) {
-            self.reach(SchedPoint::LockNest, obj);
-            cell.store_relaxed(word.with_count_incremented());
-            let depth = u32::from(word.thin_count()) + 2;
-            self.record_lock(
-                if depth <= SHALLOW_DEPTH {
-                    LockScenario::NestedShallow
-                } else {
-                    LockScenario::NestedDeep
-                },
-                depth,
-            );
-            self.emit(
-                Some(t.index()),
-                Some(obj),
-                TraceEventKind::AcquireNested { depth },
-            );
-            return Ok(());
-        }
-
-        self.lock_slow(obj, t, word)
-    }
-
-    /// Slow path: count overflow, inflated locks, and contention.
-    #[inline(never)]
-    fn lock_slow(&self, obj: ObjRef, t: ThreadToken, mut word: LockWord) -> SyncResult<()> {
-        let profile = self.config.profile();
-        let cell = self.cell(obj);
-        // Jittered per-thread backoff (runtime::backoff): spinners that
-        // collided in lockstep draw distinct pulse sequences, seeded by
-        // the thread index so seeded replays stay deterministic.
-        let mut backoff = Backoff::jittered(self.config.spin_policy(), u64::from(t.index().get()));
-        let mut spun = false;
-        // Advisory waits-for edge for the deadlock watchdog; published on
-        // the first blocking step, cleared when the guard drops.
-        let mut waiting = BlockedOnGuard(None);
-        loop {
-            if word.is_fat() {
-                // Fat path: index into the monitor table and queue there.
-                // Unowned or re-entrant acquisitions complete in a single
-                // monitor critical section with no registry traffic; only
-                // an acquisition that must park pays for the parker lookup
-                // and publishes a waits-for edge (it is the only one that
-                // can deadlock).
-                let monitor = self.monitor_of(word);
-                let (depth, contended) = match monitor.lock_uncontended(t) {
-                    Some(depth) => (depth, depth > 1),
-                    None => {
-                        waiting.publish(&self.registry, t, obj);
-                        monitor.lock(t, &self.registry)?;
-                        (monitor.count(), true)
-                    }
-                };
-                if let Some(s) = &self.stats {
-                    s.record_lock(
-                        if depth > 1 {
-                            if depth <= SHALLOW_DEPTH {
-                                LockScenario::NestedShallow
-                            } else {
-                                LockScenario::NestedDeep
-                            }
-                        } else if contended {
-                            LockScenario::FatContended
-                        } else {
-                            LockScenario::FatUncontended
-                        },
-                        depth,
-                    );
-                    s.record_spin_rounds(backoff.rounds());
-                }
-                self.emit(
-                    Some(t.index()),
-                    Some(obj),
-                    TraceEventKind::AcquireFat { contended },
-                );
-                return Ok(());
-            }
-
-            if word.is_thin_owned_by(t.shifted()) {
-                // Owned by us at the maximum count: the 257th acquisition.
-                debug_assert_eq!(u32::from(word.thin_count()), MAX_THIN_COUNT);
-                let locks = u32::from(word.thin_count()) + 1 + 1; // held + this one
-                self.emit(
-                    Some(t.index()),
-                    Some(obj),
-                    TraceEventKind::AcquireNested { depth: locks },
-                );
-                self.inflate_owned(obj, t, locks, InflationCause::CountOverflow)?;
-                self.record_lock(LockScenario::NestedDeep, locks);
-                return Ok(());
-            }
-
-            if word.is_unlocked() {
-                // Try to take it. If we spun to get here this is the
-                // contention scenario: acquire then inflate so the next
-                // contender queues instead of spinning (Section 2.3.4).
-                let new = LockWord::from_bits(word.bits() | t.shifted());
-                self.reach(SchedPoint::LockSlowCas, obj);
-                let attempt = match self.inject(InjectionPoint::LockSlowCas) {
-                    FaultAction::FailCas => false,
-                    FaultAction::Yield => {
-                        std::thread::yield_now();
-                        true
-                    }
-                    _ => true,
-                };
-                if attempt && cell.try_cas(word, new, profile).is_ok() {
-                    if spun {
-                        let rounds = u32::try_from(backoff.rounds()).unwrap_or(u32::MAX);
-                        self.emit(
-                            Some(t.index()),
-                            Some(obj),
-                            TraceEventKind::AcquireContendedThin {
-                                spin_rounds: rounds,
-                            },
-                        );
-                        // Post-contention inflation is an optimization, not
-                        // a correctness requirement: the thin lock is
-                        // already held, so if the monitor table is full we
-                        // keep the thin lock and let the next contender
-                        // spin instead of failing an acquisition that has
-                        // in fact succeeded.
-                        match self.inflate_owned(obj, t, 1, InflationCause::Contention) {
-                            Ok(_) | Err(SyncError::MonitorIndexExhausted) => {}
-                            Err(e) => return Err(e),
-                        }
-                        self.record_lock(LockScenario::ContendedThin, 1);
-                        if let Some(s) = &self.stats {
-                            s.record_spin_rounds(backoff.rounds());
-                        }
-                    } else {
-                        self.record_lock(LockScenario::Unlocked, 1);
-                        self.emit(Some(t.index()), Some(obj), TraceEventKind::AcquireUnlocked);
-                    }
-                    return Ok(());
-                }
-                word = cell.load_acquire();
-                continue;
-            }
-
-            // Thin-locked by another thread: spin until released.
-            spun = true;
-            waiting.publish(&self.registry, t, obj);
-            self.reach(SchedPoint::LockSpin, obj);
-            if self.inject(InjectionPoint::LockSpin) == FaultAction::Yield {
-                std::thread::yield_now();
-            }
-            backoff.snooze();
-            word = cell.load_acquire();
-        }
-    }
-
-    /// The complete unlock algorithm.
-    #[inline]
-    fn unlock_impl(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<()> {
-        let profile = self.config.profile();
-        let cell = self.cell(obj);
-        let word = cell.load_relaxed();
-
-        // Common case: thin, owned by us, locked exactly once. Restore the
-        // header-only word with a plain store (or CAS under UnlkC&S).
-        if word.is_locked_once_by(t.shifted()) {
-            self.reach(SchedPoint::UnlockThin, obj);
-            if self.inject(InjectionPoint::UnlockStore) == FaultAction::Yield {
-                // Deschedule between deciding to release and the store:
-                // owner-only writes make this window harmless, which is
-                // exactly what the chaos suite checks.
-                std::thread::yield_now();
-            }
-            let restored = word.with_lock_field_clear();
-            match self.config.unlock_strategy() {
-                UnlockStrategy::Store => cell.store_unlock(restored, profile),
-                UnlockStrategy::CompareAndSwap => {
-                    let r = cell.try_cas_release(word, restored, profile);
-                    debug_assert!(r.is_ok(), "owner-only discipline violated");
-                }
-            }
-            if let Some(s) = &self.stats {
-                s.record_unlock_thin();
-            }
-            self.emit(Some(t.index()), Some(obj), TraceEventKind::UnlockThin);
-            return Ok(());
-        }
-
-        // Nested unlock: decrement with a plain store.
-        if word.is_thin_owned_by(t.shifted()) {
-            debug_assert!(word.thin_count() > 0);
-            self.reach(SchedPoint::UnlockNest, obj);
-            cell.store_relaxed(word.with_count_decremented());
-            if let Some(s) = &self.stats {
-                s.record_unlock_thin();
-            }
-            self.emit(Some(t.index()), Some(obj), TraceEventKind::UnlockThin);
-            return Ok(());
-        }
-
-        self.unlock_slow(obj, t, word)
-    }
-
-    #[inline(never)]
-    fn unlock_slow(&self, obj: ObjRef, t: ThreadToken, word: LockWord) -> SyncResult<()> {
-        if word.is_fat() {
-            self.reach(SchedPoint::FatUnlock, obj);
-            let r = self.monitor_of(word).unlock(t, &self.registry);
-            if r.is_ok() {
-                if let Some(s) = &self.stats {
-                    s.record_unlock_fat();
-                }
-                self.emit(Some(t.index()), Some(obj), TraceEventKind::UnlockFat);
-            }
-            return r;
-        }
-        if word.is_unlocked() {
-            Err(SyncError::NotLocked)
-        } else {
-            Err(SyncError::NotOwner)
-        }
-    }
-
-    /// Inflates `obj`'s lock ahead of time, before any thread holds it —
-    /// the receiving end of a `lockcheck` pre-inflation hint.
-    ///
-    /// The paper inflates on the 257th nested acquisition, in the middle
-    /// of a critical section and while holding no queue to hand off to.
-    /// When static analysis proves a nest-depth bound above
-    /// [`MAX_THIN_COUNT`], installing an (unowned) fat monitor up front
-    /// moves that cost to program start-up: every later acquisition takes
-    /// the fat path directly and the overflow transition never happens.
-    ///
-    /// Best-effort: returns `Ok(true)` if this call inflated the object,
-    /// `Ok(false)` if the object was already inflated, currently thin-held
-    /// (the owner must inflate; we cannot), or the installing CAS lost a
-    /// race. A lost race leaks one monitor-table slot, which is fine for
-    /// the intended use — hints are applied during single-threaded set-up.
-    ///
-    /// # Errors
-    ///
-    /// [`SyncError::MonitorIndexExhausted`] if the monitor table is full.
-    pub fn pre_inflate(&self, obj: ObjRef) -> SyncResult<bool> {
-        let cell = self.cell(obj);
-        let word = cell.load_relaxed();
-        if !word.is_unlocked() {
-            // Already fat, or thin-held by some thread (owner-only writes
-            // forbid us from touching the word).
-            return Ok(false);
-        }
-        let idx = self.monitors.allocate(FatLock::new())?;
-        let inflated = word.inflated(idx);
-        if cell.try_cas(word, inflated, self.config.profile()).is_ok() {
-            self.record_inflation(InflationCause::Hint);
-            self.emit(
-                None,
-                Some(obj),
-                TraceEventKind::Inflated {
-                    cause: InflationCause::Hint,
-                },
-            );
-            Ok(true)
-        } else {
-            Ok(false)
-        }
-    }
-
-    /// Ensures `obj`'s lock is fat, inflating if the caller holds it thin.
-    ///
-    /// # Errors
-    ///
-    /// [`SyncError::NotOwner`]/[`SyncError::NotLocked`] if the caller does
-    /// not own the monitor (required for `wait`/`notify`).
-    fn require_fat(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<&FatLock> {
-        let word = self.cell(obj).load_acquire();
-        if word.is_fat() {
-            let monitor = self.monitor_of(word);
-            if !monitor.holds(t) {
-                return Err(if monitor.owner().is_some() {
-                    SyncError::NotOwner
-                } else {
-                    SyncError::NotLocked
-                });
-            }
-            return Ok(monitor);
-        }
-        if word.is_thin_owned_by(t.shifted()) {
-            let locks = u32::from(word.thin_count()) + 1;
-            return self.inflate_owned(obj, t, locks, InflationCause::WaitNotify);
-        }
-        if word.is_unlocked() {
-            Err(SyncError::NotLocked)
-        } else {
-            Err(SyncError::NotOwner)
-        }
-    }
-
-    /// The thread currently holding `obj`'s lock, thin or fat.
-    ///
-    /// Advisory: the answer can be stale by the time the caller acts on
-    /// it. The deadlock watchdog uses this to build waits-for edges.
-    pub fn owner_of(&self, obj: ObjRef) -> Option<ThreadIndex> {
-        let word = self.cell(obj).load_acquire();
-        if word.is_fat() {
-            self.monitor_of(word).owner()
-        } else {
-            word.thin_owner()
-        }
-    }
-
-    /// One acquisition attempt with no blocking and no spinning. Returns
-    /// `Ok(true)` on success (including nesting), `Ok(false)` if the lock
-    /// is held by another thread.
-    fn try_lock_impl(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<bool> {
-        let profile = self.config.profile();
-        let cell = self.cell(obj);
-
-        let old = cell.load_relaxed().with_lock_field_clear();
-        let new = LockWord::from_bits(old.bits() | t.shifted());
-        let fast = match self.inject(InjectionPoint::LockFastCas) {
-            FaultAction::FailCas => false,
-            FaultAction::Yield => {
-                std::thread::yield_now();
-                true
-            }
-            _ => true,
-        };
-        if fast && cell.try_cas(old, new, profile).is_ok() {
-            self.record_lock(LockScenario::Unlocked, 1);
-            self.emit(Some(t.index()), Some(obj), TraceEventKind::AcquireUnlocked);
-            return Ok(true);
-        }
-
-        let word = cell.load_relaxed();
-        if word.can_nest(t.shifted()) {
-            cell.store_relaxed(word.with_count_incremented());
-            let depth = u32::from(word.thin_count()) + 2;
-            self.record_lock(
-                if depth <= SHALLOW_DEPTH {
-                    LockScenario::NestedShallow
-                } else {
-                    LockScenario::NestedDeep
-                },
-                depth,
-            );
-            self.emit(
-                Some(t.index()),
-                Some(obj),
-                TraceEventKind::AcquireNested { depth },
-            );
-            return Ok(true);
-        }
-
-        if word.is_fat() {
-            let monitor = self.monitor_of(word);
-            let contended = monitor.owner().is_some();
-            if monitor.try_lock(t) {
-                let depth = monitor.count();
-                self.record_lock(
-                    if depth > 1 {
-                        if depth <= SHALLOW_DEPTH {
-                            LockScenario::NestedShallow
-                        } else {
-                            LockScenario::NestedDeep
-                        }
-                    } else if contended {
-                        LockScenario::FatContended
-                    } else {
-                        LockScenario::FatUncontended
-                    },
-                    depth,
-                );
-                self.emit(
-                    Some(t.index()),
-                    Some(obj),
-                    TraceEventKind::AcquireFat { contended },
-                );
-                return Ok(true);
-            }
-            return Ok(false);
-        }
-
-        if word.is_thin_owned_by(t.shifted()) {
-            // Owned by us at the maximum count: owner-only inflation
-            // cannot fail spuriously, so this still counts as non-blocking.
-            debug_assert_eq!(u32::from(word.thin_count()), MAX_THIN_COUNT);
-            let locks = u32::from(word.thin_count()) + 2;
-            self.emit(
-                Some(t.index()),
-                Some(obj),
-                TraceEventKind::AcquireNested { depth: locks },
-            );
-            self.inflate_owned(obj, t, locks, InflationCause::CountOverflow)?;
-            self.record_lock(LockScenario::NestedDeep, locks);
-            return Ok(true);
-        }
-
-        if word.is_unlocked() {
-            // The fast CAS raced with a concurrent unlock (or was
-            // fault-injected away); one direct retry keeps `try_lock`
-            // accurate on an object that is in fact free.
-            let new = LockWord::from_bits(word.bits() | t.shifted());
-            if cell.try_cas(word, new, profile).is_ok() {
-                self.record_lock(LockScenario::Unlocked, 1);
-                self.emit(Some(t.index()), Some(obj), TraceEventKind::AcquireUnlocked);
-                return Ok(true);
-            }
-        }
-        Ok(false)
-    }
-
-    /// Deadline-bounded acquisition: spins with capped backoff on a thin
-    /// contended lock, parks with a timeout on a fat one.
-    ///
-    /// Unlike the untimed path, giving up on a thin lock never inflates —
-    /// a timed-out acquisition must leave no trace.
-    fn lock_deadline_impl(&self, obj: ObjRef, t: ThreadToken, timeout: Duration) -> SyncResult<()> {
-        if self.try_lock_impl(obj, t)? {
-            return Ok(());
-        }
-        let now = Instant::now();
-        let deadline = now
-            .checked_add(timeout)
-            .unwrap_or_else(|| now + Duration::from_secs(86_400 * 365));
-        let mut waiting = BlockedOnGuard(None);
-        waiting.publish(&self.registry, t, obj);
-        // Jittered per-thread backoff (runtime::backoff): spinners that
-        // collided in lockstep draw distinct pulse sequences, seeded by
-        // the thread index so seeded replays stay deterministic.
-        let mut backoff = Backoff::jittered(self.config.spin_policy(), u64::from(t.index().get()));
-        loop {
-            let word = self.cell(obj).load_acquire();
-            if word.is_fat() {
-                let monitor = self.monitor_of(word);
-                let contended = monitor.owner().is_some();
-                return match monitor.lock_n_deadline(t, 1, &self.registry, deadline) {
-                    Ok(()) => {
-                        let depth = monitor.count();
-                        if let Some(s) = &self.stats {
-                            s.record_lock(
-                                if depth > 1 {
-                                    if depth <= SHALLOW_DEPTH {
-                                        LockScenario::NestedShallow
-                                    } else {
-                                        LockScenario::NestedDeep
-                                    }
-                                } else if contended {
-                                    LockScenario::FatContended
-                                } else {
-                                    LockScenario::FatUncontended
-                                },
-                                depth,
-                            );
-                        }
-                        self.emit(
-                            Some(t.index()),
-                            Some(obj),
-                            TraceEventKind::AcquireFat { contended },
-                        );
-                        Ok(())
-                    }
-                    Err(SyncError::Timeout) => self.deadline_expired(obj, t),
-                    Err(e) => Err(e),
-                };
-            }
-            if self.try_lock_impl(obj, t)? {
-                return Ok(());
-            }
-            // Acquisition is preferred over punctuality: the deadline is
-            // only checked after a failed attempt.
-            if Instant::now() >= deadline {
-                return self.deadline_expired(obj, t);
-            }
-            if self.inject(InjectionPoint::LockSpin) == FaultAction::Yield {
-                std::thread::yield_now();
-            }
-            backoff.snooze();
-        }
-    }
-
-    /// A timed acquisition gave up: distinguish "slow owner" from "no
-    /// owner will ever come" by walking the waits-for graph from here.
-    fn deadline_expired(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<()> {
-        self.emit(Some(t.index()), Some(obj), TraceEventKind::AcquireTimedOut);
-        if let Some(report) = crate::watchdog::confirm_cycle(self, t.index(), obj) {
-            let threads = u32::try_from(report.threads.len()).unwrap_or(u32::MAX);
-            self.emit(
-                Some(t.index()),
-                Some(obj),
-                TraceEventKind::DeadlockDetected { threads },
-            );
-            return Err(SyncError::DeadlockDetected);
-        }
-        Err(SyncError::Timeout)
-    }
-}
-
-/// RAII publication of a thread's waits-for edge ([`ThreadRecord`]
-/// `blocked_on`): set on the first blocking step, cleared on drop so every
-/// exit path — acquisition, timeout, error — retracts the edge.
-struct BlockedOnGuard(Option<Arc<ThreadRecord>>);
-
-impl BlockedOnGuard {
-    fn publish(&mut self, registry: &ThreadRegistry, t: ThreadToken, obj: ObjRef) {
-        if self.0.is_none() {
-            if let Ok(record) = registry.record(t.index()) {
-                record.set_blocked_on(Some(obj));
-                self.0 = Some(record);
-            }
-        }
-    }
-}
-
-impl Drop for BlockedOnGuard {
-    fn drop(&mut self) {
-        if let Some(record) = &self.0 {
-            record.set_blocked_on(None);
-        }
-    }
-}
-
-/// The registry exit sweep: force-releases every lock a dead thread left
-/// behind, while its index is still in limbo (slot cleared, not yet
-/// recyclable) so no live thread can be mistaken for the dead owner.
-struct OrphanSweeper {
-    heap: Arc<Heap>,
-    monitors: Arc<MonitorTable>,
-    tracer: Option<Arc<dyn TraceSink>>,
-    injector: Option<Arc<dyn FaultInjector>>,
-    profile: ArchProfile,
-}
-
-impl OrphanSweeper {
-    fn emit_reclaim(&self, dead: ThreadIndex, obj: ObjRef, fat: bool) {
-        if let Some(sink) = &self.tracer {
-            sink.record(
-                Some(dead),
-                Some(obj),
-                TraceEventKind::OrphanReclaimed { fat },
-            );
-        }
-    }
-}
-
-impl ExitSweeper for OrphanSweeper {
-    fn sweep_thread(&self, dead: ThreadIndex, registry: &ThreadRegistry) {
-        if let Some(injector) = &self.injector {
-            if injector.decide(InjectionPoint::RegistryRelease) == FaultAction::Yield {
-                std::thread::yield_now();
-            }
-        }
-        for obj in self.heap.iter() {
-            let cell = self.heap.header(obj).lock_word();
-            let word = cell.load_acquire();
-            if word.is_fat() {
-                let Some(idx) = word.monitor_index() else {
-                    continue;
-                };
-                if let Some(monitor) = self.monitors.get(idx) {
-                    if monitor.reclaim_orphan(dead, registry) {
-                        self.emit_reclaim(dead, obj, true);
-                    }
-                }
-            } else if word.thin_owner() == Some(dead) {
-                // The owner is gone and owner-only writes mean nothing
-                // else mutates a thin-held word, so the CAS can only lose
-                // to a concurrent sweep of the same index.
-                let cleared = word.with_lock_field_clear();
-                if cell.try_cas(word, cleared, self.profile).is_ok() {
-                    self.emit_reclaim(dead, obj, false);
-                }
-            }
-        }
-    }
-}
-
-/// Tiny helper so a debug assertion can compare indices without importing
-/// the type in the hot module body.
-#[derive(PartialEq, Debug)]
-struct ThreadTokenIndex(u16);
-
-impl ThreadTokenIndex {
-    fn of(i: thinlock_runtime::lockword::ThreadIndex) -> Self {
-        ThreadTokenIndex(i.get())
-    }
-}
-
-/// Outlined trampolines for the Figure 6 "FnCall" variant.
-mod outlined {
-    use super::*;
-
-    #[inline(never)]
-    pub(super) fn lock<C: FastPathConfig>(
-        this: &ThinLocks<C>,
-        obj: ObjRef,
-        t: ThreadToken,
-    ) -> SyncResult<()> {
-        this.lock_impl(obj, t)
-    }
-
-    #[inline(never)]
-    pub(super) fn unlock<C: FastPathConfig>(
-        this: &ThinLocks<C>,
-        obj: ObjRef,
-        t: ThreadToken,
-    ) -> SyncResult<()> {
-        this.unlock_impl(obj, t)
-    }
-}
-
-impl<C: FastPathConfig> SyncProtocol for ThinLocks<C> {
-    #[inline]
-    fn lock(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<()> {
-        if self.config.outlined() {
-            outlined::lock(self, obj, t)
-        } else {
-            self.lock_impl(obj, t)
-        }
-    }
-
-    #[inline]
-    fn unlock(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<()> {
-        if self.config.outlined() {
-            outlined::unlock(self, obj, t)
-        } else {
-            self.unlock_impl(obj, t)
-        }
-    }
-
-    fn try_lock(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<bool> {
-        let acquired = self.try_lock_impl(obj, t)?;
-        if !acquired {
-            self.emit(Some(t.index()), Some(obj), TraceEventKind::AcquireTimedOut);
-        }
-        Ok(acquired)
-    }
-
-    fn lock_deadline(&self, obj: ObjRef, t: ThreadToken, timeout: Duration) -> SyncResult<()> {
-        self.lock_deadline_impl(obj, t, timeout)
-    }
-
-    fn wait(
-        &self,
-        obj: ObjRef,
-        t: ThreadToken,
-        timeout: Option<Duration>,
-    ) -> SyncResult<WaitOutcome> {
-        if let Some(s) = &self.stats {
-            s.record_wait();
-        }
-        let monitor = self.require_fat(obj, t)?;
-        self.emit(Some(t.index()), Some(obj), TraceEventKind::Wait);
-        monitor.wait(t, &self.registry, timeout)
-    }
-
-    fn notify(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<()> {
-        if let Some(s) = &self.stats {
-            s.record_notify();
-        }
-        let monitor = self.require_fat(obj, t)?;
-        self.emit(Some(t.index()), Some(obj), TraceEventKind::Notify);
-        self.reach(SchedPoint::Notify, obj);
-        monitor.notify(t)
-    }
-
-    fn notify_all(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<()> {
-        if let Some(s) = &self.stats {
-            s.record_notify();
-        }
-        let monitor = self.require_fat(obj, t)?;
-        self.emit(Some(t.index()), Some(obj), TraceEventKind::Notify);
-        self.reach(SchedPoint::Notify, obj);
-        monitor.notify_all(t)
-    }
-
-    fn holds_lock(&self, obj: ObjRef, t: ThreadToken) -> bool {
-        let word = self.cell(obj).load_acquire();
-        if word.is_fat() {
-            self.monitor_of(word).holds(t)
-        } else {
-            word.is_thin_owned_by(t.shifted())
-        }
-    }
-
-    fn pre_inflate_hint(&self, obj: ObjRef) -> bool {
-        let applied = self.pre_inflate(obj).unwrap_or(false);
-        self.emit(None, Some(obj), TraceEventKind::PreInflateHint { applied });
-        applied
-    }
-
-    fn trace_sink(&self) -> Option<&dyn TraceSink> {
-        self.tracer.as_deref()
-    }
-
-    fn heap(&self) -> &Heap {
-        &self.heap
-    }
-
-    fn registry(&self) -> &ThreadRegistry {
-        &self.registry
-    }
-
-    fn name(&self) -> &'static str {
-        "ThinLock"
-    }
-}
-
-impl<C: FastPathConfig> SyncBackend for ThinLocks<C> {
-    fn monitor_probe(&self, obj: ObjRef) -> Option<MonitorProbe> {
-        let monitor = self.monitor_for(obj)?;
-        Some(MonitorProbe {
-            owner: monitor.owner(),
-            count: monitor.count(),
-            entry_queue_len: monitor.entry_queue_len(),
-            wait_set_len: monitor.wait_set_len(),
-        })
-    }
-
-    fn in_wait_set(&self, obj: ObjRef, t: ThreadToken) -> bool {
-        self.monitor_for(obj).is_some_and(|m| m.is_waiting(t))
-    }
-
-    // deflation_capable stays `false`: one-way inflation is this
-    // protocol's contract, and the model checker enforces it.
-
-    fn inflation_count(&self) -> u64 {
-        self.monitors.len() as u64
-    }
-
-    fn monitors_live(&self) -> usize {
-        // The table never recycles: every monitor ever allocated still
-        // backs a fat word, so live == peak == allocated.
-        self.monitors.len()
-    }
-
-    fn monitors_peak(&self) -> usize {
-        self.monitors.len()
-    }
-
-    fn monitors_allocated(&self) -> u64 {
-        self.monitors.len() as u64
-    }
-}
-
-impl<C: FastPathConfig> fmt::Debug for ThinLocks<C> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ThinLocks")
-            .field("heap", &self.heap)
-            .field("inflated", &self.monitors.len())
-            .field("config", &self.config)
-            .finish()
+        let monitors = MonitorTable::with_capacity(heap.capacity());
+        LockCore::from_parts(heap, registry, Thin { monitors }, config)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Mutex;
     use std::thread;
-    use thinlock_runtime::lockword::LockState;
+    use std::time::Duration;
+    use thinlock_runtime::error::SyncError;
+    use thinlock_runtime::events::{TraceEventKind, TraceSink};
+    use thinlock_runtime::fault::{FaultAction, FaultInjector, InjectionPoint};
+    use thinlock_runtime::heap::ObjRef;
+    use thinlock_runtime::lockword::{LockState, ThreadIndex};
+    use thinlock_runtime::protocol::{SyncProtocol, WaitOutcome};
+    use thinlock_runtime::stats::{InflationCause, LockStats};
 
     fn fresh(capacity: usize) -> ThinLocks {
         ThinLocks::with_capacity(capacity)
     }
 
-    #[test]
-    fn lock_unlock_restores_word_exactly() {
-        let p = fresh(4);
-        let r = p.registry().register().unwrap();
-        let t = r.token();
-        let obj = p.heap().alloc().unwrap();
-        let before = p.lock_word(obj);
-        p.lock(obj, t).unwrap();
-        let held = p.lock_word(obj);
-        assert_eq!(held.thin_owner().map(|o| o.get()), Some(t.index().get()));
-        assert_eq!(held.thin_count(), 0);
-        assert_eq!(held.header_bits(), before.header_bits());
-        p.unlock(obj, t).unwrap();
-        assert_eq!(p.lock_word(obj), before, "word restored bit-for-bit");
-        assert_eq!(p.inflated_count(), 0);
+    crate::conformance::rows!(fresh);
+
+    #[derive(Debug, Default)]
+    struct Recorder(Mutex<Vec<TraceEventKind>>);
+
+    impl TraceSink for Recorder {
+        fn record(&self, _t: Option<ThreadIndex>, _o: Option<ObjRef>, kind: TraceEventKind) {
+            self.0.lock().unwrap().push(kind);
+        }
     }
 
     #[test]
@@ -1150,43 +154,6 @@ mod tests {
     }
 
     #[test]
-    fn unlock_errors_mirror_java() {
-        let p = fresh(4);
-        let ra = p.registry().register().unwrap();
-        let rb = p.registry().register().unwrap();
-        let obj = p.heap().alloc().unwrap();
-        assert_eq!(p.unlock(obj, ra.token()), Err(SyncError::NotLocked));
-        p.lock(obj, ra.token()).unwrap();
-        assert_eq!(p.unlock(obj, rb.token()), Err(SyncError::NotOwner));
-        p.unlock(obj, ra.token()).unwrap();
-    }
-
-    #[test]
-    fn count_overflow_inflates_at_257th_lock() {
-        let p = fresh(4);
-        let r = p.registry().register().unwrap();
-        let t = r.token();
-        let obj = p.heap().alloc().unwrap();
-        for _ in 0..256 {
-            p.lock(obj, t).unwrap();
-        }
-        assert!(p.lock_word(obj).is_thin_shape(), "256 locks still thin");
-        assert_eq!(u32::from(p.lock_word(obj).thin_count()), 255);
-        p.lock(obj, t).unwrap(); // the paper's "excessive" 257th
-        assert!(p.lock_word(obj).is_fat());
-        assert_eq!(p.inflated_count(), 1);
-        // All 257 unlocks must succeed through the fat path.
-        for _ in 0..257 {
-            p.unlock(obj, t).unwrap();
-        }
-        assert!(!p.holds_lock(obj, t));
-        assert!(p.lock_word(obj).is_fat(), "inflation is permanent");
-        // And the lock remains usable.
-        p.lock(obj, t).unwrap();
-        p.unlock(obj, t).unwrap();
-    }
-
-    #[test]
     fn header_bits_survive_every_transition() {
         let p = fresh(4);
         let r = p.registry().register().unwrap();
@@ -1201,36 +168,6 @@ mod tests {
             p.unlock(obj, t).unwrap();
         }
         assert_eq!(p.lock_word(obj).header_bits(), hash);
-    }
-
-    #[test]
-    fn wait_notify_inflates_and_works() {
-        let p = Arc::new(fresh(4));
-        let obj = p.heap().alloc().unwrap();
-        let waiter = {
-            let p = Arc::clone(&p);
-            thread::spawn(move || {
-                let r = p.registry().register().unwrap();
-                let t = r.token();
-                p.lock(obj, t).unwrap();
-                assert!(p.lock_word(obj).is_thin_shape());
-                let out = p.wait(obj, t, None).unwrap(); // inflates
-                assert!(p.holds_lock(obj, t));
-                p.unlock(obj, t).unwrap();
-                out
-            })
-        };
-        // Wait for the inflation caused by wait().
-        while !p.lock_word(obj).is_fat() {
-            thread::yield_now();
-        }
-        let r = p.registry().register().unwrap();
-        let t = r.token();
-        p.lock(obj, t).unwrap();
-        p.notify(obj, t).unwrap();
-        p.unlock(obj, t).unwrap();
-        assert_eq!(waiter.join().unwrap(), WaitOutcome::Notified);
-        assert_eq!(p.inflated_count(), 1);
     }
 
     #[test]
@@ -1293,40 +230,6 @@ mod tests {
         p.unlock(obj, t).unwrap();
         owner.join().unwrap();
         assert_eq!(p.inflated_count(), 1, "inflated exactly once");
-    }
-
-    #[test]
-    fn mutual_exclusion_many_threads_one_object() {
-        let p = Arc::new(fresh(4));
-        let obj = p.heap().alloc().unwrap();
-        let total = Arc::new(AtomicU64::new(0));
-        const THREADS: usize = 4;
-        const ITERS: u64 = 300;
-        let mut handles = Vec::new();
-        for _ in 0..THREADS {
-            let p = Arc::clone(&p);
-            let total = Arc::clone(&total);
-            handles.push(thread::spawn(move || {
-                let r = p.registry().register().unwrap();
-                let t = r.token();
-                for _ in 0..ITERS {
-                    p.lock(obj, t).unwrap();
-                    let v = total.load(Ordering::Relaxed);
-                    std::hint::spin_loop();
-                    total.store(v + 1, Ordering::Relaxed);
-                    p.unlock(obj, t).unwrap();
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(total.load(Ordering::Relaxed), THREADS as u64 * ITERS);
-        // Whether inflation occurred depends on the schedule, but the lock
-        // must end fully released either way.
-        let r = p.registry().register().unwrap();
-        assert!(!p.holds_lock(obj, r.token()));
-        assert!(p.inflated_count() <= 1);
     }
 
     #[test]
@@ -1485,16 +388,6 @@ mod tests {
 
     #[test]
     fn trace_sink_sees_protocol_transitions() {
-        use std::sync::Mutex;
-
-        #[derive(Debug, Default)]
-        struct Recorder(Mutex<Vec<TraceEventKind>>);
-        impl TraceSink for Recorder {
-            fn record(&self, _t: Option<ThreadIndex>, _o: Option<ObjRef>, kind: TraceEventKind) {
-                self.0.lock().unwrap().push(kind);
-            }
-        }
-
         let recorder = Arc::new(Recorder::default());
         let p = ThinLocks::with_capacity(4)
             .with_trace_sink(Arc::clone(&recorder) as Arc<dyn TraceSink>);
@@ -1531,16 +424,6 @@ mod tests {
 
     #[test]
     fn trace_sink_attributes_hint_inflation() {
-        use std::sync::Mutex;
-
-        #[derive(Debug, Default)]
-        struct Recorder(Mutex<Vec<TraceEventKind>>);
-        impl TraceSink for Recorder {
-            fn record(&self, _t: Option<ThreadIndex>, _o: Option<ObjRef>, kind: TraceEventKind) {
-                self.0.lock().unwrap().push(kind);
-            }
-        }
-
         let recorder = Arc::new(Recorder::default());
         let p = ThinLocks::with_capacity(4)
             .with_trace_sink(Arc::clone(&recorder) as Arc<dyn TraceSink>);
@@ -1570,126 +453,7 @@ mod tests {
     }
 
     #[test]
-    fn try_lock_thin_nested_and_contended() {
-        let p = fresh(4);
-        let ra = p.registry().register().unwrap();
-        let rb = p.registry().register().unwrap();
-        let obj = p.heap().alloc().unwrap();
-        assert_eq!(p.try_lock(obj, ra.token()), Ok(true), "uncontended");
-        assert_eq!(p.try_lock(obj, ra.token()), Ok(true), "nested");
-        assert_eq!(p.try_lock(obj, rb.token()), Ok(false), "held by other");
-        assert!(p.lock_word(obj).is_thin_shape(), "try_lock never inflates");
-        p.unlock(obj, ra.token()).unwrap();
-        p.unlock(obj, ra.token()).unwrap();
-        assert_eq!(p.try_lock(obj, rb.token()), Ok(true));
-        p.unlock(obj, rb.token()).unwrap();
-    }
-
-    #[test]
-    fn try_lock_on_fat_lock() {
-        let p = fresh(4);
-        let ra = p.registry().register().unwrap();
-        let rb = p.registry().register().unwrap();
-        let obj = p.heap().alloc().unwrap();
-        p.pre_inflate(obj).unwrap();
-        assert_eq!(p.try_lock(obj, ra.token()), Ok(true));
-        assert_eq!(p.try_lock(obj, ra.token()), Ok(true), "fat re-entrant");
-        assert_eq!(p.try_lock(obj, rb.token()), Ok(false));
-        p.unlock(obj, ra.token()).unwrap();
-        p.unlock(obj, ra.token()).unwrap();
-        assert_eq!(p.try_lock(obj, rb.token()), Ok(true));
-        p.unlock(obj, rb.token()).unwrap();
-    }
-
-    #[test]
-    fn lock_deadline_times_out_thin_without_inflating() {
-        let p = Arc::new(fresh(4));
-        let obj = p.heap().alloc().unwrap();
-        let barrier = Arc::new(std::sync::Barrier::new(2));
-        let owner = {
-            let p = Arc::clone(&p);
-            let barrier = Arc::clone(&barrier);
-            thread::spawn(move || {
-                let r = p.registry().register().unwrap();
-                let t = r.token();
-                p.lock(obj, t).unwrap();
-                barrier.wait(); // contender starts its timed attempt
-                barrier.wait(); // contender has timed out
-                p.unlock(obj, t).unwrap();
-            })
-        };
-        let r = p.registry().register().unwrap();
-        let t = r.token();
-        barrier.wait();
-        let err = p.lock_deadline(obj, t, Duration::from_millis(40));
-        assert_eq!(err, Err(SyncError::Timeout));
-        assert!(
-            p.lock_word(obj).is_thin_shape(),
-            "a timed-out acquisition leaves no trace"
-        );
-        barrier.wait();
-        owner.join().unwrap();
-        // And afterwards the object is acquirable within any deadline.
-        p.lock_deadline(obj, t, Duration::from_secs(5)).unwrap();
-        p.unlock(obj, t).unwrap();
-    }
-
-    #[test]
-    fn lock_deadline_times_out_on_fat_lock() {
-        let p = Arc::new(fresh(4));
-        let obj = p.heap().alloc().unwrap();
-        p.pre_inflate(obj).unwrap();
-        let barrier = Arc::new(std::sync::Barrier::new(2));
-        let owner = {
-            let p = Arc::clone(&p);
-            let barrier = Arc::clone(&barrier);
-            thread::spawn(move || {
-                let r = p.registry().register().unwrap();
-                let t = r.token();
-                p.lock(obj, t).unwrap();
-                barrier.wait();
-                barrier.wait();
-                p.unlock(obj, t).unwrap();
-            })
-        };
-        let r = p.registry().register().unwrap();
-        let t = r.token();
-        barrier.wait();
-        assert_eq!(
-            p.lock_deadline(obj, t, Duration::from_millis(40)),
-            Err(SyncError::Timeout)
-        );
-        assert!(!p.holds_lock(obj, t));
-        barrier.wait();
-        owner.join().unwrap();
-        p.lock_deadline(obj, t, Duration::from_secs(5)).unwrap();
-        p.unlock(obj, t).unwrap();
-    }
-
-    #[test]
-    fn deadline_prefers_acquisition_over_punctuality() {
-        let p = fresh(4);
-        let r = p.registry().register().unwrap();
-        let t = r.token();
-        let obj = p.heap().alloc().unwrap();
-        // A zero timeout on a free lock still acquires.
-        p.lock_deadline(obj, t, Duration::ZERO).unwrap();
-        assert!(p.holds_lock(obj, t));
-        p.unlock(obj, t).unwrap();
-    }
-
-    #[test]
     fn timed_acquisition_emits_timeout_event() {
-        use std::sync::Mutex;
-
-        #[derive(Debug, Default)]
-        struct Recorder(Mutex<Vec<TraceEventKind>>);
-        impl TraceSink for Recorder {
-            fn record(&self, _t: Option<ThreadIndex>, _o: Option<ObjRef>, kind: TraceEventKind) {
-                self.0.lock().unwrap().push(kind);
-            }
-        }
-
         let recorder = Arc::new(Recorder::default());
         let p = Arc::new(fresh(4).with_trace_sink(Arc::clone(&recorder) as Arc<dyn TraceSink>));
         let obj = p.heap().alloc().unwrap();
@@ -1724,92 +488,6 @@ mod tests {
             .filter(|k| matches!(k, TraceEventKind::AcquireTimedOut))
             .count();
         assert_eq!(timeouts, 2, "one per failed try, one per expired deadline");
-    }
-
-    #[test]
-    fn orphaned_thin_lock_is_reclaimed_on_registration_drop() {
-        let p = fresh(4);
-        p.enable_orphan_recovery();
-        let obj = p.heap().alloc().unwrap();
-        let r = p.registry().register().unwrap();
-        let t = r.token();
-        p.lock(obj, t).unwrap();
-        p.lock(obj, t).unwrap(); // nested: count survives until the sweep
-        assert!(p.lock_word(obj).is_thin_shape());
-        drop(r); // thread "dies" while owning the thin lock
-        assert!(
-            p.lock_word(obj).is_unlocked(),
-            "sweep cleared the orphaned thin lock"
-        );
-        // A fresh registration — which recycles the dead index — can
-        // acquire the previously-orphaned object.
-        let r2 = p.registry().register().unwrap();
-        assert_eq!(r2.token().index().get(), t.index().get(), "index reused");
-        p.lock(obj, r2.token()).unwrap();
-        assert!(p.holds_lock(obj, r2.token()));
-        p.unlock(obj, r2.token()).unwrap();
-    }
-
-    #[test]
-    fn orphaned_fat_lock_is_reclaimed_and_queue_woken() {
-        let p = Arc::new(fresh(4).with_orphan_recovery());
-        let obj = p.heap().alloc().unwrap();
-        let r = p.registry().register().unwrap();
-        let t = r.token();
-        p.lock(obj, t).unwrap();
-        p.notify(obj, t).unwrap(); // inflates
-        assert!(p.lock_word(obj).is_fat());
-        let barrier = Arc::new(std::sync::Barrier::new(2));
-        let contender = {
-            let p = Arc::clone(&p);
-            let barrier = Arc::clone(&barrier);
-            thread::spawn(move || {
-                let r = p.registry().register().unwrap();
-                let t = r.token();
-                barrier.wait();
-                p.lock(obj, t).unwrap(); // blocks until the sweep releases
-                p.unlock(obj, t).unwrap();
-            })
-        };
-        barrier.wait();
-        thread::sleep(Duration::from_millis(30)); // let the contender park
-        drop(r); // owner dies; sweep reclaims and wakes the queue
-        contender.join().unwrap();
-        let r2 = p.registry().register().unwrap();
-        assert!(!p.holds_lock(obj, r2.token()));
-    }
-
-    #[test]
-    fn injected_cas_failure_routes_through_slow_path() {
-        use std::sync::atomic::AtomicUsize;
-
-        #[derive(Debug, Default)]
-        struct FailFastCas(AtomicUsize);
-        impl FaultInjector for FailFastCas {
-            fn decide(&self, point: InjectionPoint) -> FaultAction {
-                if point == InjectionPoint::LockFastCas {
-                    self.0.fetch_add(1, Ordering::Relaxed);
-                    FaultAction::FailCas
-                } else {
-                    FaultAction::Proceed
-                }
-            }
-        }
-
-        let injector = Arc::new(FailFastCas::default());
-        let p = ThinLocks::with_capacity(4)
-            .with_fault_injector(Arc::clone(&injector) as Arc<dyn FaultInjector>);
-        let r = p.registry().register().unwrap();
-        let t = r.token();
-        let obj = p.heap().alloc().unwrap();
-        p.lock(obj, t).unwrap(); // fast CAS suppressed, slow path wins
-        assert!(p.holds_lock(obj, t));
-        p.unlock(obj, t).unwrap();
-        assert!(p.lock_word(obj).is_unlocked());
-        assert!(
-            injector.0.load(Ordering::Relaxed) >= 1,
-            "injector consulted"
-        );
     }
 
     #[test]

@@ -1,5 +1,8 @@
 //! FIFO admission tickets shared by the [`fissile`](crate::fissile) and
-//! [`hapax`](crate::hapax) backends.
+//! [`hapax`](crate::hapax) policies: the ledger, and the one admission
+//! loop both queue through. The ticketed release (snapshot, clear,
+//! retire) and the ticket-aware orphan sweep live in the
+//! [`lockcore`](crate::lockcore) paths they extend.
 //!
 //! Both protocols keep the object's lock word bit-identical to the thin
 //! protocol and move their queueing state entirely into this side
@@ -29,13 +32,20 @@
 //! Admission enabledness also has to be visible to the model checker,
 //! which must not grant a spin step to a thread whose ticket has not
 //! come up. Each blocked thread therefore publishes `(object, ticket)`
-//! in a per-thread slot while it waits; the backends' `spin_enabled`
-//! overrides read it back.
+//! in a per-thread slot while it waits; the core's `spin_enabled` reads
+//! it back.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
+use thinlock_runtime::backoff::Backoff;
+use thinlock_runtime::error::SyncResult;
+use thinlock_runtime::fault::InjectionPoint;
 use thinlock_runtime::heap::ObjRef;
 use thinlock_runtime::registry::ThreadToken;
+use thinlock_runtime::schedule::SchedPoint;
+
+use crate::config::FastPathConfig;
+use crate::lockcore::{BlockedOnGuard, LockCore, Policy};
 
 /// One object's ticket counters. See the module docs for the roles.
 #[derive(Debug, Default)]
@@ -52,7 +62,7 @@ struct TicketState {
 /// The side table: per-object ticket counters plus per-thread
 /// wait-publication slots, sized once at backend construction.
 #[derive(Debug)]
-pub(crate) struct TicketLedger {
+pub struct TicketLedger {
     objects: Box<[TicketState]>,
     /// Indexed by `ThreadIndex::get()`; packs `(obj.index()+1) << 32 |
     /// ticket` while that thread blocks on an un-admitted ticket, 0
@@ -60,6 +70,9 @@ pub(crate) struct TicketLedger {
     slots: Box<[AtomicU64]>,
 }
 
+// The lock paths that call these monomorphize in the backend's user
+// crate, so each method is `#[inline]`: otherwise every ticket step is an
+// out-of-line call there.
 impl TicketLedger {
     /// A ledger for `objects` heap slots and thread indices up to
     /// `max_threads` (inclusive — index 0 is never issued but keeps the
@@ -73,18 +86,21 @@ impl TicketLedger {
         }
     }
 
+    #[inline]
     fn state(&self, obj: ObjRef) -> &TicketState {
         &self.objects[obj.index()]
     }
 
     /// Draws the next arrival ticket for `obj` — one wrapping
     /// `fetch_add`, the constant-time arrival step.
+    #[inline]
     pub(crate) fn take_ticket(&self, obj: ObjRef) -> u32 {
         self.state(obj).next.fetch_add(1, Ordering::AcqRel)
     }
 
     /// True once `serving` has reached `ticket` (wrapping compare):
     /// the ticket holder may now contend for the word.
+    #[inline]
     pub(crate) fn is_admitted(&self, obj: ObjRef, ticket: u32) -> bool {
         let serving = self.state(obj).serving.load(Ordering::Acquire);
         serving.wrapping_sub(ticket) as i32 >= 0
@@ -92,6 +108,7 @@ impl TicketLedger {
 
     /// Records that the admitted `ticket` won the word, arming the
     /// hand-off obligation its release will retire.
+    #[inline]
     pub(crate) fn record_admitted(&self, obj: ObjRef, ticket: u32) {
         self.state(obj)
             .admitted
@@ -101,6 +118,7 @@ impl TicketLedger {
     /// Snapshot of the pending hand-off obligation — call *before*
     /// clearing the lock word, so the value is either 0 or the
     /// obligation this release must retire (never a future owner's).
+    #[inline]
     pub(crate) fn admitted_snapshot(&self, obj: ObjRef) -> u64 {
         self.state(obj).admitted.load(Ordering::Acquire)
     }
@@ -110,6 +128,7 @@ impl TicketLedger {
     /// if this call won the retirement; racing releasers (owner vs.
     /// barger vs. orphan sweeper) agree via the compare-exchange that
     /// exactly one of them bumps.
+    #[inline]
     pub(crate) fn retire_admitted(&self, obj: ObjRef, snapshot: u64) -> bool {
         if snapshot == 0 {
             return false;
@@ -129,6 +148,7 @@ impl TicketLedger {
 
     /// Tickets issued but not yet retired. 0 means the queue has fully
     /// drained — the fissile re-cohesion precondition.
+    #[inline]
     pub(crate) fn outstanding(&self, obj: ObjRef) -> u32 {
         let state = self.state(obj);
         let next = state.next.load(Ordering::Acquire);
@@ -138,6 +158,7 @@ impl TicketLedger {
 
     /// Publishes "thread `t` is blocked on `ticket` for `obj`" for the
     /// model checker's enabledness probe.
+    #[inline]
     pub(crate) fn publish_wait(&self, t: ThreadToken, obj: ObjRef, ticket: u32) {
         if let Some(slot) = self.slots.get(usize::from(t.index().get())) {
             let packed = ((obj.index() as u64 + 1) << 32) | u64::from(ticket);
@@ -147,6 +168,7 @@ impl TicketLedger {
 
     /// Clears the thread's wait publication (on word win, fat
     /// diversion, or error exit).
+    #[inline]
     pub(crate) fn clear_wait(&self, t: ThreadToken) {
         if let Some(slot) = self.slots.get(usize::from(t.index().get())) {
             slot.store(0, Ordering::Release);
@@ -156,6 +178,7 @@ impl TicketLedger {
     /// Clears a slot by raw thread index — the orphan sweeper's form,
     /// run while the dead thread's index is in limbo so a recycled
     /// index never inherits a stale publication.
+    #[inline]
     pub(crate) fn clear_wait_index(&self, index: thinlock_runtime::lockword::ThreadIndex) {
         if let Some(slot) = self.slots.get(usize::from(index.get())) {
             slot.store(0, Ordering::Release);
@@ -163,6 +186,7 @@ impl TicketLedger {
     }
 
     /// The ticket thread `t` has published for `obj`, if any.
+    #[inline]
     pub(crate) fn waiting_ticket(&self, t: ThreadToken, obj: ObjRef) -> Option<u32> {
         let slot = self.slots.get(usize::from(t.index().get()))?;
         let packed = slot.load(Ordering::Acquire);
@@ -170,6 +194,66 @@ impl TicketLedger {
             Some(packed as u32)
         } else {
             None
+        }
+    }
+}
+
+impl<P: Policy, C: FastPathConfig> LockCore<P, C> {
+    /// Queued acquisition: constant-time arrival (one ticket draw),
+    /// admission in ticket order, then the word CAS. Mutual exclusion is
+    /// still the word, so a barger (`try_lock`, `lock_deadline`) can take
+    /// it between admissions; the admitted thread simply re-checks.
+    /// Inflation permanently diverts the whole queue to the fat monitor —
+    /// stranded tickets are harmless because every iteration checks for
+    /// the fat shape first. `announced` says whether this acquisition
+    /// already passed [`SchedPoint::LockFast`].
+    pub(crate) fn queue_lock(
+        &self,
+        obj: ObjRef,
+        t: ThreadToken,
+        tickets: &TicketLedger,
+        mut waiting: BlockedOnGuard,
+        announced: bool,
+    ) -> SyncResult<()> {
+        let cell = self.cell(obj);
+        let word = cell.load_acquire();
+        if word.is_fat() && self.lock_fat(obj, t, word, &mut waiting, None)? {
+            return Ok(());
+        }
+        // Every queued acquisition announces itself once before it draws
+        // a ticket, so the model checker owns the arrival order: here,
+        // unless it already did so at the fast path (a fissile contender
+        // that spent its spin budget).
+        if !announced {
+            self.reach(SchedPoint::LockFast, obj);
+        }
+        let ticket = tickets.take_ticket(obj);
+        tickets.publish_wait(t, obj, ticket);
+        let mut backoff =
+            Backoff::jittered(self.config().spin_policy(), u64::from(t.index().get()));
+        loop {
+            let word = cell.load_acquire();
+            if word.is_fat() {
+                tickets.clear_wait(t);
+                if self.lock_fat(obj, t, word, &mut waiting, None)? {
+                    return Ok(());
+                }
+                continue;
+            }
+            if tickets.is_admitted(obj, ticket) && word.is_unlocked() {
+                if self.slow_cas(obj, t, word) {
+                    tickets.clear_wait(t);
+                    tickets.record_admitted(obj, ticket);
+                    self.record_thin_acquire(obj, t, backoff.rounds());
+                    return Ok(());
+                }
+                // Lost the word to a barger; re-check from the top.
+                continue;
+            }
+            waiting.publish(&self.registry, t, obj);
+            self.reach(SchedPoint::LockSpin, obj);
+            self.yield_point(InjectionPoint::LockSpin);
+            backoff.snooze();
         }
     }
 }

@@ -24,7 +24,7 @@ fn main() -> ExitCode {
         Err(msg) => {
             eprintln!("{msg}");
             eprintln!(
-                "usage: chaos-agent [--backend <thin|tasuki|cjm|fissile|hapax|adaptive>] [--seed S] [--threads T] \
+                "usage: chaos-agent [--backend <thin|cjm|fissile|hapax>] [--seed S] [--threads T] \
                  [--objects O] [--ops K] [--rate-ppm R] [--kill-thread] [--abort-at POINT] \
                  [--artifact PATH] [--heartbeat-ms MS]"
             );

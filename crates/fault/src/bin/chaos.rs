@@ -7,10 +7,10 @@
 //!
 //! With positional seeds, runs exactly those schedules; otherwise
 //! sweeps `S .. S+N`. `--backend` picks the protocol under test
-//! (`thin` by default, `tasuki` for the parking deflater, `cjm` for
-//! the deflating bounded-pool backend);
-//! deflation-capable backends additionally get the monitor-population
-//! bound checked at every convergence. Every run is checked against
+//! (`thin` by default, `cjm` for the deflating bounded-pool backend,
+//! `fissile`/`hapax` for the FIFO ticket queues); every backend gets the
+//! monitor-population bound checked at every convergence. Every run is
+//! checked against
 //! the std-Mutex oracle; the first divergence is printed with its seed
 //! (which replays it) and the process exits nonzero. `scripts/chaos.sh`
 //! runs the fixed sweep that gates the repo.
@@ -71,12 +71,7 @@ fn parse(args: &[String]) -> Result<Options, String> {
             opts.kill_every = v.parse().map_err(|e| format!("--kill-every: {e}"))?;
         } else if let Some(v) = flag("--backend")? {
             match BackendChoice::from_name(&v) {
-                Some(choice) if choice.fault_injectable() => opts.backend = choice,
-                Some(choice) => {
-                    return Err(format!(
-                        "--backend: `{choice}` has no fault seam and cannot run under chaos"
-                    ));
-                }
+                Some(choice) => opts.backend = choice,
                 None => return Err(format!("--backend: unknown backend `{v}`")),
             }
         } else if arg == "--help" || arg == "-h" {
@@ -100,7 +95,7 @@ fn main() -> ExitCode {
         Err(msg) => {
             eprintln!("{msg}");
             eprintln!(
-                "usage: chaos [--backend <thin|tasuki|cjm|fissile|hapax|adaptive>] [--seeds N] [--start S] [--threads T] \
+                "usage: chaos [--backend <thin|cjm|fissile|hapax>] [--seeds N] [--start S] [--threads T] \
                  [--objects O] [--ops K] [--rate-ppm R] [--kill-every M] [SEED ...]"
             );
             return ExitCode::FAILURE;
@@ -115,9 +110,7 @@ fn main() -> ExitCode {
             objects: opts.objects,
             ops_per_thread: opts.ops,
             fault_rate_ppm: opts.rate_ppm,
-            kill_thread: opts.kill_every != 0
-                && seed % opts.kill_every == 0
-                && opts.backend.orphan_recoverable(),
+            kill_thread: opts.kill_every != 0 && seed % opts.kill_every == 0,
             backend: opts.backend,
             abort_at: None,
         };

@@ -2,7 +2,7 @@
 //! against a `std::sync::Mutex` oracle.
 //!
 //! [`run_schedule`] builds the protocol selected by
-//! [`ChaosConfig::backend`] (any schedulable [`BackendChoice`]) with a
+//! [`ChaosConfig::backend`] (any [`BackendChoice`]) with a
 //! [`FaultPlan`] attached, drives it with several threads executing a
 //! seed-derived mix of operations (plain/nested acquisition,
 //! `try_lock`, `lock_deadline`, timed `wait`), and checks mutual
@@ -19,10 +19,10 @@
 //! mid-schedule while owning a lock, exercising the orphan sweep: the
 //! run only converges if reclamation returns the object to circulation.
 //!
-//! Deflation-capable backends get one extra convergence check: the
-//! monitor population must respect its bound — the peak never exceeds
-//! the object count (one bound monitor per object) and no monitor can
-//! be live at the end beyond that same ceiling. Under CJM this is the
+//! Every backend gets one extra convergence check: the monitor
+//! population must respect its bound — the peak never exceeds the
+//! object count (one bound monitor per object) and no monitor can be
+//! live at the end beyond that same ceiling. Under CJM this is the
 //! chaos-side witness for the bounded-pool claim: thousands of faulted
 //! inflate/deflate cycles may not leak a single pool slot.
 
@@ -56,8 +56,7 @@ pub struct ChaosConfig {
     /// When set, worker 0 dies halfway through its schedule while
     /// owning a lock, leaving an orphan for the registry sweep.
     pub kill_thread: bool,
-    /// Protocol under test; must be [`BackendChoice::fault_injectable`]
-    /// because chaos depends on the fault-injection seam.
+    /// Protocol under test.
     pub backend: BackendChoice,
     /// When set, the plan additionally arms this point with
     /// [`FaultAction::Abort`](thinlock_runtime::fault::FaultAction::Abort):
@@ -194,20 +193,9 @@ struct Shared {
 ///
 /// Any oracle disagreement (two simultaneous owners, a lock left held
 /// at the end, a lost counter increment, a monitor-population bound
-/// violation on a deflation-capable backend) or unexpected protocol
-/// error.
+/// violation) or unexpected protocol error.
 pub fn run_schedule(cfg: ChaosConfig) -> Result<ChaosReport, String> {
     assert!(cfg.threads >= 1 && cfg.objects >= 1 && cfg.ops_per_thread >= 1);
-    assert!(
-        cfg.backend.fault_injectable(),
-        "chaos needs the fault seam; backend `{}` does not offer it",
-        cfg.backend
-    );
-    assert!(
-        !cfg.kill_thread || cfg.backend.orphan_recoverable(),
-        "kill_thread needs the exit sweeper; backend `{}` does not offer it",
-        cfg.backend
-    );
     let mut plan = FaultPlan::chaos(cfg.seed, cfg.fault_rate_ppm);
     if let Some(point) = cfg.abort_at {
         plan = plan.with_abort_at(point);
@@ -298,11 +286,7 @@ pub fn run_schedule(cfg: ChaosConfig) -> Result<ChaosReport, String> {
     report.deflations = shared.locks.deflation_count();
     report.monitors_peak = shared.locks.monitors_peak();
     report.monitors_live = shared.locks.monitors_live();
-    // Tasuki reports cumulative (never-recycled) table length here, so the
-    // live-object bound only applies to backends that claim it.
-    if cfg.backend.bounded_monitor_population()
-        && (report.monitors_peak > cfg.objects || report.monitors_live > cfg.objects)
-    {
+    if report.monitors_peak > cfg.objects || report.monitors_live > cfg.objects {
         return Err(format!(
             "seed {}: monitor population exceeded its bound on `{}`: peak {} live {} over {} objects",
             cfg.seed, cfg.backend, report.monitors_peak, report.monitors_live, cfg.objects

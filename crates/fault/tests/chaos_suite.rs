@@ -98,35 +98,6 @@ fn high_rate_schedule_survives() {
     assert!(report.fires[InjectionPoint::LockFastCas.index()] > 0);
 }
 
-/// The Tasuki backend — park-based contention, deflation, a
-/// never-recycled table — survives a faulted sweep including kill runs:
-/// its exit sweeper must clear the dead owner's words *and* wake the
-/// lobby, or a parked contender sleeps forever and the run never
-/// converges. (Population bounds are not asserted here: the Tasuki table
-/// reports cumulative inflations, see
-/// `BackendChoice::bounded_monitor_population`.)
-#[test]
-fn tasuki_survives_faulted_sweep_with_kill_runs() {
-    let mut totals = ChaosTotals::default();
-    for seed in 0..256u64 {
-        let cfg = ChaosConfig::quick_on(seed, BackendChoice::Tasuki);
-        match run_schedule(cfg) {
-            Ok(report) => totals.absorb(&report),
-            Err(msg) => panic!("oracle divergence under tasuki: {msg}"),
-        }
-    }
-    assert_eq!(totals.runs, 256);
-    assert!(
-        totals.report.orphaned,
-        "kill runs exercised the tasuki orphan sweep"
-    );
-    assert!(
-        totals.report.total_fires() > 100,
-        "tasuki consulted the plan for real: {} fires",
-        totals.report.total_fires()
-    );
-}
-
 /// The CJM backend survives the same 1024-seed faulted sweep the thin
 /// protocol does, and the monitor population stays bounded: the peak
 /// never exceeds the object count (one bound monitor per object — a

@@ -45,14 +45,10 @@ fn matrix_slice_passes_on_every_backend() {
         &cfg(1001),
         &agent_bin(),
         &dir,
-        &[
-            BackendChoice::Thin,
-            BackendChoice::Tasuki,
-            BackendChoice::Cjm,
-        ],
+        &BackendChoice::ALL,
         &[InjectionPoint::LockFastCas],
     );
-    assert_eq!(report.cells.len(), 3);
+    assert_eq!(report.cells.len(), BackendChoice::ALL.len());
     assert!(
         report.failures().is_empty(),
         "matrix slice failed: {}",

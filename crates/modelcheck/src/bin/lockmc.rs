@@ -11,12 +11,12 @@
 //!                          counterexample timeline
 //! ```
 //!
-//! Both commands take `--backend <thin|cjm|fissile|hapax|adaptive>`
-//! (default `thin`). The invariant suite adapts: the thin backend is
-//! held to one-way inflation, the deflating CJM backend to deflation
-//! safety (a fat → thin transition is legal only from a quiescent
-//! monitor), and the ticket-queue backends (fissile, hapax, adaptive)
-//! additionally walk their FIFO arrival orders — the schedule point
+//! Both commands take `--backend <thin|cjm|fissile|hapax>` (default
+//! `thin`). The invariant suite adapts: the thin backend is held to
+//! one-way inflation, the deflating CJM backend to deflation safety (a
+//! fat → thin transition is legal only from a quiescent monitor), and
+//! the ticket-queue backends (fissile, hapax) additionally walk their
+//! FIFO arrival orders — the schedule point
 //! precedes the ticket draw, so the checker owns admission order.
 //!
 //! Exit status: 0 on success, 1 on a failed contract, 2 on bad usage.
@@ -29,7 +29,7 @@ use thinlock_modelcheck::{
 };
 
 const USAGE: &str =
-    "usage: lockmc <verify [--quick] | --mutate [--quick]> [--backend <thin|cjm|fissile|hapax|adaptive>]";
+    "usage: lockmc <verify [--quick] | --mutate [--quick]> [--backend <thin|cjm|fissile|hapax>]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -48,14 +48,7 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 };
                 match BackendChoice::from_name(name) {
-                    Some(choice) if choice.schedulable() => backend = choice,
-                    Some(choice) => {
-                        eprintln!(
-                            "lockmc: backend `{choice}` has no schedule seam and cannot be \
-                             model checked\n{USAGE}"
-                        );
-                        return ExitCode::from(2);
-                    }
+                    Some(choice) => backend = choice,
                     None => {
                         eprintln!("lockmc: unknown backend `{name}`\n{USAGE}");
                         return ExitCode::from(2);

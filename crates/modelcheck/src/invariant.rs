@@ -21,7 +21,7 @@
 //!
 //! * **one-way-inflation** (thin backend): the shape bit never goes
 //!   fat → thin, period.
-//! * **deflation-safety** (CJM, Tasuki): a fat → thin transition is
+//! * **deflation-safety** (CJM): a fat → thin transition is
 //!   legal only from a quiescent monitor. The previous quiescent state's
 //!   probe must have shown nest count ≤ 1 and an empty wait set —
 //!   schedule points are dense enough that a correct protocol can never

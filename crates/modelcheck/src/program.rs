@@ -63,8 +63,7 @@ pub struct McProgram {
     pub pre_inflate: Vec<usize>,
     /// Protocol mutation to run under, if any ([`MutationKind`]).
     pub mutation: Option<MutationKind>,
-    /// Backend the execution instantiates; must be
-    /// [`BackendChoice::schedulable`]. Picks the invariant set too:
+    /// Backend the execution instantiates. Picks the invariant set too:
     /// one-way inflation for the thin backend, deflation safety for
     /// deflation-capable ones.
     pub backend: BackendChoice,
@@ -88,10 +87,6 @@ impl McProgram {
     /// The same program retargeted at another backend.
     #[must_use]
     pub fn with_backend(mut self, backend: BackendChoice) -> Self {
-        assert!(
-            backend.schedulable(),
-            "backend {backend} has no schedule seam and cannot be model checked"
-        );
         self.backend = backend;
         self
     }

@@ -172,24 +172,41 @@ impl MonitorPool {
         MonitorIndex::new(slot)
     }
 
-    /// Returns a deflated slot to the free list.
+    /// Returns a slot to the free list: [`MonitorPool::unbind`] followed
+    /// by [`MonitorPool::recycle`].
+    pub fn release(&self, index: MonitorIndex) {
+        self.unbind(index);
+        self.recycle(index);
+    }
+
+    /// The first half of a release: unbinds the slot from its object and
+    /// counts it out of [`MonitorPool::live`]. Revalidation through the
+    /// slot fails from here on, but the slot is not reused until
+    /// [`MonitorPool::recycle`]. A deflating owner calls this *before*
+    /// neutralizing the object's word, so a contender that re-inflates
+    /// the object at once never finds it holding two slots.
+    pub fn unbind(&self, index: MonitorIndex) {
+        let slot = index.get() as usize;
+        debug_assert!(slot < self.slots.len());
+        let was = self.bindings[slot].swap(UNBOUND, Ordering::Release);
+        debug_assert_ne!(was, UNBOUND, "slot released twice");
+        let prev = self.live.fetch_sub(1, Ordering::Relaxed);
+        debug_assert!(prev > 0, "live monitor count underflow");
+    }
+
+    /// The second half of a release: pushes an unbound slot on the free
+    /// list.
     ///
     /// The caller must have already neutralized the bound object's word
     /// (so no *new* reader can reach the slot through it) and released
     /// the monitor. Stale-word racers may still lock the monitor
     /// transiently after this; the revalidation contract (module docs)
     /// makes that harmless.
-    pub fn release(&self, index: MonitorIndex) {
-        let slot = index.get();
-        debug_assert!((slot as usize) < self.slots.len());
-        let was = self.bindings[slot as usize].swap(UNBOUND, Ordering::Release);
-        debug_assert_ne!(was, UNBOUND, "slot released twice");
-        let prev = self.live.fetch_sub(1, Ordering::Relaxed);
-        debug_assert!(prev > 0, "live monitor count underflow");
+    pub fn recycle(&self, index: MonitorIndex) {
         self.free
             .lock()
             .expect("pool free list poisoned")
-            .push(slot);
+            .push(index.get());
     }
 
     /// Looks up a monitor by index. Wait-free.

@@ -74,8 +74,9 @@ impl MonitorProbe {
 /// A [`SyncProtocol`] that additionally exposes the introspection and
 /// accounting probes the workspace harnesses are written against.
 ///
-/// Implementations: `ThinLocks` and `CjmLocks` in the core crate,
-/// `TasukiLocks`, and (best-effort) the `baselines` protocols. Probes
+/// Implementations: the four core-crate backends (`ThinLocks`,
+/// `CjmLocks`, `FissileLocks`, `HapaxLocks` — one `LockCore` each) and,
+/// best-effort, the `baselines` protocols. Probes
 /// must be cheap and non-blocking — they are called from convergence
 /// loops and from the model checker's per-state invariant sweep.
 ///

@@ -65,8 +65,8 @@ pub enum SchedPoint {
     FatUnlock,
     /// Before a deflating release restores the object's word to its
     /// neutral thin shape. Only protocols with a deflation step (the
-    /// CJM backend, the Tasuki variant) emit this point; the thin
-    /// protocol's one-way inflation never reaches it.
+    /// CJM backend) emit this point; the thin protocol's one-way
+    /// inflation never reaches it.
     Deflate,
     /// Before parking in the fat-lock entry queue. `SkipPark` applies.
     FatPark,

@@ -329,7 +329,7 @@ mod tests {
     use super::*;
     use crate::generator::quick_config;
     use crate::table1::{BenchmarkProfile, MACRO_BENCHMARKS};
-    use thinlock::{TasukiLocks, ThinLocks};
+    use thinlock::{CjmLocks, ThinLocks};
     use thinlock_baselines::MonitorCache;
 
     fn small_config(threads: u32) -> ConcurrentConfig {
@@ -375,17 +375,13 @@ mod tests {
     }
 
     #[test]
-    fn replay_verifies_exclusion_under_monitor_cache_and_tasuki() {
+    fn replay_verifies_exclusion_under_monitor_cache_and_cjm() {
         let p = BenchmarkProfile::by_name("javalex").unwrap();
         let trace = generate_concurrent(p, &small_config(3));
         let jdk = MonitorCache::with_capacity(trace.total_objects() as usize);
         assert!(replay_concurrent(&jdk, &trace).unwrap().exclusion_verified);
-        let tasuki = TasukiLocks::with_capacity(trace.total_objects() as usize);
-        assert!(
-            replay_concurrent(&tasuki, &trace)
-                .unwrap()
-                .exclusion_verified
-        );
+        let cjm = CjmLocks::with_capacity(trace.total_objects() as usize);
+        assert!(replay_concurrent(&cjm, &trace).unwrap().exclusion_verified);
     }
 
     #[test]

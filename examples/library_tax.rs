@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let mut times = Vec::new();
-    for kind in ProtocolKind::ALL_EXTENDED {
+    for kind in ProtocolKind::ALL_BACKENDS {
         // The Vector object needs ELEMENTS + 1 fields (size + elements).
         let protocol = kind.build(2, ELEMENTS as usize + 1);
         let pool: Vec<ObjRef> = vec![protocol.heap().alloc()?];

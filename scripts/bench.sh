@@ -51,12 +51,13 @@ smoke)
         ./target/release/reproduce churn --iters 300 --scale 50000 \
             --backend "$backend" >>out/bench_smoke_output.txt
     done
-    # The fairness section per backend, including the adaptive composite.
-    for backend in fissile hapax adaptive; do
+    # The fairness section per backend (each run ends with the adaptive
+    # profile -> pin demo on fissile).
+    for backend in fissile hapax; do
         ./target/release/reproduce fairness --iters 300 --scale 50000 \
             --backend "$backend" >>out/bench_smoke_output.txt
     done
-    echo "backend smoke (churn: thin, cjm; fairness: fissile, hapax, adaptive)" \
+    echo "backend smoke (churn: thin, cjm; fairness: fissile, hapax)" \
         "appended to out/bench_smoke_output.txt"
     ;;
 *)

@@ -19,6 +19,9 @@ cargo build --release --offline
 echo "== tier-1: cargo test -q"
 cargo test -q --offline
 
+echo "== core crate tests in release (deflation and admission races need optimized timing)"
+cargo test -q --release --offline -p thinlock
+
 echo "== lockcheck: race verdicts must match ground truth"
 cargo run -q --release --offline -p thinlock-analysis --bin lockcheck -- --deny-races >/dev/null
 

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use thinlock_bench::ProtocolKind; // semantics tests cover every implemented backend (paper's three, Tasuki, CJM)
+use thinlock_bench::ProtocolKind; // semantics tests cover every implemented backend (paper's three, CJM, fissile, hapax)
 use thinlock_runtime::error::SyncError;
 use thinlock_runtime::protocol::{SyncProtocol, SyncProtocolExt, WaitOutcome};
 

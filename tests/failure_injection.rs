@@ -108,7 +108,6 @@ fn registry_exhaustion_is_a_clean_error() {
 fn interrupt_during_wait_surfaces_under_parking_backends() {
     for kind in [
         ProtocolKind::ThinLock,
-        ProtocolKind::Tasuki,
         ProtocolKind::Cjm,
         ProtocolKind::Fissile,
         ProtocolKind::Hapax,
