@@ -5,6 +5,12 @@
 //! [`SyncProtocol`], so running the same program over `ThinLocks`,
 //! `MonitorCache`, and `HotLocks` measures exactly the difference in their
 //! locking fast paths on top of a fixed dispatch cost.
+//!
+//! A run keeps every live frame on one value stack. A frame is
+//! `[arguments | other locals | operands]` from its base, and its operand
+//! floor is `base + max_locals`. `invoke` leaves the arguments where the
+//! caller pushed them, so they become the callee's first locals in place,
+//! and a call allocates only when the stack must grow.
 
 use std::fmt;
 
@@ -25,11 +31,28 @@ enum Exec {
     Threw(ObjRef),
 }
 
+/// Pops an operand of the frame whose operands start at `floor`; `None`
+/// rather than a value of the caller's frame below it.
+#[inline]
+fn pop_operand(stack: &mut Vec<Value>, floor: usize) -> Option<Value> {
+    if stack.len() > floor {
+        stack.pop()
+    } else {
+        None
+    }
+}
+
+/// Values a run's stack holds before it first grows: room for several
+/// frames of the library workloads.
+const INITIAL_STACK_VALUES: usize = 64;
+
 /// An executable instance: program + object pool + locking protocol.
 ///
-/// The VM itself is stateless between calls; each [`run`](Vm::run) builds
-/// its own frame stack, so one `Vm` may be shared by many threads (the
-/// `Threads n` micro-benchmark does exactly that).
+/// The VM itself is stateless between calls. Each [`run`](Vm::run) owns
+/// one value stack that holds every live frame's locals and operands, so
+/// calls inside a run allocate only when that stack must grow, and one `Vm`
+/// may be shared by many threads (the `Threads n` micro-benchmark does
+/// exactly that).
 ///
 /// # Example
 ///
@@ -186,10 +209,7 @@ impl<'p, P: SyncProtocol + ?Sized> Vm<'p, P> {
         args: &[Value],
     ) -> Result<Option<Value>, VmError> {
         let mut fuel = u64::MAX;
-        match self.call(id, token, args, &mut fuel)? {
-            Exec::Return(v) => Ok(v),
-            Exec::Threw(object) => Err(VmError::UncaughtException { object }),
-        }
+        self.run_frames(id, token, args, &mut fuel)
     }
 
     /// Runs method `name` with a step budget; returns the value and the
@@ -211,28 +231,43 @@ impl<'p, P: SyncProtocol + ?Sized> Vm<'p, P> {
             .method_id(name)
             .ok_or(VmError::BadMethod { id: u16::MAX })?;
         let mut remaining = fuel;
-        let out = match self.call(id, token, args, &mut remaining)? {
-            Exec::Return(v) => v,
-            Exec::Threw(object) => return Err(VmError::UncaughtException { object }),
-        };
+        let out = self.run_frames(id, token, args, &mut remaining)?;
         Ok((out, fuel - remaining))
     }
 
-    /// Invokes one method, honouring `ACC_SYNCHRONIZED`.
-    fn call(
+    /// Runs method `id` on a fresh value stack whose first frame holds
+    /// `args` in its first locals.
+    fn run_frames(
         &self,
         id: u16,
         token: ThreadToken,
         args: &[Value],
         fuel: &mut u64,
-    ) -> Result<Exec, VmError> {
+    ) -> Result<Option<Value>, VmError> {
         let method = self.program.method(id).ok_or(VmError::BadMethod { id })?;
         debug_assert_eq!(args.len(), usize::from(method.arg_count()));
+        let mut stack = Vec::with_capacity(INITIAL_STACK_VALUES);
+        stack.resize(usize::from(method.max_locals()), Value::Null);
+        stack[..args.len()].copy_from_slice(args);
+        match self.call(method, token, &mut stack, 0, fuel)? {
+            Exec::Return(v) => Ok(v),
+            Exec::Threw(object) => Err(VmError::UncaughtException { object }),
+        }
+    }
 
+    /// Invokes one method, honouring `ACC_SYNCHRONIZED`. Its locals are
+    /// `stack[base..]`, already sized to `max_locals`.
+    fn call(
+        &self,
+        method: &Method,
+        token: ThreadToken,
+        stack: &mut Vec<Value>,
+        base: usize,
+        fuel: &mut u64,
+    ) -> Result<Exec, VmError> {
         let monitor = if method.flags().synchronized {
-            let recv = args
-                .first()
-                .copied()
+            let recv = (method.arg_count() > 0)
+                .then(|| stack[base])
                 .and_then(Value::as_ref)
                 .ok_or(VmError::NullMonitor { pc: 0 })?;
             self.protocol.lock(recv, token)?;
@@ -241,7 +276,7 @@ impl<'p, P: SyncProtocol + ?Sized> Vm<'p, P> {
             None
         };
 
-        let result = self.exec_body(method, token, args, fuel);
+        let result = self.exec_body(method, token, stack, base, fuel);
 
         if let Some(obj) = monitor {
             // Release on every exit path, as the JVM does for synchronized
@@ -255,36 +290,39 @@ impl<'p, P: SyncProtocol + ?Sized> Vm<'p, P> {
     }
 
     /// Transfers control to `pc`'s handler if one protects it: the operand
-    /// stack is cleared down to just the exception object, as in the JVM.
-    fn dispatch_handler(
+    /// stack is cut down to its `floor` and then holds just the exception
+    /// object, as in the JVM.
+    fn catch(
         method: &Method,
         pc: usize,
         exception: ObjRef,
         stack: &mut Vec<Value>,
+        floor: usize,
     ) -> Option<usize> {
         let handler = method.handler_for(pc)?;
-        stack.clear();
+        stack.truncate(floor);
         stack.push(Value::Ref(exception));
         Some(handler.target)
     }
 
-    /// The dispatch loop.
+    /// The dispatch loop over the frame at `stack[base..]`: locals up to
+    /// the operand floor, operands above it.
     fn exec_body(
         &self,
         method: &Method,
         token: ThreadToken,
-        args: &[Value],
+        stack: &mut Vec<Value>,
+        base: usize,
         fuel: &mut u64,
     ) -> Result<Exec, VmError> {
         let code = method.code();
-        let mut locals = vec![Value::Null; usize::from(method.max_locals())];
-        locals[..args.len()].copy_from_slice(args);
-        let mut stack: Vec<Value> = Vec::with_capacity(8);
+        let max_locals = usize::from(method.max_locals());
+        let floor = base + max_locals;
         let mut pc: usize = 0;
 
         macro_rules! pop {
             () => {
-                stack.pop().ok_or(VmError::StackUnderflow { pc })?
+                pop_operand(stack, floor).ok_or(VmError::StackUnderflow { pc })?
             };
         }
         macro_rules! pop_int {
@@ -304,24 +342,21 @@ impl<'p, P: SyncProtocol + ?Sized> Vm<'p, P> {
         macro_rules! local {
             ($slot:expr) => {{
                 let s = usize::from($slot);
-                if s >= locals.len() {
+                if s >= max_locals {
                     return Err(VmError::BadLocal { slot: $slot });
                 }
-                s
+                base + s
             }};
         }
 
         loop {
             let op = *code.get(pc).ok_or(VmError::BadPc { target: pc })?;
             *fuel = fuel.checked_sub(1).ok_or(VmError::OutOfFuel)?;
-            if *fuel == 0 {
-                return Err(VmError::OutOfFuel);
-            }
             let mut next = pc + 1;
             match op {
                 Op::IConst(v) => stack.push(Value::Int(v)),
                 Op::ILoad(s) => {
-                    let v = locals[local!(s)];
+                    let v = stack[local!(s)];
                     if v.as_int().is_none() {
                         return Err(VmError::TypeMismatch { pc });
                     }
@@ -330,12 +365,12 @@ impl<'p, P: SyncProtocol + ?Sized> Vm<'p, P> {
                 Op::IStore(s) => {
                     let v = pop_int!();
                     let idx = local!(s);
-                    locals[idx] = Value::Int(v);
+                    stack[idx] = Value::Int(v);
                 }
                 Op::IInc(s, d) => {
                     let idx = local!(s);
-                    let v = locals[idx].as_int().ok_or(VmError::TypeMismatch { pc })?;
-                    locals[idx] = Value::Int(v.wrapping_add(i32::from(d)));
+                    let v = stack[idx].as_int().ok_or(VmError::TypeMismatch { pc })?;
+                    stack[idx] = Value::Int(v.wrapping_add(i32::from(d)));
                 }
                 Op::IAdd => {
                     let b = pop_int!();
@@ -390,7 +425,7 @@ impl<'p, P: SyncProtocol + ?Sized> Vm<'p, P> {
                     stack.push(Value::Int(a.wrapping_shr(b as u32 & 31)));
                 }
                 Op::ALoad(s) => {
-                    let v = locals[local!(s)];
+                    let v = stack[local!(s)];
                     match v {
                         Value::Ref(_) | Value::Null => stack.push(v),
                         Value::Int(_) => return Err(VmError::TypeMismatch { pc }),
@@ -400,7 +435,7 @@ impl<'p, P: SyncProtocol + ?Sized> Vm<'p, P> {
                     let v = pop!();
                     let idx = local!(s);
                     match v {
-                        Value::Ref(_) | Value::Null => locals[idx] = v,
+                        Value::Ref(_) | Value::Null => stack[idx] = v,
                         Value::Int(_) => return Err(VmError::TypeMismatch { pc }),
                     }
                 }
@@ -471,7 +506,9 @@ impl<'p, P: SyncProtocol + ?Sized> Vm<'p, P> {
                         .store(v, std::sync::atomic::Ordering::Relaxed);
                 }
                 Op::Dup => {
-                    let v = *stack.last().ok_or(VmError::StackUnderflow { pc })?;
+                    let v = *stack[floor..]
+                        .last()
+                        .ok_or(VmError::StackUnderflow { pc })?;
                     stack.push(v);
                 }
                 Op::Pop => {
@@ -528,18 +565,21 @@ impl<'p, P: SyncProtocol + ?Sized> Vm<'p, P> {
                 Op::Invoke(id) => {
                     let callee = self.program.method(id).ok_or(VmError::BadMethod { id })?;
                     let argc = usize::from(callee.arg_count());
-                    if stack.len() < argc {
+                    if stack.len() - floor < argc {
                         return Err(VmError::StackUnderflow { pc });
                     }
-                    let base = stack.len() - argc;
-                    let call_args: Vec<Value> = stack.drain(base..).collect();
-                    match self.call(id, token, &call_args, fuel)? {
+                    // The arguments stay put as the callee's first locals.
+                    let callee_base = stack.len() - argc;
+                    stack.resize(callee_base + usize::from(callee.max_locals()), Value::Null);
+                    let exec = self.call(callee, token, stack, callee_base, fuel)?;
+                    stack.truncate(callee_base);
+                    match exec {
                         Exec::Return(returned) => match (callee.flags().returns_value, returned) {
                             (true, Some(v)) => stack.push(v),
                             (false, None) => {}
                             _ => return Err(VmError::TypeMismatch { pc }),
                         },
-                        Exec::Threw(e) => match Self::dispatch_handler(method, pc, e, &mut stack) {
+                        Exec::Threw(e) => match Self::catch(method, pc, e, stack, floor) {
                             Some(target) => next = target,
                             None => return Ok(Exec::Threw(e)),
                         },
@@ -547,7 +587,7 @@ impl<'p, P: SyncProtocol + ?Sized> Vm<'p, P> {
                 }
                 Op::Throw => {
                     let e = pop_obj!();
-                    match Self::dispatch_handler(method, pc, e, &mut stack) {
+                    match Self::catch(method, pc, e, stack, floor) {
                         Some(target) => next = target,
                         None => return Ok(Exec::Threw(e)),
                     }
@@ -665,6 +705,39 @@ mod tests {
         assert_eq!(
             vm.run_with_fuel("spin", reg.token(), &[], 100).unwrap_err(),
             VmError::OutOfFuel
+        );
+    }
+
+    #[test]
+    fn fuel_budget_runs_exactly_that_many_instructions() {
+        let (locks, _) = setup(0, 0);
+        let reg = locks.registry().register().unwrap();
+        let mut p = Program::new(0);
+        // int main() { return inc(5); }, 3 + 4 instructions.
+        p.add_method(Method::new(
+            "main",
+            0,
+            0,
+            flags(true),
+            vec![Op::IConst(5), Op::Invoke(1), Op::IReturn],
+        ));
+        p.add_method(Method::new(
+            "inc",
+            1,
+            1,
+            flags(true),
+            vec![Op::ILoad(0), Op::IConst(1), Op::IAdd, Op::IReturn],
+        ));
+        let vm = Vm::new(&locks, &p, vec![]).unwrap();
+        let (out, steps) = vm.run_with_fuel("main", reg.token(), &[], 100).unwrap();
+        assert_eq!((out, steps), (Some(Value::Int(6)), 7));
+        assert_eq!(
+            vm.run_with_fuel("main", reg.token(), &[], steps),
+            Ok((Some(Value::Int(6)), steps))
+        );
+        assert_eq!(
+            vm.run_with_fuel("main", reg.token(), &[], steps - 1),
+            Err(VmError::OutOfFuel)
         );
     }
 

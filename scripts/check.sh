@@ -19,6 +19,9 @@ cargo build --release --offline
 echo "== tier-1: cargo test -q"
 cargo test -q --offline
 
+echo "== lockbench's own tests (library-1t checksum, traced lock spans per VM request)"
+cargo test -q --offline --manifest-path lockbench/Cargo.toml
+
 echo "== core crate tests in release (deflation and admission races need optimized timing)"
 cargo test -q --release --offline -p thinlock
 
