@@ -265,13 +265,8 @@ impl SyncBackend for MonitorCache {
     // probe goes through the cached monitor, and the default
     // word-decoding `owner_of` would always answer `None`.
     fn monitor_probe(&self, obj: ObjRef) -> Option<MonitorProbe> {
-        let monitor = self.monitor_if_present(obj)?;
-        (monitor.owner().is_some() || monitor.wait_set_len() > 0).then(|| MonitorProbe {
-            owner: monitor.owner(),
-            count: monitor.count(),
-            entry_queue_len: monitor.entry_queue_len(),
-            wait_set_len: monitor.wait_set_len(),
-        })
+        let probe = self.monitor_if_present(obj)?.probe();
+        (probe.owner.is_some() || probe.wait_set_len > 0).then_some(probe)
     }
 
     fn owner_of(&self, obj: ObjRef) -> Option<ThreadIndex> {

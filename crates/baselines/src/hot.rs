@@ -402,15 +402,8 @@ impl SyncBackend for HotLocks {
     // never thin-lock state — probes must resolve through the monitor,
     // like the JDK111 baseline.
     fn monitor_probe(&self, obj: ObjRef) -> Option<MonitorProbe> {
-        self.with_monitor(obj, |m| {
-            (m.owner().is_some() || m.wait_set_len() > 0).then(|| MonitorProbe {
-                owner: m.owner(),
-                count: m.count(),
-                entry_queue_len: m.entry_queue_len(),
-                wait_set_len: m.wait_set_len(),
-            })
-        })
-        .flatten()
+        let probe = self.with_monitor(obj, FatLock::probe)?;
+        (probe.owner.is_some() || probe.wait_set_len > 0).then_some(probe)
     }
 
     fn owner_of(&self, obj: ObjRef) -> Option<ThreadIndex> {

@@ -40,7 +40,7 @@
 //!   the deflating store, which only the monitor's sole owner performs.
 //! * **Deflation safety:** a monitor is deflated only while its owner
 //!   holds it exactly once with an empty entry queue and an empty wait
-//!   set, snapshotted atomically
+//!   set, snapshotted atomically in one load of the monitor's state word
 //!   ([`FatLock::is_sole_quiescent_owner`]). Threads that enqueue
 //!   *after* the snapshot revalidate the lock word once they acquire
 //!   the monitor and retry if it moved on.

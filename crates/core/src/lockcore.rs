@@ -673,12 +673,13 @@ impl<P: Policy, C: FastPathConfig> LockCore<P, C> {
     }
 
     /// Fat path: queue on the monitor `word` points at. Unowned or
-    /// re-entrant acquisitions complete in a single monitor critical
-    /// section with no registry traffic; only an acquisition that must
-    /// park publishes a waits-for edge (it is the only one that can
-    /// deadlock). Returns `false` if the acquisition does not stand for
-    /// `obj` (the policy's revalidation failed); the caller retries from
-    /// a fresh word. `spin_rounds` are added to the statistics.
+    /// re-entrant acquisitions complete in one atomic operation on the
+    /// monitor's state word, with no mutex and no registry traffic; only
+    /// an acquisition that must park publishes a waits-for edge (it is
+    /// the only one that can deadlock). Returns `false` if the
+    /// acquisition does not stand for `obj` (the policy's revalidation
+    /// failed); the caller retries from a fresh word. `spin_rounds` are
+    /// added to the statistics.
     #[inline]
     pub(crate) fn lock_fat(
         &self,
@@ -1299,13 +1300,7 @@ impl<P: Policy, C: FastPathConfig> SyncProtocol for LockCore<P, C> {
 
 impl<P: Policy, C: FastPathConfig> SyncBackend for LockCore<P, C> {
     fn monitor_probe(&self, obj: ObjRef) -> Option<MonitorProbe> {
-        let monitor = self.monitor_for(obj)?;
-        Some(MonitorProbe {
-            owner: monitor.owner(),
-            count: monitor.count(),
-            entry_queue_len: monitor.entry_queue_len(),
-            wait_set_len: monitor.wait_set_len(),
-        })
+        self.monitor_for(obj).map(FatLock::probe)
     }
 
     fn in_wait_set(&self, obj: ObjRef, t: ThreadToken) -> bool {

@@ -11,25 +11,73 @@
 //! * `wait(timeout)` re-acquires the monitor to its previous nesting depth
 //!   before returning, even when it returns by timeout or interruption.
 //!
-//! Internally a small `std::sync::Mutex` guards the monitor bookkeeping —
-//! an accurate stand-in for the pthread mutex + kernel support that backed
-//! the JDK's fat locks on AIX — while blocked threads park on the
+//! The owner, the nested count and a QUEUED bit share one `AtomicU64`
+//! (DESIGN.md §21), and the monitor applies the paper's owner-only
+//! discipline to it: an uncontended acquire is one compare-and-swap from
+//! unowned to (me, 1), a re-entrant one an add by the owner, and the last
+//! release one compare-and-swap back to unowned. A small
+//! `std::sync::Mutex` guards only the entry queue and the wait set — an
+//! accurate stand-in for the pthread mutex + kernel support that backed
+//! the JDK's fat locks on AIX. QUEUED changes only under that mutex and is
+//! set whenever either queue is non-empty, so the release CAS fails exactly
+//! when someone may need waking; the owner then releases under the mutex
+//! and unparks the front of the entry queue. Blocked threads park on the
 //! per-thread [`Parker`](thinlock_runtime::registry::Parker) from the
 //! thread registry. Unparks can therefore never be lost (a permit persists
 //! until consumed) and stale permits only cost one loop iteration.
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
+use thinlock_runtime::backend::MonitorProbe;
 use thinlock_runtime::error::{SyncError, SyncResult};
 use thinlock_runtime::fault::{FaultAction, FaultInjector, InjectionPoint};
 use thinlock_runtime::lockword::ThreadIndex;
 use thinlock_runtime::protocol::WaitOutcome;
-use thinlock_runtime::registry::{ThreadRegistry, ThreadToken};
+use thinlock_runtime::registry::{ThreadRecord, ThreadRegistry, ThreadToken};
 use thinlock_runtime::schedule::{SchedAction, SchedPoint, Schedule};
+
+/// State word bits 0–15: the owner's thread index, 0 while unowned.
+const OWNER_MASK: u64 = 0xFFFF;
+/// State word bit 16: the entry queue or the wait set is non-empty.
+const QUEUED: u64 = 1 << 16;
+/// State word bits 32–63: the nested count, 0 while unowned.
+const COUNT_SHIFT: u32 = 32;
+
+/// The state word of `me` holding the monitor `n` times, QUEUED clear.
+#[inline]
+fn held_by(me: ThreadIndex, n: u32) -> u64 {
+    u64::from(me.get()) | u64::from(n) << COUNT_SHIFT
+}
+
+#[inline]
+fn owner_bits(me: ThreadIndex) -> u64 {
+    u64::from(me.get())
+}
+
+#[inline]
+fn word_owner(word: u64) -> Option<ThreadIndex> {
+    ThreadIndex::new((word & OWNER_MASK) as u16).ok()
+}
+
+#[inline]
+fn word_count(word: u64) -> u32 {
+    (word >> COUNT_SHIFT) as u32
+}
+
+/// `Ok` if `word` is owned by `me`, else the error an owner-only
+/// operation reports.
+#[inline]
+fn check_owner(word: u64, me: ThreadIndex) -> SyncResult<()> {
+    match word & OWNER_MASK {
+        0 => Err(SyncError::NotLocked),
+        o if o == owner_bits(me) => Ok(()),
+        _ => Err(SyncError::NotOwner),
+    }
+}
 
 /// Shared flag linking a waiting thread to its wait-set entry, so `notify`
 /// can mark it delivered after the entry has moved queues.
@@ -44,15 +92,14 @@ struct WaitEntry {
     flag: Arc<WaitFlag>,
 }
 
+/// What the queue mutex guards.
 #[derive(Debug, Default)]
-struct Inner {
-    owner: Option<ThreadIndex>,
-    count: u32,
+struct Queues {
     entry_queue: VecDeque<ThreadIndex>,
     wait_set: VecDeque<WaitEntry>,
 }
 
-impl Inner {
+impl Queues {
     fn enqueue_entry_back(&mut self, t: ThreadIndex) {
         if !self.entry_queue.contains(&t) {
             self.entry_queue.push_back(t);
@@ -72,6 +119,11 @@ impl Inner {
     /// Next thread to wake when the monitor becomes free.
     fn front_of_entry(&self) -> Option<ThreadIndex> {
         self.entry_queue.front().copied()
+    }
+
+    /// What QUEUED must read once the mutex is released.
+    fn any_queued(&self) -> bool {
+        !self.entry_queue.is_empty() || !self.wait_set.is_empty()
     }
 }
 
@@ -93,15 +145,24 @@ impl Inner {
 /// ```
 #[derive(Default)]
 pub struct FatLock {
-    inner: Mutex<Inner>,
+    /// Owner, nested count and QUEUED (see the `OWNER_MASK`, `QUEUED`
+    /// and `COUNT_SHIFT` layout). Owner and count are written only by
+    /// the owner, or by whoever takes an unowned word; QUEUED only
+    /// under `queues`.
+    state: AtomicU64,
+    queues: Mutex<Queues>,
     injector: OnceLock<Arc<dyn FaultInjector>>,
     schedule: OnceLock<Arc<dyn Schedule>>,
 }
 
 impl fmt::Debug for FatLock {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let word = self.state.load(Ordering::Acquire);
         f.debug_struct("FatLock")
-            .field("inner", &self.inner)
+            .field("owner", &word_owner(word))
+            .field("count", &word_count(word))
+            .field("queued", &(word & QUEUED != 0))
+            .field("queues", &self.queues)
             .field("injector", &self.injector.get().is_some())
             .field("schedule", &self.schedule.get().is_some())
             .finish()
@@ -127,14 +188,8 @@ impl FatLock {
     pub fn new_owned(owner: ThreadToken, count: u32) -> Self {
         assert!(count > 0, "owned monitor needs a positive count");
         FatLock {
-            inner: Mutex::new(Inner {
-                owner: Some(owner.index()),
-                count,
-                entry_queue: VecDeque::new(),
-                wait_set: VecDeque::new(),
-            }),
-            injector: OnceLock::new(),
-            schedule: OnceLock::new(),
+            state: AtomicU64::new(held_by(owner.index(), count)),
+            ..FatLock::default()
         }
     }
 
@@ -161,7 +216,7 @@ impl FatLock {
     /// sleep. Write-once: the first installed schedule wins. The monitor
     /// table stamps its own schedule into every fat lock it publishes.
     ///
-    /// Both park points sit *outside* the monitor's internal mutex, so a
+    /// Both park points sit *outside* the monitor's queue mutex, so a
     /// thread blocked inside [`Schedule::reached`] never wedges other
     /// threads touching this monitor.
     pub fn set_schedule(&self, schedule: Arc<dyn Schedule>) {
@@ -182,17 +237,98 @@ impl FatLock {
     /// progress when resumed.
     pub fn is_waiting(&self, t: ThreadToken) -> bool {
         let me = t.index();
-        self.lock_inner().wait_set.iter().any(|e| e.thread == me)
+        self.lock_queues().wait_set.iter().any(|e| e.thread == me)
     }
 
-    fn lock_inner(&self) -> std::sync::MutexGuard<'_, Inner> {
-        // Recover from poisoning rather than propagating it: the monitor
-        // bookkeeping is updated in small all-or-nothing critical sections,
-        // so a thread that panicked while holding the inner mutex left it
+    fn lock_queues(&self) -> std::sync::MutexGuard<'_, Queues> {
+        // Recover from poisoning rather than propagating it: the queues
+        // are updated in small all-or-nothing critical sections, so a
+        // thread that panicked while holding the mutex left them
         // consistent; cascading the panic into every other thread touching
         // this monitor would turn one failed test thread into a wedged
         // monitor table.
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+        self.queues.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Makes QUEUED agree with `queues` before the caller drops the
+    /// mutex. QUEUED changes only under the mutex, so a load decides
+    /// whether the read-modify-write is needed. Relaxed suffices: the
+    /// mutex orders the queue contents, and read-modify-write atomicity
+    /// orders the flip against an owner's release CAS.
+    fn sync_queued(&self, queues: &Queues) {
+        let queued = queues.any_queued();
+        if (self.state.load(Ordering::Relaxed) & QUEUED != 0) != queued {
+            if queued {
+                self.state.fetch_or(QUEUED, Ordering::Relaxed);
+            } else {
+                self.state.fetch_and(!QUEUED, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// The word's acquiring step: a CAS from unowned to (`me`, `n`) that
+    /// keeps QUEUED, so a barger may take a monitor whose queue is still
+    /// waking, or, if `me` already owns it, an add of `n` to the count.
+    /// Returns the resulting depth, or `None` while another thread owns
+    /// the monitor.
+    ///
+    /// The CAS is Acquire and pairs with the Release of the release that
+    /// left the word unowned. The owner's add is Relaxed: the owner
+    /// synchronized when it first acquired, and nobody else writes the
+    /// owner or the count while it holds them.
+    #[inline]
+    fn try_acquire(&self, me: ThreadIndex, n: u32) -> Option<u32> {
+        let mut word = self.state.load(Ordering::Relaxed);
+        loop {
+            match word & OWNER_MASK {
+                0 => match self.state.compare_exchange(
+                    word,
+                    word | held_by(me, n),
+                    Ordering::Acquire,
+                    Ordering::Relaxed,
+                ) {
+                    Ok(_) => return Some(n),
+                    // Lost to a barger, or QUEUED flipped: look again.
+                    Err(seen) => word = seen,
+                },
+                o if o == owner_bits(me) => {
+                    let before = self
+                        .state
+                        .fetch_add(u64::from(n) << COUNT_SHIFT, Ordering::Relaxed);
+                    return Some(word_count(before) + n);
+                }
+                _ => return None,
+            }
+        }
+    }
+
+    /// Drops the hold `held` (the owner's word with QUEUED clear) in one
+    /// CAS to unowned; Release pairs with the next acquirer's Acquire.
+    /// The CAS fails while QUEUED is set, and the owner then releases
+    /// under the mutex and unparks the front of the entry queue.
+    #[inline]
+    fn release(&self, held: u64, registry: &ThreadRegistry) {
+        if self
+            .state
+            .compare_exchange(held, 0, Ordering::Release, Ordering::Relaxed)
+            .is_err()
+        {
+            self.release_queued(registry);
+        }
+    }
+
+    #[inline(never)]
+    fn release_queued(&self, registry: &ThreadRegistry) {
+        let wake = {
+            let queues = self.lock_queues();
+            // The caller owns the word and QUEUED changes only under the
+            // mutex held here, so nobody else can write the word: a plain
+            // Release store clears owner and count and keeps QUEUED.
+            let word = self.state.load(Ordering::Relaxed);
+            self.state.store(word & QUEUED, Ordering::Release);
+            queues.front_of_entry()
+        };
+        wake_thread(wake, registry);
     }
 
     /// Acquires the monitor once for `t`, re-entrantly; blocks by parking
@@ -218,56 +354,7 @@ impl FatLock {
         // Resolve the parker up front so a stale token fails fast rather
         // than after mutating the queues.
         let record = registry.record(me)?;
-        if self.inject(InjectionPoint::FatAcquire) == FaultAction::Yield {
-            std::thread::yield_now();
-        }
-        let mut first_block = true;
-        loop {
-            {
-                let mut inner = self.lock_inner();
-                match inner.owner {
-                    None => {
-                        inner.owner = Some(me);
-                        inner.count = n;
-                        inner.remove_from_entry(me);
-                        return Ok(());
-                    }
-                    Some(owner) if owner == me => {
-                        inner.count += n;
-                        return Ok(());
-                    }
-                    Some(_) => {
-                        // FIFO on first arrival; a thread that was woken
-                        // but lost the race to a barger goes back to the
-                        // front so it cannot starve behind newcomers.
-                        if first_block {
-                            inner.enqueue_entry_back(me);
-                            first_block = false;
-                        } else {
-                            inner.enqueue_entry_front(me);
-                        }
-                    }
-                }
-            }
-            // A serializing scheduler holds the thread here and answers
-            // SkipPark when it is resumed — the park never happens, and
-            // the re-looped acquire attempt is the thread's next step.
-            if self.reach(SchedPoint::FatPark) == SchedAction::SkipPark {
-                continue;
-            }
-            match self.inject(InjectionPoint::FatPark) {
-                // A spurious wakeup is a park that returns with nothing to
-                // show for it; skipping the park entirely is the same
-                // observable behavior, and drives the woken-but-lost-race
-                // requeue-to-front path above.
-                FaultAction::SpuriousWake => {}
-                FaultAction::Yield => {
-                    std::thread::yield_now();
-                    record.parker().park();
-                }
-                _ => record.parker().park(),
-            }
-        }
+        self.acquire(me, n, &record, None, false, registry)
     }
 
     /// The non-blocking half of [`lock`](FatLock::lock): acquires if the
@@ -275,32 +362,19 @@ impl FatLock {
     /// resulting nested depth, or `None` if another thread owns it (the
     /// caller must fall back to the parking path).
     ///
-    /// One critical section, no registry lookup — this is the fat-lock
-    /// fast path of Section 2.3 ("index into the vector"), where the
-    /// paper's design only wins over the JDK monitor cache if an
-    /// inflated acquisition stays a handful of instructions. Token
-    /// validation is deferred to the parking path, exactly as the thin
-    /// fast path defers it to inflation.
+    /// One CAS on the state word (an add, if `t` already owns it), no
+    /// mutex and no registry lookup — this is the fat-lock fast path of
+    /// Section 2.3 ("index into the vector"), where the paper's design
+    /// only wins over the JDK monitor cache if an inflated acquisition
+    /// stays a handful of instructions. Token validation is deferred to
+    /// the parking path, exactly as the thin fast path defers it to
+    /// inflation.
     #[inline]
     pub fn lock_uncontended(&self, t: ThreadToken) -> Option<u32> {
         if self.inject(InjectionPoint::FatAcquire) == FaultAction::Yield {
             std::thread::yield_now();
         }
-        let me = t.index();
-        let mut inner = self.lock_inner();
-        match inner.owner {
-            None => {
-                inner.owner = Some(me);
-                inner.count = 1;
-                inner.remove_from_entry(me);
-                Some(1)
-            }
-            Some(owner) if owner == me => {
-                inner.count += 1;
-                Some(inner.count)
-            }
-            Some(_) => None,
-        }
+        self.try_acquire(t.index(), 1)
     }
 
     /// Attempts to acquire the monitor once for `t` without blocking.
@@ -309,21 +383,7 @@ impl FatLock {
     /// `false` if another thread owns the monitor. Never touches the
     /// entry queue, so a failed attempt leaves no trace.
     pub fn try_lock(&self, t: ThreadToken) -> bool {
-        let me = t.index();
-        let mut inner = self.lock_inner();
-        match inner.owner {
-            None => {
-                inner.owner = Some(me);
-                inner.count = 1;
-                inner.remove_from_entry(me);
-                true
-            }
-            Some(owner) if owner == me => {
-                inner.count += 1;
-                true
-            }
-            Some(_) => false,
-        }
+        self.try_acquire(t.index(), 1).is_some()
     }
 
     /// Like [`lock_n`](FatLock::lock_n) but gives up once `deadline`
@@ -348,49 +408,96 @@ impl FatLock {
         debug_assert!(n > 0);
         let me = t.index();
         let record = registry.record(me)?;
+        self.acquire(me, n, &record, Some(deadline), false, registry)
+    }
+
+    /// The acquire loop behind `lock_n`, `lock_n_deadline` and `wait`'s
+    /// re-acquisition: the word CAS, then the entry queue and a park
+    /// until the CAS wins. A caller already `queued` in the entry queue
+    /// (a waiter moved there by `notify` or its own timeout) skips the
+    /// lone CAS, because it must leave the queue under the mutex.
+    fn acquire(
+        &self,
+        me: ThreadIndex,
+        n: u32,
+        record: &ThreadRecord,
+        deadline: Option<Instant>,
+        queued: bool,
+        registry: &ThreadRegistry,
+    ) -> SyncResult<()> {
         if self.inject(InjectionPoint::FatAcquire) == FaultAction::Yield {
             std::thread::yield_now();
+        }
+        if !queued && self.try_acquire(me, n).is_some() {
+            return Ok(());
         }
         let mut first_block = true;
         loop {
             {
-                let mut inner = self.lock_inner();
-                match inner.owner {
-                    None => {
-                        inner.owner = Some(me);
-                        inner.count = n;
-                        inner.remove_from_entry(me);
-                        return Ok(());
-                    }
-                    Some(owner) if owner == me => {
-                        inner.count += n;
-                        return Ok(());
-                    }
-                    Some(_) => {
-                        if first_block {
-                            inner.enqueue_entry_back(me);
-                            first_block = false;
-                        } else {
-                            inner.enqueue_entry_front(me);
-                        }
-                    }
+                let mut queues = self.lock_queues();
+                // FIFO on first arrival; a thread that was woken but lost
+                // the race to a barger goes back to the front so it cannot
+                // starve behind newcomers.
+                if first_block {
+                    queues.enqueue_entry_back(me);
+                    first_block = false;
+                } else {
+                    queues.enqueue_entry_front(me);
+                }
+                // Publish QUEUED, then retry the CAS before parking. The
+                // owner's release CAS either came first, and the retry
+                // finds the word unowned, or fails on QUEUED and sends the
+                // owner to `release_queued`, which must wait for this
+                // mutex and so wakes the front only after we enqueued.
+                self.sync_queued(&queues);
+                if self.try_acquire(me, n).is_some() {
+                    queues.remove_from_entry(me);
+                    self.sync_queued(&queues);
+                    return Ok(());
                 }
             }
-            let Some(remaining) = deadline
-                .checked_duration_since(Instant::now())
-                .filter(|d| !d.is_zero())
-            else {
-                return self.abandon_entry(me, registry);
+            let timeout = match deadline.map(time_left) {
+                None => None,
+                Some(Some(left)) => Some(left),
+                Some(None) => return self.abandon_entry(me, registry),
             };
-            match self.inject(InjectionPoint::FatPark) {
-                FaultAction::SpuriousWake => {}
-                FaultAction::Yield => {
-                    std::thread::yield_now();
-                    record.parker().park_timeout(remaining);
-                }
-                _ => {
-                    record.parker().park_timeout(remaining);
-                }
+            // An injected spurious wakeup drives the woken-but-lost-race
+            // requeue-to-front path above.
+            self.park(
+                record,
+                SchedPoint::FatPark,
+                InjectionPoint::FatPark,
+                timeout,
+            );
+        }
+    }
+
+    /// Parks the thread of `record` at `point` until it is unparked, or
+    /// for at most `timeout`. An untimed park first consults the
+    /// schedule: a serializing scheduler holds the thread there and
+    /// answers SkipPark when it resumes it, so the park never happens
+    /// and the caller's re-check is the thread's next step. Timed parks
+    /// carry no schedule point. An injected spurious wakeup skips the
+    /// park, which is all a real one shows the caller's loop.
+    fn park(
+        &self,
+        record: &ThreadRecord,
+        point: SchedPoint,
+        fault: InjectionPoint,
+        timeout: Option<Duration>,
+    ) {
+        if timeout.is_none() && self.reach(point) == SchedAction::SkipPark {
+            return;
+        }
+        match self.inject(fault) {
+            FaultAction::SpuriousWake => return,
+            FaultAction::Yield => std::thread::yield_now(),
+            _ => {}
+        }
+        match timeout {
+            None => record.parker().park(),
+            Some(left) => {
+                record.parker().park_timeout(left);
             }
         }
     }
@@ -401,19 +508,18 @@ impl FatLock {
     /// still queued behind us would sleep forever.
     fn abandon_entry(&self, me: ThreadIndex, registry: &ThreadRegistry) -> SyncResult<()> {
         let wake = {
-            let mut inner = self.lock_inner();
-            inner.remove_from_entry(me);
-            if inner.owner.is_none() {
-                inner.front_of_entry()
+            let mut queues = self.lock_queues();
+            queues.remove_from_entry(me);
+            self.sync_queued(&queues);
+            // An owner seen here has not released yet; its release finds
+            // QUEUED set if anyone is left and wakes the front itself.
+            if self.state.load(Ordering::Acquire) & OWNER_MASK == 0 {
+                queues.front_of_entry()
             } else {
                 None
             }
         };
-        if let Some(next) = wake {
-            if let Ok(rec) = registry.record(next) {
-                rec.parker().unpark();
-            }
-        }
+        wake_thread(wake, registry);
         Err(SyncError::Timeout)
     }
 
@@ -427,22 +533,22 @@ impl FatLock {
     /// (slot cleared, not yet recyclable), so no live thread can hold it.
     pub fn reclaim_orphan(&self, dead: ThreadIndex, registry: &ThreadRegistry) -> bool {
         let (reclaimed, wake) = {
-            let mut inner = self.lock_inner();
-            inner.remove_from_entry(dead);
-            inner.wait_set.retain(|e| e.thread != dead);
-            if inner.owner == Some(dead) {
-                inner.owner = None;
-                inner.count = 0;
-                (true, inner.front_of_entry())
+            let mut queues = self.lock_queues();
+            queues.remove_from_entry(dead);
+            queues.wait_set.retain(|e| e.thread != dead);
+            self.sync_queued(&queues);
+            let word = self.state.load(Ordering::Acquire);
+            if word & OWNER_MASK == owner_bits(dead) {
+                // The dead owner no longer writes the word and we hold the
+                // mutex, so the store cannot lose an update; Release pairs
+                // with the next acquirer's CAS.
+                self.state.store(word & QUEUED, Ordering::Release);
+                (true, queues.front_of_entry())
             } else {
                 (false, None)
             }
         };
-        if let Some(next) = wake {
-            if let Ok(rec) = registry.record(next) {
-                rec.parker().unpark();
-            }
-        }
+        wake_thread(wake, registry);
         reclaimed
     }
 
@@ -454,28 +560,15 @@ impl FatLock {
     /// [`SyncError::NotLocked`] if nobody does.
     pub fn unlock(&self, t: ThreadToken, registry: &ThreadRegistry) -> SyncResult<()> {
         let me = t.index();
-        let wake = {
-            let mut inner = self.lock_inner();
-            match inner.owner {
-                Some(owner) if owner == me => {
-                    inner.count -= 1;
-                    if inner.count == 0 {
-                        inner.owner = None;
-                        inner.front_of_entry()
-                    } else {
-                        None
-                    }
-                }
-                Some(_) => return Err(SyncError::NotOwner),
-                None => return Err(SyncError::NotLocked),
-            }
-        };
-        if let Some(next) = wake {
-            // A stale token here means the queued thread already exited;
-            // its queue entry is gone with it, so just skip the wake.
-            if let Ok(rec) = registry.record(next) {
-                rec.parker().unpark();
-            }
+        // Relaxed: the owner reads back its own writes, and a non-owner
+        // only needs some value to report its error from.
+        let word = self.state.load(Ordering::Relaxed);
+        check_owner(word, me)?;
+        if word_count(word) > 1 {
+            // A nested release stays owned, so it publishes nothing.
+            self.state.fetch_sub(1 << COUNT_SHIFT, Ordering::Relaxed);
+        } else {
+            self.release(held_by(me, 1), registry);
         }
         Ok(())
     }
@@ -489,24 +582,10 @@ impl FatLock {
     /// [`SyncError::NotOwner`] / [`SyncError::NotLocked`] as for `unlock`.
     pub fn release_all(&self, t: ThreadToken, registry: &ThreadRegistry) -> SyncResult<u32> {
         let me = t.index();
-        let (depth, wake) = {
-            let mut inner = self.lock_inner();
-            match inner.owner {
-                Some(owner) if owner == me => {
-                    let depth = inner.count;
-                    inner.count = 0;
-                    inner.owner = None;
-                    (depth, inner.front_of_entry())
-                }
-                Some(_) => return Err(SyncError::NotOwner),
-                None => return Err(SyncError::NotLocked),
-            }
-        };
-        if let Some(next) = wake {
-            if let Ok(rec) = registry.record(next) {
-                rec.parker().unpark();
-            }
-        }
+        let word = self.state.load(Ordering::Relaxed);
+        check_owner(word, me)?;
+        let depth = word_count(word);
+        self.release(held_by(me, depth), registry);
         Ok(depth)
     }
 
@@ -534,32 +613,24 @@ impl FatLock {
         let flag = Arc::new(WaitFlag::default());
         let deadline = timeout.map(|d| Instant::now() + d);
 
-        // Enqueue on the wait set *then* release the monitor; both steps
-        // under the inner mutex make enqueue-and-release atomic w.r.t. any
-        // notifier (which must hold the monitor, hence cannot be between
-        // our two steps).
+        // Enqueue on the wait set *then* release the monitor, both in one
+        // critical section: a notifier must own the monitor, so it cannot
+        // run between our two steps. We own the word and hold the mutex,
+        // so a plain store releases it; it keeps QUEUED, which the wait
+        // set now needs, and its Release pairs with the next acquirer.
         let saved_depth = {
-            let mut inner = self.lock_inner();
-            match inner.owner {
-                Some(owner) if owner == me => {}
-                Some(_) => return Err(SyncError::NotOwner),
-                None => return Err(SyncError::NotLocked),
-            }
-            inner.wait_set.push_back(WaitEntry {
+            let mut queues = self.lock_queues();
+            let word = self.state.load(Ordering::Relaxed);
+            check_owner(word, me)?;
+            queues.wait_set.push_back(WaitEntry {
                 thread: me,
                 flag: Arc::clone(&flag),
             });
-            let depth = inner.count;
-            inner.count = 0;
-            inner.owner = None;
-            let wake = inner.front_of_entry();
-            drop(inner);
-            if let Some(next) = wake {
-                if let Ok(rec) = registry.record(next) {
-                    rec.parker().unpark();
-                }
-            }
-            depth
+            self.state.store(QUEUED, Ordering::Release);
+            let wake = queues.front_of_entry();
+            drop(queues);
+            wake_thread(wake, registry);
+            word_count(word)
         };
 
         // Sleep until one of the three exits fires. Stale permits and
@@ -569,75 +640,55 @@ impl FatLock {
                 break WaitOutcome::Notified;
             }
             if record.take_interrupt(false) {
-                // Remove ourselves from the wait set unless a notify
-                // already did; the notification takes precedence. The move
-                // to the entry queue happens in the same critical section:
-                // a thread leaving `wait` must never be in *neither* queue,
-                // or a deflating backend's quiescence snapshot could pass
-                // while this thread is about to re-acquire a monitor that
-                // no longer backs its object.
-                let mut inner = self.lock_inner();
-                if flag.notified.load(Ordering::Acquire) {
+                // The notification takes precedence over the interrupt.
+                if !self.leave_wait_set(me, &flag) {
                     break WaitOutcome::Notified;
                 }
-                inner.wait_set.retain(|e| e.thread != me);
-                inner.enqueue_entry_back(me);
-                drop(inner);
                 record.take_interrupt(true);
-                self.lock_n(t, saved_depth, registry)?;
+                self.acquire(me, saved_depth, &record, None, true, registry)?;
                 return Err(SyncError::Interrupted);
             }
-            match deadline {
-                None => {
-                    if self.reach(SchedPoint::WaitPark) == SchedAction::SkipPark {
-                        continue;
+            let timeout = match deadline.map(time_left) {
+                None => None,
+                Some(Some(left)) => Some(left),
+                Some(None) => {
+                    if !self.leave_wait_set(me, &flag) {
+                        break WaitOutcome::Notified;
                     }
-                    match self.inject(InjectionPoint::WaitPark) {
-                        // Same spurious-wakeup model as the entry queue: the
-                        // skipped park re-runs the notified/interrupt checks,
-                        // which is exactly what a real spurious wake does.
-                        FaultAction::SpuriousWake => {}
-                        FaultAction::Yield => {
-                            std::thread::yield_now();
-                            record.parker().park();
-                        }
-                        _ => record.parker().park(),
-                    }
+                    self.acquire(me, saved_depth, &record, None, true, registry)?;
+                    return Ok(WaitOutcome::TimedOut);
                 }
-                Some(d) => {
-                    let now = Instant::now();
-                    let Some(remaining) = d.checked_duration_since(now).filter(|r| !r.is_zero())
-                    else {
-                        let mut inner = self.lock_inner();
-                        if flag.notified.load(Ordering::Acquire) {
-                            break WaitOutcome::Notified;
-                        }
-                        // Migrate wait set → entry queue atomically (see the
-                        // interrupt path above for why the single critical
-                        // section matters to deflating backends).
-                        inner.wait_set.retain(|e| e.thread != me);
-                        inner.enqueue_entry_back(me);
-                        drop(inner);
-                        self.lock_n(t, saved_depth, registry)?;
-                        return Ok(WaitOutcome::TimedOut);
-                    };
-                    match self.inject(InjectionPoint::WaitPark) {
-                        FaultAction::SpuriousWake => {}
-                        FaultAction::Yield => {
-                            std::thread::yield_now();
-                            record.parker().park_timeout(remaining);
-                        }
-                        _ => {
-                            record.parker().park_timeout(remaining);
-                        }
-                    }
-                }
-            }
+            };
+            // A skipped or spurious park re-runs the notified and
+            // interrupt checks, exactly as a real spurious wakeup does.
+            self.park(
+                &record,
+                SchedPoint::WaitPark,
+                InjectionPoint::WaitPark,
+                timeout,
+            );
         };
 
         // Notified: our entry is already on the entry queue; re-acquire.
-        self.lock_n(t, saved_depth, registry)?;
+        self.acquire(me, saved_depth, &record, None, true, registry)?;
         Ok(outcome)
+    }
+
+    /// Moves a waiter that stops waiting, by timeout or interrupt, from
+    /// the wait set to the entry queue, unless a notify already did and
+    /// `flag` says so, in which case it returns `false`. The move is one
+    /// critical section, so QUEUED stays set across it: a thread leaving
+    /// `wait` must never be in *neither* queue, or a deflating backend's
+    /// quiescence check could pass while this thread is about to
+    /// re-acquire a monitor that no longer backs its object.
+    fn leave_wait_set(&self, me: ThreadIndex, flag: &WaitFlag) -> bool {
+        let mut queues = self.lock_queues();
+        if flag.notified.load(Ordering::Acquire) {
+            return false;
+        }
+        queues.wait_set.retain(|e| e.thread != me);
+        queues.enqueue_entry_back(me);
+        true
     }
 
     /// Java `Object.notify()`: moves one waiter (FIFO) from the wait set
@@ -649,18 +700,7 @@ impl FatLock {
     /// [`SyncError::NotOwner`] / [`SyncError::NotLocked`] if `t` does not
     /// own the monitor.
     pub fn notify(&self, t: ThreadToken) -> SyncResult<()> {
-        let me = t.index();
-        let mut inner = self.lock_inner();
-        match inner.owner {
-            Some(owner) if owner == me => {}
-            Some(_) => return Err(SyncError::NotOwner),
-            None => return Err(SyncError::NotLocked),
-        }
-        if let Some(entry) = inner.wait_set.pop_front() {
-            entry.flag.notified.store(true, Ordering::Release);
-            inner.enqueue_entry_back(entry.thread);
-        }
-        Ok(())
+        self.notify_waiters(t, 1)
     }
 
     /// Java `Object.notifyAll()`: moves every waiter to the entry queue.
@@ -670,90 +710,134 @@ impl FatLock {
     /// [`SyncError::NotOwner`] / [`SyncError::NotLocked`] if `t` does not
     /// own the monitor.
     pub fn notify_all(&self, t: ThreadToken) -> SyncResult<()> {
+        self.notify_waiters(t, usize::MAX)
+    }
+
+    /// Moves up to `max` waiters, FIFO, to the back of the entry queue.
+    ///
+    /// With QUEUED clear the owner takes no mutex: only an owner adds to
+    /// the wait set, and a waiter leaves it for the entry queue in one
+    /// critical section that keeps QUEUED set, so a clear bit means
+    /// nobody is waiting until this owner waits itself. The load is
+    /// Acquire to pair with the Release store of the `wait` that set the
+    /// bit, though any waiter that set it also handed the monitor to us
+    /// through a release our acquire already synchronized with.
+    fn notify_waiters(&self, t: ThreadToken, max: usize) -> SyncResult<()> {
         let me = t.index();
-        let mut inner = self.lock_inner();
-        match inner.owner {
-            Some(owner) if owner == me => {}
-            Some(_) => return Err(SyncError::NotOwner),
-            None => return Err(SyncError::NotLocked),
+        let word = self.state.load(Ordering::Acquire);
+        check_owner(word, me)?;
+        if word & QUEUED == 0 {
+            return Ok(());
         }
-        while let Some(entry) = inner.wait_set.pop_front() {
+        let mut queues = self.lock_queues();
+        for _ in 0..max {
+            let Some(entry) = queues.wait_set.pop_front() else {
+                break;
+            };
             entry.flag.notified.store(true, Ordering::Release);
-            inner.enqueue_entry_back(entry.thread);
+            queues.enqueue_entry_back(entry.thread);
         }
         Ok(())
     }
 
-    /// The current owner, if any.
+    /// The current owner, if any: one Acquire load of the state word.
     #[inline]
     pub fn owner(&self) -> Option<ThreadIndex> {
-        self.lock_inner().owner
+        word_owner(self.state.load(Ordering::Acquire))
     }
 
     /// The current nested lock count (0 when unowned). Unlike the thin
     /// encoding this is the number of locks, not locks − 1 (Figure 2).
     #[inline]
     pub fn count(&self) -> u32 {
-        self.lock_inner().count
+        word_count(self.state.load(Ordering::Acquire))
     }
 
     /// True if `t` owns the monitor. `#[inline]` (with [`Self::owner`]
     /// and [`Self::count`]) so ownership checks on the cross-crate fat
-    /// path compile down to the underlying mutex acquire + field read.
+    /// path compile down to one load of the state word and a compare.
     #[inline]
     pub fn holds(&self, t: ThreadToken) -> bool {
-        self.lock_inner().owner == Some(t.index())
+        self.state.load(Ordering::Acquire) & OWNER_MASK == owner_bits(t.index())
     }
 
-    /// Atomically true iff `t` owns the monitor exactly once and both the
-    /// entry queue and the wait set are empty — the deflation precondition
-    /// of a Compact-Java-Monitors backend (BACKENDS.md), evaluated in a
-    /// single critical section so all four facts hold at one instant.
+    /// True iff `t` owns the monitor exactly once and both the entry
+    /// queue and the wait set are empty — the deflation precondition of a
+    /// Compact-Java-Monitors backend (BACKENDS.md).
     ///
-    /// Three separate `count`/`entry_queue_len`/`wait_set_len` reads would
-    /// not do: a timed-out waiter migrates from the wait set to the entry
-    /// queue without owning the monitor, and could slip between two of the
+    /// One Acquire load: the word must read (`t`, 1) with QUEUED clear,
+    /// and QUEUED covers both queues. Three separate
+    /// `count`/`entry_queue_len`/`wait_set_len` reads would not do: a
+    /// timed-out waiter migrates from the wait set to the entry queue
+    /// without owning the monitor, and could slip between two of the
     /// reads, letting a release deflate a monitor that still has a thread
-    /// inside it. Because the migration itself is one critical section in
-    /// [`wait`](FatLock::wait), and the wait set can only *grow* under
-    /// ownership, a `true` snapshot taken by the owner stays deflation-safe
-    /// until the owner releases: only fresh entry-queue racers can arrive,
-    /// and those revalidate the lock word after acquiring.
+    /// inside it. The migration is one critical section in
+    /// [`wait`](FatLock::wait) that keeps QUEUED set, and the wait set can
+    /// only *grow* under ownership, so a `true` answer given to the owner
+    /// stays deflation-safe until the owner releases: only fresh
+    /// entry-queue racers can arrive, and those revalidate the lock word
+    /// after acquiring.
+    #[inline]
     pub fn is_sole_quiescent_owner(&self, t: ThreadToken) -> bool {
-        let inner = self.lock_inner();
-        inner.owner == Some(t.index())
-            && inner.count == 1
-            && inner.entry_queue.is_empty()
-            && inner.wait_set.is_empty()
+        self.state.load(Ordering::Acquire) == held_by(t.index(), 1)
+    }
+
+    /// A snapshot of the monitor: the state word and both queue lengths,
+    /// read under a single hold of the queue mutex, so the queue lengths
+    /// agree with each other and with QUEUED. Owner and count can still
+    /// move under a concurrent CAS; like every [`MonitorProbe`], the
+    /// snapshot is exact only at a quiescent point.
+    pub fn probe(&self) -> MonitorProbe {
+        let queues = self.lock_queues();
+        let word = self.state.load(Ordering::Acquire);
+        MonitorProbe {
+            owner: word_owner(word),
+            count: word_count(word),
+            entry_queue_len: queues.entry_queue.len(),
+            wait_set_len: queues.wait_set.len(),
+        }
     }
 
     /// Number of threads blocked on entry (diagnostics).
     pub fn entry_queue_len(&self) -> usize {
-        self.lock_inner().entry_queue.len()
+        self.lock_queues().entry_queue.len()
     }
 
     /// Number of threads in the wait set (diagnostics).
     pub fn wait_set_len(&self) -> usize {
-        self.lock_inner().wait_set.len()
+        self.lock_queues().wait_set.len()
+    }
+}
+
+/// The time left until `deadline`, or `None` once it has passed.
+fn time_left(deadline: Instant) -> Option<Duration> {
+    deadline
+        .checked_duration_since(Instant::now())
+        .filter(|d| !d.is_zero())
+}
+
+/// Unparks `next`, the front of an entry queue. A stale token here means
+/// the queued thread already exited; its queue entry is gone with it, so
+/// the wake is skipped.
+fn wake_thread(next: Option<ThreadIndex>, registry: &ThreadRegistry) {
+    if let Some(rec) = next.and_then(|t| registry.record(t).ok()) {
+        rec.parker().unpark();
     }
 }
 
 impl fmt::Display for FatLock {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.lock_inner();
-        match inner.owner {
+        let p = self.probe();
+        match p.owner {
             Some(o) => write!(
                 f,
                 "fat-lock(owner={o}, count={}, entryq={}, waiters={})",
-                inner.count,
-                inner.entry_queue.len(),
-                inner.wait_set.len()
+                p.count, p.entry_queue_len, p.wait_set_len
             ),
             None => write!(
                 f,
                 "fat-lock(free, entryq={}, waiters={})",
-                inner.entry_queue.len(),
-                inner.wait_set.len()
+                p.entry_queue_len, p.wait_set_len
             ),
         }
     }
@@ -762,8 +846,9 @@ impl fmt::Display for FatLock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::sync::mpsc;
     use std::thread;
+    use thinlock_runtime::heap::ObjRef;
 
     fn setup() -> (Arc<FatLock>, ThreadRegistry) {
         (Arc::new(FatLock::new()), ThreadRegistry::new())
@@ -783,6 +868,7 @@ mod tests {
         lock.unlock(t, &reg).unwrap();
         assert_eq!(lock.owner(), None);
         assert_eq!(lock.unlock(t, &reg), Err(SyncError::NotLocked));
+        assert_queued_invariant(&lock);
     }
 
     #[test]
@@ -797,6 +883,7 @@ mod tests {
             lock.unlock(t, &reg).unwrap();
         }
         assert_eq!(lock.owner(), None);
+        assert_queued_invariant(&lock);
     }
 
     #[test]
@@ -817,6 +904,7 @@ mod tests {
         assert_eq!(lock.notify(rb.token()), Err(SyncError::NotOwner));
         assert_eq!(lock.notify_all(rb.token()), Err(SyncError::NotOwner));
         lock.unlock(ra.token(), &reg).unwrap();
+        assert_queued_invariant(&lock);
     }
 
     #[test]
@@ -827,6 +915,7 @@ mod tests {
             lock.wait(r.token(), &reg, None).unwrap_err(),
             SyncError::NotLocked
         );
+        assert_queued_invariant(&lock);
     }
 
     #[test]
@@ -859,6 +948,7 @@ mod tests {
         assert_eq!(counter.load(Ordering::Relaxed), THREADS as u64 * ITERS);
         assert_eq!(lock.owner(), None);
         assert_eq!(lock.entry_queue_len(), 0);
+        assert_queued_invariant(&lock);
     }
 
     #[test]
@@ -895,6 +985,7 @@ mod tests {
         assert_eq!(lock.entry_queue_len(), 1, "waiter moved to entry queue");
         lock.unlock(t, &reg).unwrap();
         assert!(waiter.join().unwrap());
+        assert_queued_invariant(&lock);
     }
 
     #[test]
@@ -925,6 +1016,7 @@ mod tests {
         for h in handles {
             assert_eq!(h.join().unwrap(), WaitOutcome::Notified);
         }
+        assert_queued_invariant(&lock);
     }
 
     #[test]
@@ -936,6 +1028,7 @@ mod tests {
         lock.notify(t).unwrap();
         lock.notify_all(t).unwrap();
         lock.unlock(t, &reg).unwrap();
+        assert_queued_invariant(&lock);
     }
 
     #[test]
@@ -953,6 +1046,7 @@ mod tests {
         assert_eq!(lock.wait_set_len(), 0, "timed-out waiter removed");
         lock.unlock(t, &reg).unwrap();
         lock.unlock(t, &reg).unwrap();
+        assert_queued_invariant(&lock);
     }
 
     #[test]
@@ -984,6 +1078,7 @@ mod tests {
             lock.unlock(t, &reg).unwrap();
         }
         notifier.join().unwrap();
+        assert_queued_invariant(&lock);
     }
 
     #[test]
@@ -1016,6 +1111,7 @@ mod tests {
         let (err, _) = waiter.join().unwrap();
         assert_eq!(err, SyncError::Interrupted);
         assert_eq!(lock.wait_set_len(), 0);
+        assert_queued_invariant(&lock);
     }
 
     #[test]
@@ -1029,6 +1125,7 @@ mod tests {
         assert_eq!(lock.release_all(t, &reg).unwrap(), 4);
         assert_eq!(lock.owner(), None);
         assert_eq!(lock.release_all(t, &reg), Err(SyncError::NotLocked));
+        assert_queued_invariant(&lock);
     }
 
     #[test]
@@ -1038,6 +1135,7 @@ mod tests {
         let r = reg.register().unwrap();
         lock.lock(r.token(), &reg).unwrap();
         assert!(lock.to_string().contains("owner="));
+        assert_queued_invariant(&lock);
     }
 
     #[test]
@@ -1054,6 +1152,7 @@ mod tests {
         lock.unlock(ra.token(), &reg).unwrap();
         assert!(lock.try_lock(rb.token()));
         lock.unlock(rb.token(), &reg).unwrap();
+        assert_queued_invariant(&lock);
     }
 
     #[test]
@@ -1076,6 +1175,7 @@ mod tests {
         assert_eq!(lock.entry_queue_len(), 0, "timed-out acquirer dequeued");
         assert!(!lock.holds(rb.token()));
         lock.unlock(ra.token(), &reg).unwrap();
+        assert_queued_invariant(&lock);
     }
 
     #[test]
@@ -1123,6 +1223,7 @@ mod tests {
         assert!(c.join().unwrap(), "c acquired after b's timeout");
         assert_eq!(lock.owner(), None);
         assert_eq!(lock.entry_queue_len(), 0);
+        assert_queued_invariant(&lock);
     }
 
     #[test]
@@ -1135,6 +1236,7 @@ mod tests {
             .unwrap();
         assert_eq!(lock.count(), 3);
         lock.release_all(t, &reg).unwrap();
+        assert_queued_invariant(&lock);
     }
 
     #[test]
@@ -1168,6 +1270,7 @@ mod tests {
         assert!(lock.reclaim_orphan(dead, &reg), "ownership reclaimed");
         assert!(waiter.join().unwrap(), "queued thread acquired after sweep");
         assert_eq!(lock.owner(), None);
+        assert_queued_invariant(&lock);
     }
 
     #[test]
@@ -1179,13 +1282,15 @@ mod tests {
         let rb = reg.register().unwrap();
         let dead = rb.token().index();
         {
-            let mut inner = lock.lock_inner();
-            inner.enqueue_entry_back(dead);
+            let mut queues = lock.lock_queues();
+            queues.enqueue_entry_back(dead);
+            lock.sync_queued(&queues);
         }
         drop(rb);
         assert!(!lock.reclaim_orphan(dead, &reg), "no ownership to reclaim");
         assert_eq!(lock.entry_queue_len(), 0, "dead entry purged");
         lock.unlock(ra.token(), &reg).unwrap();
+        assert_queued_invariant(&lock);
     }
 
     #[test]
@@ -1206,16 +1311,19 @@ mod tests {
         assert!(!lock.is_sole_quiescent_owner(rb.token()), "non-owner");
         // A queued contender blocks quiescence.
         {
-            let mut inner = lock.lock_inner();
-            inner.enqueue_entry_back(rb.token().index());
+            let mut queues = lock.lock_queues();
+            queues.enqueue_entry_back(rb.token().index());
+            lock.sync_queued(&queues);
         }
         assert!(!lock.is_sole_quiescent_owner(ta), "entry queue blocks");
         {
-            let mut inner = lock.lock_inner();
-            inner.remove_from_entry(rb.token().index());
+            let mut queues = lock.lock_queues();
+            queues.remove_from_entry(rb.token().index());
+            lock.sync_queued(&queues);
         }
         assert!(lock.is_sole_quiescent_owner(ta));
         lock.unlock(ta, &reg).unwrap();
+        assert_queued_invariant(&lock);
     }
 
     #[test]
@@ -1259,6 +1367,7 @@ mod tests {
         assert!(!lock.is_sole_quiescent_owner(t));
         lock.unlock(t, &reg).unwrap();
         assert_eq!(waiter.join().unwrap(), WaitOutcome::TimedOut);
+        assert_queued_invariant(&lock);
     }
 
     #[test]
@@ -1267,14 +1376,14 @@ mod tests {
         let r = reg.register().unwrap();
         let t = r.token();
         lock.lock(t, &reg).unwrap();
-        // Poison the inner mutex by panicking while holding it.
+        // Poison the queue mutex by panicking while holding it.
         let lock2 = Arc::clone(&lock);
         let _ = thread::spawn(move || {
-            let _guard = lock2.inner.lock().unwrap();
+            let _guard = lock2.queues.lock().unwrap();
             panic!("poison the monitor");
         })
         .join();
-        assert!(lock.inner.is_poisoned(), "mutex really was poisoned");
+        assert!(lock.queues.is_poisoned(), "mutex really was poisoned");
         // Every entry point still works.
         assert!(lock.holds(t));
         assert_eq!(lock.count(), 1);
@@ -1283,6 +1392,7 @@ mod tests {
         lock.unlock(t, &reg).unwrap();
         lock.unlock(t, &reg).unwrap();
         assert_eq!(lock.owner(), None);
+        assert_queued_invariant(&lock);
     }
 
     #[test]
@@ -1328,5 +1438,212 @@ mod tests {
         }
         lock.unlock(ra.token(), &reg).unwrap();
         assert!(contender.join().unwrap());
+        assert_queued_invariant(&lock);
+    }
+
+    /// How long a test waits on a channel before calling a wake lost.
+    const GUARD: Duration = Duration::from_secs(10);
+
+    /// Holds the first thread to reach `point`: tells the test it
+    /// arrived, then waits for the test's go before letting it park.
+    struct HoldFirst {
+        point: SchedPoint,
+        taken: AtomicBool,
+        arrived: Mutex<mpsc::Sender<()>>,
+        go: Mutex<mpsc::Receiver<()>>,
+    }
+
+    impl HoldFirst {
+        /// The schedule, the receiver of its arrival and the sender of
+        /// its go.
+        fn at(point: SchedPoint) -> (Arc<Self>, mpsc::Receiver<()>, mpsc::Sender<()>) {
+            let (arrived, arrival) = mpsc::channel();
+            let (go_tx, go) = mpsc::channel();
+            let hold = HoldFirst {
+                point,
+                taken: AtomicBool::new(false),
+                arrived: Mutex::new(arrived),
+                go: Mutex::new(go),
+            };
+            (Arc::new(hold), arrival, go_tx)
+        }
+    }
+
+    impl Schedule for HoldFirst {
+        fn reached(&self, point: SchedPoint, _: Option<ObjRef>) -> SchedAction {
+            if point == self.point && !self.taken.swap(true, Ordering::Relaxed) {
+                self.arrived.lock().unwrap().send(()).unwrap();
+                let _ = self.go.lock().unwrap().recv_timeout(GUARD);
+            }
+            SchedAction::Proceed
+        }
+    }
+
+    fn queued_bit(lock: &FatLock) -> bool {
+        lock.state.load(Ordering::Relaxed) & QUEUED != 0
+    }
+
+    /// QUEUED is set exactly when a queue is non-empty. Holds whenever
+    /// no thread is inside the queue mutex, which the callers ensure.
+    fn assert_queued_invariant(lock: &FatLock) {
+        let queues = lock.lock_queues();
+        assert_eq!(
+            queued_bit(lock),
+            queues.any_queued(),
+            "QUEUED out of step with {queues:?}"
+        );
+    }
+
+    #[test]
+    fn release_wakes_an_arrival_held_at_its_park() {
+        let (lock, reg) = setup();
+        let (hold, arrival, go) = HoldFirst::at(SchedPoint::FatPark);
+        lock.set_schedule(hold);
+        let ra = reg.register().unwrap();
+        lock.lock(ra.token(), &reg).unwrap();
+        let (acquired_tx, acquired) = mpsc::channel();
+        let contender = {
+            let lock = Arc::clone(&lock);
+            let reg = reg.clone();
+            thread::spawn(move || {
+                let r = reg.register().unwrap();
+                let t = r.token();
+                lock.lock(t, &reg).unwrap();
+                acquired_tx.send(lock.holds(t)).unwrap();
+                lock.unlock(t, &reg).unwrap();
+            })
+        };
+        arrival
+            .recv_timeout(GUARD)
+            .expect("contender reached FatPark");
+        // By its park point the contender has enqueued and published
+        // QUEUED, so the owner's release CAS fails over to the queue path.
+        assert_eq!(lock.entry_queue_len(), 1);
+        assert!(queued_bit(&lock), "QUEUED published before the park");
+        lock.unlock(ra.token(), &reg).unwrap();
+        go.send(()).unwrap();
+        let held = acquired
+            .recv_timeout(GUARD)
+            .expect("release against a parked arrival lost its wake");
+        assert!(held);
+        contender.join().unwrap();
+        assert_eq!(lock.owner(), None);
+        assert_queued_invariant(&lock);
+    }
+
+    #[test]
+    fn notify_and_release_wake_a_waiter_held_at_its_park() {
+        let (lock, reg) = setup();
+        let (hold, arrival, go) = HoldFirst::at(SchedPoint::WaitPark);
+        lock.set_schedule(hold);
+        let (acquired_tx, acquired) = mpsc::channel();
+        let waiter = {
+            let lock = Arc::clone(&lock);
+            let reg = reg.clone();
+            thread::spawn(move || {
+                let r = reg.register().unwrap();
+                let t = r.token();
+                lock.lock(t, &reg).unwrap();
+                let out = lock.wait(t, &reg, None);
+                acquired_tx.send((out, lock.holds(t))).unwrap();
+                lock.unlock(t, &reg).unwrap();
+            })
+        };
+        arrival
+            .recv_timeout(GUARD)
+            .expect("waiter reached WaitPark");
+        assert_eq!(lock.wait_set_len(), 1);
+        assert!(queued_bit(&lock), "a waiter keeps QUEUED set");
+        let r = reg.register().unwrap();
+        let t = r.token();
+        // The released word kept QUEUED; the CAS from unowned keeps it.
+        lock.lock(t, &reg).unwrap();
+        lock.notify(t).unwrap();
+        assert_eq!(lock.entry_queue_len(), 1, "waiter moved to entry queue");
+        lock.unlock(t, &reg).unwrap();
+        go.send(()).unwrap();
+        let (out, held) = acquired
+            .recv_timeout(GUARD)
+            .expect("notify and release lost the waiter's wake");
+        assert_eq!(out, Ok(WaitOutcome::Notified));
+        assert!(held, "monitor re-acquired after wait");
+        waiter.join().unwrap();
+        assert_eq!(lock.owner(), None);
+        assert_queued_invariant(&lock);
+    }
+
+    #[test]
+    fn release_racing_an_arrival_never_strands_it() {
+        // Every round the owner releases as soon as it sees the contender
+        // inside the queue mutex, give or take a seeded few spins, so many
+        // releases land between the contender's failed CAS and its
+        // QUEUED. The contender must acquire in every round.
+        const ROUNDS: u32 = 5_000;
+        let (lock, reg) = setup();
+        let ra = reg.register().unwrap();
+        let start = Arc::new(std::sync::atomic::AtomicU32::new(0));
+        let (done_tx, done) = mpsc::channel();
+        let contender = {
+            let lock = Arc::clone(&lock);
+            let reg = reg.clone();
+            let start = Arc::clone(&start);
+            thread::spawn(move || {
+                let r = reg.register().unwrap();
+                let t = r.token();
+                for round in 1..=ROUNDS {
+                    while start.load(Ordering::Acquire) < round {
+                        std::hint::spin_loop();
+                    }
+                    lock.lock(t, &reg).unwrap();
+                    lock.unlock(t, &reg).unwrap();
+                    done_tx.send(round).unwrap();
+                }
+            })
+        };
+        let mut rng = thinlock_runtime::prng::Prng::seed_from_u64(15);
+        for round in 1..=ROUNDS {
+            lock.lock(ra.token(), &reg).unwrap();
+            start.store(round, Ordering::Release);
+            // Bounded: the contender may slip through the mutex unseen.
+            for _ in 0..10_000 {
+                if lock.queues.try_lock().is_err() {
+                    break;
+                }
+            }
+            for _ in 0..rng.range_u32(0, 4) {
+                std::hint::spin_loop();
+            }
+            lock.unlock(ra.token(), &reg).unwrap();
+            let finished = done
+                .recv_timeout(GUARD)
+                .expect("a release racing an arrival stranded it");
+            assert_eq!(finished, round);
+        }
+        contender.join().unwrap();
+        assert_eq!(lock.owner(), None);
+        assert_queued_invariant(&lock);
+    }
+
+    #[test]
+    fn notify_without_waiters_reads_only_the_word() {
+        let (lock, reg) = setup();
+        let r = reg.register().unwrap();
+        let t = r.token();
+        lock.lock(t, &reg).unwrap();
+        // The test holds the queue mutex throughout: a notify that asked
+        // for it would deadlock here.
+        let _queues = lock.lock_queues();
+        lock.notify(t).unwrap();
+        lock.notify_all(t).unwrap();
+        assert!(lock.holds(t));
+        assert_eq!(lock.count(), 1);
+        assert!(lock.is_sole_quiescent_owner(t));
+    }
+
+    #[test]
+    fn fat_lock_fits_in_128_bytes() {
+        // `lock_bytes_peak` counts every live monitor at this size.
+        let size = std::mem::size_of::<FatLock>();
+        assert!(size <= 128, "FatLock grew to {size} B");
     }
 }

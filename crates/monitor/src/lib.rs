@@ -13,7 +13,10 @@
 //!
 //! * [`fatlock::FatLock`] — owner + nested count + FIFO entry queue + wait
 //!   set, with Java/Mesa monitor semantics (`notify` moves a waiter to the
-//!   entry queue; it runs only once the monitor is released).
+//!   entry queue; it runs only once the monitor is released). Owner, count
+//!   and a QUEUED bit share one atomic word, so an uncontended acquire or
+//!   release is one compare-and-swap and an ownership probe one load; a
+//!   mutex guards only the two queues (DESIGN.md §21).
 //! * [`table::MonitorTable`] — the vector mapping 23-bit monitor indices to
 //!   fat locks, sized so every heap object can inflate at most once, with
 //!   wait-free lookups ("the fat lock pointer is simply obtained by

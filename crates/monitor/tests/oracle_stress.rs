@@ -13,6 +13,24 @@ use thinlock_monitor::FatLock;
 use thinlock_runtime::prng::Prng;
 use thinlock_runtime::registry::ThreadRegistry;
 
+/// The monitor's QUEUED bit is set exactly when a queue is non-empty,
+/// checked once every worker has finished. From outside the crate the
+/// bit shows through the one-load quiescence check of a single hold:
+/// that check must pass exactly when the probe finds both queues empty.
+fn assert_queued_invariant(lock: &FatLock, registry: &ThreadRegistry) {
+    let me = registry.register().unwrap();
+    let t = me.token();
+    lock.lock(t, registry).unwrap();
+    let probe = lock.probe();
+    let queues_empty = probe.entry_queue_len == 0 && probe.wait_set_len == 0;
+    assert_eq!(
+        lock.is_sole_quiescent_owner(t),
+        queues_empty,
+        "QUEUED out of step with the queues: {probe:?}"
+    );
+    lock.unlock(t, registry).unwrap();
+}
+
 /// Shared scenario: several threads perform a random mix of plain
 /// critical sections and condition-variable handoffs; the same schedule
 /// (same seeds) is executed against the oracles and results compared.
@@ -86,6 +104,7 @@ fn run_ours(threads: usize, per_thread: u32, seed: u64) -> (u64, u64) {
     });
     assert_eq!(lock.owner(), None, "monitor fully released at end");
     assert_eq!(lock.entry_queue_len(), 0);
+    assert_queued_invariant(&lock, &registry);
     (
         totals.increments.load(Ordering::Relaxed),
         totals.handoffs.load(Ordering::Relaxed),
@@ -180,6 +199,7 @@ fn heavy_reentrancy_stress() {
         }
     });
     assert_eq!(lock.owner(), None);
+    assert_queued_invariant(&lock, &registry);
 }
 
 #[test]
@@ -207,4 +227,5 @@ fn release_all_under_contention_restores_consistency() {
     assert_eq!(lock.owner(), None);
     assert_eq!(lock.entry_queue_len(), 0);
     assert_eq!(lock.wait_set_len(), 0);
+    assert_queued_invariant(&lock, &registry);
 }

@@ -26,9 +26,8 @@
 //! answers `SkipPark` there so no thread ever really parks; blocking
 //! happens inside `reached` instead, where the controller can see it.
 //! Every schedule point sits *outside* any internal mutex (the fat
-//! lock's `inner` critical sections in particular), so a thread blocked
-//! in `reached` never holds a lock another thread needs to make
-//! progress.
+//! lock's queue mutex in particular), so a thread blocked in `reached`
+//! never holds a lock another thread needs to make progress.
 
 use std::fmt;
 

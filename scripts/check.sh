@@ -22,8 +22,8 @@ cargo test -q --offline
 echo "== lockbench's own tests (library-1t checksum, traced lock spans per VM request)"
 cargo test -q --offline --manifest-path lockbench/Cargo.toml
 
-echo "== core crate tests in release (deflation and admission races need optimized timing)"
-cargo test -q --release --offline -p thinlock
+echo "== core and monitor crate tests in release (deflation, admission and fat-monitor arrival/release races need optimized timing)"
+cargo test -q --release --offline -p thinlock -p thinlock-monitor
 
 echo "== lockcheck: race verdicts must match ground truth"
 cargo run -q --release --offline -p thinlock-analysis --bin lockcheck -- --deny-races >/dev/null
