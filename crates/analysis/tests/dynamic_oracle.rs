@@ -22,6 +22,7 @@ use thinlock_analysis::analyze_program;
 use thinlock_analysis::escape::EscapeContext;
 use thinlock_analysis::lockstack::Sym;
 use thinlock_runtime::heap::{Heap, ObjRef};
+use thinlock_runtime::hooks::HookSet;
 use thinlock_runtime::protocol::{SyncProtocol, WaitOutcome};
 use thinlock_runtime::registry::{ThreadRegistry, ThreadToken};
 use thinlock_runtime::stats::LockStats;
@@ -279,17 +280,18 @@ fn pre_inflation_hints_eliminate_overflow_inflation_impl() {
     let depth = 300; // > 256 simultaneous holds: thin count overflows
 
     // Without hints: one count-overflow inflation mid-critical-section.
-    let (locks, pool) = {
+    let (locks, pool, stats) = {
         let heap = Arc::new(Heap::with_capacity_and_fields(2, 1));
-        let locks =
-            ThinLocks::new(heap, ThreadRegistry::new()).with_stats(Arc::new(LockStats::new()));
+        let stats = Arc::new(LockStats::new());
+        let hooks = HookSet::new().sink(Arc::clone(&stats) as _);
+        let locks = ThinLocks::new(heap, ThreadRegistry::new()).with_hooks(hooks);
         let pool = vec![locks.heap().alloc().unwrap()];
-        (locks, pool)
+        (locks, pool, stats)
     };
     let reg = locks.registry().register().unwrap();
     let vm = Vm::new(&locks, &program, pool).unwrap();
     vm.run("main", reg.token(), &[Value::Int(depth)]).unwrap();
-    let cold = locks.stats().unwrap().snapshot();
+    let cold = stats.snapshot();
     assert_eq!(
         cold.inflations[1], 1,
         "count overflow without hints: {cold:?}"
@@ -297,19 +299,20 @@ fn pre_inflation_hints_eliminate_overflow_inflation_impl() {
     assert_eq!(cold.inflations[3], 0);
 
     // With hints: the overflow never happens; one up-front hint inflation.
-    let (locks, pool) = {
+    let (locks, pool, stats) = {
         let heap = Arc::new(Heap::with_capacity_and_fields(2, 1));
-        let locks =
-            ThinLocks::new(heap, ThreadRegistry::new()).with_stats(Arc::new(LockStats::new()));
+        let stats = Arc::new(LockStats::new());
+        let hooks = HookSet::new().sink(Arc::clone(&stats) as _);
+        let locks = ThinLocks::new(heap, ThreadRegistry::new()).with_hooks(hooks);
         let pool = vec![locks.heap().alloc().unwrap()];
-        (locks, pool)
+        (locks, pool, stats)
     };
     let reg = locks.registry().register().unwrap();
     let vm = Vm::new(&locks, &program, pool).unwrap();
     let applied = vm.apply_pre_inflation_hints(&report.nest.hints);
     assert_eq!(applied, 1);
     vm.run("main", reg.token(), &[Value::Int(depth)]).unwrap();
-    let warm = locks.stats().unwrap().snapshot();
+    let warm = stats.snapshot();
     assert_eq!(
         warm.inflations[1], 0,
         "hints must prevent overflow: {warm:?}"

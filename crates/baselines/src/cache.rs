@@ -34,6 +34,7 @@ use thinlock_monitor::FatLock;
 use thinlock_runtime::backend::{MonitorProbe, SyncBackend};
 use thinlock_runtime::error::{SyncError, SyncResult};
 use thinlock_runtime::heap::{Heap, ObjRef};
+use thinlock_runtime::hooks::NoHooks;
 use thinlock_runtime::lockword::ThreadIndex;
 use thinlock_runtime::protocol::{SyncProtocol, WaitOutcome};
 use thinlock_runtime::registry::{ThreadRegistry, ThreadToken};
@@ -205,7 +206,7 @@ impl MonitorCache {
 impl SyncProtocol for MonitorCache {
     fn lock(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<()> {
         let monitor = self.monitor_for(obj);
-        monitor.lock(t, &self.registry)
+        monitor.lock(t, &self.registry, &NoHooks)
     }
 
     fn unlock(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<()> {
@@ -224,7 +225,7 @@ impl SyncProtocol for MonitorCache {
         timeout: Option<Duration>,
     ) -> SyncResult<WaitOutcome> {
         match self.monitor_if_present(obj) {
-            Some(monitor) => monitor.wait(t, &self.registry, timeout),
+            Some(monitor) => monitor.wait(t, &self.registry, timeout, &NoHooks),
             None => Err(SyncError::NotLocked),
         }
     }

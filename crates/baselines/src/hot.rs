@@ -30,6 +30,7 @@ use thinlock_monitor::FatLock;
 use thinlock_runtime::backend::{MonitorProbe, SyncBackend};
 use thinlock_runtime::error::{SyncError, SyncResult};
 use thinlock_runtime::heap::{Heap, ObjRef};
+use thinlock_runtime::hooks::NoHooks;
 use thinlock_runtime::lockword::{LockWord, ThreadIndex};
 use thinlock_runtime::protocol::{SyncProtocol, WaitOutcome};
 use thinlock_runtime::registry::{ThreadRegistry, ThreadToken};
@@ -320,11 +321,11 @@ impl SyncProtocol for HotLocks {
         // Hot fast path: follow the pointer, let the monitor compare the
         // thread identifier and bump its count.
         if let Some(slot) = self.hot_slot_of(obj) {
-            return self.hot[slot].lock.lock(t, &self.registry);
+            return self.hot[slot].lock.lock(t, &self.registry, &NoHooks);
         }
         match self.resolve_for_lock(obj) {
-            Resolved::Hot(slot) => self.hot[slot].lock.lock(t, &self.registry),
-            Resolved::Cold(monitor) => monitor.lock(t, &self.registry),
+            Resolved::Hot(slot) => self.hot[slot].lock.lock(t, &self.registry, &NoHooks),
+            Resolved::Cold(monitor) => monitor.lock(t, &self.registry, &NoHooks),
         }
     }
 
@@ -343,8 +344,12 @@ impl SyncProtocol for HotLocks {
         timeout: Option<Duration>,
     ) -> SyncResult<WaitOutcome> {
         match self.resolve_existing(obj) {
-            Some(Resolved::Hot(slot)) => self.hot[slot].lock.wait(t, &self.registry, timeout),
-            Some(Resolved::Cold(monitor)) => monitor.wait(t, &self.registry, timeout),
+            Some(Resolved::Hot(slot)) => {
+                self.hot[slot]
+                    .lock
+                    .wait(t, &self.registry, timeout, &NoHooks)
+            }
+            Some(Resolved::Cold(monitor)) => monitor.wait(t, &self.registry, timeout, &NoHooks),
             None => Err(SyncError::NotLocked),
         }
     }

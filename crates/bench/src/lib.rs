@@ -25,12 +25,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use thinlock::config::{DynamicConfig, FastPathConfig, StaticMp, StaticUp};
-use thinlock::{BackendChoice, CjmLocks, FissileLocks, ThinLocks};
+use thinlock::fissile::Fissile;
+use thinlock::{BackendChoice, CjmLocks, FissileLocks, LockCore, ThinLocks};
 use thinlock_baselines::{HotLocks, MonitorCache};
 use thinlock_runtime::arch::ArchProfile;
 use thinlock_runtime::backend::SyncBackend;
 use thinlock_runtime::error::SyncResult;
 use thinlock_runtime::heap::{Heap, ObjRef};
+use thinlock_runtime::hooks::{HookSet, Hooks};
 use thinlock_runtime::protocol::{SyncProtocol, WaitOutcome};
 use thinlock_runtime::registry::{ThreadRegistry, ThreadToken};
 use thinlock_trace::characterize::{characterize, TraceCharacterization};
@@ -1032,7 +1034,7 @@ pub fn plan_from_profile(
 /// assert!(!locks.pinned(hot));
 /// # Ok::<(), thinlock_runtime::SyncError>(())
 /// ```
-pub fn apply_plan(locks: &FissileLocks, plan: &AdaptivePlan) {
+pub fn apply_plan<H: Hooks>(locks: &LockCore<Fissile, DynamicConfig, H>, plan: &AdaptivePlan) {
     for index in 0..locks.heap().capacity() {
         let obj = ObjRef::from_index(index);
         if locks.pinned(obj) && !plan.pin.contains(&obj) {
@@ -1149,27 +1151,6 @@ pub fn concurrent_macro(
         .collect()
 }
 
-/// Everything the profiling corpus produced: the aggregated contention
-/// profile plus the statistics counters of the same run, so callers can
-/// cross-check that the event stream attributes every inflation the
-/// counters saw.
-#[derive(Debug, Clone)]
-pub struct ProfiledRun {
-    /// Per-object contention profile built from the merged event rings.
-    pub profile: thinlock_obs::ContentionProfile,
-    /// The run's scenario counters (same run, same protocol instance).
-    pub stats: thinlock_runtime::stats::StatsSnapshot,
-}
-
-impl ProfiledRun {
-    /// True if the event stream attributes exactly the inflations the
-    /// statistics counters recorded, cause by cause — the acceptance
-    /// check of the `reproduce profile` section.
-    pub fn attribution_consistent(&self) -> bool {
-        self.profile.inflations_by_cause() == self.stats.inflations
-    }
-}
-
 /// Runs the profiling corpus: a deterministic workload that exercises
 /// every locking scenario and every
 /// [`InflationCause`](thinlock_runtime::stats::InflationCause) while a
@@ -1194,16 +1175,13 @@ impl ProfiledRun {
 ///
 /// Panics if any corpus phase fails to drive the protocol into the
 /// intended state (these are the same guarantees the unit tests assert).
-pub fn run_profile_corpus(config: thinlock_obs::TracerConfig) -> ProfiledRun {
+pub fn run_profile_corpus(config: thinlock_obs::TracerConfig) -> thinlock_obs::ContentionProfile {
     use thinlock_obs::{ContentionProfile, LockTracer};
-    use thinlock_runtime::events::{TraceEventKind, TraceSink};
-    use thinlock_runtime::stats::LockStats;
+    use thinlock_runtime::events::TraceEventKind;
 
     let tracer = Arc::new(LockTracer::new(config));
-    let stats = Arc::new(LockStats::new());
-    let protocol = ThinLocks::with_capacity(8)
-        .with_stats(Arc::clone(&stats))
-        .with_trace_sink(Arc::clone(&tracer) as Arc<dyn TraceSink>);
+    let protocol =
+        ThinLocks::with_capacity(8).with_hooks(HookSet::new().sink(Arc::clone(&tracer) as _));
 
     let reg = protocol.registry().register().expect("registry has room");
     let t = reg.token();
@@ -1291,10 +1269,7 @@ pub fn run_profile_corpus(config: thinlock_obs::TracerConfig) -> ProfiledRun {
         }
     }
 
-    ProfiledRun {
-        profile: ContentionProfile::build(&tracer.snapshot()),
-        stats: stats.snapshot(),
-    }
+    ContentionProfile::build(&tracer.snapshot())
 }
 
 /// A protocol whose lock operations do nothing — Figure 6's "NOP" case,
@@ -1551,14 +1526,13 @@ mod tests {
     #[test]
     fn plan_pins_only_contended_objects() {
         use thinlock_obs::{ContentionProfile, LockTracer, TracerConfig};
-        use thinlock_runtime::events::TraceSink;
 
         let tracer = Arc::new(LockTracer::new(TracerConfig {
             max_threads: 8,
             ring_capacity: 4096,
         }));
         let locks = FissileLocks::with_capacity(4)
-            .with_trace_sink(Arc::clone(&tracer) as Arc<dyn TraceSink>);
+            .with_hooks(HookSet::new().sink(Arc::clone(&tracer) as _));
         let hot = locks.heap().alloc().unwrap();
         let cold = locks.heap().alloc().unwrap();
 
@@ -1674,14 +1648,13 @@ mod tests {
     #[test]
     fn single_thread_workload_never_pins() {
         use thinlock_obs::{ContentionProfile, LockTracer, TracerConfig};
-        use thinlock_runtime::events::TraceSink;
 
         let tracer = Arc::new(LockTracer::new(TracerConfig {
             max_threads: 2,
             ring_capacity: 4096,
         }));
         let locks = FissileLocks::with_capacity(2)
-            .with_trace_sink(Arc::clone(&tracer) as Arc<dyn TraceSink>);
+            .with_hooks(HookSet::new().sink(Arc::clone(&tracer) as _));
         let obj = locks.heap().alloc().unwrap();
         let reg = locks.registry().register().unwrap();
         let t = reg.token();
@@ -1808,28 +1781,64 @@ mod tests {
     }
 
     #[test]
+    fn reentrant_fat_acquisition_is_not_contention() {
+        use thinlock::BackendSeams;
+        use thinlock_obs::{ContentionProfile, LockTracer, TracerConfig};
+
+        for choice in BackendChoice::ALL {
+            let tracer = Arc::new(LockTracer::new(TracerConfig {
+                max_threads: 2,
+                ring_capacity: 256,
+            }));
+            let seams = BackendSeams {
+                hooks: Some(HookSet::new().sink(Arc::clone(&tracer) as _)),
+                ..BackendSeams::default()
+            };
+            let locks = choice.build_with(2, seams);
+            let obj = locks.heap().alloc().unwrap();
+            let reg = locks.registry().register().unwrap();
+            let t = reg.token();
+            // One thread: inflate with a timed wait, then re-enter the fat
+            // lock by `lock` and by `try_lock`.
+            locks.lock(obj, t).unwrap();
+            let waited = locks.wait(obj, t, Some(Duration::from_millis(1)));
+            assert_eq!(waited, Ok(WaitOutcome::TimedOut), "{choice}");
+            locks.lock(obj, t).unwrap();
+            assert_eq!(locks.try_lock(obj, t), Ok(true), "{choice}");
+            for _ in 0..3 {
+                locks.unlock(obj, t).unwrap();
+            }
+            let profile = ContentionProfile::build(&tracer.snapshot());
+            let contended: u64 = profile
+                .objects
+                .iter()
+                .map(|o| o.acquire_fat_contended)
+                .sum();
+            assert_eq!(contended, 0, "{choice}: nesting counted as queueing");
+            assert!(
+                plan_from_profile(&profile, 1).pin.is_empty(),
+                "{choice}: one thread's nesting pinned its object"
+            );
+        }
+    }
+
+    #[test]
     fn profile_corpus_attributes_every_inflation() {
-        let run = run_profile_corpus(thinlock_obs::TracerConfig {
+        let profile = run_profile_corpus(thinlock_obs::TracerConfig {
             max_threads: 16,
             ring_capacity: 4096,
         });
-        assert!(
-            run.attribution_consistent(),
-            "stats {:?} vs traced {:?}",
-            run.stats.inflations,
-            run.profile.inflations_by_cause()
-        );
-        // One inflation of every cause, in stats and in the trace.
-        assert_eq!(run.stats.inflations, [1, 1, 1, 1]);
-        assert_eq!(run.profile.inflations.len(), 4);
+        // One inflation of every cause.
+        assert_eq!(profile.inflations_by_cause(), [1, 1, 1, 1]);
+        assert_eq!(profile.inflations.len(), 4);
         // Every traced inflation names its object.
-        assert!(run.profile.inflations.iter().all(|i| i.obj.is_some()));
+        assert!(profile.inflations.iter().all(|i| i.obj.is_some()));
         // The corpus exercises elision hits and monitor allocations too.
-        assert!(run.profile.elision_hits > 0);
-        assert!(run.profile.monitors_allocated >= 4);
-        assert_eq!(run.profile.dropped, 0, "rings sized for the corpus");
+        assert!(profile.elision_hits > 0);
+        assert!(profile.monitors_allocated >= 4);
+        assert_eq!(profile.dropped, 0, "rings sized for the corpus");
         // The hot object dominates the ranking.
-        assert_eq!(run.profile.objects[0].acquire_unlocked, 1_000);
+        assert_eq!(profile.objects[0].acquire_unlocked, 1_000);
     }
 
     #[test]

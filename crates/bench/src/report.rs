@@ -564,10 +564,8 @@ fn fairness(iters: i32, backends: &[thinlock::BackendChoice], out: &mut BenchRep
         max_threads: threads as u16 + 1,
         ring_capacity: 16_384,
     }));
-    let adaptive = Arc::new(
-        thinlock::FissileLocks::with_capacity(4)
-            .with_trace_sink(Arc::clone(&tracer) as Arc<dyn thinlock_runtime::events::TraceSink>),
-    );
+    let hooks = thinlock_runtime::hooks::HookSet::new().sink(Arc::clone(&tracer) as _);
+    let adaptive = Arc::new(thinlock::FissileLocks::with_capacity(4).with_hooks(hooks));
     let hot = adaptive.heap().alloc().expect("heap has room");
     let cold = adaptive.heap().alloc().expect("heap has room");
     let dyn_locks: Arc<dyn SyncBackend + Send + Sync> = Arc::clone(&adaptive) as _;
@@ -1094,25 +1092,13 @@ fn lockmc() {
 }
 
 /// The observability pipeline (DESIGN.md §10): run the profiling corpus
-/// under a `LockTracer`, print the aggregated contention profile, and
-/// verify that the event stream attributes every inflation the
-/// statistics counters recorded.
+/// under a `LockTracer` and print the aggregated contention profile with
+/// its inflations by cause.
 fn profile_section(profile_json: Option<&str>, out: &mut BenchReport) -> Result<(), String> {
     heading("profile: lock-event observability (per-thread rings, thinlock-obs)");
-    let run = crate::run_profile_corpus(thinlock_obs::TracerConfig::default());
-    println!("{}", run.profile);
-    let traced = run.profile.inflations_by_cause();
-    if !run.attribution_consistent() {
-        return Err(format!(
-            "inflation attribution mismatch: stats {:?} vs traced {:?}",
-            run.stats.inflations, traced
-        ));
-    }
-    println!(
-        "attribution check: stats inflations {:?} == traced {:?} (contention, overflow, wait, hint)",
-        run.stats.inflations, traced
-    );
-    for (cause, count) in INFLATION_CAUSES.iter().zip(run.stats.inflations) {
+    let profile = crate::run_profile_corpus(thinlock_obs::TracerConfig::default());
+    println!("{profile}");
+    for (cause, count) in INFLATION_CAUSES.iter().zip(profile.inflations_by_cause()) {
         out.push(BenchRecord::scalar(
             format!("profile/inflations/{cause}"),
             "profile",
@@ -1123,15 +1109,6 @@ fn profile_section(profile_json: Option<&str>, out: &mut BenchReport) -> Result<
             count as f64,
         ));
     }
-    out.push(BenchRecord::scalar(
-        "profile/attribution_consistent",
-        "profile",
-        None,
-        "count",
-        GateClass::Exact,
-        Direction::Informational,
-        1.0,
-    ));
     // Event totals include timing-dependent spin events: informational.
     out.push(BenchRecord::scalar(
         "profile/events",
@@ -1140,10 +1117,10 @@ fn profile_section(profile_json: Option<&str>, out: &mut BenchReport) -> Result<
         "count",
         GateClass::Ratio,
         Direction::Informational,
-        run.profile.events as f64,
+        profile.events as f64,
     ));
     if let Some(path) = profile_json {
-        std::fs::write(path, run.profile.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
+        std::fs::write(path, profile.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
         println!("profile JSON written to {path}");
     }
     Ok(())
@@ -1340,7 +1317,6 @@ pub fn expected_ids() -> Vec<String> {
     for cause in INFLATION_CAUSES {
         ids.push(format!("profile/inflations/{cause}"));
     }
-    ids.push("profile/attribution_consistent".into());
     ids.push("profile/events".into());
 
     ids

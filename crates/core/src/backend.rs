@@ -17,11 +17,9 @@ use std::fmt;
 use std::sync::Arc;
 
 use thinlock_runtime::backend::SyncBackend;
-use thinlock_runtime::events::TraceSink;
-use thinlock_runtime::fault::FaultInjector;
-use thinlock_runtime::schedule::Schedule;
-use thinlock_runtime::stats::LockStats;
+use thinlock_runtime::hooks::{HookSet, Hooks};
 
+use crate::config::DynamicConfig;
 use crate::lockcore::{LockCore, Policy};
 use crate::{CjmLocks, FissileLocks, HapaxLocks, ThinLocks};
 
@@ -43,53 +41,33 @@ pub enum BackendChoice {
 }
 
 /// Optional instrumentation threaded into a backend at construction.
-/// Every backend honors all five seams.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct BackendSeams {
-    /// Statistics counters (`LockCore::with_stats` discipline).
-    pub stats: Option<Arc<LockStats>>,
-    /// Event sink for the full transition stream.
-    pub trace_sink: Option<Arc<dyn TraceSink>>,
-    /// Fault injector for the chaos harness.
-    pub fault_injector: Option<Arc<dyn FaultInjector>>,
-    /// Cooperative schedule for the model checker.
-    pub schedule: Option<Arc<dyn Schedule>>,
+    /// The hook to attach ([`LockCore::with_hooks`]): the schedule, the
+    /// fault injector and the event sinks. `None` builds the
+    /// uninstrumented backend.
+    pub hooks: Option<HookSet>,
     /// Install the registry exit sweeper for orphaned-lock recovery.
     pub orphan_recovery: bool,
 }
 
-impl fmt::Debug for BackendSeams {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("BackendSeams")
-            .field("stats", &self.stats.is_some())
-            .field("trace_sink", &self.trace_sink.is_some())
-            .field("fault_injector", &self.fault_injector.is_some())
-            .field("schedule", &self.schedule.is_some())
-            .field("orphan_recovery", &self.orphan_recovery)
-            .finish()
-    }
-}
-
 impl BackendSeams {
-    /// Threads these seams into `locks` (sink and injector before the
-    /// orphan sweeper, so the sweeper inherits them).
-    fn apply<P: Policy>(self, mut locks: LockCore<P>) -> Arc<dyn SyncBackend + Send + Sync> {
-        if let Some(stats) = self.stats {
-            locks = locks.with_stats(stats);
+    /// Threads these seams into `locks` (the hook before the orphan
+    /// sweeper, so the sweeper inherits it).
+    fn apply<P: Policy>(self, locks: LockCore<P>) -> Arc<dyn SyncBackend + Send + Sync> {
+        fn finish<P: Policy, H: Hooks + Clone + 'static>(
+            locks: LockCore<P, DynamicConfig, H>,
+            orphan_recovery: bool,
+        ) -> Arc<dyn SyncBackend + Send + Sync> {
+            if orphan_recovery {
+                locks.enable_orphan_recovery();
+            }
+            Arc::new(locks)
         }
-        if let Some(sink) = self.trace_sink {
-            locks = locks.with_trace_sink(sink);
+        match self.hooks {
+            Some(hooks) => finish(locks.with_hooks(hooks), self.orphan_recovery),
+            None => finish(locks, self.orphan_recovery),
         }
-        if let Some(injector) = self.fault_injector {
-            locks = locks.with_fault_injector(injector);
-        }
-        if let Some(schedule) = self.schedule {
-            locks = locks.with_schedule(schedule);
-        }
-        if self.orphan_recovery {
-            locks = locks.with_orphan_recovery();
-        }
-        Arc::new(locks)
     }
 }
 
@@ -197,11 +175,12 @@ mod tests {
 
     #[test]
     fn seams_thread_through_instrumented_backends() {
+        use thinlock_runtime::stats::LockStats;
+
         let stats = Arc::new(LockStats::new());
         let seams = BackendSeams {
-            stats: Some(Arc::clone(&stats)),
+            hooks: Some(HookSet::new().sink(Arc::clone(&stats) as _)),
             orphan_recovery: true,
-            ..BackendSeams::default()
         };
         let locks = BackendChoice::Cjm.build_with(4, seams);
         let r = locks.registry().register().unwrap();

@@ -79,12 +79,13 @@ use std::sync::Arc;
 use thinlock_monitor::{FatLock, MonitorPool};
 use thinlock_runtime::arch::LockWordCell;
 use thinlock_runtime::error::SyncResult;
-use thinlock_runtime::events::{TraceEventKind, TraceSink};
-use thinlock_runtime::fault::{FaultInjector, InjectionPoint};
+use thinlock_runtime::events::TraceEventKind;
+use thinlock_runtime::fault::InjectionPoint;
 use thinlock_runtime::heap::{Heap, ObjRef};
+use thinlock_runtime::hooks::{Hooks, Site};
 use thinlock_runtime::lockword::{LockWord, MonitorIndex};
 use thinlock_runtime::registry::{ThreadRegistry, ThreadToken};
-use thinlock_runtime::schedule::{SchedPoint, Schedule};
+use thinlock_runtime::schedule::SchedPoint;
 
 use crate::config::{DynamicConfig, FastPathConfig};
 use crate::lockcore::{LockCore, Monitors, Policy};
@@ -104,18 +105,20 @@ impl Monitors for MonitorPool {
 
     /// The slot may be recycled and transiently held by a stale acquirer,
     /// so an owned installation adopts the monitor through its queue
-    /// (`lock_n`) instead of constructing a pre-owned monitor.
+    /// (`lock_n`, under the caller's `hooks`) instead of constructing a
+    /// pre-owned monitor.
     #[inline]
-    fn install(
+    fn install<H: Hooks>(
         &self,
         obj: ObjRef,
         owner: Option<(ThreadToken, u32)>,
         registry: &ThreadRegistry,
+        hooks: &H,
     ) -> SyncResult<MonitorIndex> {
-        let idx = self.acquire(obj_index(obj))?;
+        let idx = self.acquire(obj_index(obj), hooks)?;
         if let Some((t, count)) = owner {
             let monitor = MonitorPool::get(self, idx).expect("acquired slot resolves");
-            if let Err(e) = monitor.lock_n(t, count, registry) {
+            if let Err(e) = monitor.lock_n(t, count, registry, hooks) {
                 // Adoption failed (stale token): unbind and return the slot
                 // before anyone can see it.
                 self.release(idx);
@@ -130,18 +133,6 @@ impl Monitors for MonitorPool {
     #[inline]
     fn discard(&self, idx: MonitorIndex) {
         self.release(idx);
-    }
-
-    fn set_sink(&self, sink: Arc<dyn TraceSink>) {
-        MonitorPool::set_sink(self, sink);
-    }
-
-    fn set_fault_injector(&self, injector: Arc<dyn FaultInjector>) {
-        MonitorPool::set_fault_injector(self, injector);
-    }
-
-    fn set_schedule(&self, schedule: Arc<dyn Schedule>) {
-        MonitorPool::set_schedule(self, schedule);
     }
 
     #[inline]
@@ -204,8 +195,8 @@ impl Policy for Cjm {
     /// Deflate iff the releaser is the sole quiescent owner — one atomic
     /// snapshot; see [`FatLock::is_sole_quiescent_owner`] for why the
     /// check cannot be three separate reads.
-    fn release_fat<C: FastPathConfig>(
-        core: &LockCore<Self, C>,
+    fn release_fat<C: FastPathConfig, H: Hooks>(
+        core: &LockCore<Self, C, H>,
         obj: ObjRef,
         t: ThreadToken,
         idx: MonitorIndex,
@@ -300,7 +291,7 @@ impl CjmLocks {
     }
 }
 
-impl<C: FastPathConfig> LockCore<Cjm, C> {
+impl<C: FastPathConfig, H: Hooks> LockCore<Cjm, C, H> {
     /// The monitor pool — population gauges for benchmarks and tests.
     pub fn pool(&self) -> &MonitorPool {
         &self.policy.pool
@@ -318,11 +309,13 @@ impl<C: FastPathConfig> LockCore<Cjm, C> {
         monitor: &FatLock,
         t: ThreadToken,
     ) -> SyncResult<()> {
-        self.reach(SchedPoint::Deflate, obj);
         // Deschedule between the quiescence decision and the deflating
         // store — the window in which fresh contenders can still enqueue
         // (they revalidate and retry; the chaos suite leans on this).
-        self.yield_point(InjectionPoint::UnlockStore);
+        self.yield_point(
+            Site::both(SchedPoint::Deflate, InjectionPoint::UnlockStore),
+            obj,
+        );
         // Count the slot out of the population before the neutral store:
         // a contender may thin-lock the neutral word and re-inflate at
         // once, and must not find this object still holding a slot. We
@@ -340,7 +333,7 @@ impl<C: FastPathConfig> LockCore<Cjm, C> {
         let r = monitor.unlock(t, &self.registry);
         debug_assert!(r.is_ok(), "sole owner release cannot fail");
         pool.recycle(idx);
-        self.record_fat_unlock(t, obj);
+        self.emit(t, obj, TraceEventKind::UnlockFat);
         r
     }
 
@@ -388,6 +381,7 @@ mod tests {
     use std::time::Duration;
     use thinlock_runtime::backend::SyncBackend;
     use thinlock_runtime::error::SyncError;
+    use thinlock_runtime::hooks::HookSet;
     use thinlock_runtime::protocol::{SyncProtocol, WaitOutcome};
     use thinlock_runtime::stats::LockStats;
 
@@ -665,7 +659,7 @@ mod tests {
     #[test]
     fn stats_and_events_flow_through() {
         let stats = Arc::new(LockStats::new());
-        let p = fresh(4).with_stats(Arc::clone(&stats));
+        let p = fresh(4).with_hooks(HookSet::new().sink(Arc::clone(&stats) as _));
         let r = p.registry().register().unwrap();
         let t = r.token();
         let obj = p.heap().alloc().unwrap();

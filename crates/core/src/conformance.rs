@@ -4,15 +4,20 @@
 //! shared behaviour has one definition and one row per backend. Tests of
 //! one policy's own mechanism stay with that policy.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier, Mutex};
 use std::thread;
 use std::time::Duration;
 
 use thinlock_runtime::backend::SyncBackend;
 use thinlock_runtime::error::SyncError;
+use thinlock_runtime::events::{TraceEventKind, TraceSink};
 use thinlock_runtime::fault::{FaultAction, FaultInjector, InjectionPoint};
+use thinlock_runtime::heap::ObjRef;
+use thinlock_runtime::hooks::HookSet;
+use thinlock_runtime::lockword::ThreadIndex;
 use thinlock_runtime::protocol::{SyncProtocol, WaitOutcome};
+use thinlock_runtime::stats::{LockStats, StatsSnapshot};
 
 use crate::lockcore::{LockCore, Policy};
 
@@ -37,6 +42,9 @@ macro_rules! rows {
             orphaned_thin_lock_is_reclaimed_on_registration_drop,
             orphaned_fat_lock_is_reclaimed_and_queue_woken,
             injected_cas_failure_routes_through_slow_path,
+            monitor_allocation_is_traced_and_injected_exhaustion_consumes_no_slot,
+            counting_sink_pins_the_scenario_totals,
+            failed_wait_and_notify_are_not_counted,
         );
     };
     (@each $fresh:expr; $($name:ident),* $(,)?) => {
@@ -339,7 +347,7 @@ pub(crate) fn injected_cas_failure_routes_through_slow_path<P: Policy>(fresh: Fr
     }
 
     let injector = Arc::new(FailFastCas::default());
-    let p = fresh(4).with_fault_injector(Arc::clone(&injector) as Arc<dyn FaultInjector>);
+    let p = fresh(4).with_hooks(HookSet::new().fault_injector(Arc::clone(&injector) as _));
     let r = p.registry().register().unwrap();
     let t = r.token();
     let obj = p.heap().alloc().unwrap();
@@ -351,4 +359,118 @@ pub(crate) fn injected_cas_failure_routes_through_slow_path<P: Policy>(fresh: Fr
         injector.0.load(Ordering::Relaxed) >= 1,
         "injector consulted"
     );
+}
+
+pub(crate) fn monitor_allocation_is_traced_and_injected_exhaustion_consumes_no_slot<P: Policy>(
+    fresh: Fresh<P>,
+) {
+    #[derive(Debug, Default)]
+    struct ExhaustOnce(AtomicBool);
+    impl FaultInjector for ExhaustOnce {
+        fn decide(&self, point: InjectionPoint) -> FaultAction {
+            if point == InjectionPoint::MonitorAllocate && !self.0.swap(true, Ordering::Relaxed) {
+                FaultAction::Exhaust
+            } else {
+                FaultAction::Proceed
+            }
+        }
+    }
+
+    #[derive(Debug, Default)]
+    struct Allocations(Mutex<Vec<u32>>);
+    impl TraceSink for Allocations {
+        fn record(&self, _t: Option<ThreadIndex>, _o: Option<ObjRef>, kind: TraceEventKind) {
+            if let TraceEventKind::MonitorAllocated { index } = kind {
+                self.0.lock().unwrap().push(index);
+            }
+        }
+    }
+
+    // Two objects and a store sized to them: a slot lost to the injected
+    // exhaustion would leave a one-way store unable to inflate both.
+    let allocations = Arc::new(Allocations::default());
+    let hooks = HookSet::new()
+        .fault_injector(Arc::new(ExhaustOnce::default()))
+        .sink(Arc::clone(&allocations) as _);
+    let p = fresh(2).with_hooks(hooks);
+    let r = p.registry().register().unwrap();
+    let t = r.token();
+    let (a, b) = (p.heap().alloc().unwrap(), p.heap().alloc().unwrap());
+    p.lock(a, t).unwrap();
+    assert_eq!(p.notify(a, t), Err(SyncError::MonitorIndexExhausted));
+    assert!(
+        p.lock_word(a).is_thin_shape(),
+        "exhaustion left the word thin"
+    );
+    assert_eq!(
+        p.monitors_allocated(),
+        0,
+        "injected exhaustion consumed no slot"
+    );
+    p.notify(a, t).unwrap(); // the store recovered
+    p.unlock(a, t).unwrap();
+    p.lock(b, t).unwrap();
+    p.notify(b, t).unwrap();
+    p.unlock(b, t).unwrap();
+    // Each event carries the installed index: a one-way store hands out
+    // a fresh slot per object, a deflating one recycles the first.
+    let second = if p.deflation_capable() { 0 } else { 1 };
+    assert_eq!(*allocations.0.lock().unwrap(), [0, second]);
+    assert_eq!(p.monitors_allocated(), 2);
+}
+
+pub(crate) fn counting_sink_pins_the_scenario_totals<P: Policy>(fresh: Fresh<P>) {
+    let stats = Arc::new(LockStats::new());
+    let p = fresh(4).with_hooks(HookSet::new().sink(Arc::clone(&stats) as _));
+    let r = p.registry().register().unwrap();
+    let t = r.token();
+    let [a, b, c, d] = [(); 4].map(|()| p.heap().alloc().unwrap());
+    // A first lock and two nested ones.
+    for _ in 0..3 {
+        p.lock(a, t).unwrap();
+    }
+    for _ in 0..3 {
+        p.unlock(a, t).unwrap();
+    }
+    // The 257th lock overflows the count and inflates.
+    for _ in 0..257 {
+        p.lock(b, t).unwrap();
+    }
+    for _ in 0..257 {
+        p.unlock(b, t).unwrap();
+    }
+    // A timed wait inflates, then a notify.
+    p.lock(c, t).unwrap();
+    let waited = p.wait(c, t, Some(Duration::from_millis(1))).unwrap();
+    assert_eq!(waited, WaitOutcome::TimedOut);
+    p.notify(c, t).unwrap();
+    p.unlock(c, t).unwrap();
+    // A pre-inflation hint.
+    assert!(p.pre_inflate_hint(d));
+    assert_eq!(
+        stats.snapshot(),
+        StatsSnapshot {
+            scenario_counts: [3, 5, 253, 0, 0, 0],
+            depth_histogram: [3, 2, 2, 1, 1, 1, 1, 250],
+            inflations: [0, 1, 1, 1],
+            unlocks_thin: 3,
+            unlocks_fat: 258,
+            spin_rounds: 0,
+            waits: 1,
+            notifies: 1,
+        }
+    );
+}
+
+pub(crate) fn failed_wait_and_notify_are_not_counted<P: Policy>(fresh: Fresh<P>) {
+    let stats = Arc::new(LockStats::new());
+    let p = fresh(4).with_hooks(HookSet::new().sink(Arc::clone(&stats) as _));
+    let r = p.registry().register().unwrap();
+    let t = r.token();
+    let obj = p.heap().alloc().unwrap();
+    assert_eq!(p.wait(obj, t, None), Err(SyncError::NotLocked));
+    assert_eq!(p.notify(obj, t), Err(SyncError::NotLocked));
+    assert_eq!(p.notify_all(obj, t), Err(SyncError::NotLocked));
+    let snap = stats.snapshot();
+    assert_eq!((snap.waits, snap.notifies), (0, 0));
 }

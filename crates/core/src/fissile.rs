@@ -70,6 +70,7 @@ use std::sync::Arc;
 
 use thinlock_monitor::MonitorTable;
 use thinlock_runtime::heap::{Heap, ObjRef};
+use thinlock_runtime::hooks::Hooks;
 use thinlock_runtime::registry::ThreadRegistry;
 
 use crate::config::{DynamicConfig, FastPathConfig};
@@ -182,7 +183,7 @@ impl FissileLocks {
     }
 }
 
-impl<C: FastPathConfig> LockCore<Fissile, C> {
+impl<C: FastPathConfig, H: Hooks> LockCore<Fissile, C, H> {
     /// True while `obj` is in a fissioned mode (including pinned) —
     /// blocking acquisitions are drawing FIFO tickets.
     pub fn is_fissioned(&self, obj: ObjRef) -> bool {

@@ -74,6 +74,7 @@ use std::sync::Arc;
 
 use thinlock_monitor::MonitorTable;
 use thinlock_runtime::heap::{Heap, ObjRef};
+use thinlock_runtime::hooks::Hooks;
 use thinlock_runtime::registry::ThreadRegistry;
 
 use crate::config::{DynamicConfig, FastPathConfig};
@@ -140,7 +141,7 @@ impl HapaxLocks {
     }
 }
 
-impl<C: FastPathConfig> LockCore<Hapax, C> {
+impl<C: FastPathConfig, H: Hooks> LockCore<Hapax, C, H> {
     /// Tickets drawn for `obj` that have not yet been retired: the
     /// holder (if it arrived through `lock`) plus every queued thread.
     /// Advisory — the queue moves on concurrently.

@@ -5,7 +5,7 @@
 //! and Fissile/Hapax locks keep that word bit-identical and change only
 //! what happens on contention and release. [`LockCore`] therefore owns
 //! everything that does not depend on that choice: the heap, registry
-//! and instrumentation seams, the fast and nested paths, owner
+//! and instrumentation hook, the fast and nested paths, owner
 //! inflation and hints, `try_lock`/`lock_deadline`, `wait`/`notify`,
 //! the waits-for guard and the orphan sweep. A [`Policy`] adds only its
 //! contention and release rule:
@@ -18,9 +18,15 @@
 //! | [`Hapax`](crate::hapax::Hapax) | FIFO tickets | store, retire ticket |
 //!
 //! The policy is a type parameter, so every backend monomorphizes to its
-//! own lock path with no dynamic dispatch. Hooks a policy leaves at their
-//! defaults are constants the optimizer folds away: thin and CJM never
-//! touch a ticket ledger or a mode byte.
+//! own lock path with no dynamic dispatch. Policy methods a policy leaves
+//! at their defaults are constants the optimizer folds away: thin and CJM
+//! never touch a ticket ledger or a mode byte.
+//!
+//! The instrumentation [`Hooks`] are a type parameter too. The default,
+//! [`NoHooks`], is zero-sized and inlines to nothing, so an
+//! uninstrumented lock is the paper's CAS and its release the paper's
+//! store with no seam branch; [`LockCore::with_hooks`] attaches the
+//! dynamic [`HookSet`] the harnesses use (DESIGN.md §22).
 
 use std::fmt;
 use std::sync::Arc;
@@ -32,41 +38,27 @@ use thinlock_runtime::backend::{MonitorProbe, SyncBackend};
 use thinlock_runtime::backoff::Backoff;
 use thinlock_runtime::error::{SyncError, SyncResult};
 use thinlock_runtime::events::{TraceEventKind, TraceSink};
-use thinlock_runtime::fault::{FaultAction, FaultInjector, InjectionPoint};
+use thinlock_runtime::fault::{FaultAction, InjectionPoint};
 use thinlock_runtime::heap::{Heap, ObjRef};
+use thinlock_runtime::hooks::{HookSet, Hooks, NoHooks, Site};
 use thinlock_runtime::lockword::{LockWord, MonitorIndex, ThreadIndex, MAX_THIN_COUNT};
 use thinlock_runtime::protocol::{SyncProtocol, WaitOutcome};
 use thinlock_runtime::registry::{ExitSweeper, ThreadRecord, ThreadRegistry, ThreadToken};
-use thinlock_runtime::schedule::{SchedPoint, Schedule};
-use thinlock_runtime::stats::{InflationCause, LockScenario, LockStats};
+use thinlock_runtime::schedule::SchedPoint;
+use thinlock_runtime::stats::InflationCause;
 
 use crate::config::{DynamicConfig, FastPathConfig, UnlockStrategy};
 use crate::ticket::TicketLedger;
 
-/// Nesting depth at or below which an acquisition counts as "shallow" in
-/// the statistics — the paper never observed nesting deeper than four
-/// (Section 3.2).
-const SHALLOW_DEPTH: u32 = 4;
-
-/// The statistics scenario of a nested acquisition at `depth`.
+/// The event of a fat acquisition that reached `depth`: re-entry is
+/// nesting, as on the thin path, and only a first acquisition is an
+/// `AcquireFat`, `contended` if it queued behind another owner.
 #[inline]
-fn nested(depth: u32) -> LockScenario {
-    if depth <= SHALLOW_DEPTH {
-        LockScenario::NestedShallow
-    } else {
-        LockScenario::NestedDeep
-    }
-}
-
-/// The statistics scenario of a fat acquisition reaching `depth`.
-#[inline]
-fn fat_scenario(depth: u32, contended: bool) -> LockScenario {
+fn fat_acquired(depth: u32, contended: bool) -> TraceEventKind {
     if depth > 1 {
-        nested(depth)
-    } else if contended {
-        LockScenario::FatContended
+        TraceEventKind::AcquireNested { depth }
     } else {
-        LockScenario::FatUncontended
+        TraceEventKind::AcquireFat { contended }
     }
 }
 
@@ -78,31 +70,27 @@ pub trait Monitors: Send + Sync {
     fn get(&self, idx: MonitorIndex) -> Option<&FatLock>;
 
     /// Installs a monitor for `obj`, owned `count` times by the thread
-    /// of `owner`, or unowned for `None`.
+    /// of `owner`, or unowned for `None`, under `hooks`: the store passes
+    /// the [`InjectionPoint::MonitorAllocate`] site, tells `hooks` the
+    /// [`TraceEventKind::MonitorAllocated`] index, and adopts the monitor
+    /// through its queue under them when it must.
     ///
     /// # Errors
     ///
-    /// [`SyncError::MonitorIndexExhausted`] when the store is full.
-    fn install(
+    /// [`SyncError::MonitorIndexExhausted`] when the store is full (or
+    /// `hooks` injects exhaustion, which consumes no slot).
+    fn install<H: Hooks>(
         &self,
         obj: ObjRef,
         owner: Option<(ThreadToken, u32)>,
         registry: &ThreadRegistry,
+        hooks: &H,
     ) -> SyncResult<MonitorIndex>;
 
     /// Takes back an unowned monitor whose installing CAS lost.
     fn discard(&self, idx: MonitorIndex) {
         let _ = idx;
     }
-
-    /// Streams monitor allocations to `sink`.
-    fn set_sink(&self, sink: Arc<dyn TraceSink>);
-
-    /// Stamps `injector` into every monitor the store creates.
-    fn set_fault_injector(&self, injector: Arc<dyn FaultInjector>);
-
-    /// Stamps `schedule` into every monitor the store creates.
-    fn set_schedule(&self, schedule: Arc<dyn Schedule>);
 
     /// Monitors currently backing a fat word.
     fn live(&self) -> usize;
@@ -126,31 +114,18 @@ impl Monitors for MonitorTable {
     }
 
     #[inline]
-    fn install(
+    fn install<H: Hooks>(
         &self,
         _obj: ObjRef,
         owner: Option<(ThreadToken, u32)>,
         _registry: &ThreadRegistry,
+        hooks: &H,
     ) -> SyncResult<MonitorIndex> {
-        self.allocate(match owner {
+        let lock = match owner {
             Some((t, count)) => FatLock::new_owned(t, count),
             None => FatLock::new(),
-        })
-    }
-
-    #[inline]
-    fn set_sink(&self, sink: Arc<dyn TraceSink>) {
-        MonitorTable::set_sink(self, sink);
-    }
-
-    #[inline]
-    fn set_fault_injector(&self, injector: Arc<dyn FaultInjector>) {
-        MonitorTable::set_fault_injector(self, injector);
-    }
-
-    #[inline]
-    fn set_schedule(&self, schedule: Arc<dyn Schedule>) {
-        MonitorTable::set_schedule(self, schedule);
+        };
+        self.allocate(lock, hooks)
     }
 
     #[inline]
@@ -244,8 +219,8 @@ pub trait Policy: Send + Sync + Sized + 'static {
     /// Releases the fat lock `t` holds through monitor `idx` when the
     /// policy does so differently; `None` falls through to the plain
     /// monitor release.
-    fn release_fat<C: FastPathConfig>(
-        core: &LockCore<Self, C>,
+    fn release_fat<C: FastPathConfig, H: Hooks>(
+        core: &LockCore<Self, C, H>,
         obj: ObjRef,
         t: ThreadToken,
         idx: MonitorIndex,
@@ -273,16 +248,15 @@ pub trait Policy: Send + Sync + Sized + 'static {
 /// configuration (runtime architecture test, store unlock). The backends
 /// are the aliases [`ThinLocks`](crate::ThinLocks),
 /// [`CjmLocks`](crate::CjmLocks), [`FissileLocks`](crate::FissileLocks)
-/// and [`HapaxLocks`](crate::HapaxLocks).
-pub struct LockCore<P: Policy, C: FastPathConfig = DynamicConfig> {
+/// and [`HapaxLocks`](crate::HapaxLocks). Generic over [`Hooks`] too:
+/// the aliases use [`NoHooks`], and [`with_hooks`](LockCore::with_hooks)
+/// returns the instrumented instantiation.
+pub struct LockCore<P: Policy, C: FastPathConfig = DynamicConfig, H: Hooks = NoHooks> {
     pub(crate) heap: Arc<Heap>,
     pub(crate) registry: ThreadRegistry,
     pub(crate) policy: Arc<P>,
     config: C,
-    stats: Option<Arc<LockStats>>,
-    tracer: Option<Arc<dyn TraceSink>>,
-    injector: Option<Arc<dyn FaultInjector>>,
-    schedule: Option<Arc<dyn Schedule>>,
+    hooks: H,
 }
 
 impl<P: Policy, C: FastPathConfig> LockCore<P, C> {
@@ -297,72 +271,39 @@ impl<P: Policy, C: FastPathConfig> LockCore<P, C> {
             registry,
             policy: Arc::new(policy),
             config,
-            stats: None,
-            tracer: None,
-            injector: None,
-            schedule: None,
+            hooks: NoHooks,
         }
     }
 
-    /// Attaches statistics counters (scenario characterization); counting
-    /// costs a couple of relaxed increments per operation.
-    #[must_use]
-    pub fn with_stats(mut self, stats: Arc<LockStats>) -> Self {
-        self.stats = Some(stats);
-        self
-    }
-
-    /// The attached statistics, if any.
-    pub fn stats(&self) -> Option<&LockStats> {
-        self.stats.as_deref()
-    }
-
-    /// Attaches an event sink: every protocol transition (acquire,
-    /// unlock, inflation with its cause, deflation, wait/notify, monitor
-    /// allocation) is streamed to `sink` as a [`TraceEventKind`] event.
+    /// Attaches the instrumentation hook: the protocol consults `hooks`
+    /// before every labeled step (each [`Site`] carries its
+    /// [`SchedPoint`], its [`InjectionPoint`] or both) and tells it about
+    /// every transition after the fact (acquire, unlock, inflation with
+    /// its cause, deflation, wait/notify, monitor allocation). The same
+    /// hook reaches the monitor layer's park points, the heap's
+    /// allocations and the orphan sweep, so one hook covers the whole
+    /// stack.
     ///
-    /// When no sink is attached the only hot-path cost is one
-    /// never-taken branch, and likewise for every other seam.
+    /// A serializing schedule — the `thinlock-modelcheck` crate — blocks
+    /// the calling thread inside [`Hooks::before`] to own the
+    /// interleaving. Timed paths (`try_lock`, `lock_deadline`) carry no
+    /// schedule points: the model checker only drives the untimed
+    /// operations.
     #[must_use]
-    pub fn with_trace_sink(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        self.policy.monitors().set_sink(Arc::clone(&sink));
-        self.tracer = Some(sink);
-        self
+    pub fn with_hooks(self, hooks: HookSet) -> LockCore<P, C, Arc<HookSet>> {
+        let hooks = Arc::new(hooks);
+        self.heap.set_hooks(Arc::clone(&hooks) as Arc<dyn Hooks>);
+        LockCore {
+            heap: self.heap,
+            registry: self.registry,
+            policy: self.policy,
+            config: self.config,
+            hooks,
+        }
     }
+}
 
-    /// Attaches a fault injector: the protocol consults it at each labeled
-    /// [`InjectionPoint`] (fast-path CAS, slow-path CAS, spin, unlock
-    /// store, inflation) and propagates it into the monitor store (which
-    /// stamps it into every fat lock it creates) and the heap, so one
-    /// injector covers the whole stack.
-    #[must_use]
-    pub fn with_fault_injector(mut self, injector: Arc<dyn FaultInjector>) -> Self {
-        self.policy
-            .monitors()
-            .set_fault_injector(Arc::clone(&injector));
-        self.heap.set_fault_injector(Arc::clone(&injector));
-        self.injector = Some(injector);
-        self
-    }
-
-    /// Attaches a cooperative schedule: the protocol announces each
-    /// labeled [`SchedPoint`] (fast-path CAS, nested stores, slow-path
-    /// CAS, spin, inflation publish, deflation, unlock stores, fat
-    /// release, notify) to it before executing the step, and propagates
-    /// it into the monitor store (covering the two park points). A
-    /// serializing scheduler — the `thinlock-modelcheck` crate — blocks
-    /// the calling thread inside [`Schedule::reached`] to take ownership
-    /// of the interleaving.
-    ///
-    /// Timed paths (`try_lock`, `lock_deadline`) carry no schedule
-    /// points: the model checker only drives the untimed operations.
-    #[must_use]
-    pub fn with_schedule(mut self, schedule: Arc<dyn Schedule>) -> Self {
-        self.policy.monitors().set_schedule(Arc::clone(&schedule));
-        self.schedule = Some(schedule);
-        self
-    }
-
+impl<P: Policy, C: FastPathConfig, H: Hooks + Clone + 'static> LockCore<P, C, H> {
     /// Installs the orphaned-lock sweeper on this protocol's registry:
     /// when a [`Registration`](thinlock_runtime::registry::Registration)
     /// drops while its thread still owns thin or fat locks, the sweep
@@ -370,10 +311,9 @@ impl<P: Policy, C: FastPathConfig> LockCore<P, C> {
     /// *before* the 15-bit index becomes reusable, so a recycled index
     /// can never be mistaken for the dead owner (stale-owner ABA).
     ///
-    /// Call after [`with_trace_sink`](LockCore::with_trace_sink) /
-    /// [`with_fault_injector`](LockCore::with_fault_injector) so the
-    /// sweeper inherits them. The sweep is a full heap scan — linear in
-    /// heap capacity, paid once per thread exit.
+    /// Call after [`with_hooks`](LockCore::with_hooks) so the sweeper
+    /// inherits the hook. The sweep is a full heap scan — linear in heap
+    /// capacity, paid once per thread exit.
     #[must_use]
     pub fn with_orphan_recovery(self) -> Self {
         self.enable_orphan_recovery();
@@ -387,12 +327,13 @@ impl<P: Policy, C: FastPathConfig> LockCore<P, C> {
         self.registry.set_exit_sweeper(Arc::new(OrphanSweeper {
             heap: Arc::clone(&self.heap),
             policy: Arc::clone(&self.policy),
-            tracer: self.tracer.clone(),
-            injector: self.injector.clone(),
+            hooks: self.hooks.clone(),
             profile: self.config.profile(),
         }));
     }
+}
 
+impl<P: Policy, C: FastPathConfig, H: Hooks> LockCore<P, C, H> {
     /// The fast-path configuration.
     pub fn config(&self) -> &C {
         &self.config
@@ -433,45 +374,31 @@ impl<P: Policy, C: FastPathConfig> LockCore<P, C> {
         self.heap.header(obj).lock_word()
     }
 
-    #[inline]
-    fn record_lock(&self, scenario: LockScenario, depth: u32) {
-        if let Some(s) = &self.stats {
-            s.record_lock(scenario, depth);
-        }
-    }
-
-    #[inline]
-    fn trace(&self, thread: Option<ThreadIndex>, obj: ObjRef, kind: TraceEventKind) {
-        if let Some(sink) = &self.tracer {
-            sink.record(thread, Some(obj), kind);
-        }
-    }
-
+    /// Tells the hook that `t` produced `kind` on `obj`.
     #[inline]
     pub(crate) fn emit(&self, t: ThreadToken, obj: ObjRef, kind: TraceEventKind) {
-        self.trace(Some(t.index()), obj, kind);
+        self.hooks.after(Some(t.index()), Some(obj), kind);
     }
 
+    /// A site with only a schedule point. Word-level points ignore the
+    /// answer: SkipPark only applies at the monitor-layer park points.
     #[inline]
-    fn inject(&self, point: InjectionPoint) -> FaultAction {
-        match &self.injector {
-            None => FaultAction::Proceed,
-            Some(injector) => injector.decide(point),
-        }
+    pub(crate) fn reach(&self, point: SchedPoint, obj: ObjRef) {
+        let _ = self.hooks.before(Site::sched(point), Some(obj));
     }
 
-    /// An injection point whose only fault is descheduling the caller.
+    /// A site whose only fault is descheduling the caller.
     #[inline]
-    pub(crate) fn yield_point(&self, point: InjectionPoint) {
-        if self.inject(point) == FaultAction::Yield {
+    pub(crate) fn yield_point(&self, site: Site, obj: ObjRef) {
+        if self.hooks.before(site, Some(obj)) == FaultAction::Yield {
             std::thread::yield_now();
         }
     }
 
-    /// An injection point guarding a CAS: `false` if the CAS must fail.
+    /// A site guarding a CAS: `false` if the CAS must fail.
     #[inline]
-    fn cas_allowed(&self, point: InjectionPoint) -> bool {
-        match self.inject(point) {
+    fn cas_allowed(&self, site: Site, obj: ObjRef) -> bool {
+        match self.hooks.before(site, Some(obj)) {
             FaultAction::FailCas => false,
             FaultAction::Yield => {
                 std::thread::yield_now();
@@ -481,13 +408,12 @@ impl<P: Policy, C: FastPathConfig> LockCore<P, C> {
         }
     }
 
-    #[inline]
-    pub(crate) fn reach(&self, point: SchedPoint, obj: ObjRef) {
-        if let Some(s) = &self.schedule {
-            // Word-level points ignore the returned action: SkipPark only
-            // applies at the monitor-layer park points.
-            let _ = s.reached(point, Some(obj));
-        }
+    /// Installs a monitor for `obj` in the policy's store under the
+    /// core's hook ([`Monitors::install`]).
+    fn install(&self, obj: ObjRef, owner: Option<(ThreadToken, u32)>) -> SyncResult<MonitorIndex> {
+        self.policy
+            .monitors()
+            .install(obj, owner, &self.registry, &self.hooks)
     }
 
     /// Resolves the fat lock of an inflated word. A recycling store may
@@ -508,12 +434,13 @@ impl<P: Policy, C: FastPathConfig> LockCore<P, C> {
         locks: u32,
         cause: InflationCause,
     ) -> SyncResult<&FatLock> {
-        self.reach(SchedPoint::Inflate, obj);
         // Deschedule between deciding to inflate and publishing the fat
         // word — the window in which other threads still spin.
-        self.yield_point(InjectionPoint::Inflate);
-        let monitors = self.policy.monitors();
-        let idx = monitors.install(obj, Some((t, locks)), &self.registry)?;
+        self.yield_point(
+            Site::both(SchedPoint::Inflate, InjectionPoint::Inflate),
+            obj,
+        );
+        let idx = self.install(obj, Some((t, locks)))?;
         let cell = self.cell(obj);
         let current = cell.load_relaxed();
         debug_assert_eq!(
@@ -522,11 +449,12 @@ impl<P: Policy, C: FastPathConfig> LockCore<P, C> {
         );
         cell.store_release(current.inflated(idx));
         self.policy.inflated();
-        if let Some(s) = &self.stats {
-            s.record_inflation(cause);
-        }
         self.emit(t, obj, TraceEventKind::Inflated { cause });
-        Ok(monitors.get(idx).expect("installed monitor resolves"))
+        Ok(self
+            .policy
+            .monitors()
+            .get(idx)
+            .expect("installed monitor resolves"))
     }
 
     /// The 257th acquisition: the caller holds the thin lock at the
@@ -536,7 +464,6 @@ impl<P: Policy, C: FastPathConfig> LockCore<P, C> {
         let locks = u32::from(word.thin_count()) + 2; // held + this one
         self.emit(t, obj, TraceEventKind::AcquireNested { depth: locks });
         self.inflate_owned(obj, t, locks, InflationCause::CountOverflow)?;
-        self.record_lock(LockScenario::NestedDeep, locks);
         Ok(())
     }
 
@@ -554,11 +481,9 @@ impl<P: Policy, C: FastPathConfig> LockCore<P, C> {
         if fast {
             let old = cell.load_relaxed().with_lock_field_clear();
             let new = LockWord::from_bits(old.bits() | t.shifted());
-            self.reach(SchedPoint::LockFast, obj);
-            if self.cas_allowed(InjectionPoint::LockFastCas)
-                && cell.try_cas(old, new, self.config.profile()).is_ok()
+            let site = Site::both(SchedPoint::LockFast, InjectionPoint::LockFastCas);
+            if self.cas_allowed(site, obj) && cell.try_cas(old, new, self.config.profile()).is_ok()
             {
-                self.record_lock(LockScenario::Unlocked, 1);
                 self.emit(t, obj, TraceEventKind::AcquireUnlocked);
                 return Ok(());
             }
@@ -571,7 +496,6 @@ impl<P: Policy, C: FastPathConfig> LockCore<P, C> {
             self.reach(SchedPoint::LockNest, obj);
             cell.store_relaxed(word.with_count_incremented());
             let depth = u32::from(word.thin_count()) + 2;
-            self.record_lock(nested(depth), depth);
             self.emit(t, obj, TraceEventKind::AcquireNested { depth });
             return Ok(());
         }
@@ -601,8 +525,7 @@ impl<P: Policy, C: FastPathConfig> LockCore<P, C> {
         let mut waiting = BlockedOnGuard(None);
         loop {
             if word.is_fat() {
-                let rounds = self.policy.tickets().is_none().then(|| backoff.rounds());
-                if self.lock_fat(obj, t, word, &mut waiting, rounds)? {
+                if self.lock_fat(obj, t, word, &mut waiting)? {
                     return Ok(());
                 }
                 word = cell.load_acquire();
@@ -642,12 +565,7 @@ impl<P: Policy, C: FastPathConfig> LockCore<P, C> {
                                 Err(e) => return Err(e),
                             }
                         }
-                        self.record_lock(LockScenario::ContendedThin, 1);
-                        if let Some(s) = &self.stats {
-                            s.record_spin_rounds(backoff.rounds());
-                        }
                     } else {
-                        self.record_lock(LockScenario::Unlocked, 1);
                         self.emit(t, obj, TraceEventKind::AcquireUnlocked);
                     }
                     return Ok(());
@@ -665,8 +583,10 @@ impl<P: Policy, C: FastPathConfig> LockCore<P, C> {
                 word = cell.load_acquire();
                 continue;
             }
-            self.reach(SchedPoint::LockSpin, obj);
-            self.yield_point(InjectionPoint::LockSpin);
+            self.yield_point(
+                Site::both(SchedPoint::LockSpin, InjectionPoint::LockSpin),
+                obj,
+            );
             backoff.snooze();
             word = cell.load_acquire();
         }
@@ -678,8 +598,7 @@ impl<P: Policy, C: FastPathConfig> LockCore<P, C> {
     /// an acquisition that must park publishes a waits-for edge (it is
     /// the only one that can deadlock). Returns `false` if the
     /// acquisition does not stand for `obj` (the policy's revalidation
-    /// failed); the caller retries from a fresh word. `spin_rounds` are
-    /// added to the statistics.
+    /// failed); the caller retries from a fresh word.
     #[inline]
     pub(crate) fn lock_fat(
         &self,
@@ -687,7 +606,6 @@ impl<P: Policy, C: FastPathConfig> LockCore<P, C> {
         t: ThreadToken,
         word: LockWord,
         waiting: &mut BlockedOnGuard,
-        spin_rounds: Option<u64>,
     ) -> SyncResult<bool> {
         if self.policy.tickets().is_some() {
             // The monitor's own park point carries no object; a scheduler
@@ -698,11 +616,12 @@ impl<P: Policy, C: FastPathConfig> LockCore<P, C> {
         let Some((idx, monitor)) = self.monitor_of(word) else {
             return Ok(false);
         };
+        self.yield_point(Site::fault(InjectionPoint::FatAcquire), obj);
         let (depth, contended) = match monitor.lock_uncontended(t) {
-            Some(depth) => (depth, depth > 1),
+            Some(depth) => (depth, false),
             None => {
                 waiting.publish(&self.registry, t, obj);
-                monitor.lock(t, &self.registry)?;
+                monitor.lock(t, &self.registry, &self.hooks)?;
                 (monitor.count(), true)
             }
         };
@@ -716,45 +635,32 @@ impl<P: Policy, C: FastPathConfig> LockCore<P, C> {
             self.reach(SchedPoint::LockSpin, obj);
             return Ok(false);
         }
-        if let Some(s) = &self.stats {
-            s.record_lock(fat_scenario(depth, contended), depth);
-            if let Some(rounds) = spin_rounds {
-                s.record_spin_rounds(rounds);
-            }
-        }
-        self.emit(t, obj, TraceEventKind::AcquireFat { contended });
+        self.emit(t, obj, fat_acquired(depth, contended));
         Ok(true)
     }
 
     /// A thin acquisition won after `rounds` spin rounds.
     pub(crate) fn record_thin_acquire(&self, obj: ObjRef, t: ThreadToken, rounds: u64) {
-        if rounds == 0 {
-            self.record_lock(LockScenario::Unlocked, 1);
-            self.emit(t, obj, TraceEventKind::AcquireUnlocked);
+        let kind = if rounds == 0 {
+            TraceEventKind::AcquireUnlocked
         } else {
-            self.emit(
-                t,
-                obj,
-                TraceEventKind::AcquireContendedThin {
-                    spin_rounds: u32::try_from(rounds).unwrap_or(u32::MAX),
-                },
-            );
-            self.record_lock(LockScenario::ContendedThin, 1);
-            if let Some(s) = &self.stats {
-                s.record_spin_rounds(rounds);
+            TraceEventKind::AcquireContendedThin {
+                spin_rounds: u32::try_from(rounds).unwrap_or(u32::MAX),
             }
-        }
+        };
+        self.emit(t, obj, kind);
     }
 
     /// The slow-path CAS that takes an unlocked `word`.
     pub(crate) fn slow_cas(&self, obj: ObjRef, t: ThreadToken, word: LockWord) -> bool {
         let new = LockWord::from_bits(word.bits() | t.shifted());
-        self.reach(SchedPoint::LockSlowCas, obj);
-        self.cas_allowed(InjectionPoint::LockSlowCas)
-            && self
-                .cell(obj)
-                .try_cas(word, new, self.config.profile())
-                .is_ok()
+        self.cas_allowed(
+            Site::both(SchedPoint::LockSlowCas, InjectionPoint::LockSlowCas),
+            obj,
+        ) && self
+            .cell(obj)
+            .try_cas(word, new, self.config.profile())
+            .is_ok()
     }
 
     /// The complete unlock algorithm.
@@ -774,11 +680,13 @@ impl<P: Policy, C: FastPathConfig> LockCore<P, C> {
                 .policy
                 .tickets()
                 .map_or(0, |l| l.admitted_snapshot(obj));
-            self.reach(SchedPoint::UnlockThin, obj);
             // Deschedule between deciding to release and the store:
             // owner-only writes make this window harmless, which is
             // exactly what the chaos suite checks.
-            self.yield_point(InjectionPoint::UnlockStore);
+            self.yield_point(
+                Site::both(SchedPoint::UnlockThin, InjectionPoint::UnlockStore),
+                obj,
+            );
             let restored = word.with_lock_field_clear();
             match self.config.unlock_strategy() {
                 UnlockStrategy::Store => cell.store_unlock(restored, profile),
@@ -788,9 +696,6 @@ impl<P: Policy, C: FastPathConfig> LockCore<P, C> {
                 }
             }
             self.retire(obj, snapshot);
-            if let Some(s) = &self.stats {
-                s.record_unlock_thin();
-            }
             self.emit(t, obj, TraceEventKind::UnlockThin);
             return Ok(());
         }
@@ -800,9 +705,6 @@ impl<P: Policy, C: FastPathConfig> LockCore<P, C> {
             debug_assert!(word.thin_count() > 0);
             self.reach(SchedPoint::UnlockNest, obj);
             cell.store_relaxed(word.with_count_decremented());
-            if let Some(s) = &self.stats {
-                s.record_unlock_thin();
-            }
             self.emit(t, obj, TraceEventKind::UnlockThin);
             return Ok(());
         }
@@ -835,7 +737,7 @@ impl<P: Policy, C: FastPathConfig> LockCore<P, C> {
             self.reach(SchedPoint::FatUnlock, obj);
             let r = monitor.unlock(t, &self.registry);
             if r.is_ok() {
-                self.record_fat_unlock(t, obj);
+                self.emit(t, obj, TraceEventKind::UnlockFat);
             }
             return r;
         }
@@ -844,14 +746,6 @@ impl<P: Policy, C: FastPathConfig> LockCore<P, C> {
         } else {
             Err(SyncError::NotOwner)
         }
-    }
-
-    #[inline]
-    pub(crate) fn record_fat_unlock(&self, t: ThreadToken, obj: ObjRef) {
-        if let Some(s) = &self.stats {
-            s.record_unlock_fat();
-        }
-        self.emit(t, obj, TraceEventKind::UnlockFat);
     }
 
     /// Inflates `obj`'s lock ahead of time, before any thread holds it —
@@ -884,21 +778,18 @@ impl<P: Policy, C: FastPathConfig> LockCore<P, C> {
             // forbid us from touching the word).
             return Ok(false);
         }
-        let monitors = self.policy.monitors();
-        let idx = monitors.install(obj, None, &self.registry)?;
+        let idx = self.install(obj, None)?;
         if cell
             .try_cas(word, word.inflated(idx), self.config.profile())
             .is_ok()
         {
             self.policy.inflated();
             let cause = InflationCause::Hint;
-            if let Some(s) = &self.stats {
-                s.record_inflation(cause);
-            }
-            self.trace(None, obj, TraceEventKind::Inflated { cause });
+            self.hooks
+                .after(None, Some(obj), TraceEventKind::Inflated { cause });
             Ok(true)
         } else {
-            monitors.discard(idx);
+            self.policy.monitors().discard(idx);
             Ok(false)
         }
     }
@@ -948,9 +839,9 @@ impl<P: Policy, C: FastPathConfig> LockCore<P, C> {
 
         let old = cell.load_relaxed().with_lock_field_clear();
         let new = LockWord::from_bits(old.bits() | t.shifted());
-        if self.cas_allowed(InjectionPoint::LockFastCas) && cell.try_cas(old, new, profile).is_ok()
+        if self.cas_allowed(Site::fault(InjectionPoint::LockFastCas), obj)
+            && cell.try_cas(old, new, profile).is_ok()
         {
-            self.record_lock(LockScenario::Unlocked, 1);
             self.emit(t, obj, TraceEventKind::AcquireUnlocked);
             return Ok(true);
         }
@@ -960,7 +851,6 @@ impl<P: Policy, C: FastPathConfig> LockCore<P, C> {
             if word.can_nest(t.shifted()) {
                 cell.store_relaxed(word.with_count_incremented());
                 let depth = u32::from(word.thin_count()) + 2;
-                self.record_lock(nested(depth), depth);
                 self.emit(t, obj, TraceEventKind::AcquireNested { depth });
                 return Ok(true);
             }
@@ -969,7 +859,6 @@ impl<P: Policy, C: FastPathConfig> LockCore<P, C> {
                 let Some((idx, monitor)) = self.monitor_of(word) else {
                     continue;
                 };
-                let contended = monitor.owner().is_some();
                 if !monitor.try_lock(t) {
                     return Ok(false);
                 }
@@ -979,8 +868,8 @@ impl<P: Policy, C: FastPathConfig> LockCore<P, C> {
                     debug_assert!(r.is_ok());
                     continue;
                 }
-                self.record_lock(fat_scenario(depth, contended), depth);
-                self.emit(t, obj, TraceEventKind::AcquireFat { contended });
+                // A try never queues.
+                self.emit(t, obj, fat_acquired(depth, false));
                 return Ok(true);
             }
 
@@ -999,7 +888,6 @@ impl<P: Policy, C: FastPathConfig> LockCore<P, C> {
                 // is classified again.
                 let new = LockWord::from_bits(word.bits() | t.shifted());
                 if cell.try_cas(word, new, profile).is_ok() {
-                    self.record_lock(LockScenario::Unlocked, 1);
                     self.emit(t, obj, TraceEventKind::AcquireUnlocked);
                     return Ok(true);
                 }
@@ -1035,7 +923,7 @@ impl<P: Policy, C: FastPathConfig> LockCore<P, C> {
                     continue;
                 };
                 let contended = monitor.owner().is_some();
-                match monitor.lock_n_deadline(t, 1, &self.registry, deadline) {
+                match monitor.lock_n_deadline(t, 1, &self.registry, deadline, &self.hooks) {
                     Ok(()) => {
                         let depth = monitor.count();
                         if depth == 1 && !self.policy.revalidate(self.cell(obj), obj, word, idx) {
@@ -1046,8 +934,7 @@ impl<P: Policy, C: FastPathConfig> LockCore<P, C> {
                             }
                             continue;
                         }
-                        self.record_lock(fat_scenario(depth, contended), depth);
-                        self.emit(t, obj, TraceEventKind::AcquireFat { contended });
+                        self.emit(t, obj, fat_acquired(depth, contended));
                         return Ok(());
                     }
                     Err(SyncError::Timeout) => return self.deadline_expired(obj, t),
@@ -1062,7 +949,7 @@ impl<P: Policy, C: FastPathConfig> LockCore<P, C> {
             if Instant::now() >= deadline {
                 return self.deadline_expired(obj, t);
             }
-            self.yield_point(InjectionPoint::LockSpin);
+            self.yield_point(Site::fault(InjectionPoint::LockSpin), obj);
             backoff.snooze();
         }
     }
@@ -1112,20 +999,18 @@ impl Drop for BlockedOnGuard {
 /// queueing policy also retires the dead owner's ticketed hand-off, so
 /// the threads queued behind it keep draining. A reclaimed fat monitor
 /// stays installed (unowned) for the next release to handle.
-struct OrphanSweeper<P> {
+struct OrphanSweeper<P, H> {
     heap: Arc<Heap>,
     policy: Arc<P>,
-    tracer: Option<Arc<dyn TraceSink>>,
-    injector: Option<Arc<dyn FaultInjector>>,
+    hooks: H,
     profile: ArchProfile,
 }
 
-impl<P: Policy> ExitSweeper for OrphanSweeper<P> {
+impl<P: Policy, H: Hooks + 'static> ExitSweeper for OrphanSweeper<P, H> {
     fn sweep_thread(&self, dead: ThreadIndex, registry: &ThreadRegistry) {
-        if let Some(injector) = &self.injector {
-            if injector.decide(InjectionPoint::RegistryRelease) == FaultAction::Yield {
-                std::thread::yield_now();
-            }
+        let site = Site::fault(InjectionPoint::RegistryRelease);
+        if self.hooks.before(site, None) == FaultAction::Yield {
+            std::thread::yield_now();
         }
         let tickets = self.policy.tickets();
         if let Some(tickets) = tickets {
@@ -1159,13 +1044,11 @@ impl<P: Policy> ExitSweeper for OrphanSweeper<P> {
                 false
             };
             if reclaimed {
-                if let Some(sink) = &self.tracer {
-                    sink.record(
-                        Some(dead),
-                        Some(obj),
-                        TraceEventKind::OrphanReclaimed { fat },
-                    );
-                }
+                self.hooks.after(
+                    Some(dead),
+                    Some(obj),
+                    TraceEventKind::OrphanReclaimed { fat },
+                );
             }
         }
     }
@@ -1176,8 +1059,8 @@ mod outlined {
     use super::*;
 
     #[inline(never)]
-    pub(super) fn lock<P: Policy, C: FastPathConfig>(
-        this: &LockCore<P, C>,
+    pub(super) fn lock<P: Policy, C: FastPathConfig, H: Hooks>(
+        this: &LockCore<P, C, H>,
         obj: ObjRef,
         t: ThreadToken,
     ) -> SyncResult<()> {
@@ -1185,8 +1068,8 @@ mod outlined {
     }
 
     #[inline(never)]
-    pub(super) fn unlock<P: Policy, C: FastPathConfig>(
-        this: &LockCore<P, C>,
+    pub(super) fn unlock<P: Policy, C: FastPathConfig, H: Hooks>(
+        this: &LockCore<P, C, H>,
         obj: ObjRef,
         t: ThreadToken,
     ) -> SyncResult<()> {
@@ -1194,7 +1077,7 @@ mod outlined {
     }
 }
 
-impl<P: Policy, C: FastPathConfig> SyncProtocol for LockCore<P, C> {
+impl<P: Policy, C: FastPathConfig, H: Hooks> SyncProtocol for LockCore<P, C, H> {
     #[inline]
     fn lock(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<()> {
         if self.config.outlined() {
@@ -1231,21 +1114,15 @@ impl<P: Policy, C: FastPathConfig> SyncProtocol for LockCore<P, C> {
         t: ThreadToken,
         timeout: Option<Duration>,
     ) -> SyncResult<WaitOutcome> {
-        if let Some(s) = &self.stats {
-            s.record_wait();
-        }
         let monitor = self.require_fat(obj, t)?;
         self.emit(t, obj, TraceEventKind::Wait);
         // While we sit in the wait set (and later the entry queue) the
         // monitor can never look quiescent, so a deflating policy keeps
         // the word fat until we have re-acquired and released it.
-        monitor.wait(t, &self.registry, timeout)
+        monitor.wait(t, &self.registry, timeout, &self.hooks)
     }
 
     fn notify(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<()> {
-        if let Some(s) = &self.stats {
-            s.record_notify();
-        }
         let monitor = self.require_fat(obj, t)?;
         self.emit(t, obj, TraceEventKind::Notify);
         self.reach(SchedPoint::Notify, obj);
@@ -1253,9 +1130,6 @@ impl<P: Policy, C: FastPathConfig> SyncProtocol for LockCore<P, C> {
     }
 
     fn notify_all(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<()> {
-        if let Some(s) = &self.stats {
-            s.record_notify();
-        }
         let monitor = self.require_fat(obj, t)?;
         self.emit(t, obj, TraceEventKind::Notify);
         self.reach(SchedPoint::Notify, obj);
@@ -1273,7 +1147,8 @@ impl<P: Policy, C: FastPathConfig> SyncProtocol for LockCore<P, C> {
 
     fn pre_inflate_hint(&self, obj: ObjRef) -> bool {
         let applied = self.pre_inflate(obj).unwrap_or(false);
-        self.trace(None, obj, TraceEventKind::PreInflateHint { applied });
+        self.hooks
+            .after(None, Some(obj), TraceEventKind::PreInflateHint { applied });
         applied
     }
 
@@ -1282,7 +1157,7 @@ impl<P: Policy, C: FastPathConfig> SyncProtocol for LockCore<P, C> {
     }
 
     fn trace_sink(&self) -> Option<&dyn TraceSink> {
-        self.tracer.as_deref()
+        self.hooks.trace_sink()
     }
 
     fn heap(&self) -> &Heap {
@@ -1298,7 +1173,7 @@ impl<P: Policy, C: FastPathConfig> SyncProtocol for LockCore<P, C> {
     }
 }
 
-impl<P: Policy, C: FastPathConfig> SyncBackend for LockCore<P, C> {
+impl<P: Policy, C: FastPathConfig, H: Hooks> SyncBackend for LockCore<P, C, H> {
     fn monitor_probe(&self, obj: ObjRef) -> Option<MonitorProbe> {
         self.monitor_for(obj).map(FatLock::probe)
     }
@@ -1350,7 +1225,7 @@ impl<P: Policy, C: FastPathConfig> SyncBackend for LockCore<P, C> {
     }
 }
 
-impl<P: Policy, C: FastPathConfig> fmt::Debug for LockCore<P, C> {
+impl<P: Policy, C: FastPathConfig, H: Hooks> fmt::Debug for LockCore<P, C, H> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct(P::TYPE_NAME)
             .field("heap", &self.heap)

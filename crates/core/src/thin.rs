@@ -116,6 +116,7 @@ mod tests {
     use thinlock_runtime::events::{TraceEventKind, TraceSink};
     use thinlock_runtime::fault::{FaultAction, FaultInjector, InjectionPoint};
     use thinlock_runtime::heap::ObjRef;
+    use thinlock_runtime::hooks::HookSet;
     use thinlock_runtime::lockword::{LockState, ThreadIndex};
     use thinlock_runtime::protocol::{SyncProtocol, WaitOutcome};
     use thinlock_runtime::stats::{InflationCause, LockStats};
@@ -253,7 +254,8 @@ mod tests {
     #[test]
     fn stats_classify_scenarios() {
         let stats = Arc::new(LockStats::new());
-        let p = ThinLocks::with_capacity(4).with_stats(Arc::clone(&stats));
+        let p =
+            ThinLocks::with_capacity(4).with_hooks(HookSet::new().sink(Arc::clone(&stats) as _));
         let r = p.registry().register().unwrap();
         let t = r.token();
         let obj = p.heap().alloc().unwrap();
@@ -337,7 +339,8 @@ mod tests {
     #[test]
     fn pre_inflation_hint_avoids_overflow_inflation() {
         let stats = Arc::new(LockStats::new());
-        let p = ThinLocks::with_capacity(4).with_stats(Arc::clone(&stats));
+        let p =
+            ThinLocks::with_capacity(4).with_hooks(HookSet::new().sink(Arc::clone(&stats) as _));
         let obj = p.heap().alloc().unwrap();
         assert!(p.pre_inflate(obj).unwrap());
         assert!(p.lock_word(obj).is_fat());
@@ -389,8 +392,8 @@ mod tests {
     #[test]
     fn trace_sink_sees_protocol_transitions() {
         let recorder = Arc::new(Recorder::default());
-        let p = ThinLocks::with_capacity(4)
-            .with_trace_sink(Arc::clone(&recorder) as Arc<dyn TraceSink>);
+        let p =
+            ThinLocks::with_capacity(4).with_hooks(HookSet::new().sink(Arc::clone(&recorder) as _));
         assert!(p.trace_sink().is_some());
         let r = p.registry().register().unwrap();
         let t = r.token();
@@ -410,8 +413,8 @@ mod tests {
                 TraceEventKind::AcquireNested { depth: 2 },
                 TraceEventKind::UnlockThin,
                 // notify() re-acquires nothing: the lock inflates in
-                // place, the monitor allocation is traced by the table,
-                // then the notify itself is recorded.
+                // place, the monitor allocation is traced as its slot is
+                // installed, then the notify itself is recorded.
                 TraceEventKind::MonitorAllocated { index: 0 },
                 TraceEventKind::Inflated {
                     cause: InflationCause::WaitNotify
@@ -425,8 +428,8 @@ mod tests {
     #[test]
     fn trace_sink_attributes_hint_inflation() {
         let recorder = Arc::new(Recorder::default());
-        let p = ThinLocks::with_capacity(4)
-            .with_trace_sink(Arc::clone(&recorder) as Arc<dyn TraceSink>);
+        let p =
+            ThinLocks::with_capacity(4).with_hooks(HookSet::new().sink(Arc::clone(&recorder) as _));
         let obj = p.heap().alloc().unwrap();
         assert!(p.pre_inflate_hint(obj));
         assert!(!p.pre_inflate_hint(obj), "already fat: not applied");
@@ -455,7 +458,7 @@ mod tests {
     #[test]
     fn timed_acquisition_emits_timeout_event() {
         let recorder = Arc::new(Recorder::default());
-        let p = Arc::new(fresh(4).with_trace_sink(Arc::clone(&recorder) as Arc<dyn TraceSink>));
+        let p = Arc::new(fresh(4).with_hooks(HookSet::new().sink(Arc::clone(&recorder) as _)));
         let obj = p.heap().alloc().unwrap();
         let barrier = Arc::new(std::sync::Barrier::new(2));
         let owner = {
@@ -506,8 +509,8 @@ mod tests {
             }
         }
 
-        let p =
-            Arc::new(ThinLocks::with_capacity(4).with_fault_injector(Arc::new(ExhaustMonitors)));
+        let hooks = HookSet::new().fault_injector(Arc::new(ExhaustMonitors));
+        let p = Arc::new(ThinLocks::with_capacity(4).with_hooks(hooks));
         let obj = p.heap().alloc().unwrap();
         let barrier = Arc::new(std::sync::Barrier::new(2));
         let owner = {

@@ -41,6 +41,7 @@ use thinlock_runtime::backoff::Backoff;
 use thinlock_runtime::error::SyncResult;
 use thinlock_runtime::fault::InjectionPoint;
 use thinlock_runtime::heap::ObjRef;
+use thinlock_runtime::hooks::{Hooks, Site};
 use thinlock_runtime::registry::ThreadToken;
 use thinlock_runtime::schedule::SchedPoint;
 
@@ -198,7 +199,7 @@ impl TicketLedger {
     }
 }
 
-impl<P: Policy, C: FastPathConfig> LockCore<P, C> {
+impl<P: Policy, C: FastPathConfig, H: Hooks> LockCore<P, C, H> {
     /// Queued acquisition: constant-time arrival (one ticket draw),
     /// admission in ticket order, then the word CAS. Mutual exclusion is
     /// still the word, so a barger (`try_lock`, `lock_deadline`) can take
@@ -217,7 +218,7 @@ impl<P: Policy, C: FastPathConfig> LockCore<P, C> {
     ) -> SyncResult<()> {
         let cell = self.cell(obj);
         let word = cell.load_acquire();
-        if word.is_fat() && self.lock_fat(obj, t, word, &mut waiting, None)? {
+        if word.is_fat() && self.lock_fat(obj, t, word, &mut waiting)? {
             return Ok(());
         }
         // Every queued acquisition announces itself once before it draws
@@ -235,7 +236,7 @@ impl<P: Policy, C: FastPathConfig> LockCore<P, C> {
             let word = cell.load_acquire();
             if word.is_fat() {
                 tickets.clear_wait(t);
-                if self.lock_fat(obj, t, word, &mut waiting, None)? {
+                if self.lock_fat(obj, t, word, &mut waiting)? {
                     return Ok(());
                 }
                 continue;
@@ -251,8 +252,10 @@ impl<P: Policy, C: FastPathConfig> LockCore<P, C> {
                 continue;
             }
             waiting.publish(&self.registry, t, obj);
-            self.reach(SchedPoint::LockSpin, obj);
-            self.yield_point(InjectionPoint::LockSpin);
+            self.yield_point(
+                Site::both(SchedPoint::LockSpin, InjectionPoint::LockSpin),
+                obj,
+            );
             backoff.snooze();
         }
     }

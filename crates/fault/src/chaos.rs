@@ -35,6 +35,7 @@ use thinlock_runtime::backend::SyncBackend;
 use thinlock_runtime::error::SyncError;
 use thinlock_runtime::fault::InjectionPoint;
 use thinlock_runtime::heap::ObjRef;
+use thinlock_runtime::hooks::HookSet;
 use thinlock_runtime::prng::{SplitMix64, Xorshift128Plus};
 
 use crate::plan::{FaultPlan, POINTS};
@@ -204,9 +205,8 @@ pub fn run_schedule(cfg: ChaosConfig) -> Result<ChaosReport, String> {
     let locks = cfg.backend.build_with(
         cfg.objects,
         BackendSeams {
-            fault_injector: Some(plan.clone()),
+            hooks: Some(HookSet::new().fault_injector(plan.clone())),
             orphan_recovery: true,
-            ..BackendSeams::default()
         },
     );
     let objs: Vec<ObjRef> = (0..cfg.objects)

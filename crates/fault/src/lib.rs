@@ -2,9 +2,10 @@
 //!
 //! This crate is the test-side half of the fault seam declared in
 //! `thinlock_runtime::fault`: the protocol crates expose labeled
-//! [`InjectionPoint`](thinlock_runtime::fault::InjectionPoint)s behind a
-//! zero-cost-when-disabled gate, and this crate supplies the injectors
-//! that drive them.
+//! [`InjectionPoint`](thinlock_runtime::fault::InjectionPoint)s through
+//! their one instrumentation hook (free when it is the default
+//! `NoHooks`), and this crate supplies the injectors that drive them,
+//! attached through a `HookSet`.
 //!
 //! - [`FaultPlan`] — a seeded, per-point probabilistic
 //!   [`FaultInjector`](thinlock_runtime::fault::FaultInjector) with

@@ -4,7 +4,7 @@
 //! Each resource-exhaustion error — [`SyncError::ThreadIndexExhausted`],
 //! [`SyncError::MonitorIndexExhausted`], [`SyncError::HeapFull`] — is
 //! driven both for real (filling the actual resource) and through the
-//! injection seam (reporting exhaustion *without* consuming anything),
+//! fault injector (reporting exhaustion *without* consuming anything),
 //! and in every case the runtime must keep serving the resources it
 //! still has and recover fully once pressure lifts.
 
@@ -17,6 +17,7 @@ use thinlock_runtime::backend::SyncBackend;
 use thinlock_runtime::error::SyncError;
 use thinlock_runtime::fault::{FaultAction, InjectionPoint};
 use thinlock_runtime::heap::Heap;
+use thinlock_runtime::hooks::HookSet;
 use thinlock_runtime::protocol::SyncProtocol;
 use thinlock_runtime::registry::ThreadRegistry;
 
@@ -71,7 +72,7 @@ fn injected_heap_exhaustion_consumes_nothing() {
             .with_rule(InjectionPoint::HeapAlloc, FaultAction::Exhaust, PPM)
             .with_budget(InjectionPoint::HeapAlloc, 1),
     );
-    let locks = ThinLocks::with_capacity(2).with_fault_injector(plan.clone());
+    let locks = ThinLocks::with_capacity(2).with_hooks(HookSet::new().fault_injector(plan.clone()));
 
     assert_eq!(locks.heap().alloc().err(), Some(SyncError::HeapFull));
     assert_eq!(
@@ -103,7 +104,7 @@ fn monitor_exhaustion_leaves_thin_locking_intact() {
             .with_rule(InjectionPoint::MonitorAllocate, FaultAction::Exhaust, PPM)
             .with_budget(InjectionPoint::MonitorAllocate, 1),
     );
-    let locks = ThinLocks::with_capacity(2).with_fault_injector(plan.clone());
+    let locks = ThinLocks::with_capacity(2).with_hooks(HookSet::new().fault_injector(plan.clone()));
     let obj = locks.heap().alloc().unwrap();
 
     assert_eq!(
@@ -145,7 +146,7 @@ fn runtime_survives_serial_exhaustion_of_every_resource() {
     let heap = Arc::new(Heap::with_capacity(4));
     let locks = Arc::new(
         ThinLocks::new(Arc::clone(&heap), ThreadRegistry::with_max_threads(2))
-            .with_fault_injector(plan),
+            .with_hooks(HookSet::new().fault_injector(plan)),
     );
 
     // Exhaust, in turn: heap (injected), monitors (injected), threads (real).

@@ -10,6 +10,7 @@ use thinlock_fault::FaultPlan;
 use thinlock_runtime::error::SyncError;
 use thinlock_runtime::fault::{FaultAction, InjectionPoint};
 use thinlock_runtime::heap::Heap;
+use thinlock_runtime::hooks::HookSet;
 use thinlock_runtime::protocol::SyncProtocol;
 use thinlock_runtime::registry::ThreadRegistry;
 
@@ -87,7 +88,7 @@ fn sweep_recovers_under_release_injection() {
         thinlock_fault::PPM,
     ));
     let locks = ThinLocks::with_capacity(2)
-        .with_fault_injector(plan.clone())
+        .with_hooks(HookSet::new().fault_injector(plan.clone()))
         .with_orphan_recovery();
     let obj = locks.heap().alloc().unwrap();
 

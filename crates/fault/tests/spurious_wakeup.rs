@@ -11,10 +11,12 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use thinlock::ThinLocks;
+use thinlock::thin::Thin;
+use thinlock::{DynamicConfig, LockCore, ThinLocks};
 use thinlock_fault::{FaultPlan, PPM};
 use thinlock_runtime::error::SyncError;
 use thinlock_runtime::fault::{FaultAction, InjectionPoint};
+use thinlock_runtime::hooks::HookSet;
 use thinlock_runtime::protocol::{SyncProtocol, WaitOutcome};
 use thinlock_runtime::registry::Parker;
 
@@ -42,13 +44,16 @@ fn park_timeout_consumes_existing_permit() {
     assert!(start.elapsed() < Duration::from_secs(1));
 }
 
-fn faulted_locks(rate_ppm: u32, seed: u64) -> (ThinLocks, Arc<FaultPlan>) {
+/// The thin protocol with a fault plan attached.
+type Faulted = LockCore<Thin, DynamicConfig, Arc<HookSet>>;
+
+fn faulted_locks(rate_ppm: u32, seed: u64) -> (Faulted, Arc<FaultPlan>) {
     let plan = Arc::new(FaultPlan::new(seed).with_rule(
         InjectionPoint::WaitPark,
         FaultAction::SpuriousWake,
         rate_ppm,
     ));
-    let locks = ThinLocks::with_capacity(2).with_fault_injector(plan.clone());
+    let locks = ThinLocks::with_capacity(2).with_hooks(HookSet::new().fault_injector(plan.clone()));
     (locks, plan)
 }
 

@@ -18,6 +18,7 @@ use thinlock::{BackendChoice, BackendSeams};
 use thinlock_runtime::backend::SyncBackend;
 use thinlock_runtime::events::TraceSink;
 use thinlock_runtime::heap::ObjRef;
+use thinlock_runtime::hooks::HookSet;
 use thinlock_runtime::protocol::SyncProtocol;
 use thinlock_runtime::registry::ThreadToken;
 use thinlock_runtime::schedule::{SchedPoint, Schedule};
@@ -312,8 +313,10 @@ pub fn run_execution(
     let backend = program.backend.build_with(
         program.pad_objects + program.objects,
         BackendSeams {
-            schedule: Some(Arc::clone(sched) as Arc<dyn Schedule>),
-            trace_sink: sink,
+            hooks: Some(sink.into_iter().fold(
+                HookSet::new().schedule(Arc::clone(sched) as _),
+                HookSet::sink,
+            )),
             ..BackendSeams::default()
         },
     );
@@ -451,7 +454,8 @@ pub fn run_execution(
 /// [`run_execution`] for workloads the [`McOp`] language cannot express
 /// (e.g. exhaustive exploration of VM bytecode programs). The caller
 /// constructs the backend with the scheduler attached (e.g.
-/// `ThinLocks::with_schedule`) plus any trace sink, registers one
+/// `ThinLocks::with_hooks` with a `HookSet` holding the schedule and
+/// any trace sink), registers one
 /// token per body (used for enabledness of the gated park/spin points),
 /// and supplies one closure per worker. No invariant suite or op model
 /// runs; the only violation this harness itself reports is a quiescent

@@ -31,15 +31,15 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
 use thinlock_runtime::error::SyncError;
-use thinlock_runtime::events::{TraceEventKind, TraceSink};
-use thinlock_runtime::fault::{FaultAction, FaultInjector, InjectionPoint};
+use thinlock_runtime::events::TraceEventKind;
+use thinlock_runtime::hooks::Hooks;
 use thinlock_runtime::lockword::MonitorIndex;
-use thinlock_runtime::schedule::Schedule;
 
 use crate::fatlock::FatLock;
+use crate::table::allocation_site;
 
 /// Sentinel in a slot's binding meaning "not backing any object".
 const UNBOUND: u32 = u32::MAX;
@@ -51,14 +51,15 @@ const UNBOUND: u32 = u32::MAX;
 ///
 /// ```
 /// use thinlock_monitor::MonitorPool;
+/// use thinlock_runtime::hooks::NoHooks;
 ///
 /// let pool = MonitorPool::with_capacity(2);
-/// let a = pool.acquire(7)?; // bind a slot to object #7
+/// let a = pool.acquire(7, &NoHooks)?; // bind a slot to object #7
 /// assert_eq!(pool.live(), 1);
 /// assert_eq!(pool.binding(a), Some(7));
 /// pool.release(a); // deflation returns the slot
 /// assert_eq!(pool.live(), 0);
-/// let b = pool.acquire(9)?; // ... and object #9 reuses it
+/// let b = pool.acquire(9, &NoHooks)?; // ... and object #9 reuses it
 /// assert_eq!(b, a);
 /// # Ok::<(), thinlock_runtime::SyncError>(())
 /// ```
@@ -71,9 +72,6 @@ pub struct MonitorPool {
     peak: AtomicU32,
     allocated: AtomicU64,
     recycled: AtomicU64,
-    sink: OnceLock<Arc<dyn TraceSink>>,
-    injector: OnceLock<Arc<dyn FaultInjector>>,
-    schedule: OnceLock<Arc<dyn Schedule>>,
 }
 
 impl MonitorPool {
@@ -92,30 +90,7 @@ impl MonitorPool {
             peak: AtomicU32::new(0),
             allocated: AtomicU64::new(0),
             recycled: AtomicU64::new(0),
-            sink: OnceLock::new(),
-            injector: OnceLock::new(),
-            schedule: OnceLock::new(),
         }
-    }
-
-    /// Attaches an event sink; every subsequent [`MonitorPool::acquire`]
-    /// (fresh or recycled) emits [`TraceEventKind::MonitorAllocated`],
-    /// so the trace shows each inflation's slot. Write-once.
-    pub fn set_sink(&self, sink: Arc<dyn TraceSink>) {
-        let _ = self.sink.set(sink);
-    }
-
-    /// Attaches a fault injector consulted at
-    /// [`InjectionPoint::MonitorAllocate`] on every acquire and stamped
-    /// into every fresh fat lock. Write-once.
-    pub fn set_fault_injector(&self, injector: Arc<dyn FaultInjector>) {
-        let _ = self.injector.set(injector);
-    }
-
-    /// Attaches a cooperative schedule, stamped into every fresh fat
-    /// lock so its park points consult it. Write-once.
-    pub fn set_schedule(&self, schedule: Arc<dyn Schedule>) {
-        let _ = self.schedule.set(schedule);
     }
 
     /// Binds a slot to the object with heap index `obj_index` and
@@ -123,20 +98,20 @@ impl MonitorPool {
     /// exists. The returned slot's monitor is *unowned* (fresh) or at
     /// worst transiently held by a stale-word racer (recycled); the
     /// caller adopts it with [`FatLock::lock_n`] before publishing the
-    /// fat word.
+    /// fat word. Every acquire, fresh or recycled, tells `hooks` with a
+    /// [`TraceEventKind::MonitorAllocated`] event, so the trace shows
+    /// each inflation's slot.
     ///
     /// # Errors
     ///
     /// [`SyncError::MonitorIndexExhausted`] when every slot is live (or
-    /// the fault seam injects exhaustion, consuming nothing).
-    pub fn acquire(&self, obj_index: u32) -> Result<MonitorIndex, SyncError> {
-        if let Some(injector) = self.injector.get() {
-            match injector.decide(InjectionPoint::MonitorAllocate) {
-                FaultAction::Exhaust => return Err(SyncError::MonitorIndexExhausted),
-                FaultAction::Yield => std::thread::yield_now(),
-                _ => {}
-            }
-        }
+    /// `hooks` injects exhaustion, consuming nothing).
+    pub fn acquire<H: Hooks + ?Sized>(
+        &self,
+        obj_index: u32,
+        hooks: &H,
+    ) -> Result<MonitorIndex, SyncError> {
+        allocation_site(hooks)?;
         let slot = match self.free.lock().expect("pool free list poisoned").pop() {
             Some(slot) => {
                 self.recycled.fetch_add(1, Ordering::Relaxed);
@@ -148,14 +123,7 @@ impl MonitorPool {
                     self.next.fetch_sub(1, Ordering::Relaxed);
                     return Err(SyncError::MonitorIndexExhausted);
                 }
-                let lock = FatLock::new();
-                if let Some(injector) = self.injector.get() {
-                    lock.set_fault_injector(Arc::clone(injector));
-                }
-                if let Some(schedule) = self.schedule.get() {
-                    lock.set_schedule(Arc::clone(schedule));
-                }
-                let installed = self.slots[slot as usize].set(lock).is_ok();
+                let installed = self.slots[slot as usize].set(FatLock::new()).is_ok();
                 assert!(installed, "pool slot allocated twice");
                 slot
             }
@@ -166,9 +134,7 @@ impl MonitorPool {
         self.bindings[slot as usize].store(obj_index, Ordering::Release);
         let live = self.live.fetch_add(1, Ordering::Relaxed) + 1;
         self.peak.fetch_max(live, Ordering::Relaxed);
-        if let Some(sink) = self.sink.get() {
-            sink.record(None, None, TraceEventKind::MonitorAllocated { index: slot });
-        }
+        hooks.after(None, None, TraceEventKind::MonitorAllocated { index: slot });
         MonitorIndex::new(slot)
     }
 
@@ -302,13 +268,17 @@ impl fmt::Debug for MonitorPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+    use thinlock_runtime::events::TraceSink;
+    use thinlock_runtime::fault::{FaultAction, FaultInjector, InjectionPoint};
+    use thinlock_runtime::hooks::{HookSet, NoHooks};
     use thinlock_runtime::registry::ThreadRegistry;
 
     #[test]
     fn acquire_binds_and_release_recycles() {
         let pool = MonitorPool::with_capacity(2);
-        let a = pool.acquire(10).unwrap();
-        let b = pool.acquire(11).unwrap();
+        let a = pool.acquire(10, &NoHooks).unwrap();
+        let b = pool.acquire(11, &NoHooks).unwrap();
         assert_ne!(a, b);
         assert_eq!(pool.live(), 2);
         assert_eq!(pool.peak(), 2);
@@ -320,7 +290,7 @@ mod tests {
         assert_eq!(pool.binding(a), None);
 
         // The freed slot is reused and re-bound; footprint stays put.
-        let c = pool.acquire(12).unwrap();
+        let c = pool.acquire(12, &NoHooks).unwrap();
         assert_eq!(c, a);
         assert_eq!(pool.binding(c), Some(12));
         assert_eq!(pool.footprint(), 2);
@@ -331,13 +301,16 @@ mod tests {
     #[test]
     fn exhaustion_only_when_all_slots_live() {
         let pool = MonitorPool::with_capacity(1);
-        let a = pool.acquire(0).unwrap();
+        let a = pool.acquire(0, &NoHooks).unwrap();
         assert_eq!(
-            pool.acquire(1).unwrap_err(),
+            pool.acquire(1, &NoHooks).unwrap_err(),
             SyncError::MonitorIndexExhausted
         );
         pool.release(a);
-        assert!(pool.acquire(1).is_ok(), "release unblocks the pool");
+        assert!(
+            pool.acquire(1, &NoHooks).is_ok(),
+            "release unblocks the pool"
+        );
     }
 
     #[test]
@@ -347,18 +320,18 @@ mod tests {
         let t = r.token();
 
         let pool = MonitorPool::with_capacity(1);
-        let a = pool.acquire(3).unwrap();
+        let a = pool.acquire(3, &NoHooks).unwrap();
         let m = pool.get(a).unwrap();
-        m.lock_n(t, 2, &reg).unwrap();
+        m.lock_n(t, 2, &reg, &NoHooks).unwrap();
         assert_eq!(m.count(), 2);
         m.release_all(t, &reg).unwrap();
         pool.release(a);
 
         // Same slot, new object: the existing FatLock is re-owned.
-        let b = pool.acquire(4).unwrap();
+        let b = pool.acquire(4, &NoHooks).unwrap();
         assert_eq!(b, a);
         let m = pool.get(b).unwrap();
-        m.lock_n(t, 1, &reg).unwrap();
+        m.lock_n(t, 1, &reg, &NoHooks).unwrap();
         assert!(m.holds(t));
         m.unlock(t, &reg).unwrap();
     }
@@ -376,10 +349,10 @@ mod tests {
                 }
             }
         }
+        let hooks = HookSet::new().fault_injector(Arc::new(ExhaustAlways));
         let pool = MonitorPool::with_capacity(2);
-        pool.set_fault_injector(Arc::new(ExhaustAlways));
         assert_eq!(
-            pool.acquire(0).unwrap_err(),
+            pool.acquire(0, &hooks).unwrap_err(),
             SyncError::MonitorIndexExhausted
         );
         assert_eq!(pool.live(), 0);
@@ -403,19 +376,19 @@ mod tests {
         }
 
         let recorder = Arc::new(Recorder::default());
+        let hooks = HookSet::new().sink(Arc::clone(&recorder) as Arc<dyn TraceSink>);
         let pool = MonitorPool::with_capacity(1);
-        pool.set_sink(Arc::clone(&recorder) as Arc<dyn TraceSink>);
-        let a = pool.acquire(0).unwrap();
+        let a = pool.acquire(0, &hooks).unwrap();
         pool.release(a);
-        let _ = pool.acquire(1).unwrap();
+        let _ = pool.acquire(1, &hooks).unwrap();
         assert_eq!(*recorder.0.lock().unwrap(), vec![0, 0]);
     }
 
     #[test]
     fn iter_bound_skips_free_slots() {
         let pool = MonitorPool::with_capacity(3);
-        let a = pool.acquire(5).unwrap();
-        let b = pool.acquire(6).unwrap();
+        let a = pool.acquire(5, &NoHooks).unwrap();
+        let b = pool.acquire(6, &NoHooks).unwrap();
         pool.release(a);
         let bound: Vec<(u32, u32)> = pool.iter_bound().map(|(i, o, _)| (i.get(), o)).collect();
         assert_eq!(bound, vec![(b.get(), 6)]);

@@ -13,15 +13,31 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use thinlock_runtime::error::SyncError;
-use thinlock_runtime::events::{TraceEventKind, TraceSink};
-use thinlock_runtime::fault::{FaultAction, FaultInjector, InjectionPoint};
+use thinlock_runtime::events::TraceEventKind;
+use thinlock_runtime::fault::{FaultAction, InjectionPoint};
+use thinlock_runtime::hooks::{Hooks, Site};
 use thinlock_runtime::lockword::MonitorIndex;
-use thinlock_runtime::schedule::Schedule;
 
 use crate::fatlock::FatLock;
+
+/// The [`InjectionPoint::MonitorAllocate`] site every store allocation
+/// passes first. Injected exhaustion fails it before anything is
+/// consumed: callers observe exactly what a full store produces, while
+/// the store stays usable for the recovery the caller must perform.
+#[inline]
+pub(crate) fn allocation_site<H: Hooks + ?Sized>(hooks: &H) -> Result<(), SyncError> {
+    match hooks.before(Site::fault(InjectionPoint::MonitorAllocate), None) {
+        FaultAction::Exhaust => Err(SyncError::MonitorIndexExhausted),
+        FaultAction::Yield => {
+            std::thread::yield_now();
+            Ok(())
+        }
+        _ => Ok(()),
+    }
+}
 
 /// Map from [`MonitorIndex`] to [`FatLock`] with wait-free lookups.
 ///
@@ -29,18 +45,16 @@ use crate::fatlock::FatLock;
 ///
 /// ```
 /// use thinlock_monitor::{FatLock, MonitorTable};
+/// use thinlock_runtime::hooks::NoHooks;
 ///
 /// let table = MonitorTable::with_capacity(8);
-/// let idx = table.allocate(FatLock::new())?;
+/// let idx = table.allocate(FatLock::new(), &NoHooks)?;
 /// assert!(table.get(idx).is_some());
 /// # Ok::<(), thinlock_runtime::SyncError>(())
 /// ```
 pub struct MonitorTable {
     slots: Box<[OnceLock<FatLock>]>,
     next: AtomicU32,
-    sink: OnceLock<Arc<dyn TraceSink>>,
-    injector: OnceLock<Arc<dyn FaultInjector>>,
-    schedule: OnceLock<Arc<dyn Schedule>>,
 }
 
 impl MonitorTable {
@@ -51,56 +65,25 @@ impl MonitorTable {
         MonitorTable {
             slots: (0..cap).map(|_| OnceLock::new()).collect(),
             next: AtomicU32::new(0),
-            sink: OnceLock::new(),
-            injector: OnceLock::new(),
-            schedule: OnceLock::new(),
         }
     }
 
-    /// Attaches an event sink; every subsequent allocation emits a
-    /// [`TraceEventKind::MonitorAllocated`] event. Recording at the table
-    /// (rather than at inflation sites) also covers allocations whose
-    /// installing CAS loses a race and leaks the slot. Write-once: the
-    /// first installed sink wins.
-    pub fn set_sink(&self, sink: Arc<dyn TraceSink>) {
-        let _ = self.sink.set(sink);
-    }
-
-    /// Attaches a fault injector consulted at
-    /// [`InjectionPoint::MonitorAllocate`] on every allocation, and
-    /// stamped into every fat lock this table publishes (so their park
-    /// points inject too). Write-once: the first installed injector wins.
-    pub fn set_fault_injector(&self, injector: Arc<dyn FaultInjector>) {
-        let _ = self.injector.set(injector);
-    }
-
-    /// Attaches a cooperative schedule, stamped into every fat lock this
-    /// table publishes (so their park points consult it). Write-once:
-    /// the first installed schedule wins.
-    pub fn set_schedule(&self, schedule: Arc<dyn Schedule>) {
-        let _ = self.schedule.set(schedule);
-    }
-
-    /// Registers a fat lock, returning its permanent index.
+    /// Registers a fat lock, returning its permanent index, and tells
+    /// `hooks` with a [`TraceEventKind::MonitorAllocated`] event.
+    /// Recording at the table (rather than at inflation sites) also
+    /// covers allocations whose installing CAS loses a race and leaks
+    /// the slot.
     ///
     /// # Errors
     ///
-    /// [`SyncError::MonitorIndexExhausted`] if the table is full.
-    pub fn allocate(&self, lock: FatLock) -> Result<MonitorIndex, SyncError> {
-        if let Some(injector) = self.injector.get() {
-            match injector.decide(InjectionPoint::MonitorAllocate) {
-                // Injected exhaustion consumes no slot: callers observe
-                // exactly what a full table produces, while the table
-                // stays usable for the recovery the caller must perform.
-                FaultAction::Exhaust => return Err(SyncError::MonitorIndexExhausted),
-                FaultAction::Yield => std::thread::yield_now(),
-                _ => {}
-            }
-            lock.set_fault_injector(Arc::clone(injector));
-        }
-        if let Some(schedule) = self.schedule.get() {
-            lock.set_schedule(Arc::clone(schedule));
-        }
+    /// [`SyncError::MonitorIndexExhausted`] if the table is full (or
+    /// `hooks` injects exhaustion, consuming no slot).
+    pub fn allocate<H: Hooks + ?Sized>(
+        &self,
+        lock: FatLock,
+        hooks: &H,
+    ) -> Result<MonitorIndex, SyncError> {
+        allocation_site(hooks)?;
         let slot = self.next.fetch_add(1, Ordering::Relaxed);
         if (slot as usize) >= self.slots.len() {
             self.next.fetch_sub(1, Ordering::Relaxed);
@@ -108,9 +91,7 @@ impl MonitorTable {
         }
         let installed = self.slots[slot as usize].set(lock).is_ok();
         assert!(installed, "slot allocated twice");
-        if let Some(sink) = self.sink.get() {
-            sink.record(None, None, TraceEventKind::MonitorAllocated { index: slot });
-        }
+        hooks.after(None, None, TraceEventKind::MonitorAllocated { index: slot });
         // The index is published to other threads through a release store
         // of the inflated lock word; OnceLock::set already synchronizes
         // the lock contents with any subsequent get().
@@ -172,14 +153,18 @@ impl fmt::Debug for MonitorTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+    use thinlock_runtime::events::TraceSink;
+    use thinlock_runtime::fault::FaultInjector;
+    use thinlock_runtime::hooks::{HookSet, NoHooks};
     use thinlock_runtime::registry::ThreadRegistry;
 
     #[test]
     fn allocate_and_lookup() {
         let table = MonitorTable::with_capacity(4);
         assert!(table.is_empty());
-        let a = table.allocate(FatLock::new()).unwrap();
-        let b = table.allocate(FatLock::new()).unwrap();
+        let a = table.allocate(FatLock::new(), &NoHooks).unwrap();
+        let b = table.allocate(FatLock::new(), &NoHooks).unwrap();
         assert_ne!(a, b);
         assert_eq!(table.len(), 2);
         assert!(table.get(a).is_some());
@@ -191,10 +176,10 @@ mod tests {
     #[test]
     fn exhaustion() {
         let table = MonitorTable::with_capacity(2);
-        table.allocate(FatLock::new()).unwrap();
-        table.allocate(FatLock::new()).unwrap();
+        table.allocate(FatLock::new(), &NoHooks).unwrap();
+        table.allocate(FatLock::new(), &NoHooks).unwrap();
         assert_eq!(
-            table.allocate(FatLock::new()).unwrap_err(),
+            table.allocate(FatLock::new(), &NoHooks).unwrap_err(),
             SyncError::MonitorIndexExhausted
         );
         assert_eq!(table.len(), 2);
@@ -206,7 +191,7 @@ mod tests {
         let r = reg.register().unwrap();
         let t = r.token();
         let table = MonitorTable::with_capacity(1);
-        let idx = table.allocate(FatLock::new_owned(t, 5)).unwrap();
+        let idx = table.allocate(FatLock::new_owned(t, 5), &NoHooks).unwrap();
         let lock = table.get(idx).unwrap();
         assert!(lock.holds(t));
         assert_eq!(lock.count(), 5);
@@ -228,7 +213,7 @@ mod tests {
             let table = std::sync::Arc::clone(&table);
             handles.push(std::thread::spawn(move || {
                 (0..100)
-                    .map(|_| table.allocate(FatLock::new()).unwrap().get())
+                    .map(|_| table.allocate(FatLock::new(), &NoHooks).unwrap().get())
                     .collect::<Vec<_>>()
             }));
         }
@@ -258,10 +243,10 @@ mod tests {
         }
 
         let recorder = Arc::new(Recorder::default());
+        let hooks = HookSet::new().sink(Arc::clone(&recorder) as Arc<dyn TraceSink>);
         let table = MonitorTable::with_capacity(3);
-        table.set_sink(Arc::clone(&recorder) as Arc<dyn TraceSink>);
-        table.allocate(FatLock::new()).unwrap();
-        table.allocate(FatLock::new()).unwrap();
+        table.allocate(FatLock::new(), &hooks).unwrap();
+        table.allocate(FatLock::new(), &hooks).unwrap();
         assert_eq!(*recorder.0.lock().unwrap(), vec![0, 1]);
     }
 
@@ -288,17 +273,17 @@ mod tests {
             }
         }
 
+        let hooks = HookSet::new().fault_injector(Arc::new(ExhaustOnce::default()));
         let table = MonitorTable::with_capacity(2);
-        table.set_fault_injector(Arc::new(ExhaustOnce::default()));
         assert_eq!(
-            table.allocate(FatLock::new()).unwrap_err(),
+            table.allocate(FatLock::new(), &hooks).unwrap_err(),
             SyncError::MonitorIndexExhausted
         );
         assert_eq!(table.len(), 0, "injected failure consumed no slot");
-        assert!(table.allocate(FatLock::new()).is_ok());
-        assert!(table.allocate(FatLock::new()).is_ok());
+        assert!(table.allocate(FatLock::new(), &hooks).is_ok());
+        assert!(table.allocate(FatLock::new(), &hooks).is_ok());
         assert_eq!(
-            table.allocate(FatLock::new()).unwrap_err(),
+            table.allocate(FatLock::new(), &hooks).unwrap_err(),
             SyncError::MonitorIndexExhausted,
             "real exhaustion still reported"
         );
@@ -307,8 +292,8 @@ mod tests {
     #[test]
     fn iter_visits_allocated_monitors_in_order() {
         let table = MonitorTable::with_capacity(4);
-        let a = table.allocate(FatLock::new()).unwrap();
-        let b = table.allocate(FatLock::new()).unwrap();
+        let a = table.allocate(FatLock::new(), &NoHooks).unwrap();
+        let b = table.allocate(FatLock::new(), &NoHooks).unwrap();
         let indices: Vec<u32> = table.iter().map(|(i, _)| i.get()).collect();
         assert_eq!(indices, vec![a.get(), b.get()]);
     }

@@ -10,6 +10,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use thinlock_monitor::FatLock;
+use thinlock_runtime::hooks::NoHooks;
 use thinlock_runtime::prng::Prng;
 use thinlock_runtime::registry::ThreadRegistry;
 
@@ -20,7 +21,7 @@ use thinlock_runtime::registry::ThreadRegistry;
 fn assert_queued_invariant(lock: &FatLock, registry: &ThreadRegistry) {
     let me = registry.register().unwrap();
     let t = me.token();
-    lock.lock(t, registry).unwrap();
+    lock.lock(t, registry, &NoHooks).unwrap();
     let probe = lock.probe();
     let queues_empty = probe.entry_queue_len == 0 && probe.wait_set_len == 0;
     assert_eq!(
@@ -64,7 +65,7 @@ fn run_ours(threads: usize, per_thread: u32, seed: u64) -> (u64, u64) {
                         0..=6 => {
                             let depth = rng.range_u32(1, 4);
                             for _ in 0..depth {
-                                lock.lock(t, &registry).unwrap();
+                                lock.lock(t, &registry, &NoHooks).unwrap();
                             }
                             totals.increments.fetch_add(1, Ordering::Relaxed);
                             for _ in 0..depth {
@@ -73,14 +74,14 @@ fn run_ours(threads: usize, per_thread: u32, seed: u64) -> (u64, u64) {
                         }
                         // Producer: post a token and notify.
                         7..=8 => {
-                            lock.lock(t, &registry).unwrap();
+                            lock.lock(t, &registry, &NoHooks).unwrap();
                             pending.fetch_add(1, Ordering::Relaxed);
                             lock.notify(t).unwrap();
                             lock.unlock(t, &registry).unwrap();
                         }
                         // Consumer: timed wait for a token.
                         _ => {
-                            lock.lock(t, &registry).unwrap();
+                            lock.lock(t, &registry, &NoHooks).unwrap();
                             let mut got = false;
                             for _ in 0..3 {
                                 if pending.load(Ordering::Relaxed) > 0 {
@@ -89,7 +90,7 @@ fn run_ours(threads: usize, per_thread: u32, seed: u64) -> (u64, u64) {
                                     break;
                                 }
                                 let _ = lock
-                                    .wait(t, &registry, Some(Duration::from_millis(1)))
+                                    .wait(t, &registry, Some(Duration::from_millis(1)), &NoHooks)
                                     .unwrap();
                             }
                             if got {
@@ -187,7 +188,7 @@ fn heavy_reentrancy_stress() {
                 for _ in 0..300 {
                     let depth = rng.range_u32(1, 17);
                     for _ in 0..depth {
-                        lock.lock(t, &registry).unwrap();
+                        lock.lock(t, &registry, &NoHooks).unwrap();
                     }
                     assert_eq!(lock.count(), depth);
                     assert!(lock.holds(t));
@@ -216,7 +217,7 @@ fn release_all_under_contention_restores_consistency() {
                 for i in 0..200 {
                     let depth = (who + i) % 5 + 1;
                     for _ in 0..depth {
-                        lock.lock(t, &registry).unwrap();
+                        lock.lock(t, &registry, &NoHooks).unwrap();
                     }
                     let released = lock.release_all(t, &registry).unwrap();
                     assert_eq!(released as usize, depth);

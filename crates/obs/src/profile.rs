@@ -52,9 +52,10 @@ pub struct ObjectProfile {
     pub obj: ObjRef,
     /// Scenario-1 fast-path acquisitions (object was unlocked).
     pub acquire_unlocked: u64,
-    /// Nested re-acquisitions by the owner.
+    /// Nested re-acquisitions by the owner, thin or fat.
     pub acquire_nested: u64,
-    /// Acquisitions through the fat monitor after inflation.
+    /// First (depth-1) acquisitions through the fat monitor after
+    /// inflation; a fat re-entry counts as nested.
     pub acquire_fat: u64,
     /// The subset of fat acquisitions that had to queue (scenario 5).
     pub acquire_fat_contended: u64,

@@ -43,7 +43,8 @@ impl Default for TracerConfig {
 
 /// Records timestamped lock events into per-thread rings.
 ///
-/// Attach to a protocol (e.g. `ThinLocks::with_trace_sink`) and take
+/// Attach to a protocol as a sink of its hook (e.g. `ThinLocks::with_hooks`
+/// with a `HookSet` holding the tracer) and take
 /// [`snapshot`](LockTracer::snapshot)s at any time — including while
 /// writer threads are still recording; snapshots are consistent (no torn
 /// events) and account for everything dropped by ring wraparound.

@@ -1,18 +1,21 @@
-//! The lock-event recording seam between protocols and observability.
+//! The lock-event recording interface between protocols and
+//! observability.
 //!
-//! The statistics counters in [`stats`](crate::stats) reproduce the
-//! paper's *totals* (Table 1, Figure 3) but cannot explain *when* or
-//! *why* an individual lock inflated, how long a thread spun, or which
-//! object is hottest. [`TraceSink`] is the seam that lets a protocol
-//! stream individual, timestamped lock events to an observability
-//! backend without this crate depending on one: the `thinlock-obs`
-//! crate provides the production implementation (fixed-capacity
-//! per-thread event rings), while tests can plug in anything.
+//! Totals such as the paper's Table 1 and Figure 3 cannot explain
+//! *when* or *why* an individual lock inflated, how long a thread spun,
+//! or which object is hottest. [`TraceSink`] is the interface that lets
+//! a protocol stream individual lock events to an observability backend
+//! without this crate depending on one: the `thinlock-obs` crate
+//! provides the production implementation (fixed-capacity per-thread
+//! event rings), [`LockStats`](crate::stats::LockStats) counts the same
+//! stream into the scenario totals, and tests can plug in anything.
 //!
-//! Recording is strictly optional. Protocols hold an
-//! `Option<Arc<dyn TraceSink>>`; when it is `None` the only cost on the
-//! hot path is one never-taken branch — the same zero-cost-when-disabled
-//! discipline as [`stats::LockStats`](crate::stats::LockStats).
+//! Recording is strictly optional. Protocols do not hold sinks
+//! themselves: any number of them attach through the one
+//! instrumentation seam, [`hooks::HookSet`](crate::hooks::HookSet),
+//! which hands each event to every sink. A protocol built with the
+//! default [`NoHooks`](crate::hooks::NoHooks) records nothing and pays
+//! nothing.
 //!
 //! # Example
 //!
@@ -49,7 +52,7 @@ use crate::stats::InflationCause;
 /// protocol implementation.
 ///
 /// The variants mirror the scenarios of Section 2 of the paper plus the
-/// transitions the scenario counters cannot attribute: every inflation
+/// transitions the scenario totals cannot attribute: every inflation
 /// carries its [`InflationCause`], contended acquisitions carry the spin
 /// rounds they burned, and static-analysis outcomes (sync elision,
 /// pre-inflation hints) appear as first-class events so a profile can
@@ -59,15 +62,17 @@ pub enum TraceEventKind {
     /// Scenario 1: locked a previously unlocked object on the fast path.
     AcquireUnlocked,
     /// Scenarios 2–3: nested acquisition by the owner at `depth` (1 is
-    /// the first lock, so nested events start at 2).
+    /// the first lock, so nested events start at 2), thin or fat.
     AcquireNested {
         /// Nesting depth after this acquisition.
         depth: u32,
     },
-    /// Acquired an already-inflated lock through the monitor table.
+    /// Acquired an already-inflated lock the caller did not hold (depth
+    /// 1); a re-entrant fat acquisition is an
+    /// [`AcquireNested`](TraceEventKind::AcquireNested).
     AcquireFat {
-        /// True if another thread owned the monitor when we arrived
-        /// (scenario 5: we queued); false for the fat fast path.
+        /// True if the acquisition queued behind another owner
+        /// (scenario 5); false for the fat fast path.
         contended: bool,
     },
     /// Scenario 4: found the object thin-locked by another thread, spun
@@ -89,10 +94,11 @@ pub enum TraceEventKind {
     Wait,
     /// A `notify` or `notifyAll` was performed on the object's monitor.
     Notify,
-    /// The monitor table allocated a fat-lock slot; `index` is the
-    /// permanent 23-bit monitor index. Emitted by the table itself, so
-    /// it also covers allocations that lose the installing race and leak
-    /// a slot (see `ThinLocks::pre_inflate`).
+    /// The monitor store installed a fat-lock slot; `index` is its
+    /// 23-bit monitor index (a recycled one under a deflating store).
+    /// Emitted as soon as the slot is installed, so it also covers
+    /// allocations that lose the installing race (see
+    /// `LockCore::pre_inflate`).
     MonitorAllocated {
         /// The allocated monitor index.
         index: u32,
@@ -191,7 +197,7 @@ impl TraceEventKind {
 /// implementation.
 ///
 /// `thread` is `None` for events that no specific thread performed
-/// (e.g. [`TraceEventKind::MonitorAllocated`] from the monitor table);
+/// (e.g. [`TraceEventKind::MonitorAllocated`]);
 /// `obj` is `None` when the event is not attributable to one object.
 pub trait TraceSink: Send + Sync {
     /// Records one event. Must not block or allocate.

@@ -1,20 +1,22 @@
-//! The fault-injection seam: labeled protocol points where a test
+//! The fault-injection interface: labeled protocol points where a test
 //! harness can force the schedule the happy path never takes.
 //!
 //! The thin-lock protocol's correctness argument rests on invariants
 //! (owner-only writes, one-way inflation, spin-then-inflate) that
 //! ordinary tests exercise only under whatever interleavings the OS
-//! scheduler happens to produce. [`FaultInjector`] is the seam that lets
+//! scheduler happens to produce. [`FaultInjector`] is the interface that lets
 //! a deterministic harness (the `thinlock-fault` crate's seeded
 //! `FaultPlan`) steer execution through the worst-case orders instead:
 //! a CAS that loses exactly when it matters, a thread descheduled in the
 //! middle of an unlock store, a parker that wakes spuriously, a monitor
 //! table that reports exhaustion on demand.
 //!
-//! The design mirrors [`TraceSink`](crate::events::TraceSink): protocol
-//! structures hold an `Option<Arc<dyn FaultInjector>>`, and when it is
-//! `None` the only hot-path cost is one never-taken branch. Production
-//! builds never attach an injector; chaos tests always do.
+//! Protocols do not hold an injector themselves: it is attached through
+//! the one instrumentation seam, [`hooks::HookSet`](crate::hooks::HookSet),
+//! which consults it at every [`Site`](crate::hooks::Site) carrying an
+//! injection point. A protocol built with the default
+//! [`NoHooks`](crate::hooks::NoHooks) has no injection sites at all.
+//! Production builds never attach an injector; chaos tests always do.
 //!
 //! # Contract
 //!
@@ -161,7 +163,10 @@ impl fmt::Display for InjectionPoint {
     }
 }
 
-/// What an injector tells an injection site to do.
+/// What an injector tells an injection site to do. It is also what
+/// [`Hooks::before`](crate::hooks::Hooks::before) answers every site, so
+/// a schedule's skipped park arrives as
+/// [`SpuriousWake`](FaultAction::SpuriousWake).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 #[non_exhaustive]
 pub enum FaultAction {
@@ -191,9 +196,9 @@ pub enum FaultAction {
     /// moment the rule fires, so the crash lands at the exact
     /// consultation point no matter how the site dispatches on the
     /// returned action. The variant exists so plans can be *configured*
-    /// to crash at a labeled point; a site that somehow receives it
-    /// treats it as [`Proceed`](FaultAction::Proceed). [`decide_at`]
-    /// honors the same contract for third-party injectors.
+    /// to crash at a labeled point. For an injector that returns it
+    /// instead, [`HookSet`](crate::hooks::HookSet) aborts at the site
+    /// itself, so every site honors it.
     Abort,
 }
 
@@ -212,7 +217,8 @@ impl fmt::Display for FaultAction {
 }
 
 /// A source of fault decisions, consulted at every [`InjectionPoint`] a
-/// structure with an attached injector passes through.
+/// protocol with the injector attached (through a
+/// [`HookSet`](crate::hooks::HookSet)) passes through.
 ///
 /// Implementations must be `Send + Sync` (sites call from any thread)
 /// and should be cheap: `decide` sits on the same paths as
@@ -225,26 +231,6 @@ impl fmt::Display for FaultAction {
 pub trait FaultInjector: Send + Sync {
     /// Decides what happens at `point`. Called once per site visit.
     fn decide(&self, point: InjectionPoint) -> FaultAction;
-}
-
-/// Convenience: consult an optional injector, treating `None` as
-/// [`FaultAction::Proceed`]. This is the zero-cost-when-disabled gate
-/// every injection site goes through.
-#[inline]
-pub fn decide_at(
-    injector: &Option<std::sync::Arc<dyn FaultInjector>>,
-    point: InjectionPoint,
-) -> FaultAction {
-    match injector {
-        None => FaultAction::Proceed,
-        // Backstop for injectors that return Abort instead of aborting
-        // inside `decide` (see the FaultAction::Abort contract): the
-        // crash still happens at the labeled point.
-        Some(i) => match i.decide(point) {
-            FaultAction::Abort => std::process::abort(),
-            action => action,
-        },
-    }
 }
 
 #[cfg(test)]
@@ -274,16 +260,14 @@ mod tests {
 
     #[test]
     fn decide_at_defaults_to_proceed() {
-        let none: Option<Arc<dyn FaultInjector>> = None;
-        assert_eq!(
-            decide_at(&none, InjectionPoint::LockFastCas),
-            FaultAction::Proceed
-        );
-        let some: Option<Arc<dyn FaultInjector>> = Some(Arc::new(AlwaysYield));
-        assert_eq!(
-            decide_at(&some, InjectionPoint::LockFastCas),
-            FaultAction::Yield
-        );
+        // Every injection site decides through the hook: with no injector
+        // attached it proceeds, with one attached the injector's answer
+        // reaches the site.
+        use crate::hooks::{HookSet, Hooks, Site};
+        let site = Site::fault(InjectionPoint::LockFastCas);
+        assert_eq!(HookSet::new().before(site, None), FaultAction::Proceed);
+        let some = HookSet::new().fault_injector(Arc::new(AlwaysYield));
+        assert_eq!(some.before(site, None), FaultAction::Yield);
     }
 
     #[test]

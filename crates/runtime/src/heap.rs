@@ -25,7 +25,8 @@ use std::sync::{Arc, OnceLock};
 
 use crate::arch::LockWordCell;
 use crate::error::SyncError;
-use crate::fault::{FaultAction, FaultInjector, InjectionPoint};
+use crate::fault::{FaultAction, InjectionPoint};
+use crate::hooks::{Hooks, Site};
 use crate::lockword::LockWord;
 
 /// A reference to a heap object: an index into the heap's arena.
@@ -129,7 +130,7 @@ pub struct Heap {
     fields: Box<[AtomicI32]>,
     fields_per_object: usize,
     next: AtomicU32,
-    injector: OnceLock<Arc<dyn FaultInjector>>,
+    hooks: OnceLock<Arc<dyn Hooks>>,
 }
 
 impl Heap {
@@ -153,17 +154,18 @@ impl Heap {
             fields,
             fields_per_object,
             next: AtomicU32::new(0),
-            injector: OnceLock::new(),
+            hooks: OnceLock::new(),
         }
     }
 
-    /// Attaches a fault injector consulted at [`InjectionPoint::HeapAlloc`]
-    /// on every allocation. Write-once: the first installed injector wins
-    /// and later calls are ignored (mirroring `OnceLock` semantics), so a
-    /// chaos harness can install through a shared `Arc<Heap>` without a
+    /// Attaches the hook consulted at [`InjectionPoint::HeapAlloc`] on
+    /// every allocation — the protocol's own hook, so one injector covers
+    /// the whole stack. Write-once: the first installed hook wins and
+    /// later calls are ignored (mirroring `OnceLock` semantics), so a
+    /// protocol can install through a shared `Arc<Heap>` without a
     /// `&mut` builder window.
-    pub fn set_fault_injector(&self, injector: Arc<dyn FaultInjector>) {
-        let _ = self.injector.set(injector);
+    pub fn set_hooks(&self, hooks: Arc<dyn Hooks>) {
+        let _ = self.hooks.set(hooks);
     }
 
     /// Total number of objects this heap can hold.
@@ -199,8 +201,8 @@ impl Heap {
     ///
     /// Returns [`SyncError::HeapFull`] when the arena is exhausted.
     pub fn alloc_with_class(&self, class_id: u32) -> Result<ObjRef, SyncError> {
-        if let Some(injector) = self.injector.get() {
-            match injector.decide(InjectionPoint::HeapAlloc) {
+        if let Some(hooks) = self.hooks.get() {
+            match hooks.before(Site::fault(InjectionPoint::HeapAlloc), None) {
                 FaultAction::Exhaust => return Err(SyncError::HeapFull),
                 FaultAction::Yield => std::thread::yield_now(),
                 _ => {}
@@ -360,6 +362,8 @@ mod tests {
 
     #[test]
     fn injected_exhaustion_fails_alloc_without_consuming_capacity() {
+        use crate::fault::FaultInjector;
+        use crate::hooks::HookSet;
         use std::sync::atomic::AtomicBool;
 
         #[derive(Debug, Default)]
@@ -375,7 +379,9 @@ mod tests {
         }
 
         let heap = Heap::with_capacity(2);
-        heap.set_fault_injector(Arc::new(ExhaustOnce::default()));
+        heap.set_hooks(Arc::new(
+            HookSet::new().fault_injector(Arc::new(ExhaustOnce::default())),
+        ));
         assert_eq!(heap.alloc(), Err(SyncError::HeapFull));
         assert_eq!(heap.allocated(), 0, "injected failure consumed no slot");
         // Subsequent allocations proceed and the full capacity is usable.

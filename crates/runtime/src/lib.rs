@@ -21,20 +21,26 @@
 //!   introspection probes (owner, lock word, monitor snapshot, monitor
 //!   population) that make whole backends interchangeable under the
 //!   chaos, model-checking, and benchmark harnesses (BACKENDS.md).
-//! * [`stats`] — instrumentation counters for the locking-scenario
-//!   characterization of Section 3.2 (Table 1 / Figure 3).
-//! * [`events`] — the [`events::TraceSink`] seam through which protocols
-//!   stream individual timestamped lock events to an observability
-//!   backend (the `thinlock-obs` crate) without depending on one.
+//! * [`hooks`] — the one instrumentation seam: [`hooks::Hooks`] is
+//!   consulted before each labeled protocol step and told about each
+//!   event after it. [`hooks::NoHooks`] is the zero-sized default that
+//!   compiles to nothing; [`hooks::HookSet`] fans out to the three
+//!   harness interfaces below.
+//! * [`schedule`] — the [`schedule::Schedule`] interface and its labeled
+//!   schedule points, at which a cooperative scheduler (the
+//!   `thinlock-modelcheck` crate) serializes execution and explores every
+//!   interleaving of a small thread program.
+//! * [`fault`] — the [`fault::FaultInjector`] interface and its labeled
+//!   injection points, at which a deterministic chaos harness (the
+//!   `thinlock-fault` crate) forces CAS failures, descheduling, spurious
+//!   wakeups, and resource exhaustion.
+//! * [`events`] — the [`events::TraceSink`] interface through which
+//!   protocols stream individual lock events to an observability backend
+//!   (the `thinlock-obs` crate) without depending on one.
+//! * [`stats`] — counters for the locking-scenario characterization of
+//!   Section 3.2 (Table 1 / Figure 3), kept by a sink that counts the
+//!   event stream.
 //! * [`backoff`] — the spin/yield backoff used while spinning to inflate.
-//! * [`fault`] — the [`fault::FaultInjector`] seam: labeled injection
-//!   points at which a deterministic chaos harness (the `thinlock-fault`
-//!   crate) can force CAS failures, descheduling, spurious wakeups, and
-//!   resource exhaustion; zero-cost when no injector is attached.
-//! * [`schedule`] — the [`schedule::Schedule`] seam: labeled schedule
-//!   points at which a cooperative scheduler (the `thinlock-modelcheck`
-//!   crate) can serialize execution and explore every interleaving of a
-//!   small thread program; zero-cost when no schedule is attached.
 //!
 //! # Example
 //!
@@ -58,6 +64,7 @@ pub mod error;
 pub mod events;
 pub mod fault;
 pub mod heap;
+pub mod hooks;
 pub mod lockword;
 pub mod prng;
 pub mod protocol;
@@ -70,6 +77,7 @@ pub use error::{SyncError, SyncResult};
 pub use events::{TraceEventKind, TraceSink};
 pub use fault::{FaultAction, FaultInjector, InjectionPoint};
 pub use heap::{Heap, ObjRef};
+pub use hooks::{HookSet, Hooks, NoHooks, Site};
 pub use lockword::{LockWord, MonitorIndex, ThreadIndex};
 pub use protocol::{SyncProtocol, WaitOutcome};
 pub use registry::{ThreadRegistry, ThreadToken};

@@ -1,20 +1,21 @@
-//! The cooperative-scheduling seam: labeled protocol points where a
+//! The cooperative-scheduling interface: labeled protocol points where a
 //! model checker can serialize and steer thread interleavings.
 //!
-//! The fault seam ([`fault`](crate::fault)) lets a harness *perturb* a
-//! schedule; this seam lets one *own* it. A [`Schedule`] implementation
+//! A fault injector ([`fault`](crate::fault)) lets a harness *perturb* a
+//! schedule; a [`Schedule`] lets one *own* it. A [`Schedule`] implementation
 //! (the `thinlock-modelcheck` crate's cooperative scheduler) blocks the
 //! calling thread inside [`Schedule::reached`] until the controller
 //! grants it the next step, which serializes execution and makes every
 //! interleaving of a small thread program reachable and replayable —
 //! the substrate for exhaustive DFS/DPOR exploration (DESIGN.md §14).
 //!
-//! The design mirrors [`FaultInjector`](crate::fault::FaultInjector)
-//! exactly: protocol structures hold an `Option<Arc<dyn Schedule>>`,
-//! and when it is `None` the only hot-path cost is one never-taken
-//! branch — the same zero-cost-when-disabled discipline as
-//! [`TraceSink`](crate::events::TraceSink). Production builds never
-//! attach a schedule; the model checker always does.
+//! Protocols do not hold a schedule themselves: it is attached through
+//! the one instrumentation seam, [`hooks::HookSet`](crate::hooks::HookSet),
+//! which announces every [`Site`](crate::hooks::Site) carrying a
+//! schedule point to it before the injector (if any) decides. A
+//! protocol built with the default [`NoHooks`](crate::hooks::NoHooks)
+//! has no schedule points at all. Production builds never attach a
+//! schedule; the model checker always does.
 //!
 //! # Contract
 //!
@@ -162,8 +163,9 @@ impl fmt::Display for SchedAction {
     }
 }
 
-/// A scheduler consulted at every [`SchedPoint`] a structure with an
-/// attached schedule passes through.
+/// A scheduler consulted at every [`SchedPoint`] a protocol with the
+/// schedule attached (through a [`HookSet`](crate::hooks::HookSet))
+/// passes through.
 ///
 /// Implementations must be `Send + Sync`. Unlike
 /// [`TraceSink::record`](crate::events::TraceSink::record), `reached`
@@ -177,22 +179,6 @@ pub trait Schedule: Send + Sync {
     /// labeled `point` on `obj` (when the site knows the object), and
     /// blocks until the step is granted.
     fn reached(&self, point: SchedPoint, obj: Option<ObjRef>) -> SchedAction;
-}
-
-/// Convenience: consult an optional schedule, treating `None` as
-/// [`SchedAction::Proceed`]. This is the zero-cost-when-disabled gate
-/// every schedule point goes through — the same shape as
-/// [`fault::decide_at`](crate::fault::decide_at).
-#[inline]
-pub fn reach_at(
-    schedule: &Option<std::sync::Arc<dyn Schedule>>,
-    point: SchedPoint,
-    obj: Option<ObjRef>,
-) -> SchedAction {
-    match schedule {
-        None => SchedAction::Proceed,
-        Some(s) => s.reached(point, obj),
-    }
 }
 
 #[cfg(test)]
@@ -232,15 +218,17 @@ mod tests {
 
     #[test]
     fn reach_at_defaults_to_proceed() {
-        let none: Option<Arc<dyn Schedule>> = None;
+        // Every schedule point is reached through the hook: with no
+        // schedule attached it proceeds, with one attached a skipped park
+        // reaches the site as the spurious wake it looks like.
+        use crate::fault::FaultAction;
+        use crate::hooks::{HookSet, Hooks, Site};
+        let lock_fast = Site::sched(SchedPoint::LockFast);
+        assert_eq!(HookSet::new().before(lock_fast, None), FaultAction::Proceed);
+        let some = HookSet::new().schedule(Arc::new(AlwaysSkip));
         assert_eq!(
-            reach_at(&none, SchedPoint::LockFast, None),
-            SchedAction::Proceed
-        );
-        let some: Option<Arc<dyn Schedule>> = Some(Arc::new(AlwaysSkip));
-        assert_eq!(
-            reach_at(&some, SchedPoint::FatPark, None),
-            SchedAction::SkipPark
+            some.before(Site::sched(SchedPoint::FatPark), None),
+            FaultAction::SpuriousWake
         );
     }
 

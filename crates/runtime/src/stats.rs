@@ -1,13 +1,27 @@
-//! Instrumentation counters for the locking-scenario characterization.
+//! Counters for the locking-scenario characterization.
 //!
 //! Section 2 of the paper ranks five locking scenarios by assumed
 //! frequency, and Section 3.2 (Table 1, Figure 3) validates the ranking by
 //! counting them. [`LockStats`] holds one relaxed atomic counter per
-//! scenario plus a nesting-depth histogram, so a protocol (or the trace
-//! replay engine) can regenerate those measurements.
+//! scenario plus a nesting-depth histogram, so a protocol can regenerate
+//! those measurements.
+//!
+//! [`LockStats`] is a [`TraceSink`]: it is attached like any other sink
+//! and derives every counter from the protocol's event stream, so the
+//! counters and a trace of the same run cannot disagree, and a protocol
+//! has no counting code of its own.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use crate::events::{TraceEventKind, TraceSink};
+use crate::heap::ObjRef;
+use crate::lockword::ThreadIndex;
+
+/// Nesting depth at or below which a nested acquisition counts as
+/// [`LockScenario::NestedShallow`] — the paper never observed nesting
+/// deeper than four (Section 3.2).
+const SHALLOW_DEPTH: u32 = 4;
 
 /// The five locking scenarios of Section 2, plus the post-inflation fat
 /// cases needed to account for every operation.
@@ -112,20 +126,33 @@ impl fmt::Display for InflationCause {
 /// lock on an object; the last bucket aggregates everything deeper.
 pub const DEPTH_BUCKETS: usize = 8;
 
-/// Relaxed atomic counters describing a run's locking behaviour.
+/// Relaxed atomic counters describing a run's locking behaviour, counted
+/// from the event stream.
 ///
 /// All increments are `Relaxed`: the counters are monotone and only read
-/// after the measured run quiesces, so no ordering is needed and the
-/// instrumented fast path stays cheap.
+/// after the measured run quiesces, so no ordering is needed.
+///
+/// | event | counter |
+/// |---|---|
+/// | `AcquireUnlocked` | [`LockScenario::Unlocked`], depth 1 |
+/// | `AcquireNested { depth }` | nested shallow (depth ≤ 4) or deep, `depth` |
+/// | `AcquireContendedThin { spin_rounds }` | [`LockScenario::ContendedThin`], depth 1; `spin_rounds` |
+/// | `AcquireFat { contended }` | fat contended or uncontended, depth 1 |
+/// | `Inflated { cause }` | `inflations[cause]` |
+/// | `UnlockThin` / `UnlockFat` | `unlocks_thin` / `unlocks_fat` |
+/// | `Wait` / `Notify` | `waits` / `notifies` |
+///
+/// Every other event is ignored.
 ///
 /// # Example
 ///
 /// ```
-/// use thinlock_runtime::stats::{LockScenario, LockStats};
+/// use thinlock_runtime::events::{TraceEventKind, TraceSink};
+/// use thinlock_runtime::stats::LockStats;
 ///
 /// let stats = LockStats::new();
-/// stats.record_lock(LockScenario::Unlocked, 1);
-/// stats.record_lock(LockScenario::NestedShallow, 2);
+/// stats.record(None, None, TraceEventKind::AcquireUnlocked);
+/// stats.record(None, None, TraceEventKind::AcquireNested { depth: 2 });
 /// let snap = stats.snapshot();
 /// assert_eq!(snap.total_locks(), 2);
 /// assert_eq!(snap.depth_histogram[0], 1); // one first-lock
@@ -149,62 +176,13 @@ impl LockStats {
         LockStats::default()
     }
 
-    fn scenario_slot(s: LockScenario) -> usize {
-        match s {
-            LockScenario::Unlocked => 0,
-            LockScenario::NestedShallow => 1,
-            LockScenario::NestedDeep => 2,
-            LockScenario::ContendedThin => 3,
-            LockScenario::FatUncontended => 4,
-            LockScenario::FatContended => 5,
-        }
-    }
-
-    fn cause_slot(c: InflationCause) -> usize {
-        match c {
-            InflationCause::Contention => 0,
-            InflationCause::CountOverflow => 1,
-            InflationCause::WaitNotify => 2,
-            InflationCause::Hint => 3,
-        }
-    }
-
-    /// Records one lock acquisition under `scenario` at nesting `depth`
+    /// Counts one lock acquisition under `scenario` at nesting `depth`
     /// (1 = first lock on the object).
-    pub fn record_lock(&self, scenario: LockScenario, depth: u32) {
-        self.scenarios[Self::scenario_slot(scenario)].fetch_add(1, Ordering::Relaxed);
+    fn count_lock(&self, scenario: LockScenario, depth: u32) {
+        // `ALL` lists the scenarios in declaration order.
+        self.scenarios[scenario as usize].fetch_add(1, Ordering::Relaxed);
         let bucket = (depth.max(1) as usize - 1).min(DEPTH_BUCKETS - 1);
         self.depths[bucket].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records an inflation and its cause.
-    pub fn record_inflation(&self, cause: InflationCause) {
-        self.inflations[Self::cause_slot(cause)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a thin (store-based) unlock.
-    pub fn record_unlock_thin(&self) {
-        self.unlocks_thin.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a fat (monitor) unlock.
-    pub fn record_unlock_fat(&self) {
-        self.unlocks_fat.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adds spin-loop rounds spent waiting to inflate.
-    pub fn record_spin_rounds(&self, rounds: u64) {
-        self.spin_rounds.fetch_add(rounds, Ordering::Relaxed);
-    }
-
-    /// Records a `wait` operation.
-    pub fn record_wait(&self) {
-        self.waits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a `notify`/`notifyAll` operation.
-    pub fn record_notify(&self) {
-        self.notifies.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Takes a consistent-enough snapshot for reporting (run must be
@@ -224,6 +202,40 @@ impl LockStats {
     }
 }
 
+impl TraceSink for LockStats {
+    fn record(&self, _thread: Option<ThreadIndex>, _obj: Option<ObjRef>, kind: TraceEventKind) {
+        let bump = |counter: &AtomicU64| {
+            counter.fetch_add(1, Ordering::Relaxed);
+        };
+        match kind {
+            TraceEventKind::AcquireUnlocked => self.count_lock(LockScenario::Unlocked, 1),
+            TraceEventKind::AcquireNested { depth } if depth <= SHALLOW_DEPTH => {
+                self.count_lock(LockScenario::NestedShallow, depth);
+            }
+            TraceEventKind::AcquireNested { depth } => {
+                self.count_lock(LockScenario::NestedDeep, depth);
+            }
+            TraceEventKind::AcquireContendedThin { spin_rounds } => {
+                self.count_lock(LockScenario::ContendedThin, 1);
+                self.spin_rounds
+                    .fetch_add(u64::from(spin_rounds), Ordering::Relaxed);
+            }
+            TraceEventKind::AcquireFat { contended: true } => {
+                self.count_lock(LockScenario::FatContended, 1);
+            }
+            TraceEventKind::AcquireFat { contended: false } => {
+                self.count_lock(LockScenario::FatUncontended, 1);
+            }
+            TraceEventKind::Inflated { cause } => bump(&self.inflations[usize::from(cause.code())]),
+            TraceEventKind::UnlockThin => bump(&self.unlocks_thin),
+            TraceEventKind::UnlockFat => bump(&self.unlocks_fat),
+            TraceEventKind::Wait => bump(&self.waits),
+            TraceEventKind::Notify => bump(&self.notifies),
+            _ => {}
+        }
+    }
+}
+
 /// Plain-data snapshot of [`LockStats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StatsSnapshot {
@@ -239,7 +251,10 @@ pub struct StatsSnapshot {
     pub unlocks_thin: u64,
     /// Monitor unlocks of fat locks.
     pub unlocks_fat: u64,
-    /// Spin-loop rounds spent in the contention path.
+    /// Spin rounds carried by `AcquireContendedThin` events: the rounds a
+    /// contender spun on a thin-held word before its CAS won. Rounds a
+    /// contender spun before the word went fat are not counted, since no
+    /// event carries them.
     pub spin_rounds: u64,
     /// `wait` operations.
     pub waits: u64,
@@ -306,28 +321,40 @@ impl fmt::Display for StatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use TraceEventKind::*;
+
+    fn counted(events: &[TraceEventKind]) -> StatsSnapshot {
+        let s = LockStats::new();
+        for &kind in events {
+            s.record(None, None, kind);
+        }
+        s.snapshot()
+    }
 
     #[test]
     fn scenario_counting() {
-        let s = LockStats::new();
-        s.record_lock(LockScenario::Unlocked, 1);
-        s.record_lock(LockScenario::Unlocked, 1);
-        s.record_lock(LockScenario::NestedShallow, 2);
-        s.record_lock(LockScenario::FatContended, 1);
-        let snap = s.snapshot();
-        assert_eq!(snap.scenario_counts[0], 2);
-        assert_eq!(snap.scenario_counts[1], 1);
-        assert_eq!(snap.scenario_counts[5], 1);
-        assert_eq!(snap.total_locks(), 4);
+        let snap = counted(&[
+            AcquireUnlocked,
+            AcquireUnlocked,
+            AcquireNested { depth: 2 },
+            AcquireFat { contended: true },
+            AcquireFat { contended: false },
+            AcquireContendedThin { spin_rounds: 7 },
+        ]);
+        assert_eq!(snap.scenario_counts, [2, 1, 0, 1, 1, 1]);
+        assert_eq!(snap.total_locks(), 6);
+        assert_eq!(snap.spin_rounds, 7);
     }
 
     #[test]
     fn depth_histogram_buckets_and_saturation() {
-        let s = LockStats::new();
-        s.record_lock(LockScenario::Unlocked, 1);
-        s.record_lock(LockScenario::NestedShallow, 4);
-        s.record_lock(LockScenario::NestedDeep, 100); // saturates last bucket
-        let snap = s.snapshot();
+        let snap = counted(&[
+            AcquireUnlocked,
+            AcquireNested { depth: 4 },
+            AcquireNested { depth: 100 }, // saturates last bucket
+        ]);
+        assert_eq!(snap.scenario_counts[1], 1, "depth 4 is shallow");
+        assert_eq!(snap.scenario_counts[2], 1, "depth 100 is deep");
         assert_eq!(snap.depth_histogram[0], 1);
         assert_eq!(snap.depth_histogram[3], 1);
         assert_eq!(snap.depth_histogram[DEPTH_BUCKETS - 1], 1);
@@ -336,14 +363,9 @@ mod tests {
 
     #[test]
     fn first_lock_fraction() {
-        let s = LockStats::new();
-        for _ in 0..8 {
-            s.record_lock(LockScenario::Unlocked, 1);
-        }
-        for _ in 0..2 {
-            s.record_lock(LockScenario::NestedShallow, 2);
-        }
-        let snap = s.snapshot();
+        let mut events = vec![AcquireUnlocked; 8];
+        events.extend([AcquireNested { depth: 2 }; 2]);
+        let snap = counted(&events);
         assert!((snap.first_lock_fraction() - 0.8).abs() < 1e-9);
     }
 
@@ -357,23 +379,38 @@ mod tests {
 
     #[test]
     fn inflation_causes_tracked_separately() {
-        let s = LockStats::new();
-        s.record_inflation(InflationCause::Contention);
-        s.record_inflation(InflationCause::Contention);
-        s.record_inflation(InflationCause::CountOverflow);
-        s.record_inflation(InflationCause::WaitNotify);
-        s.record_inflation(InflationCause::Hint);
-        let snap = s.snapshot();
+        let mut events: Vec<_> = InflationCause::ALL
+            .iter()
+            .map(|&cause| Inflated { cause })
+            .collect();
+        events.push(Inflated {
+            cause: InflationCause::Contention,
+        });
+        let snap = counted(&events);
         assert_eq!(snap.inflations, [2, 1, 1, 1]);
         assert_eq!(snap.total_inflations(), 5);
     }
 
     #[test]
+    fn unlocks_waits_notifies_and_the_rest() {
+        let snap = counted(&[
+            UnlockThin,
+            UnlockFat,
+            UnlockFat,
+            Wait,
+            Notify,
+            MonitorAllocated { index: 0 },
+            ElisionHit,
+            AcquireTimedOut,
+        ]);
+        assert_eq!((snap.unlocks_thin, snap.unlocks_fat), (1, 2));
+        assert_eq!((snap.waits, snap.notifies), (1, 1));
+        assert_eq!(snap.total_locks(), 0, "other events count nothing");
+    }
+
+    #[test]
     fn display_contains_key_lines() {
-        let s = LockStats::new();
-        s.record_lock(LockScenario::Unlocked, 1);
-        s.record_unlock_thin();
-        let text = s.snapshot().to_string();
+        let text = counted(&[AcquireUnlocked, UnlockThin]).to_string();
         assert!(text.contains("locks: 1"));
         assert!(text.contains("unlocked"));
         assert!(text.contains("depth histogram"));

@@ -21,6 +21,7 @@ use std::sync::{Arc, Barrier};
 use thinlock::ThinLocks;
 use thinlock_runtime::events::TraceSink;
 use thinlock_runtime::heap::{Heap, ObjRef};
+use thinlock_runtime::hooks::HookSet;
 use thinlock_runtime::prng::Prng;
 use thinlock_runtime::protocol::SyncProtocol;
 use thinlock_runtime::registry::ThreadRegistry;
@@ -68,11 +69,8 @@ pub fn run_concurrent_program(
     let pool_size = entry.program.pool_size() as usize;
     let fields = usize::from(entry.fields.max(1));
     let heap = Arc::new(Heap::with_capacity_and_fields(pool_size + 1, fields));
-    let mut locks = ThinLocks::new(heap, ThreadRegistry::new());
-    if let Some(sink) = sink {
-        locks = locks.with_trace_sink(sink);
-    }
-    let locks = Arc::new(locks);
+    let hooks = sink.into_iter().fold(HookSet::new(), HookSet::sink);
+    let locks = Arc::new(ThinLocks::new(heap, ThreadRegistry::new()).with_hooks(hooks));
     let pool: Vec<ObjRef> = (0..pool_size)
         .map(|_| locks.heap().alloc())
         .collect::<Result<_, _>>()

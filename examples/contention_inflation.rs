@@ -14,12 +14,14 @@ use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use thinlock::ThinLocks;
+use thinlock_runtime::hooks::HookSet;
 use thinlock_runtime::protocol::SyncProtocol;
 use thinlock_runtime::stats::LockStats;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stats = Arc::new(LockStats::new());
-    let locks = Arc::new(ThinLocks::with_capacity(4).with_stats(Arc::clone(&stats)));
+    let hooks = HookSet::new().sink(Arc::clone(&stats) as _);
+    let locks = Arc::new(ThinLocks::with_capacity(4).with_hooks(hooks));
     let shared = locks.heap().alloc()?;
     let counter = Arc::new(AtomicU64::new(0));
 

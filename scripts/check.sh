@@ -31,16 +31,20 @@ cargo run -q --release --offline -p thinlock-analysis --bin lockcheck -- --deny-
 echo "== lockcheck: static SyncPlan must agree with the dynamic contention profile"
 cargo run -q --release --offline -p thinlock-analysis --bin lockcheck -- --deny-disagreement >/dev/null
 
+# lockmc's quick output is deterministic, so it is pinned byte for byte
+# in scripts/lockmc/: a change to the protocol's schedule points, their
+# order or the events they emit shows up here as a diff. Regenerate a
+# file (and review the diff) only when such a change is intended.
 echo "== lockmc: bounded interleaving exploration must stay clean (thin, cjm, fissile, hapax)"
 for backend in thin cjm fissile hapax; do
     cargo run -q --release --offline -p thinlock-modelcheck --bin lockmc -- \
-        verify --quick --backend "$backend" >/dev/null
+        verify --quick --backend "$backend" | diff -u "scripts/lockmc/verify-$backend.txt" -
 done
 
 echo "== lockmc: every seeded protocol mutation must be caught (thin, cjm, fissile, hapax)"
 for backend in thin cjm fissile hapax; do
     cargo run -q --release --offline -p thinlock-modelcheck --bin lockmc -- \
-        --mutate --quick --backend "$backend" >/dev/null
+        --mutate --quick --backend "$backend" | diff -u "scripts/lockmc/mutate-$backend.txt" -
 done
 
 echo "== bench smoke: tiny reproduce --json run + id-coverage gate"

@@ -6,9 +6,11 @@ use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use thinlock::config::{DynamicConfig, FastPathConfig, StaticKernelCas, StaticMp, StaticUp};
-use thinlock::ThinLocks;
+use thinlock::thin::Thin;
+use thinlock::{LockCore, ThinLocks};
 use thinlock_runtime::arch::ArchProfile;
 use thinlock_runtime::heap::Heap;
+use thinlock_runtime::hooks::{HookSet, Hooks};
 use thinlock_runtime::protocol::SyncProtocol;
 use thinlock_runtime::registry::ThreadRegistry;
 use thinlock_runtime::stats::LockStats;
@@ -22,7 +24,9 @@ fn thin_with<C: FastPathConfig>(config: C) -> ThinLocks<C> {
 }
 
 /// Exercises all three inflation triggers under one configuration.
-fn exercise_inflation_triggers<C: FastPathConfig>(locks: Arc<ThinLocks<C>>) {
+fn exercise_inflation_triggers<C: FastPathConfig, H: Hooks + 'static>(
+    locks: Arc<LockCore<Thin, C, H>>,
+) {
     // Trigger 1: count overflow at the 257th acquisition.
     {
         let reg = locks.registry().register().unwrap();
@@ -116,7 +120,8 @@ fn inflation_triggers_outlined_variant() {
 #[test]
 fn stats_record_each_inflation_cause() {
     let stats = Arc::new(LockStats::new());
-    let locks = Arc::new(ThinLocks::with_capacity(8).with_stats(Arc::clone(&stats)));
+    let hooks = HookSet::new().sink(Arc::clone(&stats) as _);
+    let locks = Arc::new(ThinLocks::with_capacity(8).with_hooks(hooks));
     exercise_inflation_triggers(Arc::clone(&locks));
     let snap = stats.snapshot();
     assert_eq!(snap.inflations[0], 1, "one contention inflation");

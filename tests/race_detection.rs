@@ -23,10 +23,10 @@ use thinlock_modelcheck::{explore_with, run_bodies, CoopScheduler, Limits, Mode}
 use thinlock_obs::EraserSanitizer;
 use thinlock_runtime::events::TraceSink;
 use thinlock_runtime::heap::{Heap, ObjRef};
+use thinlock_runtime::hooks::HookSet;
 use thinlock_runtime::prng::Prng;
 use thinlock_runtime::protocol::SyncProtocol;
 use thinlock_runtime::registry::ThreadRegistry;
-use thinlock_runtime::schedule::Schedule;
 use thinlock_trace::vmreplay::run_concurrent_program;
 use thinlock_vm::programs::{concurrent_library, ConcurrentProgram, MicroBench};
 use thinlock_vm::{Value, Vm};
@@ -106,9 +106,11 @@ fn explore_exhaustively(entry: &ConcurrentProgram) -> (u64, u64) {
         let heap = Arc::new(Heap::with_capacity_and_fields(pool_size + 1, fields));
         let sanitizer = Arc::new(EraserSanitizer::new(pool_size + 1, fields));
         let locks = Arc::new(
-            ThinLocks::new(heap, ThreadRegistry::new())
-                .with_schedule(Arc::clone(&sched) as Arc<dyn Schedule>)
-                .with_trace_sink(Arc::clone(&sanitizer) as Arc<dyn TraceSink>),
+            ThinLocks::new(heap, ThreadRegistry::new()).with_hooks(
+                HookSet::new()
+                    .schedule(Arc::clone(&sched) as _)
+                    .sink(Arc::clone(&sanitizer) as _),
+            ),
         );
         let pool: Vec<ObjRef> = (0..pool_size)
             .map(|_| locks.heap().alloc().expect("pool fits"))

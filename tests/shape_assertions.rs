@@ -31,12 +31,32 @@ fn ns(kind: ProtocolKind, bench: MicroBench) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
+/// Min of `rounds` interleaved measurements per protocol: each round
+/// measures every protocol once, so host load drift perturbs all of them
+/// alike and a noise spike cannot flip an ordering assertion.
+fn interleaved_min<const N: usize>(
+    kinds: [ProtocolKind; N],
+    bench: MicroBench,
+    rounds: usize,
+) -> [f64; N] {
+    let mut best = [f64::INFINITY; N];
+    for _ in 0..rounds {
+        for (best, &kind) in best.iter_mut().zip(&kinds) {
+            *best = best.min(run_micro(kind, bench, ITERS).ns_per_iter());
+        }
+    }
+    best
+}
+
 #[test]
 fn thin_beats_monitor_cache_on_initial_locking() {
     let _gate = gate();
     // Paper: ThinLock 3.7x faster than JDK111 on Sync. Require >1.5x.
-    let thin = ns(ProtocolKind::ThinLock, MicroBench::Sync);
-    let jdk = ns(ProtocolKind::Jdk111, MicroBench::Sync);
+    let [thin, jdk] = interleaved_min(
+        [ProtocolKind::ThinLock, ProtocolKind::Jdk111],
+        MicroBench::Sync,
+        5,
+    );
     assert!(
         jdk > 1.5 * thin,
         "Sync: thin {thin:.0} ns vs jdk {jdk:.0} ns — expected a wide gap"
@@ -53,12 +73,11 @@ fn thin_beats_hot_locks_on_initial_locking() {
     // show the real >1.2x gap. Interleave the repetitions so host load
     // drift perturbs both protocols alike.
     let required = if cfg!(debug_assertions) { 0.95 } else { 1.2 };
-    let mut thin = f64::INFINITY;
-    let mut ibm = f64::INFINITY;
-    for _ in 0..5 {
-        thin = thin.min(run_micro(ProtocolKind::ThinLock, MicroBench::Sync, ITERS).ns_per_iter());
-        ibm = ibm.min(run_micro(ProtocolKind::Ibm112, MicroBench::Sync, ITERS).ns_per_iter());
-    }
+    let [thin, ibm] = interleaved_min(
+        [ProtocolKind::ThinLock, ProtocolKind::Ibm112],
+        MicroBench::Sync,
+        5,
+    );
     assert!(
         ibm > required * thin,
         "Sync: thin {thin:.0} ns vs ibm {ibm:.0} ns (required factor {required})"
@@ -68,18 +87,19 @@ fn thin_beats_hot_locks_on_initial_locking() {
 #[test]
 fn hot_locks_sit_between_thin_and_cache() {
     let _gate = gate();
-    // Take the min of three interleaved measurements per protocol so a
+    // Take the min of nine interleaved measurements per protocol so a
     // noise spike on a busy single-CPU host cannot flip the ordering, and
     // allow a 10% margin on the thin/ibm comparison (debug builds blunt
     // the thin fast path's inlining advantage).
-    let min3 = |kind: ProtocolKind| {
-        (0..3)
-            .map(|_| ns(kind, MicroBench::Sync))
-            .fold(f64::INFINITY, f64::min)
-    };
-    let thin = min3(ProtocolKind::ThinLock);
-    let ibm = min3(ProtocolKind::Ibm112);
-    let jdk = min3(ProtocolKind::Jdk111);
+    let [thin, ibm, jdk] = interleaved_min(
+        [
+            ProtocolKind::ThinLock,
+            ProtocolKind::Ibm112,
+            ProtocolKind::Jdk111,
+        ],
+        MicroBench::Sync,
+        9,
+    );
     assert!(
         thin < ibm * 1.1 && ibm < jdk,
         "thin {thin:.0} <~ ibm {ibm:.0} < jdk {jdk:.0}"
