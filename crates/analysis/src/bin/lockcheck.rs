@@ -1,5 +1,7 @@
 //! `lockcheck` — runs the static lock-discipline passes over the
-//! built-in program library and prints per-method findings.
+//! built-in program library and prints per-method findings. The passes
+//! are [`thinlock_analysis::driver`]'s, which `reproduce lockcheck`
+//! runs too; this binary parses flags, prints and gates.
 //!
 //! Flags:
 //!
@@ -30,291 +32,16 @@
 //!   `--deny-races` and `--deny-disagreement`) is unchanged.
 
 use std::process::ExitCode;
-use std::sync::Arc;
 
-use thinlock_analysis::contention::{classify_agreement, Agreement};
-use thinlock_analysis::escape::EscapeContext;
-use thinlock_analysis::guards::EntryRole;
+use thinlock_analysis::contention::Agreement;
+use thinlock_analysis::driver::{self, Lockcheck, PLAN_ITERS, PLAN_SEED};
 use thinlock_analysis::json::write_report;
-use thinlock_analysis::{analyze_program, analyze_program_with_roles, AnalysisReport};
-use thinlock_obs::{ContentionProfile, JsonWriter, LockTracer, TracerConfig};
-use thinlock_runtime::events::TraceSink;
-use thinlock_trace::vmreplay::run_concurrent_program;
-use thinlock_vm::library;
-use thinlock_vm::program::Program;
-use thinlock_vm::programs::{self, ConcurrentProgram, MicroBench};
+use thinlock_obs::JsonWriter;
 
-/// Iterations per role thread for the `--plan` dynamic runs: enough to
-/// make hot sites visibly contended without slowing CI.
-const PLAN_ITERS: u32 = 300;
-/// Fixed schedule-perturbation seed so agreement verdicts are stable.
-const PLAN_SEED: u64 = 0x51ee_d10c;
-
-#[derive(Default)]
-struct Totals {
-    programs: usize,
-    methods: usize,
-    diagnostics: usize,
-    cycles: usize,
-    elidable: usize,
-    hints: usize,
-    guarded_facts: usize,
-    race_candidates: usize,
-    race_mismatches: usize,
-    plan_sites: usize,
-    plan_conservative: usize,
-    plan_disagreements: usize,
-    plan_shape_mismatches: usize,
-    plan_run_errors: usize,
-}
-
-/// One analyzed program from the sequential catalog.
-struct ProgramRun {
-    name: String,
-    threads: u32,
-    report: AnalysisReport,
-}
-
-/// One concurrent-library program cross-checked against ground truth.
-struct RaceRun {
-    entry: ConcurrentProgram,
-    report: AnalysisReport,
-    agrees: bool,
-    /// Expected racy fields absent from the candidate list.
-    missing: Vec<(u32, u16)>,
-}
-
-/// One allocation site cross-checked static plan vs dynamic profile.
-struct PlanSite {
-    pool: u32,
-    /// Static contention shape (stable lowercase name).
-    shape: String,
-    elide: bool,
-    pre_inflate: bool,
-    pin_fifo: bool,
-    backend_hint: String,
-    /// Ground-truth label from `ConcurrentProgram::expected_shapes`,
-    /// when the program carries one for this pool index.
-    expected: Option<&'static str>,
-    /// Dynamic contended acquisitions (thin-spin + fat-queued).
-    contended: u64,
-    /// Dynamic `wait` operations observed on the site.
-    waits: u64,
-    agreement: Agreement,
-}
-
-/// One concurrent-library program run under the `--plan` agreement gate.
-struct PlanRun {
-    entry: ConcurrentProgram,
-    sites: Vec<PlanSite>,
-    /// Why the dynamic run produced no profile, if it failed.
-    run_error: Option<String>,
-}
-
-/// The sequential analysis catalog: every micro-benchmark, the scanner
-/// macro-benchmark, and the seeded defect programs.
-fn catalog() -> Vec<(String, EscapeContext, Program)> {
-    let mut entries: Vec<(String, EscapeContext, Program)> = Vec::new();
-    for bench in MicroBench::table2()
-        .into_iter()
-        .chain([MicroBench::MixedSync])
-    {
-        let ctx = EscapeContext::threads(bench.thread_count());
-        entries.push((bench.to_string(), ctx, bench.program()));
-    }
-    entries.push((
-        "JavaLex-like".to_string(),
-        EscapeContext::single_threaded(),
-        library::javalex_like(),
-    ));
-    // Seeded defect programs: these must produce findings.
-    entries.push((
-        "seeded: deadlock_pair".to_string(),
-        EscapeContext::threads(2),
-        programs::deadlock_pair(),
-    ));
-    entries.push((
-        "seeded: deep_nest".to_string(),
-        EscapeContext::single_threaded(),
-        programs::deep_nest(),
-    ));
-    entries.push((
-        "seeded: unbalanced_exit".to_string(),
-        EscapeContext::single_threaded(),
-        programs::unbalanced_exit(),
-    ));
-    entries.push((
-        "seeded: non_lifo_pair".to_string(),
-        EscapeContext::single_threaded(),
-        programs::non_lifo_pair(),
-    ));
-    entries
-}
-
-fn analyze_catalog(totals: &mut Totals) -> Vec<ProgramRun> {
-    catalog()
-        .into_iter()
-        .map(|(name, ctx, program)| {
-            let report = analyze_program(&program, &ctx);
-            totals.programs += 1;
-            totals.methods += report.methods.len();
-            totals.diagnostics += report.diagnostic_count() + report.verify_errors.len();
-            totals.cycles += report.lock_order.cycles.len();
-            totals.elidable += report.escape.elidable_ops.len();
-            totals.hints += report.nest.hints.len();
-            // Sequential-library programs must never have lockset race
-            // candidates; any hit is a detector regression.
-            totals.race_mismatches += report.guards.races.len();
-            totals.race_candidates += report.guards.races.len();
-            ProgramRun {
-                name,
-                threads: ctx.thread_count,
-                report,
-            }
-        })
-        .collect()
-}
-
-/// The `--races` section: the guards pass over the concurrent library,
-/// each program analyzed under its own thread-role contract and compared
-/// with its ground-truth race label.
-fn analyze_races(totals: &mut Totals) -> Vec<RaceRun> {
-    programs::concurrent_library()
-        .into_iter()
-        .map(|entry| {
-            let ctx = EscapeContext::threads(entry.total_threads());
-            let roles: Vec<EntryRole> = entry
-                .roles
-                .iter()
-                .map(|r| EntryRole {
-                    name: r.method.to_string(),
-                    method: entry.program.method_id(r.method).unwrap_or(0),
-                    threads: r.threads,
-                })
-                .collect();
-            let report = analyze_program_with_roles(&entry.program, &ctx, &roles);
-            let agrees = report.guards.is_race_free() != entry.racy;
-            // The expected racy fields must all be among the candidates.
-            let missing: Vec<(u32, u16)> = entry
-                .racy_fields
-                .iter()
-                .copied()
-                .filter(|&(pool, field)| {
-                    !report
-                        .guards
-                        .races
-                        .iter()
-                        .any(|r| (r.pool, r.field) == (pool, field))
-                })
-                .collect();
-            totals.guarded_facts += report.guards.facts.len();
-            totals.race_candidates += report.guards.races.len();
-            if !agrees {
-                totals.race_mismatches += 1;
-            }
-            totals.race_mismatches += missing.len();
-            RaceRun {
-                entry,
-                report,
-                agrees,
-                missing,
-            }
-        })
-        .collect()
-}
-
-/// The `--plan` section: static `SyncPlan` inference per concurrent
-/// program, a traced dynamic run of the same program, and a per-site
-/// agreement verdict between the two.
-fn analyze_plans(totals: &mut Totals) -> Vec<PlanRun> {
-    programs::concurrent_library()
-        .into_iter()
-        .map(|entry| {
-            let ctx = EscapeContext::threads(entry.total_threads());
-            let roles: Vec<EntryRole> = entry
-                .roles
-                .iter()
-                .map(|r| EntryRole {
-                    name: r.method.to_string(),
-                    method: entry.program.method_id(r.method).unwrap_or(0),
-                    threads: r.threads,
-                })
-                .collect();
-            let report = analyze_program_with_roles(&entry.program, &ctx, &roles);
-
-            let tracer = Arc::new(LockTracer::new(TracerConfig::default()));
-            let sink: Arc<dyn TraceSink> = tracer.clone();
-            let run_error = run_concurrent_program(&entry, PLAN_ITERS, PLAN_SEED, Some(sink)).err();
-            let profile = ContentionProfile::build(&tracer.snapshot());
-
-            let sites: Vec<PlanSite> = report
-                .contention
-                .sites
-                .iter()
-                .map(|site| {
-                    // The replay pool is allocated in order, so a profile
-                    // object's heap index is its pool index.
-                    let (contended, waits) = profile
-                        .objects
-                        .iter()
-                        .find(|o| o.obj.index() == site.pool as usize)
-                        .map(|o| (o.acquire_contended_thin + o.acquire_fat_contended, o.waits))
-                        .unwrap_or((0, 0));
-                    let plan = report
-                        .contention
-                        .plan
-                        .entry(site.pool)
-                        .copied()
-                        .unwrap_or_else(|| thinlock_vm::plan::PlanEntry::neutral(site.pool));
-                    let agreement = classify_agreement(Some(&plan), contended, waits);
-                    let expected = entry
-                        .expected_shapes
-                        .iter()
-                        .find(|&&(pool, _)| pool == site.pool)
-                        .map(|&(_, label)| label);
-                    totals.plan_sites += 1;
-                    match agreement {
-                        Agreement::Agree => {}
-                        Agreement::Conservative => totals.plan_conservative += 1,
-                        Agreement::Disagree => totals.plan_disagreements += 1,
-                    }
-                    if expected.is_some_and(|label| label != site.shape.as_str()) {
-                        totals.plan_shape_mismatches += 1;
-                    }
-                    PlanSite {
-                        pool: site.pool,
-                        shape: site.shape.as_str().to_string(),
-                        elide: plan.elide,
-                        pre_inflate: plan.pre_inflate,
-                        pin_fifo: plan.pin_fifo,
-                        backend_hint: plan.backend_hint.as_str().to_string(),
-                        expected,
-                        contended,
-                        waits,
-                        agreement,
-                    }
-                })
-                .collect();
-            if run_error.is_some() {
-                totals.plan_run_errors += 1;
-            }
-            PlanRun {
-                entry,
-                sites,
-                run_error,
-            }
-        })
-        .collect()
-}
-
-fn print_text(
-    runs: &[ProgramRun],
-    races: Option<&[RaceRun]>,
-    plans: Option<&[PlanRun]>,
-    totals: &Totals,
-) {
+fn print_text(check: &Lockcheck) {
+    let totals = &check.totals;
     println!("lockcheck: static lock-discipline analysis\n");
-    for run in runs {
+    for run in &check.programs {
         let verdict = if run.report.is_clean() {
             "clean"
         } else {
@@ -324,7 +51,7 @@ fn print_text(
         print!("{}", run.report);
         println!();
     }
-    if let Some(races) = races {
+    if let Some(races) = &check.races {
         println!("== races: guards pass over the concurrent program library");
         for run in races {
             let label = if run.entry.racy { "racy" } else { "clean" };
@@ -351,7 +78,7 @@ fn print_text(
         }
         println!();
     }
-    if let Some(plans) = plans {
+    if let Some(plans) = &check.plans {
         println!("== plan: static SyncPlan vs dynamic contention profile");
         for run in plans {
             println!(
@@ -368,16 +95,14 @@ fn print_text(
                     Agreement::Conservative => "conservative (allowed)",
                     Agreement::Disagree => "DISAGREE",
                 };
-                let mut flags = Vec::new();
-                if site.elide {
-                    flags.push("elide");
-                }
-                if site.pre_inflate {
-                    flags.push("pre-inflate");
-                }
-                if site.pin_fifo {
-                    flags.push("pin-fifo");
-                }
+                let flags: Vec<&str> = [
+                    (site.plan.elide, "elide"),
+                    (site.plan.pre_inflate, "pre-inflate"),
+                    (site.plan.pin_fifo, "pin-fifo"),
+                ]
+                .into_iter()
+                .filter_map(|(set, flag)| set.then_some(flag))
+                .collect();
                 let flags = if flags.is_empty() {
                     "-".to_string()
                 } else {
@@ -385,7 +110,12 @@ fn print_text(
                 };
                 println!(
                     "    pool[{}] static={} hint={} flags={} dynamic: contended={} waits={} — {verdict}",
-                    site.pool, site.shape, site.backend_hint, flags, site.contended, site.waits,
+                    site.pool,
+                    site.shape,
+                    site.plan.backend_hint.as_str(),
+                    flags,
+                    site.contended,
+                    site.waits,
                 );
                 if let Some(expected) = site.expected {
                     if expected != site.shape {
@@ -406,13 +136,13 @@ fn print_text(
         totals.elidable,
         totals.hints,
     );
-    if races.is_some() {
+    if check.races.is_some() {
         println!(
             "races: {} @GuardedBy fact(s), {} race candidate(s), {} mismatch(es) vs ground truth",
             totals.guarded_facts, totals.race_candidates, totals.race_mismatches,
         );
     }
-    if plans.is_some() {
+    if check.plans.is_some() {
         println!(
             "plan: {} site(s), {} conservative divergence(s), {} disagreement(s), \
              {} shape mismatch(es), {} run error(s)",
@@ -425,21 +155,17 @@ fn print_text(
     }
 }
 
-fn print_json(
-    runs: &[ProgramRun],
-    races: Option<&[RaceRun]>,
-    plans: Option<&[PlanRun]>,
-    totals: &Totals,
-) {
+fn print_json(check: &Lockcheck) {
+    let totals = &check.totals;
     let mut w = JsonWriter::new();
     w.begin_object();
     w.field_str("tool", "lockcheck");
     w.begin_named_array("programs");
-    for run in runs {
+    for run in &check.programs {
         write_report(&mut w, &run.name, run.threads, &run.report);
     }
     w.end_array();
-    if let Some(races) = races {
+    if let Some(races) = &check.races {
         w.begin_named_array("races");
         for run in races {
             w.begin_object();
@@ -470,7 +196,7 @@ fn print_json(
         }
         w.end_array();
     }
-    if let Some(plans) = plans {
+    if let Some(plans) = &check.plans {
         w.begin_named_array("plan");
         for run in plans {
             w.begin_object();
@@ -485,11 +211,11 @@ fn print_json(
             for site in &run.sites {
                 w.begin_object();
                 w.field_u64("pool", u64::from(site.pool));
-                w.field_str("static_shape", &site.shape);
-                w.field_bool("elide", site.elide);
-                w.field_bool("pre_inflate", site.pre_inflate);
-                w.field_bool("pin_fifo", site.pin_fifo);
-                w.field_str("backend_hint", &site.backend_hint);
+                w.field_str("static_shape", site.shape);
+                w.field_bool("elide", site.plan.elide);
+                w.field_bool("pre_inflate", site.plan.pre_inflate);
+                w.field_bool("pin_fifo", site.plan.pin_fifo);
+                w.field_str("backend_hint", site.plan.backend_hint.as_str());
                 if let Some(expected) = site.expected {
                     w.field_str("expected_shape", expected);
                 }
@@ -545,16 +271,13 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let mut totals = Totals::default();
-    let runs = analyze_catalog(&mut totals);
-    let race_runs = races.then(|| analyze_races(&mut totals));
-    let plan_runs = plan.then(|| analyze_plans(&mut totals));
-
+    let check = driver::run(races, plan);
     if json {
-        print_json(&runs, race_runs.as_deref(), plan_runs.as_deref(), &totals);
+        print_json(&check);
     } else {
-        print_text(&runs, race_runs.as_deref(), plan_runs.as_deref(), &totals);
+        print_text(&check);
     }
+    let totals = &check.totals;
 
     if deny_races && totals.race_mismatches > 0 {
         eprintln!(
@@ -563,9 +286,7 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    let plan_failures =
-        totals.plan_disagreements + totals.plan_shape_mismatches + totals.plan_run_errors;
-    if deny_disagreement && plan_failures > 0 {
+    if deny_disagreement && totals.plan_failures() > 0 {
         eprintln!(
             "lockcheck: --deny-disagreement: {} disagreement(s), {} shape mismatch(es), \
              {} run error(s) between static plan and dynamic profile",

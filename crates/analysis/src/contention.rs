@@ -40,7 +40,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use thinlock_obs::ContentionProfile;
+use thinlock_obs::{ContentionProfile, ObjectProfile};
 use thinlock_runtime::heap::ObjRef;
 use thinlock_vm::plan::{BackendHint, PlanEntry, SyncPlan};
 use thinlock_vm::program::{Method, Program};
@@ -440,13 +440,19 @@ pub fn analyze(
     }
 }
 
-/// The objects a *dynamic* profile would pin, by the same formula as
-/// the bench harness's `plan_from_profile`: pinned iff the contended
-/// acquisition count (`acquire_contended_thin + acquire_fat_contended`)
-/// reaches `threshold`. Kept here, next to the static planner, so
-/// `lockcheck --plan` can derive the dynamic side of the agreement
-/// check without depending on the bench crate; a bench test asserts
-/// the two formulas never drift.
+/// The contended acquisitions a dynamic profile attributes to one
+/// object: thin acquisitions that spun plus fat acquisitions that
+/// queued. The one formula behind both the dynamic pin set
+/// ([`dynamic_pins`]) and the plan pass's per-site agreement check.
+pub fn contended_acquisitions(object: &ObjectProfile) -> u64 {
+    object.acquire_contended_thin + object.acquire_fat_contended
+}
+
+/// The objects a *dynamic* profile pins: those whose
+/// [`contended_acquisitions`] reach `threshold`. Kept here, next to the
+/// static planner, so `lockcheck --plan` derives the dynamic side of the
+/// agreement check from the same code the bench harness's
+/// `plan_from_profile` applies.
 ///
 /// # Panics
 ///
@@ -456,7 +462,7 @@ pub fn dynamic_pins(profile: &ContentionProfile, threshold: u64) -> Vec<ObjRef> 
     profile
         .objects
         .iter()
-        .filter(|o| o.acquire_contended_thin + o.acquire_fat_contended >= threshold)
+        .filter(|o| contended_acquisitions(o) >= threshold)
         .map(|o| o.obj)
         .collect()
 }
@@ -495,8 +501,7 @@ impl fmt::Display for Agreement {
 
 /// Compares one site's static plan entry against its dynamic profile.
 ///
-/// `contended` is the dynamic contended-acquisition count
-/// (`acquire_contended_thin + acquire_fat_contended`), `waits` the
+/// `contended` is the dynamic [`contended_acquisitions`] count, `waits` the
 /// dynamic wait count. The static side *protects* a site when it pins
 /// or pre-inflates it. The rules, from DESIGN.md §18:
 ///
@@ -526,7 +531,7 @@ pub fn classify_agreement(entry: Option<&PlanEntry>, contended: u64, waits: u64)
 mod tests {
     use super::*;
     use crate::escape::{self, EscapeContext};
-    use crate::guards::default_roles;
+    use crate::guards::{default_roles, entry_roles};
     use crate::lockstack;
     use crate::nestdepth;
     use thinlock_vm::program::{Method, MethodFlags};
@@ -802,19 +807,10 @@ mod tests {
         // agreement gate.
         for entry in thinlock_vm::programs::concurrent_library() {
             let ctx = EscapeContext::threads(entry.total_threads());
-            let roles: Vec<EntryRole> = entry
-                .roles
-                .iter()
-                .map(|r| EntryRole {
-                    name: r.method.to_string(),
-                    method: entry.program.method_id(r.method).unwrap_or(0),
-                    threads: r.threads,
-                })
-                .collect();
             let facts = lockstack::analyze_program(&entry.program);
             let escape = escape::analyze(&entry.program, &facts, &ctx);
             let nest = nestdepth::analyze(&facts);
-            let r = analyze(&entry.program, &facts, &roles, &escape, &nest);
+            let r = analyze(&entry.program, &facts, &entry_roles(&entry), &escape, &nest);
             for &(pool, expected) in &entry.expected_shapes {
                 let site = r
                     .site(pool)

@@ -25,6 +25,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use thinlock_vm::program::Program;
+use thinlock_vm::programs::ConcurrentProgram;
 
 use crate::escape::EscapeContext;
 use crate::lockstack::{FieldId, MethodLockFacts, Sym};
@@ -294,6 +295,21 @@ pub fn default_roles(program: &Program, ctx: &EscapeContext) -> Vec<EntryRole> {
         method,
         threads: ctx.thread_count,
     }]
+}
+
+/// The entry roles a concurrent-library program's harness contract
+/// names, one per [`ThreadRole`](thinlock_vm::programs::ThreadRole); a
+/// role whose method is missing falls back to method 0.
+pub fn entry_roles(entry: &ConcurrentProgram) -> Vec<EntryRole> {
+    entry
+        .roles
+        .iter()
+        .map(|r| EntryRole {
+            name: r.method.to_string(),
+            method: entry.program.method_id(r.method).unwrap_or(0),
+            threads: r.threads,
+        })
+        .collect()
 }
 
 #[cfg(test)]

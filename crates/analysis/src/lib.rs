@@ -35,15 +35,19 @@
 //!   cross-checks the static plan against the dynamic
 //!   `ContentionProfile` of the same program, site by site.
 //!
-//! [`report`] assembles the per-method findings of all passes, and the
-//! `lockcheck` binary prints them for the built-in program library —
-//! either as human-readable text or, via `--json`, as a machine-readable
-//! document produced by [`json`].
+//! [`report`] assembles the per-method findings of all passes, and
+//! [`driver`] runs them over the built-in program library, with the
+//! race and plan cross-checks over the concurrent library. The
+//! `lockcheck` binary prints the driver's result either as
+//! human-readable text or, via `--json`, as a machine-readable document
+//! produced by [`json`]; `reproduce lockcheck` prints a summary of the
+//! same run.
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
 pub mod contention;
+pub mod driver;
 pub mod escape;
 pub mod guards;
 pub mod json;
@@ -52,4 +56,4 @@ pub mod lockstack;
 pub mod nestdepth;
 pub mod report;
 
-pub use report::{analyze_program, analyze_program_with_roles, AnalysisReport};
+pub use report::{analyze_concurrent, analyze_program, analyze_program_with_roles, AnalysisReport};

@@ -3,6 +3,7 @@
 use std::fmt;
 
 use thinlock_vm::program::Program;
+use thinlock_vm::programs::ConcurrentProgram;
 use thinlock_vm::verify::{verify_method, VerifyOptions};
 
 use crate::contention::{self, ContentionReport};
@@ -54,6 +55,17 @@ impl AnalysisReport {
 /// 0, run on `ctx.thread_count` threads).
 pub fn analyze_program(program: &Program, ctx: &EscapeContext) -> AnalysisReport {
     analyze_program_with_roles(program, ctx, &guards::default_roles(program, ctx))
+}
+
+/// Runs all passes over a concurrent-library program under its own
+/// harness contract: one escape context over all its threads, the
+/// guards pass grounded at its [`entry_roles`](guards::entry_roles).
+pub fn analyze_concurrent(entry: &ConcurrentProgram) -> AnalysisReport {
+    analyze_program_with_roles(
+        &entry.program,
+        &EscapeContext::threads(entry.total_threads()),
+        &guards::entry_roles(entry),
+    )
 }
 
 /// Like [`analyze_program`], but grounds the guards pass at explicit

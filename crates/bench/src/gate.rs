@@ -67,7 +67,8 @@ impl Tolerances {
 /// The gate's judgement of one benchmark id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
-    /// Delta within tolerance (or an informational record, never gated).
+    /// Delta within tolerance (or an informational timed record, never
+    /// gated; exact records are gated whatever their direction).
     Within,
     /// Moved beyond tolerance in the good direction.
     Improved,
@@ -299,46 +300,42 @@ fn judge(
     cur: f64,
     tolerances: &Tolerances,
 ) -> Verdict {
+    // Exact records: any difference is a behaviour change. Direction does
+    // not soften this — an informational or "better" deterministic count
+    // still means the workload changed under the gate's feet.
+    let Some(tol) = tolerances.for_class(class) else {
+        return if base == cur {
+            Verdict::Within
+        } else {
+            Verdict::Regressed
+        };
+    };
     if direction == Direction::Informational {
         return Verdict::Within;
     }
-    match tolerances.for_class(class) {
-        // Exact records: any difference is a behaviour change. Direction
-        // does not soften this — a "better" deterministic count still
-        // means the workload changed under the gate's feet.
-        None => {
-            if base == cur {
-                Verdict::Within
-            } else {
-                Verdict::Regressed
-            }
-        }
-        Some(tol) => {
-            if base.abs() <= f64::EPSILON {
-                // Zero baseline: relative drift is undefined; only an
-                // exactly-zero current value stays within.
-                return if cur == base {
-                    Verdict::Within
-                } else if direction == Direction::HigherIsBetter && cur > base {
-                    Verdict::Improved
-                } else {
-                    Verdict::Regressed
-                };
-            }
-            let rel = (cur - base) / base.abs();
-            let (worse, better) = match direction {
-                Direction::LowerIsBetter => (rel > tol, rel < -tol),
-                Direction::HigherIsBetter => (rel < -tol, rel > tol),
-                Direction::Informational => unreachable!("handled above"),
-            };
-            if worse {
-                Verdict::Regressed
-            } else if better {
-                Verdict::Improved
-            } else {
-                Verdict::Within
-            }
-        }
+    if base.abs() <= f64::EPSILON {
+        // Zero baseline: relative drift is undefined; only an
+        // exactly-zero current value stays within.
+        return if cur == base {
+            Verdict::Within
+        } else if direction == Direction::HigherIsBetter && cur > base {
+            Verdict::Improved
+        } else {
+            Verdict::Regressed
+        };
+    }
+    let rel = (cur - base) / base.abs();
+    let (worse, better) = match direction {
+        Direction::LowerIsBetter => (rel > tol, rel < -tol),
+        Direction::HigherIsBetter => (rel < -tol, rel > tol),
+        Direction::Informational => unreachable!("handled above"),
+    };
+    if worse {
+        Verdict::Regressed
+    } else if better {
+        Verdict::Improved
+    } else {
+        Verdict::Within
     }
 }
 
@@ -453,6 +450,28 @@ mod tests {
         )]);
         let out = compare(&base, &cur, &Tolerances::default(), false);
         assert!(!out.pass());
+    }
+
+    #[test]
+    fn exact_informational_records_are_still_exact() {
+        let base = report(vec![record(
+            "lockcheck/programs",
+            GateClass::Exact,
+            Direction::Informational,
+            14.0,
+        )]);
+        assert!(compare(&base, &base.clone(), &Tolerances::default(), false).pass());
+        let cur = report(vec![record(
+            "lockcheck/programs",
+            GateClass::Exact,
+            Direction::Informational,
+            13.0,
+        )]);
+        let out = compare(&base, &cur, &Tolerances::default(), false);
+        assert!(!out.pass());
+        assert_eq!(out.rows[0].verdict, Verdict::Regressed);
+        // Coverage-only comparisons still ignore values.
+        assert!(compare(&base, &cur, &Tolerances::default(), true).pass());
     }
 
     #[test]

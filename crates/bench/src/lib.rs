@@ -1,13 +1,16 @@
 //! Benchmark harness regenerating every table and figure of the paper.
 //!
-//! | artifact | function here | bench target | `reproduce` subcommand |
-//! |----------|---------------|--------------|------------------------|
-//! | Table 1  | [`macro_rows`] | `table1_characterize` | `table1` |
-//! | Table 2  | [`thinlock_vm::programs::MicroBench::table2`] | — | `table2` |
-//! | Figure 3 | [`figure3_rows`] | `table1_characterize` | `fig3` |
-//! | Figure 4 | [`run_micro`], [`run_micro_threads`] | `fig4_micro` | `fig4` |
-//! | Figure 5 | [`macro_speedups`] | `fig5_macro` | `fig5` |
-//! | Figure 6 | [`run_variant`] | `fig6_variants` | `fig6` |
+//! | artifact | function here | `reproduce` section |
+//! |----------|---------------|---------------------|
+//! | Table 1  | [`macro_rows`] | `table1` |
+//! | Table 2  | [`thinlock_vm::programs::MicroBench::table2`] | `table2` |
+//! | Figure 3 | [`figure3_rows`] | `fig3` |
+//! | Figure 4 | [`run_micro`], [`run_micro_threads`] | `fig4` |
+//! | Figure 5 | [`macro_speedups`] | `fig5` |
+//! | Figure 6 | [`run_variant`] | `fig6` |
+//!
+//! [`report::run_sections`] is the one driver of every artifact: the
+//! `reproduce` binary prints and records its sections.
 //!
 //! Absolute times are host-dependent; what the harness (and the
 //! assertions in `tests/`) check is the paper's *shape*: who wins, by
@@ -36,7 +39,7 @@ use thinlock_runtime::hooks::{HookSet, Hooks};
 use thinlock_runtime::protocol::{SyncProtocol, WaitOutcome};
 use thinlock_runtime::registry::{ThreadRegistry, ThreadToken};
 use thinlock_trace::characterize::{characterize, TraceCharacterization};
-use thinlock_trace::generator::{generate, TraceConfig};
+use thinlock_trace::generator::{generate, LockTrace, TraceConfig};
 use thinlock_trace::replay::replay;
 use thinlock_trace::table1::{BenchmarkProfile, MACRO_BENCHMARKS};
 use thinlock_vm::programs::MicroBench;
@@ -297,67 +300,30 @@ fn assemble_micro(
     )
 }
 
-/// [`run_micro`] against a caller-supplied protocol (used by the Figure 6
-/// variants, which need concrete `ThinLocks<C>` types so the fast path
-/// stays monomorphized).
-pub fn run_micro_on<P: SyncProtocol + ?Sized>(
-    protocol: &P,
+/// The `Threads n` benchmark: `n` OS threads all running the `Sync` loop
+/// on the *same* object, min-of-3 repetitions with a freshly built
+/// protocol each (as in [`run_micro_sampled`]). `make` builds the
+/// protocol, which needs room for one object with one field. Returns
+/// total wall-clock for all threads.
+pub fn run_micro_threads<P: SyncProtocol + ?Sized>(
     implementation: &str,
-    bench: MicroBench,
+    make: impl Fn() -> Box<P>,
+    threads: u32,
     iters: i32,
 ) -> MicroResult {
-    run_micro_on_sampled(protocol, implementation, bench, iters).0
-}
-
-/// [`run_micro_on`] plus the raw per-repetition samples (ns per
-/// iteration, execution order).
-///
-/// All repetitions share the caller's protocol instance (the caller
-/// controls its construction); prefer [`run_micro_sampled`] /
-/// [`run_variant_sampled`] where possible — they rebuild the instance
-/// per repetition, which shakes out allocation-layout bimodality.
-pub fn run_micro_on_sampled<P: SyncProtocol + ?Sized>(
-    protocol: &P,
-    implementation: &str,
-    bench: MicroBench,
-    iters: i32,
-) -> (MicroResult, Vec<f64>) {
-    let program = bench.program();
-    let pool: Vec<ObjRef> = (0..bench.pool_size())
-        .map(|_| protocol.heap().alloc().expect("heap sized for the pool"))
-        .collect();
-    let vm = Vm::new(protocol, &program, pool).expect("generated program is valid");
-    let registration = protocol.registry().register().expect("registry has room");
-    let token = registration.token();
-    let times = sample_times(DEFAULT_REPS, || {
-        let out = vm
-            .run("main", token, &[Value::Int(iters)])
-            .expect("benchmark must execute cleanly")
-            .and_then(Value::as_int)
-            .expect("main returns the iteration count");
-        assert_eq!(out, bench.expected(iters));
-    });
-    assemble_micro(implementation, bench, iters, times)
-}
-
-/// The `Threads n` benchmark: `n` OS threads all running the `Sync` loop
-/// on the *same* object. Returns total wall-clock for all threads.
-pub fn run_micro_threads(kind: ProtocolKind, threads: u32, iters: i32) -> MicroResult {
     let bench = MicroBench::Threads(threads);
     let program = bench.program();
-    // Fresh protocol instance per repetition, as in `run_micro_sampled`.
     let elapsed = (0..3)
         .map(|_| {
-            let protocol = kind.build(2, 1);
+            let protocol = make();
             let pool: Vec<ObjRef> = vec![protocol.heap().alloc().expect("heap has room")];
             let start = Instant::now();
             std::thread::scope(|scope| {
-                let mut handles = Vec::new();
                 for _ in 0..threads.max(1) {
                     let protocol = &*protocol;
                     let program = &program;
                     let pool = pool.clone();
-                    handles.push(scope.spawn(move || {
+                    scope.spawn(move || {
                         let registration =
                             protocol.registry().register().expect("registry has room");
                         let vm = Vm::new(protocol, program, pool).expect("program is valid");
@@ -367,10 +333,7 @@ pub fn run_micro_threads(kind: ProtocolKind, threads: u32, iters: i32) -> MicroR
                             .and_then(Value::as_int)
                             .expect("main returns the iteration count");
                         assert_eq!(out, iters);
-                    }));
-                }
-                for h in handles {
-                    h.join().expect("benchmark thread must not panic");
+                    });
                 }
             });
             start.elapsed()
@@ -378,7 +341,7 @@ pub fn run_micro_threads(kind: ProtocolKind, threads: u32, iters: i32) -> MicroR
         .min()
         .expect("three repetitions");
     MicroResult {
-        implementation: kind.name().to_string(),
+        implementation: implementation.to_string(),
         benchmark: bench.to_string(),
         iters: iters.saturating_mul(threads.max(1) as i32),
         elapsed,
@@ -537,32 +500,19 @@ impl fmt::Display for MacroRow {
     }
 }
 
-/// Replays one macro-benchmark trace under one protocol with a fresh heap.
+/// Replays one macro-benchmark trace under one protocol: min-of-3, with
+/// a fresh heap per repetition because the trace allocates.
 ///
 /// # Errors
 ///
 /// Propagates protocol errors (none occur on valid traces).
-pub fn run_macro(
-    kind: ProtocolKind,
-    profile: &BenchmarkProfile,
-    config: &TraceConfig,
-) -> SyncResult<Duration> {
-    let trace = generate(profile, config);
-    let protocol = kind.build(trace.required_heap_capacity(), 0);
-    let registration = protocol.registry().register()?;
-    let best = (0..3)
-        .map(|_| -> SyncResult<Duration> {
-            // Fresh heap per repetition: the trace allocates.
-            let protocol = kind.build(trace.required_heap_capacity(), 0);
-            let registration = protocol.registry().register()?;
-            Ok(replay(&*protocol, &trace, registration.token())?.elapsed)
-        })
-        .collect::<SyncResult<Vec<_>>>()?
-        .into_iter()
-        .min()
-        .expect("three repetitions");
-    drop(registration);
-    drop(protocol);
+pub fn run_macro(kind: ProtocolKind, trace: &LockTrace) -> SyncResult<Duration> {
+    let mut best = Duration::MAX;
+    for _ in 0..3 {
+        let protocol = kind.build(trace.required_heap_capacity(), 0);
+        let registration = protocol.registry().register()?;
+        best = best.min(replay(&*protocol, trace, registration.token())?.elapsed);
+    }
     Ok(best)
 }
 
@@ -579,9 +529,9 @@ pub fn macro_speedups(config: &TraceConfig) -> SyncResult<Vec<MacroRow>> {
             let trace = generate(profile, config);
             Ok(MacroRow {
                 name: profile.name,
-                thin: run_macro(ProtocolKind::ThinLock, profile, config)?,
-                jdk111: run_macro(ProtocolKind::Jdk111, profile, config)?,
-                ibm112: run_macro(ProtocolKind::Ibm112, profile, config)?,
+                thin: run_macro(ProtocolKind::ThinLock, &trace)?,
+                jdk111: run_macro(ProtocolKind::Jdk111, &trace)?,
+                ibm112: run_macro(ProtocolKind::Ibm112, &trace)?,
                 lock_ops: trace.lock_ops(),
             })
         })
@@ -996,22 +946,23 @@ pub struct AdaptivePlan {
 /// Derives an [`AdaptivePlan`] from an observed contention profile: an
 /// object is pinned when the profile attributes it at least `threshold`
 /// contended acquisitions (spun-on thin acquisitions plus contended fat
-/// acquisitions). This is the profile → policy half the core crate
-/// deliberately leaves to its consumers (it sits below `thinlock-obs`
-/// in the dependency order); the mechanism half is
+/// acquisitions), by the analysis crate's
+/// [`dynamic_pins`](thinlock_analysis::contention::dynamic_pins), the
+/// same rule `lockcheck --plan` checks the static plan against. This is
+/// the profile → policy half the core crate deliberately leaves to its
+/// consumers (it sits below `thinlock-obs` in the dependency order); the
+/// mechanism half is
 /// [`FissileLocks::pin_fifo`](thinlock::LockCore::pin_fifo).
+///
+/// # Panics
+///
+/// If `threshold` is zero (it would pin every object ever touched).
 pub fn plan_from_profile(
     profile: &thinlock_obs::ContentionProfile,
     threshold: u64,
 ) -> AdaptivePlan {
-    assert!(threshold >= 1, "a zero threshold would pin every object");
     AdaptivePlan {
-        pin: profile
-            .objects
-            .iter()
-            .filter(|o| o.acquire_contended_thin + o.acquire_fat_contended >= threshold)
-            .map(|o| o.obj)
-            .collect(),
+        pin: thinlock_analysis::contention::dynamic_pins(profile, threshold),
         threshold,
     }
 }
@@ -1074,53 +1025,16 @@ pub fn spin_policy_ablation(iters: i32) -> Vec<(&'static str, Duration)> {
     policies
         .iter()
         .map(|&(name, policy)| {
-            let r = run_threads_on(
-                || {
-                    ThinLocks::with_config(
-                        Arc::new(Heap::with_capacity_and_fields(2, 1)),
-                        ThreadRegistry::new(),
-                        DynamicConfig::default().with_spin_policy(policy),
-                    )
-                },
-                2,
-                iters,
-            );
-            (name, r)
+            let make = || {
+                Box::new(ThinLocks::with_config(
+                    Arc::new(Heap::with_capacity_and_fields(2, 1)),
+                    ThreadRegistry::new(),
+                    DynamicConfig::default().with_spin_policy(policy),
+                ))
+            };
+            (name, run_micro_threads(name, make, 2, iters).elapsed)
         })
         .collect()
-}
-
-/// Times `threads` concurrent `Sync` loops, min-of-3 repetitions with a
-/// freshly built protocol instance each (see [`run_micro_sampled`]).
-fn run_threads_on<P: SyncProtocol>(
-    make_protocol: impl Fn() -> P,
-    threads: u32,
-    iters: i32,
-) -> Duration {
-    let bench = MicroBench::Threads(threads);
-    let program = bench.program();
-    (0..3)
-        .map(|_| {
-            let protocol = make_protocol();
-            let pool = vec![protocol.heap().alloc().expect("heap has room")];
-            let start = Instant::now();
-            std::thread::scope(|scope| {
-                for _ in 0..threads.max(1) {
-                    let protocol = &protocol;
-                    let program = &program;
-                    let pool = pool.clone();
-                    scope.spawn(move || {
-                        let registration = protocol.registry().register().expect("registry");
-                        let vm = Vm::new(protocol, program, pool).expect("program valid");
-                        vm.run("main", registration.token(), &[Value::Int(iters)])
-                            .expect("clean run");
-                    });
-                }
-            });
-            start.elapsed()
-        })
-        .min()
-        .expect("three repetitions")
 }
 
 /// One row of the concurrent macro replay: per-protocol wall time for a
@@ -1363,7 +1277,8 @@ mod tests {
 
     #[test]
     fn threads_benchmark_runs() {
-        let r = run_micro_threads(ProtocolKind::ThinLock, 2, 100);
+        let kind = ProtocolKind::ThinLock;
+        let r = run_micro_threads(kind.name(), || kind.build(2, 1), 2, 100);
         assert_eq!(r.iters, 200);
         assert!(r.elapsed > Duration::ZERO);
     }
@@ -1392,10 +1307,12 @@ mod tests {
 
     #[test]
     fn macro_harness_runs_one_benchmark() {
-        let cfg = tiny_trace_config();
-        let p = BenchmarkProfile::by_name("javacup").unwrap();
+        let trace = generate(
+            BenchmarkProfile::by_name("javacup").unwrap(),
+            &tiny_trace_config(),
+        );
         for kind in ProtocolKind::ALL {
-            let t = run_macro(kind, p, &cfg).unwrap();
+            let t = run_macro(kind, &trace).unwrap();
             assert!(t > Duration::ZERO);
         }
     }
@@ -1697,10 +1614,10 @@ mod tests {
             );
         }
         let profile = ContentionProfile::build(&tracer.snapshot());
-        // The analysis crate's agreement gate re-derives the dynamic pin
-        // set with the same formula; any drift between the two would let
-        // the static↔dynamic cross-check silently diverge from what the
-        // bench pipeline actually applies.
+        // The analysis crate's agreement gate checks the static plan
+        // against this pin set; if the bench pipeline pinned anything
+        // else, the static↔dynamic cross-check would silently diverge
+        // from what the pipeline actually applies.
         for threshold in [1, 2, 6, 11, 64] {
             assert_eq!(
                 plan_from_profile(&profile, threshold).pin,
@@ -1712,26 +1629,13 @@ mod tests {
 
     #[test]
     fn static_plan_reproduces_pinned_fairness() {
-        use thinlock_analysis::escape::EscapeContext;
-        use thinlock_analysis::guards::EntryRole;
-
         // Statically infer the SyncPlan for the hot-object program — no
         // dynamic profiling anywhere in this test.
         let entry = thinlock_vm::programs::concurrent_library()
             .into_iter()
             .find(|e| e.name == "hot-object")
             .expect("hot-object is in the concurrent library");
-        let ctx = EscapeContext::threads(entry.total_threads());
-        let roles: Vec<EntryRole> = entry
-            .roles
-            .iter()
-            .map(|r| EntryRole {
-                name: r.method.to_string(),
-                method: entry.program.method_id(r.method).unwrap(),
-                threads: r.threads,
-            })
-            .collect();
-        let report = thinlock_analysis::analyze_program_with_roles(&entry.program, &ctx, &roles);
+        let report = thinlock_analysis::analyze_concurrent(&entry);
         let plan = &report.contention.plan;
         assert!(
             plan.entry(0).is_some_and(|e| e.pin_fifo),

@@ -296,7 +296,7 @@ fn fig4(iters: i32, out: &mut BenchReport) {
     for n in THREAD_COUNTS {
         print!("  threads={n:<3}");
         for kind in ProtocolKind::ALL {
-            let r = run_micro_threads(kind, n, iters / 10);
+            let r = run_micro_threads(kind.name(), || kind.build(2, 1), n, iters / 10);
             print!("  {}={:>9.2?}", kind.name(), r.elapsed);
             out.push(BenchRecord::scalar(
                 format!("fig4/threads/n={n}/{}", kind.name()),
@@ -828,64 +828,92 @@ fn ablations(cfg: &TraceConfig, iters: i32, out: &mut BenchReport) {
     }
 }
 
-/// Summary of the static lock-discipline analysis over the program
-/// library (the `lockcheck` binary prints the full per-method findings).
+/// The `lockcheck` driver's run, summarized (DESIGN.md §9, §13, §18):
+/// the catalog totals (gated exactly), each concurrent program's race
+/// verdict from ground truth, the guards pass and one Eraser sanitizer
+/// replay, and the plan pass's per-site agreement rows. The `lockcheck`
+/// binary prints the full findings of the same run; its
+/// `--deny-races` and `--deny-disagreement` gates are wired into
+/// check.sh, so only the catalog totals are minted as bench ids here.
 fn lockcheck(out: &mut BenchReport) {
-    use thinlock_analysis::escape::EscapeContext;
-    use thinlock_vm::programs::{self, MicroBench};
+    use thinlock_analysis::driver::{self, PLAN_ITERS, PLAN_SEED};
 
     heading("lockcheck: static lock-discipline analysis (summary)");
-
-    let mut programs = 0usize;
-    let mut diagnostics = 0usize;
-    let mut cycles = 0usize;
-    let mut elidable = 0usize;
-    let mut hints = 0usize;
-    let mut tally = |program: &thinlock_vm::program::Program, ctx: &EscapeContext| {
-        let report = thinlock_analysis::analyze_program(program, ctx);
-        programs += 1;
-        diagnostics += report.diagnostic_count() + report.verify_errors.len();
-        cycles += report.lock_order.cycles.len();
-        elidable += report.escape.elidable_ops.len();
-        hints += report.nest.hints.len();
-    };
-
-    for bench in MicroBench::table2()
-        .into_iter()
-        .chain([MicroBench::MixedSync])
-    {
-        let ctx = EscapeContext::threads(bench.thread_count());
-        tally(&bench.program(), &ctx);
-    }
-    tally(
-        &thinlock_vm::library::javalex_like(),
-        &EscapeContext::single_threaded(),
-    );
-    tally(&programs::deadlock_pair(), &EscapeContext::threads(2));
-    tally(&programs::deep_nest(), &EscapeContext::single_threaded());
-    tally(
-        &programs::unbalanced_exit(),
-        &EscapeContext::single_threaded(),
-    );
-    tally(
-        &programs::non_lifo_pair(),
-        &EscapeContext::single_threaded(),
-    );
-
-    println!("  programs analyzed:     {programs}");
-    println!("  diagnostics:           {diagnostics}");
-    println!("  deadlock cycles:       {cycles}");
-    println!("  elidable sync ops:     {elidable}");
-    println!("  pre-inflation hints:   {hints}");
+    let check = driver::run(true, true);
+    let totals = &check.totals;
+    println!("  programs analyzed:     {}", totals.programs);
+    println!("  diagnostics:           {}", totals.diagnostics);
+    println!("  deadlock cycles:       {}", totals.cycles);
+    println!("  elidable sync ops:     {}", totals.elidable);
+    println!("  pre-inflation hints:   {}", totals.hints);
     println!("  (run the `lockcheck` binary for per-method findings)");
-    lockcheck_races();
-    lockcheck_plan();
+
+    println!("  races: guards pass + Eraser sanitizer over the concurrent library");
+    let verdict = |racy: bool| if racy { "racy" } else { "clean" };
+    let mut mismatches = 0usize;
+    for run in check.races.iter().flatten() {
+        let entry = &run.entry;
+        let static_racy = !run.report.guards.is_race_free();
+        let dynamic_racy = match driver::sanitize(entry, PLAN_ITERS, PLAN_SEED) {
+            Ok(racy) => !racy.is_empty(),
+            Err(e) => {
+                println!("    {}: replay failed: {e}", entry.name);
+                mismatches += 1;
+                continue;
+            }
+        };
+        let agree = run.agrees && run.missing.is_empty() && dynamic_racy == entry.racy;
+        mismatches += usize::from(!agree);
+        println!(
+            "    {:22} truth={:5} static={:5} dynamic={:5} — {}",
+            entry.name,
+            verdict(entry.racy),
+            verdict(static_racy),
+            verdict(dynamic_racy),
+            if agree { "agree" } else { "DISAGREE" },
+        );
+    }
+    if mismatches == 0 {
+        println!("    verdict agreement: all programs (static == dynamic == ground truth)");
+    } else {
+        println!("    verdict agreement: {mismatches} mismatch(es) — see `lockcheck --deny-races`");
+    }
+
+    println!(
+        "  plan: static SyncPlan vs dynamic contention profile (iters={PLAN_ITERS}, seed={PLAN_SEED:#x})"
+    );
+    for run in check.plans.iter().flatten() {
+        if let Some(e) = &run.run_error {
+            println!("    {}: replay failed: {e}", run.entry.name);
+        }
+        for site in &run.sites {
+            println!(
+                "    {:22} pool[{}] static={:12} contended={:3} waits={:3} — {}",
+                run.entry.name,
+                site.pool,
+                site.shape,
+                site.contended,
+                site.waits,
+                site.agreement.as_str(),
+            );
+        }
+    }
+    let failures = totals.plan_failures();
+    if failures == 0 {
+        println!(
+            "    plan agreement: no disagreements ({} conservative divergence(s) allowed)",
+            totals.plan_conservative
+        );
+    } else {
+        println!("    plan agreement: {failures} failure(s) — see `lockcheck --deny-disagreement`");
+    }
+
     for (id, value) in [
-        ("lockcheck/programs", programs),
-        ("lockcheck/diagnostics", diagnostics),
-        ("lockcheck/deadlock_cycles", cycles),
-        ("lockcheck/elidable_ops", elidable),
-        ("lockcheck/pre_inflation_hints", hints),
+        ("lockcheck/programs", totals.programs),
+        ("lockcheck/diagnostics", totals.diagnostics),
+        ("lockcheck/deadlock_cycles", totals.cycles),
+        ("lockcheck/elidable_ops", totals.elidable),
+        ("lockcheck/pre_inflation_hints", totals.hints),
     ] {
         out.push(BenchRecord::scalar(
             id,
@@ -899,196 +927,20 @@ fn lockcheck(out: &mut BenchReport) {
     }
 }
 
-/// The race-detection subsection (DESIGN.md §13): the guards pass over
-/// the concurrent program library, each static verdict cross-checked by
-/// one seeded replay under the dynamic Eraser sanitizer. Text only — the
-/// gated `lockcheck/*` records above cover the sequential library and
-/// stay byte-identical.
-fn lockcheck_races() {
-    use std::sync::Arc;
-    use thinlock_analysis::escape::EscapeContext;
-    use thinlock_analysis::guards::EntryRole;
-    use thinlock_obs::EraserSanitizer;
-    use thinlock_trace::vmreplay::run_concurrent_program;
-    use thinlock_vm::programs::concurrent_library;
-
-    println!("  races: guards pass + Eraser sanitizer over the concurrent library");
-    let mut mismatches = 0usize;
-    for entry in concurrent_library() {
-        let ctx = EscapeContext::threads(entry.total_threads());
-        let roles: Vec<EntryRole> = entry
-            .roles
-            .iter()
-            .map(|r| EntryRole {
-                name: r.method.to_string(),
-                method: entry.program.method_id(r.method).unwrap_or(0),
-                threads: r.threads,
-            })
-            .collect();
-        let report = thinlock_analysis::analyze_program_with_roles(&entry.program, &ctx, &roles);
-        let static_racy = !report.guards.is_race_free();
-
-        let sanitizer = Arc::new(EraserSanitizer::new(
-            entry.program.pool_size() as usize + 1,
-            usize::from(entry.fields.max(1)),
-        ));
-        let dynamic_racy = match run_concurrent_program(
-            &entry,
-            96,
-            0xB16B_00B5,
-            Some(Arc::clone(&sanitizer) as Arc<dyn thinlock_runtime::events::TraceSink>),
-        ) {
-            Ok(_) => sanitizer.report_count() > 0,
-            Err(e) => {
-                println!("    {}: replay failed: {e}", entry.name);
-                mismatches += 1;
-                continue;
-            }
-        };
-
-        let agree = static_racy == entry.racy && dynamic_racy == entry.racy;
-        if !agree {
-            mismatches += 1;
-        }
-        println!(
-            "    {:22} truth={:5} static={:5} dynamic={:5} — {}",
-            entry.name,
-            if entry.racy { "racy" } else { "clean" },
-            if static_racy { "racy" } else { "clean" },
-            if dynamic_racy { "racy" } else { "clean" },
-            if agree { "agree" } else { "DISAGREE" },
-        );
-    }
-    println!(
-        "    verdict agreement: {}",
-        if mismatches == 0 {
-            "all programs (static == dynamic == ground truth)".to_string()
-        } else {
-            format!("{mismatches} mismatch(es) — see `lockcheck --deny-races`")
-        }
-    );
-}
-
-/// The plan-agreement subsection (DESIGN.md §18): the contention-shape
-/// pass's static `SyncPlan` per concurrent program, cross-checked per
-/// allocation site against a traced dynamic run. Text only — the gate
-/// lives in `lockcheck --deny-disagreement` (wired into check.sh), so
-/// no new bench ids are minted here.
-fn lockcheck_plan() {
-    use std::sync::Arc;
-    use thinlock_analysis::contention::{classify_agreement, Agreement};
-    use thinlock_analysis::escape::EscapeContext;
-    use thinlock_analysis::guards::EntryRole;
-    use thinlock_obs::{ContentionProfile, LockTracer, TracerConfig};
-    use thinlock_trace::vmreplay::run_concurrent_program;
-    use thinlock_vm::programs::concurrent_library;
-
-    println!("  plan: static SyncPlan vs dynamic contention profile");
-    let mut disagreements = 0usize;
-    let mut conservative = 0usize;
-    for entry in concurrent_library() {
-        let ctx = EscapeContext::threads(entry.total_threads());
-        let roles: Vec<EntryRole> = entry
-            .roles
-            .iter()
-            .map(|r| EntryRole {
-                name: r.method.to_string(),
-                method: entry.program.method_id(r.method).unwrap_or(0),
-                threads: r.threads,
-            })
-            .collect();
-        let report = thinlock_analysis::analyze_program_with_roles(&entry.program, &ctx, &roles);
-
-        let tracer = Arc::new(LockTracer::new(TracerConfig::default()));
-        if let Err(e) = run_concurrent_program(
-            &entry,
-            96,
-            0xB16B_00B5,
-            Some(Arc::clone(&tracer) as Arc<dyn thinlock_runtime::events::TraceSink>),
-        ) {
-            println!("    {}: replay failed: {e}", entry.name);
-            disagreements += 1;
-            continue;
-        }
-        let profile = ContentionProfile::build(&tracer.snapshot());
-
-        for site in &report.contention.sites {
-            // The replay pool is allocated in order: heap index == pool.
-            let (contended, waits) = profile
-                .objects
-                .iter()
-                .find(|o| o.obj.index() == site.pool as usize)
-                .map(|o| (o.acquire_contended_thin + o.acquire_fat_contended, o.waits))
-                .unwrap_or((0, 0));
-            let verdict =
-                classify_agreement(report.contention.plan.entry(site.pool), contended, waits);
-            match verdict {
-                Agreement::Agree => {}
-                Agreement::Conservative => conservative += 1,
-                Agreement::Disagree => disagreements += 1,
-            }
-            println!(
-                "    {:22} pool[{}] static={:12} contended={:3} waits={:3} — {}",
-                entry.name,
-                site.pool,
-                site.shape.as_str(),
-                contended,
-                waits,
-                verdict.as_str(),
-            );
-        }
-    }
-    println!(
-        "    plan agreement: {}",
-        if disagreements == 0 {
-            format!("no disagreements ({conservative} conservative divergence(s) allowed)")
-        } else {
-            format!("{disagreements} disagreement(s) — see `lockcheck --deny-disagreement`")
-        }
-    );
-}
-
-/// The protocol model checker (DESIGN.md §14): exhaustively explore the
-/// verify catalog's interleaving spaces under both naive DFS and
-/// sleep-set DPOR and report states explored plus the aggregate
-/// reduction factor. Text only — the state-space sizes are structural
+/// The protocol model checker (DESIGN.md §14): `lockmc verify`'s full
+/// run on the thin backend, printed by the same report printer — every
+/// catalog program under naive DFS and DPOR, and the aggregate
+/// reduction factor. Text only: the state-space sizes are structural
 /// facts already pinned exactly by `tests/modelcheck_protocol.rs`, so
 /// gating them here would duplicate the test without adding signal.
 fn lockmc() {
-    use thinlock::BackendChoice;
-    use thinlock_modelcheck::{reduction_factor, run_verify, Limits};
-
     heading("lockmc: exhaustive protocol model checking (DPOR)");
-    println!(
-        "  {:<22} {:>10} {:>10} {:>8}  verdict",
-        "program", "naive", "dpor", "factor"
+    thinlock_modelcheck::report_verify(
+        &thinlock_modelcheck::Limits::exhaustive(),
+        true,
+        thinlock::BackendChoice::Thin,
     );
-    let reports = run_verify(&Limits::exhaustive(), true, BackendChoice::Thin);
-    for r in &reports {
-        let naive = r.naive.as_ref().expect("naive baseline requested");
-        println!(
-            "  {:<22} {:>10} {:>10} {:>7.1}x  {}",
-            r.name,
-            naive.executions,
-            r.dpor.executions,
-            naive.executions as f64 / r.dpor.executions.max(1) as f64,
-            if r.violation.is_some() {
-                "VIOLATION"
-            } else if r.dpor.complete && naive.complete {
-                "exhausted clean"
-            } else {
-                "INCOMPLETE"
-            },
-        );
-    }
-    match reduction_factor(&reports) {
-        Some(factor) => println!(
-            "  aggregate DPOR reduction: {factor:.1}x fewer executions than naive DFS \
-             (acceptance floor: > 2x)"
-        ),
-        None => println!("  aggregate DPOR reduction: unavailable (missing naive baseline)"),
-    }
-    println!("  (run the `lockmc` binary for mutation testing and counterexample replay)");
+    println!("(run the `lockmc` binary for mutation testing and counterexample replay)");
 }
 
 /// The observability pipeline (DESIGN.md §10): run the profiling corpus
@@ -1140,8 +992,7 @@ fn profile_section(profile_json: Option<&str>, out: &mut BenchReport) -> Result<
 ///
 /// # Errors
 ///
-/// An error string if the profile section's inflation-attribution
-/// cross-check fails or an export path is unwritable.
+/// An error string if the profile JSON export path is unwritable.
 pub fn run_sections(
     sections: &[String],
     iters: i32,

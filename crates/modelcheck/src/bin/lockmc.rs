@@ -24,9 +24,7 @@
 use std::process::ExitCode;
 
 use thinlock::BackendChoice;
-use thinlock_modelcheck::{
-    reduction_factor, run_mutations, run_verify, Limits, MutationReport, VerifyReport,
-};
+use thinlock_modelcheck::{report_mutations, report_verify, Limits};
 
 const USAGE: &str =
     "usage: lockmc <verify [--quick] | --mutate [--quick]> [--backend <thin|cjm|fissile|hapax>]";
@@ -66,150 +64,17 @@ fn main() -> ExitCode {
     } else {
         Limits::exhaustive()
     };
-    match command {
-        Some("verify") => verify(&limits, !quick, backend),
-        Some("mutate") => mutate(&limits, backend),
+    let passed = match command {
+        Some("verify") => report_verify(&limits, !quick, backend),
+        Some("mutate") => report_mutations(&limits, backend),
         _ => {
             eprintln!("{USAGE}");
-            ExitCode::from(2)
+            return ExitCode::from(2);
         }
+    };
+    if passed {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
-}
-
-fn verify(limits: &Limits, with_naive: bool, backend: BackendChoice) -> ExitCode {
-    println!(
-        "lockmc verify: exploring {} catalog programs on backend `{backend}` ({})",
-        thinlock_modelcheck::verify_programs().len(),
-        if with_naive {
-            "naive DFS + DPOR"
-        } else {
-            "DPOR only, quick budget"
-        }
-    );
-    let reports = run_verify(limits, with_naive, backend);
-    let mut failed = false;
-    for r in &reports {
-        print_verify_report(r);
-        if r.violation.is_some() || !r.dpor.complete {
-            failed = true;
-        }
-        if let Some(n) = &r.naive {
-            if !n.complete {
-                failed = true;
-            }
-        }
-    }
-    if let Some(factor) = reduction_factor(&reports) {
-        let naive: u64 = reports
-            .iter()
-            .filter_map(|r| r.naive.map(|n| n.executions))
-            .sum();
-        let dpor: u64 = reports.iter().map(|r| r.dpor.executions).sum();
-        println!(
-            "aggregate: naive {naive} executions, dpor {dpor} executions, reduction {factor:.1}x"
-        );
-        if factor <= 2.0 {
-            eprintln!("lockmc: FAIL — DPOR reduction factor {factor:.1}x is not > 2x");
-            failed = true;
-        }
-    }
-    if failed {
-        eprintln!("lockmc: verify FAILED");
-        return ExitCode::FAILURE;
-    }
-    println!("lockmc: verify OK — no `{backend}` interleaving violates the invariant suite");
-    ExitCode::SUCCESS
-}
-
-fn print_verify_report(r: &VerifyReport) {
-    match &r.naive {
-        Some(n) => println!(
-            "  {:<22} naive: {:>6} execs {:>7} steps | dpor: {:>5} execs {:>6} steps \
-             ({} sleep-blocked, depth {}){}",
-            r.name,
-            n.executions,
-            n.transitions,
-            r.dpor.executions,
-            r.dpor.transitions,
-            r.dpor.sleep_blocked,
-            r.dpor.max_depth,
-            if n.complete && r.dpor.complete {
-                ""
-            } else {
-                " INCOMPLETE"
-            }
-        ),
-        None => println!(
-            "  {:<22} dpor: {:>5} execs {:>6} steps ({} sleep-blocked, depth {}){}",
-            r.name,
-            r.dpor.executions,
-            r.dpor.transitions,
-            r.dpor.sleep_blocked,
-            r.dpor.max_depth,
-            if r.dpor.complete { "" } else { " INCOMPLETE" }
-        ),
-    }
-    if let Some(cx) = &r.violation {
-        eprintln!(
-            "  {}: VIOLATION of `{}`: {}\n  minimal schedule ({} decisions, {} switches):\n{}",
-            r.name,
-            cx.invariant,
-            cx.detail,
-            cx.schedule.len(),
-            cx.switches,
-            indent(&cx.timeline)
-        );
-    }
-}
-
-fn mutate(limits: &Limits, backend: BackendChoice) -> ExitCode {
-    println!("lockmc --mutate: hunting seeded protocol bugs on backend `{backend}` with DPOR");
-    let reports = run_mutations(limits, backend);
-    let mut failed = false;
-    for r in &reports {
-        print_mutation_report(r, &mut failed);
-    }
-    if failed {
-        eprintln!("lockmc: mutation suite FAILED — a seeded bug survived");
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "lockmc: mutation suite OK — all {} seeded bugs caught with minimal counterexamples",
-        reports.len()
-    );
-    ExitCode::SUCCESS
-}
-
-fn print_mutation_report(r: &MutationReport, failed: &mut bool) {
-    match &r.caught {
-        Some(cx) => {
-            println!(
-                "  {:<20} CAUGHT by `{}` under {} after {} execs — minimal schedule: \
-                 {} decisions, {} context switches",
-                r.kind.name(),
-                cx.invariant,
-                r.program,
-                r.stats.executions,
-                cx.schedule.len(),
-                cx.switches,
-            );
-            println!("{}", indent(&cx.timeline));
-        }
-        None => {
-            eprintln!(
-                "  {:<20} SURVIVED {} executions under {} — checker failure",
-                r.kind.name(),
-                r.stats.executions,
-                r.program
-            );
-            *failed = true;
-        }
-    }
-}
-
-fn indent(text: &str) -> String {
-    text.lines()
-        .map(|l| format!("    {l}"))
-        .collect::<Vec<_>>()
-        .join("\n")
 }

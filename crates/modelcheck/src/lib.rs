@@ -30,7 +30,8 @@
 //! * [`mutate`] — seeded protocol bugs ([`MutationKind`]) the checker
 //!   must catch, wrapped as a [`MutantProtocol`].
 //! * [`suite`] — the `lockmc` verify and mutation suites with their
-//!   program catalog and report types.
+//!   program catalog, report types and the report printers the `lockmc`
+//!   binary and `reproduce lockmc` share.
 //!
 //! See DESIGN.md §14 for the scheduler seam, the reduction argument,
 //! and the mutation-testing contract.
@@ -54,6 +55,6 @@ pub use mutate::{MutantProtocol, MutationKind};
 pub use program::{run_bodies, run_execution, McOp, McProgram, Pick, Violation};
 pub use sched::{run_worker, CoopScheduler, Label, WorkerExit, WorkerStatus, WorkerView};
 pub use suite::{
-    mutation_programs, reduction_factor, run_mutations, run_verify, verify_programs,
-    Counterexample, MutationReport, VerifyReport,
+    mutation_programs, reduction_factor, report_mutations, report_verify, run_mutations,
+    run_verify, verify_programs, Counterexample, MutationReport, VerifyReport,
 };

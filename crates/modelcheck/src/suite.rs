@@ -317,6 +317,143 @@ pub fn run_mutations(limits: &Limits, backend: BackendChoice) -> Vec<MutationRep
         .collect()
 }
 
+/// Runs the verify suite against `backend` and prints `lockmc verify`'s
+/// report: one line per program, the aggregate reduction when naive
+/// baselines ran, and the verdict line; a violation's minimal schedule
+/// and every failure go to stderr. Returns true when the suite passed:
+/// no violation, every exploration complete, and an aggregate DPOR
+/// reduction above 2x.
+pub fn report_verify(limits: &Limits, with_naive: bool, backend: BackendChoice) -> bool {
+    println!(
+        "lockmc verify: exploring {} catalog programs on backend `{backend}` ({})",
+        verify_programs().len(),
+        if with_naive {
+            "naive DFS + DPOR"
+        } else {
+            "DPOR only, quick budget"
+        }
+    );
+    let reports = run_verify(limits, with_naive, backend);
+    let mut failed = false;
+    for r in &reports {
+        print_verify_report(r);
+        failed |= r.violation.is_some() || !r.dpor.complete || r.naive.is_some_and(|n| !n.complete);
+    }
+    if let Some(factor) = reduction_factor(&reports) {
+        let naive: u64 = reports
+            .iter()
+            .filter_map(|r| r.naive.map(|n| n.executions))
+            .sum();
+        let dpor: u64 = reports.iter().map(|r| r.dpor.executions).sum();
+        println!(
+            "aggregate: naive {naive} executions, dpor {dpor} executions, reduction {factor:.1}x"
+        );
+        if factor <= 2.0 {
+            eprintln!("lockmc: FAIL — DPOR reduction factor {factor:.1}x is not > 2x");
+            failed = true;
+        }
+    }
+    if failed {
+        eprintln!("lockmc: verify FAILED");
+        return false;
+    }
+    println!("lockmc: verify OK — no `{backend}` interleaving violates the invariant suite");
+    true
+}
+
+fn print_verify_report(r: &VerifyReport) {
+    match &r.naive {
+        Some(n) => println!(
+            "  {:<22} naive: {:>6} execs {:>7} steps | dpor: {:>5} execs {:>6} steps \
+             ({} sleep-blocked, depth {}){}",
+            r.name,
+            n.executions,
+            n.transitions,
+            r.dpor.executions,
+            r.dpor.transitions,
+            r.dpor.sleep_blocked,
+            r.dpor.max_depth,
+            if n.complete && r.dpor.complete {
+                ""
+            } else {
+                " INCOMPLETE"
+            }
+        ),
+        None => println!(
+            "  {:<22} dpor: {:>5} execs {:>6} steps ({} sleep-blocked, depth {}){}",
+            r.name,
+            r.dpor.executions,
+            r.dpor.transitions,
+            r.dpor.sleep_blocked,
+            r.dpor.max_depth,
+            if r.dpor.complete { "" } else { " INCOMPLETE" }
+        ),
+    }
+    if let Some(cx) = &r.violation {
+        eprintln!(
+            "  {}: VIOLATION of `{}`: {}\n  minimal schedule ({} decisions, {} switches):\n{}",
+            r.name,
+            cx.invariant,
+            cx.detail,
+            cx.schedule.len(),
+            cx.switches,
+            indent(&cx.timeline)
+        );
+    }
+}
+
+/// Hunts every seeded mutation on `backend` and prints `lockmc
+/// --mutate`'s report: each catch with its minimal schedule and replay
+/// timeline, each survivor on stderr. Returns true when every mutation
+/// was caught.
+pub fn report_mutations(limits: &Limits, backend: BackendChoice) -> bool {
+    println!("lockmc --mutate: hunting seeded protocol bugs on backend `{backend}` with DPOR");
+    let reports = run_mutations(limits, backend);
+    let mut failed = false;
+    for r in &reports {
+        match &r.caught {
+            Some(cx) => {
+                println!(
+                    "  {:<20} CAUGHT by `{}` under {} after {} execs — minimal schedule: \
+                     {} decisions, {} context switches",
+                    r.kind.name(),
+                    cx.invariant,
+                    r.program,
+                    r.stats.executions,
+                    cx.schedule.len(),
+                    cx.switches,
+                );
+                println!("{}", indent(&cx.timeline));
+            }
+            None => {
+                eprintln!(
+                    "  {:<20} SURVIVED {} executions under {} — checker failure",
+                    r.kind.name(),
+                    r.stats.executions,
+                    r.program
+                );
+                failed = true;
+            }
+        }
+    }
+    if failed {
+        eprintln!("lockmc: mutation suite FAILED — a seeded bug survived");
+        return false;
+    }
+    println!(
+        "lockmc: mutation suite OK — all {} seeded bugs caught with minimal counterexamples",
+        reports.len()
+    );
+    true
+}
+
+fn indent(text: &str) -> String {
+    text.lines()
+        .map(|l| format!("    {l}"))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,7 +1,8 @@
 //! End-to-end tests of the benchmark telemetry pipeline: schema
 //! round-trip, `benchgate` verdicts on synthetic baseline/current pairs,
-//! and a smoke run of the full report collector at tiny iteration counts
-//! checking that every expected benchmark id is emitted.
+//! and smoke runs of the report collector at tiny iteration counts
+//! checking that every expected benchmark id is emitted and that the
+//! scale-independent exact records equal the committed baseline.
 
 use std::collections::BTreeSet;
 
@@ -154,4 +155,45 @@ fn tiny_all_run_emits_every_expected_id() {
     // The report must also survive its own serialization.
     let parsed = BenchReport::from_json(&report.to_json()).unwrap();
     assert_eq!(parsed, report);
+}
+
+/// The `exact` records that do not depend on `--iters` or `--scale`: run
+/// at the smoke settings, they must equal the committed baseline's
+/// reference-config values, so tier-1 compares gated values and not
+/// only ids. (`ablations/count_width/bits=1` depends on the trace
+/// scale, so it is left to the full gate.)
+#[test]
+fn scale_independent_exact_records_match_the_baseline() {
+    let baseline = BenchReport::from_json(include_str!("../scripts/bench_baseline.json"))
+        .expect("committed baseline parses");
+    let sections = ["ablations", "churn", "lockcheck", "profile"].map(String::from);
+    let report = report::run_sections(&sections, 300, 50_000, None, None)
+        .expect("smoke-setting run succeeds");
+    let ids = [
+        "lockcheck/programs",
+        "lockcheck/diagnostics",
+        "lockcheck/deadlock_cycles",
+        "lockcheck/elidable_ops",
+        "lockcheck/pre_inflation_hints",
+        "profile/inflations/contention",
+        "profile/inflations/overflow",
+        "profile/inflations/wait",
+        "profile/inflations/hint",
+        "churn/thin/monitors_live",
+        "churn/thin/inflations",
+        "churn/cjm/monitors_live",
+        "churn/cjm/inflations",
+        "churn/cjm/monitors_peak",
+        "churn/cjm/deflations",
+        "ablations/phased/cjm_inflations",
+        "ablations/phased/cjm_deflations",
+    ];
+    for id in ids {
+        let want = baseline
+            .find(id)
+            .unwrap_or_else(|| panic!("{id} in baseline"));
+        let got = report.find(id).unwrap_or_else(|| panic!("{id} emitted"));
+        assert_eq!(want.class, GateClass::Exact, "{id}");
+        assert_eq!(got.value, want.value, "{id}");
+    }
 }

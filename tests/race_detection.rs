@@ -16,18 +16,16 @@
 use std::sync::Arc;
 
 use thinlock::ThinLocks;
+use thinlock_analysis::driver::sanitize;
 use thinlock_analysis::escape::EscapeContext;
-use thinlock_analysis::guards::EntryRole;
-use thinlock_analysis::{analyze_program, analyze_program_with_roles};
+use thinlock_analysis::{analyze_concurrent, analyze_program};
 use thinlock_modelcheck::{explore_with, run_bodies, CoopScheduler, Limits, Mode};
 use thinlock_obs::EraserSanitizer;
-use thinlock_runtime::events::TraceSink;
 use thinlock_runtime::heap::{Heap, ObjRef};
 use thinlock_runtime::hooks::HookSet;
 use thinlock_runtime::prng::Prng;
 use thinlock_runtime::protocol::SyncProtocol;
 use thinlock_runtime::registry::ThreadRegistry;
-use thinlock_trace::vmreplay::run_concurrent_program;
 use thinlock_vm::programs::{concurrent_library, ConcurrentProgram, MicroBench};
 use thinlock_vm::{Value, Vm};
 
@@ -38,29 +36,10 @@ const ITERS: u32 = 64;
 /// fixpoint) while keeping the full interleaving space enumerable.
 const EXPLORE_ITERS: i32 = 2;
 
-fn roles_of(entry: &ConcurrentProgram) -> Vec<EntryRole> {
-    entry
-        .roles
-        .iter()
-        .map(|r| EntryRole {
-            name: r.method.to_string(),
-            method: entry.program.method_id(r.method).unwrap_or(0),
-            threads: r.threads,
-        })
-        .collect()
-}
-
 /// Runs one seeded replay of `entry` under a fresh sanitizer and returns
 /// the racy `(object, field)` pairs it reported.
 fn sanitize_one(entry: &ConcurrentProgram, seed: u64) -> Vec<(usize, u16)> {
-    let sanitizer = Arc::new(EraserSanitizer::new(
-        entry.program.pool_size() as usize + 1,
-        usize::from(entry.fields.max(1)),
-    ));
-    let sink: Arc<dyn TraceSink> = Arc::clone(&sanitizer) as Arc<dyn TraceSink>;
-    run_concurrent_program(entry, ITERS, seed, Some(sink))
-        .unwrap_or_else(|e| panic!("{}: replay failed: {e}", entry.name));
-    sanitizer.racy_fields()
+    sanitize(entry, ITERS, seed).unwrap_or_else(|e| panic!("replay failed: {e}"))
 }
 
 /// Checks one completed interleaving's sanitizer verdict against the
@@ -168,8 +147,7 @@ fn explore_exhaustively(entry: &ConcurrentProgram) -> (u64, u64) {
 #[test]
 fn static_verdicts_match_ground_truth() {
     for entry in concurrent_library() {
-        let ctx = EscapeContext::threads(entry.total_threads());
-        let report = analyze_program_with_roles(&entry.program, &ctx, &roles_of(&entry));
+        let report = analyze_concurrent(&entry);
         assert_eq!(
             !report.guards.is_race_free(),
             entry.racy,
@@ -285,8 +263,7 @@ fn sanitizer_flags_racy_larger_programs_on_every_seed() {
 fn static_and_dynamic_detectors_agree_on_every_seed() {
     let mut rng = Prng::seed_from_u64(0x5ace_0003);
     for entry in concurrent_library() {
-        let ctx = EscapeContext::threads(entry.total_threads());
-        let report = analyze_program_with_roles(&entry.program, &ctx, &roles_of(&entry));
+        let report = analyze_concurrent(&entry);
         let static_racy = !report.guards.is_race_free();
         for _ in 0..8 {
             let dynamic_racy = !sanitize_one(&entry, rng.next_u64()).is_empty();
