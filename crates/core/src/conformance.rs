@@ -36,6 +36,7 @@ macro_rules! rows {
             wait_notify_inflates_and_works,
             try_lock_thin_nested_and_contended,
             try_lock_on_fat_lock,
+            try_lock_count_overflow_inflates_at_257th,
             lock_deadline_times_out_thin_without_inflating,
             lock_deadline_times_out_on_fat_lock,
             deadline_prefers_acquisition_over_punctuality,
@@ -227,6 +228,26 @@ pub(crate) fn try_lock_on_fat_lock<P: Policy>(fresh: Fresh<P>) {
     p.unlock(obj, ra.token()).unwrap();
     assert_eq!(p.try_lock(obj, rb.token()), Ok(true));
     p.unlock(obj, rb.token()).unwrap();
+}
+
+/// `try_lock` at the maximum thin count: its fast CAS finds the word held
+/// by the caller and leaves it to the owner-only overflow inflation.
+pub(crate) fn try_lock_count_overflow_inflates_at_257th<P: Policy>(fresh: Fresh<P>) {
+    let p = fresh(4);
+    let r = p.registry().register().unwrap();
+    let t = r.token();
+    let obj = p.heap().alloc().unwrap();
+    for _ in 0..256 {
+        assert_eq!(p.try_lock(obj, t), Ok(true));
+    }
+    assert_eq!(u32::from(p.lock_word(obj).thin_count()), 255);
+    assert_eq!(p.try_lock(obj, t), Ok(true), "the 257th");
+    assert!(p.lock_word(obj).is_fat());
+    assert_eq!(p.inflated_count(), 1);
+    for _ in 0..257 {
+        p.unlock(obj, t).unwrap();
+    }
+    assert!(!p.holds_lock(obj, t));
 }
 
 pub(crate) fn lock_deadline_times_out_thin_without_inflating<P: Policy>(fresh: Fresh<P>) {

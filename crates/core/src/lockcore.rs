@@ -476,13 +476,18 @@ impl<P: Policy, C: FastPathConfig, H: Hooks> LockCore<P, C, H> {
 
         // Scenario 1 — locking an unlocked object. Build the old value by
         // masking the loaded word, OR in the pre-shifted thread index, CAS.
-        // Skipped while the policy routes lockers to its queue.
+        // The CAS is issued only where it can win: a fat word, or one this
+        // thread already holds thin, fails without the locked instruction
+        // (DESIGN.md §23). Skipped while the policy routes lockers to its
+        // queue.
         let fast = self.policy.queue(obj).is_none();
         if fast {
             let old = cell.load_relaxed().with_lock_field_clear();
-            let new = LockWord::from_bits(old.bits() | t.shifted());
             let site = Site::both(SchedPoint::LockFast, InjectionPoint::LockFastCas);
-            if self.cas_allowed(site, obj) && cell.try_cas(old, new, self.config.profile()).is_ok()
+            if self.cas_allowed(site, obj)
+                && cell
+                    .try_acquire(old, t.shifted(), self.config.profile())
+                    .is_ok()
             {
                 self.emit(t, obj, TraceEventKind::AcquireUnlocked);
                 return Ok(());
@@ -838,9 +843,8 @@ impl<P: Policy, C: FastPathConfig, H: Hooks> LockCore<P, C, H> {
         let cell = self.cell(obj);
 
         let old = cell.load_relaxed().with_lock_field_clear();
-        let new = LockWord::from_bits(old.bits() | t.shifted());
         if self.cas_allowed(Site::fault(InjectionPoint::LockFastCas), obj)
-            && cell.try_cas(old, new, profile).is_ok()
+            && cell.try_acquire(old, t.shifted(), profile).is_ok()
         {
             self.emit(t, obj, TraceEventKind::AcquireUnlocked);
             return Ok(true);

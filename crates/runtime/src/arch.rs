@@ -221,15 +221,60 @@ impl LockWordCell {
         if profile.uses_kernel_cas() {
             simulate_kernel_trap();
         }
-        match self.0.compare_exchange(
-            old.bits(),
-            new.bits(),
-            ordering_at_least_relaxed(profile.acquire_ordering()),
-            Ordering::Relaxed,
-        ) {
-            Ok(_) => Ok(()),
-            Err(actual) => Err(LockWord::from_bits(actual)),
+        self.cas_acquiring(old, new, profile)
+    }
+
+    /// The acquiring fast path's compare-and-swap from `old`, whose lock
+    /// field is clear, to `old` locked once by the caller, whose
+    /// pre-shifted index is `owner_shifted` — issued only where it can win
+    /// (DESIGN.md §23).
+    ///
+    /// After the simulated trap, the word is read again: a fat word, or
+    /// one the caller already holds thin at any count, is returned as it
+    /// stands without the locked instruction. The PowerPC
+    /// `lwarx`/`cmpw`/`bne` sequence never issues its `stwcx.` for such a
+    /// word; an x86 `lock cmpxchg` would still take the line exclusive and
+    /// fail. A word held thin by another thread keeps its attempt.
+    ///
+    /// # Errors
+    ///
+    /// Returns the current word if it differed from `old`.
+    #[inline]
+    pub fn try_acquire(
+        &self,
+        old: LockWord,
+        owner_shifted: u32,
+        profile: ArchProfile,
+    ) -> Result<(), LockWord> {
+        if profile.uses_kernel_cas() {
+            simulate_kernel_trap();
         }
+        let current = self.load_relaxed();
+        if cas_is_doomed(current, owner_shifted) {
+            return Err(current);
+        }
+        let new = LockWord::from_bits(old.bits() | owner_shifted);
+        self.cas_acquiring(old, new, profile)
+    }
+
+    /// The locked instruction itself, with the profile's acquire ordering
+    /// on success (the `isync` after a successful lock).
+    #[inline]
+    fn cas_acquiring(
+        &self,
+        old: LockWord,
+        new: LockWord,
+        profile: ArchProfile,
+    ) -> Result<(), LockWord> {
+        self.0
+            .compare_exchange(
+                old.bits(),
+                new.bits(),
+                ordering_at_least_relaxed(profile.acquire_ordering()),
+                Ordering::Relaxed,
+            )
+            .map(drop)
+            .map_err(LockWord::from_bits)
     }
 
     /// Compare-and-swap with release semantics on success — the Figure 6
@@ -261,6 +306,17 @@ impl LockWordCell {
             Err(actual) => Err(LockWord::from_bits(actual)),
         }
     }
+}
+
+/// True if an acquiring CAS from a clear lock field cannot succeed against
+/// `current`. Inflation is one-way and only the owner writes a held word,
+/// so a fat word or one thin-held by the caller cannot turn back into the
+/// expected value in between. A deflating policy can clear a fat word
+/// concurrently; skipping its CAS is then merely safe, because the slow
+/// path reads the word again.
+#[inline]
+fn cas_is_doomed(current: LockWord, owner_shifted: u32) -> bool {
+    current.is_fat() || current.is_thin_owned_by(owner_shifted)
 }
 
 /// `compare_exchange` forbids `Release`-only success with stronger failure;
@@ -314,6 +370,55 @@ mod tests {
             let err = cell.try_cas(old, new, profile).unwrap_err();
             assert_eq!(err, new);
             assert_eq!(cell.load_relaxed(), new);
+        }
+    }
+
+    #[test]
+    fn fast_cas_is_issued_only_where_it_can_win() {
+        use crate::lockword::{MonitorIndex, MAX_THIN_COUNT};
+        let me = ThreadIndex::new(3).unwrap();
+        let other = ThreadIndex::new(4).unwrap();
+        let neutral = LockWord::new_unlocked(0x5A);
+        let mine = neutral.locked_once_by(me);
+        let nested_by_me = |count: u32| (0..count).fold(mine, |w, _| w.with_count_incremented());
+        assert_eq!(nested_by_me(MAX_THIN_COUNT).thin_count(), 255);
+        for profile in ArchProfile::ALL {
+            // Neutral: the CAS is issued and wins.
+            let cell = LockWordCell::new(neutral);
+            assert!(!cas_is_doomed(neutral, me.shifted()));
+            assert!(cell.try_acquire(neutral, me.shifted(), profile).is_ok());
+            assert_eq!(cell.load_relaxed(), mine, "{profile}");
+
+            // Thin-held by another thread: the CAS is still issued, fails,
+            // and reports the current word.
+            let theirs = neutral.locked_once_by(other);
+            let cell = LockWordCell::new(theirs);
+            assert!(!cas_is_doomed(theirs, me.shifted()));
+            assert_eq!(
+                cell.try_acquire(neutral, me.shifted(), profile),
+                Err(theirs),
+                "{profile}"
+            );
+            assert_eq!(cell.load_relaxed(), theirs);
+
+            // Fat, and thin-held by the caller at counts 0, 254 and 255 (the
+            // overflowing one included): no CAS, the word comes back as is.
+            let fat = neutral.inflated(MonitorIndex::new(9).unwrap());
+            let doomed = [
+                fat,
+                nested_by_me(0),
+                nested_by_me(MAX_THIN_COUNT - 1),
+                nested_by_me(MAX_THIN_COUNT),
+            ];
+            for word in doomed {
+                assert!(cas_is_doomed(word, me.shifted()), "{word:?}");
+                let cell = LockWordCell::new(word);
+                let err = cell
+                    .try_acquire(neutral, me.shifted(), profile)
+                    .unwrap_err();
+                assert_eq!(err.bits(), word.bits(), "{profile} {word:?}");
+                assert_eq!(cell.load_relaxed().bits(), word.bits());
+            }
         }
     }
 

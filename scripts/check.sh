@@ -52,6 +52,9 @@ for backend in thin cjm fissile hapax; do
         --mutate --quick --backend "$backend" | diff -u "scripts/lockmc/mutate-$backend.txt" -
 done
 
+echo "== lockbench_pairs: summary and verdicts on canned readings"
+python3 scripts/lockbench_pairs.py --self-test
+
 echo "== bench smoke: tiny reproduce --json run + id-coverage gate"
 bash scripts/bench.sh smoke
 
