@@ -24,18 +24,19 @@
 //! * monitors left installed with count zero after unlock — the
 //!   Krall-and-Probst-style optimization the paper describes — so
 //!   re-locking a recently used object skips allocation until eviction.
+//!
+//! The cache itself is the crate-private `Cache`, which IBM112
+//! ([`crate::hot`]) also starts every lock in.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use thinlock_monitor::FatLock;
-use thinlock_runtime::backend::{MonitorProbe, SyncBackend};
 use thinlock_runtime::error::{SyncError, SyncResult};
 use thinlock_runtime::heap::{Heap, ObjRef};
 use thinlock_runtime::hooks::NoHooks;
-use thinlock_runtime::lockword::ThreadIndex;
 use thinlock_runtime::protocol::{SyncProtocol, WaitOutcome};
 use thinlock_runtime::registry::{ThreadRegistry, ThreadToken};
 
@@ -45,34 +46,63 @@ use thinlock_runtime::registry::{ThreadRegistry, ThreadToken};
 /// curve.
 pub const DEFAULT_CACHE_CAPACITY: usize = 128;
 
-#[derive(Debug)]
-struct PoolEntry {
-    lock: Arc<FatLock>,
-    /// Object currently bound to this monitor, if any.
-    bound_to: Option<usize>,
+/// One pooled monitor.
+pub(crate) struct Entry {
+    pub(crate) lock: Arc<FatLock>,
+    /// Locking lookups since the monitor was bound to its object: the
+    /// locking frequency IBM112 records (JDK111 leaves it at 0).
+    pub(crate) lookups: u32,
 }
 
-#[derive(Debug)]
-struct CacheInner {
+/// The object → monitor cache, always used under its owner's mutex.
+pub(crate) struct Cache {
     /// object index -> pool slot
     map: HashMap<usize, usize>,
-    pool: Vec<PoolEntry>,
+    pool: Vec<Entry>,
     free: Vec<usize>,
     capacity: usize,
     /// Number of reclaim scans performed (diagnostics: the thrash).
-    evictions: u64,
+    pub(crate) evictions: u64,
 }
 
-impl CacheInner {
-    /// Finds the monitor for `obj`, installing one if needed.
-    fn lookup_or_install(&mut self, obj: usize) -> Arc<FatLock> {
-        if let Some(&slot) = self.map.get(&obj) {
-            return Arc::clone(&self.pool[slot].lock);
+impl Cache {
+    pub(crate) fn new(capacity: usize) -> Self {
+        Cache {
+            map: HashMap::new(),
+            pool: Vec::new(),
+            free: Vec::new(),
+            capacity: capacity.max(1),
+            evictions: 0,
         }
-        let slot = self.take_free_slot();
-        self.pool[slot].bound_to = Some(obj);
-        self.map.insert(obj, slot);
-        Arc::clone(&self.pool[slot].lock)
+    }
+
+    /// The monitor bound to `obj`, if any.
+    pub(crate) fn get(&self, obj: usize) -> Option<Arc<FatLock>> {
+        self.map
+            .get(&obj)
+            .map(|&slot| Arc::clone(&self.pool[slot].lock))
+    }
+
+    /// Finds `obj`'s entry for a lock, binding a free monitor with a
+    /// zero lookup count if needed.
+    pub(crate) fn bind(&mut self, obj: usize) -> &mut Entry {
+        let slot = match self.map.get(&obj) {
+            Some(&slot) => slot,
+            None => {
+                let slot = self.take_free_slot();
+                self.pool[slot].lookups = 0;
+                self.map.insert(obj, slot);
+                slot
+            }
+        };
+        &mut self.pool[slot]
+    }
+
+    /// Returns `obj`'s monitor to the free list.
+    pub(crate) fn unbind(&mut self, obj: usize) {
+        if let Some(slot) = self.map.remove(&obj) {
+            self.free.push(slot);
+        }
     }
 
     /// Pops a free slot, reclaiming an idle monitor if the free list is
@@ -83,43 +113,36 @@ impl CacheInner {
         if let Some(slot) = self.free.pop() {
             return slot;
         }
-        if self.pool.len() < self.capacity {
-            self.pool.push(PoolEntry {
-                lock: Arc::new(FatLock::new()),
-                bound_to: None,
-            });
-            return self.pool.len() - 1;
-        }
-        // Thrash: scan the whole table for a reclaimable monitor. This
-        // linear scan is the "free list thrashing" cost of Section 3.3.
-        self.evictions += 1;
-        let victim = self.map.iter().find_map(|(&obj, &slot)| {
-            let m = &self.pool[slot].lock;
-            // No outstanding handle first: handles are only cloned under
-            // the cache mutex we hold, so with none left the monitor's
-            // state is frozen and the three reads below agree.
-            let idle = Arc::strong_count(m) == 1
-                && m.owner().is_none()
-                && m.entry_queue_len() == 0
-                && m.wait_set_len() == 0;
-            idle.then_some((obj, slot))
-        });
-        match victim {
-            Some((obj, slot)) => {
+        if self.pool.len() >= self.capacity {
+            // Thrash: scan the whole table for a reclaimable monitor. This
+            // linear scan is the "free list thrashing" cost of Section 3.3.
+            self.evictions += 1;
+            let victim = self
+                .map
+                .iter()
+                .find_map(|(&obj, &slot)| is_idle(&self.pool[slot].lock).then_some((obj, slot)));
+            if let Some((obj, slot)) = victim {
                 self.map.remove(&obj);
-                self.pool[slot].bound_to = None;
-                slot
-            }
-            None => {
-                // Every monitor busy: grow beyond capacity.
-                self.pool.push(PoolEntry {
-                    lock: Arc::new(FatLock::new()),
-                    bound_to: None,
-                });
-                self.pool.len() - 1
+                return slot;
             }
         }
+        // Below capacity, or every monitor busy: grow.
+        self.pool.push(Entry {
+            lock: Arc::new(FatLock::new()),
+            lookups: 0,
+        });
+        self.pool.len() - 1
     }
+}
+
+/// True when the cache may rebind or promote `m`: no handle to it exists
+/// outside the cache, and it has no owner, entrant or waiter. The handle
+/// count comes first: handles are only cloned under the cache mutex the
+/// caller holds, so with none left the monitor's state is frozen. Read
+/// last, an acquirer could take the monitor and drop its handle between
+/// the probe and the count.
+pub(crate) fn is_idle(m: &Arc<FatLock>) -> bool {
+    Arc::strong_count(m) == 1 && m.probe().is_idle()
 }
 
 /// The JDK 1.1.1 baseline: an external monitor cache under a global lock.
@@ -140,7 +163,7 @@ impl CacheInner {
 pub struct MonitorCache {
     heap: Arc<Heap>,
     registry: ThreadRegistry,
-    cache: Mutex<CacheInner>,
+    cache: Mutex<Cache>,
 }
 
 impl MonitorCache {
@@ -160,62 +183,57 @@ impl MonitorCache {
         MonitorCache {
             heap,
             registry,
-            cache: Mutex::new(CacheInner {
-                map: HashMap::new(),
-                pool: Vec::new(),
-                free: Vec::new(),
-                capacity: cache_capacity.max(1),
-                evictions: 0,
-            }),
+            cache: Mutex::new(Cache::new(cache_capacity)),
         }
     }
 
-    /// The monitor-cache lookup every operation pays: take the global
-    /// cache lock, hash the object, follow the indirection.
-    fn monitor_for(&self, obj: ObjRef) -> Arc<FatLock> {
-        let mut inner = self.cache.lock().expect("monitor cache poisoned");
-        inner.lookup_or_install(obj.index())
+    fn cache(&self) -> MutexGuard<'_, Cache> {
+        self.cache.lock().expect("monitor cache poisoned")
     }
 
-    /// Like [`monitor_for`](Self::monitor_for) but without installing — for
-    /// operations that are errors on never-synchronized objects.
-    fn monitor_if_present(&self, obj: ObjRef) -> Option<Arc<FatLock>> {
-        let inner = self.cache.lock().expect("monitor cache poisoned");
-        inner
-            .map
-            .get(&obj.index())
-            .map(|&slot| Arc::clone(&inner.pool[slot].lock))
+    /// The monitor-cache lookup every operation pays — take the global
+    /// cache lock, hash the object, follow the indirection — then `op` on
+    /// the monitor with the cache unlocked. Only a lock binds a monitor;
+    /// anything else on a never-synchronized object is `NotLocked`.
+    fn with_monitor<R>(
+        &self,
+        obj: ObjRef,
+        locking: bool,
+        op: impl FnOnce(&FatLock) -> SyncResult<R>,
+    ) -> SyncResult<R> {
+        let monitor = if locking {
+            Arc::clone(&self.cache().bind(obj.index()).lock)
+        } else {
+            self.cache().get(obj.index()).ok_or(SyncError::NotLocked)?
+        };
+        op(&monitor)
     }
 
     /// Number of free-list reclaim scans so far — the thrash counter.
     pub fn evictions(&self) -> u64 {
-        self.cache.lock().expect("monitor cache poisoned").evictions
+        self.cache().evictions
     }
 
     /// Number of monitors currently bound to objects.
     pub fn cached_monitors(&self) -> usize {
-        self.cache.lock().expect("monitor cache poisoned").map.len()
+        self.cache().map.len()
     }
 
     /// The configured pool capacity.
     pub fn cache_capacity(&self) -> usize {
-        self.cache.lock().expect("monitor cache poisoned").capacity
+        self.cache().capacity
     }
 }
 
 impl SyncProtocol for MonitorCache {
     fn lock(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<()> {
-        let monitor = self.monitor_for(obj);
-        monitor.lock(t, &self.registry, &NoHooks)
+        self.with_monitor(obj, true, |m| m.lock(t, &self.registry, &NoHooks))
     }
 
     fn unlock(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<()> {
         // The unlock, too, must translate object -> monitor through the
         // locked cache; this is half of what thin locks eliminate.
-        match self.monitor_if_present(obj) {
-            Some(monitor) => monitor.unlock(t, &self.registry),
-            None => Err(SyncError::NotLocked),
-        }
+        self.with_monitor(obj, false, |m| m.unlock(t, &self.registry))
     }
 
     fn wait(
@@ -224,28 +242,20 @@ impl SyncProtocol for MonitorCache {
         t: ThreadToken,
         timeout: Option<Duration>,
     ) -> SyncResult<WaitOutcome> {
-        match self.monitor_if_present(obj) {
-            Some(monitor) => monitor.wait(t, &self.registry, timeout, &NoHooks),
-            None => Err(SyncError::NotLocked),
-        }
+        self.with_monitor(obj, false, |m| m.wait(t, &self.registry, timeout, &NoHooks))
     }
 
     fn notify(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<()> {
-        match self.monitor_if_present(obj) {
-            Some(monitor) => monitor.notify(t),
-            None => Err(SyncError::NotLocked),
-        }
+        self.with_monitor(obj, false, |m| m.notify(t))
     }
 
     fn notify_all(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<()> {
-        match self.monitor_if_present(obj) {
-            Some(monitor) => monitor.notify_all(t),
-            None => Err(SyncError::NotLocked),
-        }
+        self.with_monitor(obj, false, |m| m.notify_all(t))
     }
 
     fn holds_lock(&self, obj: ObjRef, t: ThreadToken) -> bool {
-        self.monitor_if_present(obj).is_some_and(|m| m.holds(t))
+        self.with_monitor(obj, false, |m| Ok(m.holds(t)))
+            .unwrap_or(false)
     }
 
     fn heap(&self) -> &Heap {
@@ -258,55 +268,6 @@ impl SyncProtocol for MonitorCache {
 
     fn name(&self) -> &'static str {
         "JDK111"
-    }
-}
-
-impl SyncBackend for MonitorCache {
-    // The header word carries no lock state in this baseline — every
-    // probe goes through the cached monitor, and the default
-    // word-decoding `owner_of` would always answer `None`.
-    fn monitor_probe(&self, obj: ObjRef) -> Option<MonitorProbe> {
-        let probe = self.monitor_if_present(obj)?.probe();
-        (probe.owner.is_some() || probe.wait_set_len > 0).then_some(probe)
-    }
-
-    fn owner_of(&self, obj: ObjRef) -> Option<ThreadIndex> {
-        self.monitor_if_present(obj).and_then(|m| m.owner())
-    }
-
-    fn in_wait_set(&self, obj: ObjRef, t: ThreadToken) -> bool {
-        self.monitor_if_present(obj)
-            .is_some_and(|m| m.is_waiting(t))
-    }
-
-    // Eviction recycles monitor structures, which is this baseline's
-    // (coarse) analogue of deflation.
-    fn deflation_capable(&self) -> bool {
-        true
-    }
-
-    fn deflation_count(&self) -> u64 {
-        self.evictions()
-    }
-
-    fn monitors_live(&self) -> usize {
-        self.cached_monitors()
-    }
-
-    fn monitors_peak(&self) -> usize {
-        self.cache
-            .lock()
-            .expect("monitor cache poisoned")
-            .pool
-            .len()
-    }
-
-    fn monitors_allocated(&self) -> u64 {
-        self.cache
-            .lock()
-            .expect("monitor cache poisoned")
-            .pool
-            .len() as u64
     }
 }
 
@@ -471,8 +432,8 @@ mod tests {
         loop {
             p.lock(obj, t).unwrap();
             let had_waiter = p
-                .monitor_if_present(obj)
-                .is_some_and(|m| m.wait_set_len() > 0);
+                .with_monitor(obj, false, |m| Ok(m.wait_set_len() > 0))
+                .unwrap_or(false);
             if had_waiter {
                 p.notify(obj, t).unwrap();
                 p.unlock(obj, t).unwrap();

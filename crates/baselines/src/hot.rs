@@ -10,7 +10,9 @@
 //! the hot lock structure. One bit in the header word indicates whether
 //! the word is a hot lock pointer or regular header data."
 //!
-//! The scheme's strength and weakness both reproduce here:
+//! The "default fat locks" are JDK111's: IBM112's cold path is the
+//! [`crate::cache`] monitor cache, whose entries count their locking
+//! lookups. The scheme's strength and weakness both reproduce here:
 //!
 //! * a hot lock's fast path is "following a pointer, comparing a thread
 //!   identifier, and incrementing a memory location" — no monitor-cache
@@ -20,18 +22,17 @@
 //!   the slow monitor-cache path ("the Achilles heel of the hot lock
 //!   approach", visible as the MultiSync cliff in Figure 4).
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
+use crate::cache::{is_idle, Cache};
 use thinlock_monitor::FatLock;
-use thinlock_runtime::backend::{MonitorProbe, SyncBackend};
 use thinlock_runtime::error::{SyncError, SyncResult};
 use thinlock_runtime::heap::{Heap, ObjRef};
 use thinlock_runtime::hooks::NoHooks;
-use thinlock_runtime::lockword::{LockWord, ThreadIndex};
+use thinlock_runtime::lockword::LockWord;
 use thinlock_runtime::protocol::{SyncProtocol, WaitOutcome};
 use thinlock_runtime::registry::{ThreadRegistry, ThreadToken};
 
@@ -48,45 +49,24 @@ pub const DEFAULT_HOT_THRESHOLD: u32 = 8;
 /// guarantees real header words keep bit 0 clear.
 const HOT_MARKER_BIT: u32 = 1;
 
-/// Sentinel for "hot slot not bound to any object".
-const UNBOUND: u32 = u32::MAX;
-
-#[derive(Debug)]
 struct HotSlot {
     lock: FatLock,
     /// The displaced header word of the bound object.
     displaced: AtomicU32,
-    /// Object index bound to this slot, or [`UNBOUND`].
-    bound: AtomicU32,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Binding {
-    /// Cold: pool slot in the monitor cache.
-    Cold(usize),
-    /// Promoted to a hot slot; permanent.
-    Hot(usize),
-}
-
-#[derive(Debug)]
-struct ColdEntry {
-    lock: Arc<FatLock>,
-    freq: u32,
-}
-
-#[derive(Debug)]
-struct ColdInner {
-    map: HashMap<usize, Binding>,
-    pool: Vec<ColdEntry>,
-    free: Vec<usize>,
-    capacity: usize,
-    evictions: u64,
+/// Everything the one mutex guards: the cold monitor cache and the
+/// promotion state.
+struct Inner {
+    cache: Cache,
     hot_free: Vec<usize>,
     promotions: u64,
+    /// Lookups that make a cold monitor hot; at least 2, since a fresh
+    /// binding never promotes on its first lock.
     threshold: u32,
 }
 
-/// Resolution of an object to its monitor, remembering which kind it was.
+/// Where an object's monitor lives.
 enum Resolved {
     Hot(usize),
     Cold(Arc<FatLock>),
@@ -114,7 +94,7 @@ enum Resolved {
 pub struct HotLocks {
     heap: Arc<Heap>,
     registry: ThreadRegistry,
-    cold: Mutex<ColdInner>,
+    inner: Mutex<Inner>,
     hot: Box<[HotSlot]>,
 }
 
@@ -137,28 +117,27 @@ impl HotLocks {
         cache_capacity: usize,
         threshold: u32,
     ) -> Self {
-        let hot: Box<[HotSlot]> = (0..HOT_LOCK_COUNT)
+        let hot = (0..HOT_LOCK_COUNT)
             .map(|_| HotSlot {
                 lock: FatLock::new(),
                 displaced: AtomicU32::new(0),
-                bound: AtomicU32::new(UNBOUND),
             })
             .collect();
         HotLocks {
             heap,
             registry,
-            cold: Mutex::new(ColdInner {
-                map: HashMap::new(),
-                pool: Vec::new(),
-                free: Vec::new(),
-                capacity: cache_capacity.max(1),
-                evictions: 0,
+            inner: Mutex::new(Inner {
+                cache: Cache::new(cache_capacity),
                 hot_free: (0..HOT_LOCK_COUNT).rev().collect(),
                 promotions: 0,
-                threshold: threshold.max(1),
+                threshold: threshold.max(2),
             }),
             hot,
         }
+    }
+
+    fn inner(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().expect("hot-lock cache poisoned")
     }
 
     /// The hot-path test: one load of the header word and a bit test.
@@ -168,118 +147,63 @@ impl HotLocks {
         (word & HOT_MARKER_BIT != 0).then_some((word >> 1) as usize)
     }
 
-    /// Cold path: locked cache lookup with frequency accounting and
-    /// possible promotion.
-    fn resolve_for_lock(&self, obj: ObjRef) -> Resolved {
-        let mut inner = self.cold.lock().expect("hot-lock cache poisoned");
-        let inner = &mut *inner;
-        match inner.map.get(&obj.index()).copied() {
-            Some(Binding::Hot(slot)) => Resolved::Hot(slot),
-            Some(Binding::Cold(slot)) => {
-                inner.pool[slot].freq += 1;
-                if inner.pool[slot].freq >= inner.threshold {
-                    if let Some(hot) = self.try_promote(inner, obj, slot) {
-                        return Resolved::Hot(hot);
-                    }
-                }
-                Resolved::Cold(Arc::clone(&inner.pool[slot].lock))
-            }
-            None => {
-                let slot = Self::take_free_slot(inner);
-                inner.pool[slot].freq = 1;
-                inner.map.insert(obj.index(), Binding::Cold(slot));
-                Resolved::Cold(Arc::clone(&inner.pool[slot].lock))
-            }
+    /// Runs `op` on `obj`'s monitor: the hot lock its header points at,
+    /// or else its cold monitor under one hold of the cache mutex. Only a
+    /// lock binds a cold monitor; anything else on a never-synchronized
+    /// object is `NotLocked`.
+    fn with_monitor<R>(
+        &self,
+        obj: ObjRef,
+        locking: bool,
+        op: impl FnOnce(&FatLock) -> SyncResult<R>,
+    ) -> SyncResult<R> {
+        // Hot fast path: follow the pointer, let the monitor compare the
+        // thread identifier and bump its count.
+        let resolved = match self.hot_slot_of(obj) {
+            Some(slot) => Resolved::Hot(slot),
+            None => self.resolve_cold(obj, locking)?,
+        };
+        match resolved {
+            Resolved::Hot(slot) => op(&self.hot[slot].lock),
+            Resolved::Cold(monitor) => op(&monitor),
         }
     }
 
-    /// Resolution for unlock/wait/notify: no frequency bump, no install.
-    fn resolve_existing(&self, obj: ObjRef) -> Option<Resolved> {
+    /// Cold path: the locked cache lookup, which for a lock also counts
+    /// the lookup and promotes the monitor once it is hot and idle (so no
+    /// state needs migrating) and a hot slot is free.
+    fn resolve_cold(&self, obj: ObjRef, locking: bool) -> SyncResult<Resolved> {
+        let mut guard = self.inner();
+        let inner = &mut *guard;
+        // Promotion happens under this mutex, so this re-read sees any
+        // promotion that beat the unlocked one.
         if let Some(slot) = self.hot_slot_of(obj) {
-            return Some(Resolved::Hot(slot));
+            return Ok(Resolved::Hot(slot));
         }
-        let inner = self.cold.lock().expect("hot-lock cache poisoned");
-        match inner.map.get(&obj.index()).copied()? {
-            Binding::Hot(slot) => Some(Resolved::Hot(slot)),
-            Binding::Cold(slot) => Some(Resolved::Cold(Arc::clone(&inner.pool[slot].lock))),
+        if !locking {
+            let monitor = inner.cache.get(obj.index());
+            return monitor.map(Resolved::Cold).ok_or(SyncError::NotLocked);
         }
-    }
-
-    /// Promotes `obj`'s cold monitor to a free hot slot if the monitor is
-    /// idle right now (so no state needs migrating). Called with the cache
-    /// mutex held.
-    fn try_promote(&self, inner: &mut ColdInner, obj: ObjRef, cold_slot: usize) -> Option<usize> {
-        let entry = &inner.pool[cold_slot];
-        // No outstanding handle first: handles are only cloned under the
-        // cache mutex we hold, so with none left the monitor's state is
-        // frozen. Checked last, an acquirer could take the monitor and
-        // drop its handle between the owner read and the count read.
-        let idle = Arc::strong_count(&entry.lock) == 1
-            && entry.lock.owner().is_none()
-            && entry.lock.entry_queue_len() == 0
-            && entry.lock.wait_set_len() == 0;
-        if !idle {
-            return None;
-        }
-        let hot_slot = inner.hot_free.pop()?;
+        let entry = inner.cache.bind(obj.index());
+        entry.lookups = entry.lookups.saturating_add(1);
+        let hot = if entry.lookups >= inner.threshold && is_idle(&entry.lock) {
+            inner.hot_free.pop()
+        } else {
+            None
+        };
+        let Some(slot) = hot else {
+            return Ok(Resolved::Cold(Arc::clone(&entry.lock)));
+        };
         // Displace the header: save the original word in the hot lock
         // structure, install the marked pointer.
         let cell = self.heap.header(obj).lock_word();
         let original = cell.load_relaxed().bits();
         debug_assert_eq!(original & HOT_MARKER_BIT, 0);
-        self.hot[hot_slot]
-            .displaced
-            .store(original, Ordering::Relaxed);
-        self.hot[hot_slot]
-            .bound
-            .store(obj.index() as u32, Ordering::Relaxed);
-        cell.store_release(LockWord::from_bits(
-            ((hot_slot as u32) << 1) | HOT_MARKER_BIT,
-        ));
-        inner.map.insert(obj.index(), Binding::Hot(hot_slot));
-        inner.free.push(cold_slot);
+        self.hot[slot].displaced.store(original, Ordering::Relaxed);
+        cell.store_release(LockWord::from_bits(((slot as u32) << 1) | HOT_MARKER_BIT));
+        inner.cache.unbind(obj.index());
         inner.promotions += 1;
-        Some(hot_slot)
-    }
-
-    fn take_free_slot(inner: &mut ColdInner) -> usize {
-        if let Some(slot) = inner.free.pop() {
-            return slot;
-        }
-        if inner.pool.len() < inner.capacity {
-            inner.pool.push(ColdEntry {
-                lock: Arc::new(FatLock::new()),
-                freq: 0,
-            });
-            return inner.pool.len() - 1;
-        }
-        inner.evictions += 1;
-        let victim = inner.map.iter().find_map(|(&obj, &binding)| match binding {
-            Binding::Cold(slot) => {
-                let m = &inner.pool[slot].lock;
-                // No outstanding handle first (see `try_promote`).
-                let idle = Arc::strong_count(m) == 1
-                    && m.owner().is_none()
-                    && m.entry_queue_len() == 0
-                    && m.wait_set_len() == 0;
-                idle.then_some((obj, slot))
-            }
-            Binding::Hot(_) => None,
-        });
-        match victim {
-            Some((obj, slot)) => {
-                inner.map.remove(&obj);
-                inner.pool[slot].freq = 0;
-                slot
-            }
-            None => {
-                inner.pool.push(ColdEntry {
-                    lock: Arc::new(FatLock::new()),
-                    freq: 0,
-                });
-                inner.pool.len() - 1
-            }
-        }
+        Ok(Resolved::Hot(slot))
     }
 
     /// True if `obj`'s lock has been promoted to a hot slot.
@@ -289,24 +213,17 @@ impl HotLocks {
 
     /// Number of promotions performed so far.
     pub fn promotions(&self) -> u64 {
-        self.cold
-            .lock()
-            .expect("hot-lock cache poisoned")
-            .promotions
+        self.inner().promotions
     }
 
     /// Number of free hot slots remaining.
     pub fn free_hot_slots(&self) -> usize {
-        self.cold
-            .lock()
-            .expect("hot-lock cache poisoned")
-            .hot_free
-            .len()
+        self.inner().hot_free.len()
     }
 
     /// Number of cold free-list reclaim scans so far.
     pub fn evictions(&self) -> u64 {
-        self.cold.lock().expect("hot-lock cache poisoned").evictions
+        self.inner().cache.evictions
     }
 
     /// The displaced header word of a promoted object.
@@ -318,23 +235,11 @@ impl HotLocks {
 
 impl SyncProtocol for HotLocks {
     fn lock(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<()> {
-        // Hot fast path: follow the pointer, let the monitor compare the
-        // thread identifier and bump its count.
-        if let Some(slot) = self.hot_slot_of(obj) {
-            return self.hot[slot].lock.lock(t, &self.registry, &NoHooks);
-        }
-        match self.resolve_for_lock(obj) {
-            Resolved::Hot(slot) => self.hot[slot].lock.lock(t, &self.registry, &NoHooks),
-            Resolved::Cold(monitor) => monitor.lock(t, &self.registry, &NoHooks),
-        }
+        self.with_monitor(obj, true, |m| m.lock(t, &self.registry, &NoHooks))
     }
 
     fn unlock(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<()> {
-        match self.resolve_existing(obj) {
-            Some(Resolved::Hot(slot)) => self.hot[slot].lock.unlock(t, &self.registry),
-            Some(Resolved::Cold(monitor)) => monitor.unlock(t, &self.registry),
-            None => Err(SyncError::NotLocked),
-        }
+        self.with_monitor(obj, false, |m| m.unlock(t, &self.registry))
     }
 
     fn wait(
@@ -343,39 +248,20 @@ impl SyncProtocol for HotLocks {
         t: ThreadToken,
         timeout: Option<Duration>,
     ) -> SyncResult<WaitOutcome> {
-        match self.resolve_existing(obj) {
-            Some(Resolved::Hot(slot)) => {
-                self.hot[slot]
-                    .lock
-                    .wait(t, &self.registry, timeout, &NoHooks)
-            }
-            Some(Resolved::Cold(monitor)) => monitor.wait(t, &self.registry, timeout, &NoHooks),
-            None => Err(SyncError::NotLocked),
-        }
+        self.with_monitor(obj, false, |m| m.wait(t, &self.registry, timeout, &NoHooks))
     }
 
     fn notify(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<()> {
-        match self.resolve_existing(obj) {
-            Some(Resolved::Hot(slot)) => self.hot[slot].lock.notify(t),
-            Some(Resolved::Cold(monitor)) => monitor.notify(t),
-            None => Err(SyncError::NotLocked),
-        }
+        self.with_monitor(obj, false, |m| m.notify(t))
     }
 
     fn notify_all(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<()> {
-        match self.resolve_existing(obj) {
-            Some(Resolved::Hot(slot)) => self.hot[slot].lock.notify_all(t),
-            Some(Resolved::Cold(monitor)) => monitor.notify_all(t),
-            None => Err(SyncError::NotLocked),
-        }
+        self.with_monitor(obj, false, |m| m.notify_all(t))
     }
 
     fn holds_lock(&self, obj: ObjRef, t: ThreadToken) -> bool {
-        match self.resolve_existing(obj) {
-            Some(Resolved::Hot(slot)) => self.hot[slot].lock.holds(t),
-            Some(Resolved::Cold(monitor)) => monitor.holds(t),
-            None => false,
-        }
+        self.with_monitor(obj, false, |m| Ok(m.holds(t)))
+            .unwrap_or(false)
     }
 
     fn heap(&self) -> &Heap {
@@ -388,66 +274,6 @@ impl SyncProtocol for HotLocks {
 
     fn name(&self) -> &'static str {
         "IBM112"
-    }
-}
-
-impl HotLocks {
-    /// Runs `f` against the monitor currently backing `obj`, hot or
-    /// cold, if any.
-    fn with_monitor<R>(&self, obj: ObjRef, f: impl FnOnce(&FatLock) -> R) -> Option<R> {
-        match self.resolve_existing(obj)? {
-            Resolved::Hot(slot) => Some(f(&self.hot[slot].lock)),
-            Resolved::Cold(monitor) => Some(f(&monitor)),
-        }
-    }
-}
-
-impl SyncBackend for HotLocks {
-    // The header word is either real header data or a hot-lock pointer,
-    // never thin-lock state — probes must resolve through the monitor,
-    // like the JDK111 baseline.
-    fn monitor_probe(&self, obj: ObjRef) -> Option<MonitorProbe> {
-        let probe = self.with_monitor(obj, FatLock::probe)?;
-        (probe.owner.is_some() || probe.wait_set_len > 0).then_some(probe)
-    }
-
-    fn owner_of(&self, obj: ObjRef) -> Option<ThreadIndex> {
-        self.with_monitor(obj, FatLock::owner).flatten()
-    }
-
-    fn in_wait_set(&self, obj: ObjRef, t: ThreadToken) -> bool {
-        self.with_monitor(obj, |m| m.is_waiting(t)).unwrap_or(false)
-    }
-
-    // Cold-cache eviction recycles monitors; hot promotion is one-way.
-    fn deflation_capable(&self) -> bool {
-        true
-    }
-
-    fn inflation_count(&self) -> u64 {
-        self.promotions()
-    }
-
-    fn deflation_count(&self) -> u64 {
-        self.evictions()
-    }
-
-    fn monitors_live(&self) -> usize {
-        self.cold.lock().expect("hot-lock cache poisoned").map.len()
-    }
-
-    fn monitors_peak(&self) -> usize {
-        let cold = self
-            .cold
-            .lock()
-            .expect("hot-lock cache poisoned")
-            .pool
-            .len();
-        cold + (HOT_LOCK_COUNT - self.free_hot_slots())
-    }
-
-    fn monitors_allocated(&self) -> u64 {
-        self.monitors_peak() as u64
     }
 }
 
@@ -656,6 +482,77 @@ mod tests {
         p.lock(obj, t).unwrap();
         p.unlock(obj, t).unwrap();
         assert!(p.is_hot(obj));
+    }
+
+    #[test]
+    fn promotion_happens_on_lock_max_of_threshold_and_2() {
+        for (threshold, hot_on) in [(1, 2), (2, 2), (3, 3), (DEFAULT_HOT_THRESHOLD, 8)] {
+            let p = HotLocks::new(
+                Arc::new(Heap::with_capacity(4)),
+                ThreadRegistry::new(),
+                crate::cache::DEFAULT_CACHE_CAPACITY,
+                threshold,
+            );
+            let r = p.registry().register().unwrap();
+            let t = r.token();
+            let obj = p.heap().alloc().unwrap();
+            for n in 1..=hot_on {
+                p.lock(obj, t).unwrap();
+                assert_eq!(
+                    p.is_hot(obj),
+                    n == hot_on,
+                    "threshold {threshold}, lock {n}"
+                );
+                p.unlock(obj, t).unwrap();
+            }
+            assert_eq!(p.promotions(), 1);
+        }
+    }
+
+    #[test]
+    fn cold_path_evicts_like_the_monitor_cache() {
+        // One pass only: the victim is the first idle entry in `HashMap`
+        // order, which differs per instance, so a second pass over the
+        // same objects would evict differently in the two caches.
+        let ibm = HotLocks::new(
+            Arc::new(Heap::with_capacity(32)),
+            ThreadRegistry::new(),
+            8,
+            u32::MAX,
+        );
+        let jdk =
+            crate::MonitorCache::new(Arc::new(Heap::with_capacity(32)), ThreadRegistry::new(), 8);
+        for p in [&ibm as &dyn SyncProtocol, &jdk] {
+            let r = p.registry().register().unwrap();
+            let t = r.token();
+            for _ in 0..32 {
+                let o = p.heap().alloc().unwrap();
+                p.lock(o, t).unwrap();
+                p.unlock(o, t).unwrap();
+            }
+        }
+        assert_eq!(ibm.evictions(), 24);
+        assert_eq!(jdk.evictions(), 24);
+        assert_eq!(ibm.promotions(), 0);
+
+        // A held cold monitor is never the victim.
+        let p = HotLocks::new(
+            Arc::new(Heap::with_capacity(16)),
+            ThreadRegistry::new(),
+            2,
+            u32::MAX,
+        );
+        let r = p.registry().register().unwrap();
+        let t = r.token();
+        let held = p.heap().alloc().unwrap();
+        p.lock(held, t).unwrap();
+        for _ in 0..8 {
+            let o = p.heap().alloc().unwrap();
+            hot_after(&p, o, t, 1);
+        }
+        assert_eq!(p.evictions(), 7);
+        assert!(p.holds_lock(held, t));
+        p.unlock(held, t).unwrap();
     }
 
     #[test]

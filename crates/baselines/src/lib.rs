@@ -15,7 +15,9 @@
 //!   Fast when a few locks dominate; collapses when the working set
 //!   exceeds 32.
 //!
-//! Both implement [`SyncProtocol`](thinlock_runtime::protocol::SyncProtocol)
+//! IBM112 is built on JDK111 as the paper describes: its cold path is
+//! the same monitor cache, whose entries count lock lookups. Both
+//! implement [`SyncProtocol`](thinlock_runtime::protocol::SyncProtocol)
 //! over the same heap/registry/fat-lock substrate as the thin-lock
 //! protocol, so every benchmark compares only the locking discipline.
 

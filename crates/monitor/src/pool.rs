@@ -200,8 +200,9 @@ impl MonitorPool {
     }
 
     /// Iterates over every currently-bound slot with its index and the
-    /// object index it backs. Diagnostic scans (the orphan sweep, the
-    /// idle reclaimer) use this; bindings can change mid-iteration.
+    /// object index it backs, for diagnostics (only the pool's own tests
+    /// call it: the orphan sweep and `reclaim_idle` walk the heap).
+    /// Bindings can change mid-iteration.
     pub fn iter_bound(&self) -> impl Iterator<Item = (MonitorIndex, u32, &FatLock)> + '_ {
         let len = (self.next.load(Ordering::Relaxed) as usize).min(self.slots.len());
         (0..len as u32).filter_map(move |slot| {

@@ -112,9 +112,10 @@ impl MonitorTable {
     }
 
     /// Iterates over every allocated monitor with its index, in
-    /// allocation order. Diagnostic scans (the orphan sweep, the deadlock
-    /// watchdog) use this; monitors allocated after the iterator was
-    /// created may or may not appear.
+    /// allocation order, for diagnostics (only the table's own tests call
+    /// it: the orphan sweep walks the heap and the deadlock watchdog the
+    /// registry). Monitors allocated after the iterator was created may or
+    /// may not appear.
     pub fn iter(&self) -> impl Iterator<Item = (MonitorIndex, &FatLock)> + '_ {
         (0..self.len() as u32).filter_map(move |slot| {
             let lock = self.slots[slot as usize].get()?;

@@ -9,10 +9,10 @@
 //! model, and the churn benchmarks grade backends on their *monitor
 //! population*. Those probes used to be concrete `ThinLocks` methods,
 //! which hard-wired every harness to one protocol. [`SyncBackend`]
-//! lifts them into a trait so the thin protocol, the deflating CJM
-//! backend, and the baselines are interchangeable everywhere they are
-//! consumed (see BACKENDS.md for the catalog and the contract each
-//! harness enforces).
+//! lifts them into a trait so the thin protocol and the deflating and
+//! FIFO backends are interchangeable everywhere they are consumed (see
+//! BACKENDS.md for the catalog and the contract each harness enforces).
+//! The paper's baselines implement only [`SyncProtocol`].
 //!
 //! The split matters for layering: this crate cannot name the monitor
 //! crate's `FatLock`, so fat-monitor state is surfaced through the
@@ -75,8 +75,8 @@ impl MonitorProbe {
 /// accounting probes the workspace harnesses are written against.
 ///
 /// Implementations: the four core-crate backends (`ThinLocks`,
-/// `CjmLocks`, `FissileLocks`, `HapaxLocks` — one `LockCore` each) and,
-/// best-effort, the `baselines` protocols. Probes
+/// `CjmLocks`, `FissileLocks`, `HapaxLocks` — one `LockCore` each); the
+/// `baselines` protocols implement only [`SyncProtocol`]. Probes
 /// must be cheap and non-blocking — they are called from convergence
 /// loops and from the model checker's per-state invariant sweep.
 ///
@@ -107,8 +107,7 @@ pub trait SyncBackend: SyncProtocol {
     /// is not fat (or its monitor index does not resolve).
     ///
     /// The default is for protocols with no fat representation at all
-    /// (oracles, monitor-cache baselines); real word-based backends
-    /// must override it.
+    /// (oracles); real word-based backends must override it.
     fn monitor_probe(&self, obj: ObjRef) -> Option<MonitorProbe> {
         let _ = obj;
         None

@@ -9,8 +9,9 @@
 //!   is initialized to a per-object pseudo-hash so tests can detect any
 //!   protocol that clobbers the shared bits;
 //! * word 1 — class id and flags;
-//! * word 2 — size / auxiliary data (used by the baselines to stash a
-//!   displaced header when a hot lock takes over word 0's role).
+//! * word 2 — size / auxiliary data (no protocol uses it: IBM112's hot
+//!   locks keep the displaced header in the hot-lock structure, as the
+//!   paper describes).
 //!
 //! Objects may additionally carry a fixed number of `i32` instance fields
 //! (used by the bytecode VM). Allocation is a wait-free atomic bump over a
@@ -98,7 +99,7 @@ impl ObjectHeader {
         &self.class_and_flags
     }
 
-    /// The auxiliary word (word 2); baselines use it for displaced headers.
+    /// The auxiliary word (word 2), which no protocol uses.
     #[inline]
     pub fn aux(&self) -> &AtomicU32 {
         &self.aux

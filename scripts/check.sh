@@ -22,8 +22,8 @@ cargo test -q --offline
 echo "== lockbench's own tests (library-1t checksum, traced lock spans per VM request)"
 cargo test -q --offline --manifest-path lockbench/Cargo.toml
 
-echo "== core and monitor crate tests in release (deflation, admission and fat-monitor arrival/release races need optimized timing)"
-cargo test -q --release --offline -p thinlock -p thinlock-monitor
+echo "== core, monitor and baselines crate tests in release (deflation, admission, fat-monitor arrival/release and baseline promote/evict races need optimized timing)"
+cargo test -q --release --offline -p thinlock -p thinlock-monitor -p thinlock-baselines
 
 # lockcheck --deny-races is static analysis only, so its output is
 # deterministic and pinned byte for byte in scripts/lockcheck/. The plan
