@@ -225,13 +225,6 @@ fn bump(map: &mut BTreeMap<Sym, u64>, sym: Sym, weight: u64) {
     *slot = slot.saturating_add(weight).min(WEIGHT_CAP);
 }
 
-fn substitute(sym: Sym, args: &[Sym]) -> Sym {
-    match sym {
-        Sym::Arg(i) => args.get(usize::from(i)).copied().unwrap_or(Sym::Unknown),
-        other => other,
-    }
-}
-
 /// Folds a callee map into the caller's namespace: substitute each
 /// symbol through the call-site arguments and multiply by the call
 /// site's loop weight.
@@ -239,7 +232,7 @@ fn fold(dst: &mut BTreeMap<Sym, u64>, src: &BTreeMap<Sym, u64>, args: &[Sym], ca
     for (&sym, &weight) in src {
         bump(
             dst,
-            substitute(sym, args),
+            sym.substitute(args),
             weight.saturating_mul(call_weight).min(WEIGHT_CAP),
         );
     }

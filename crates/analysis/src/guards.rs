@@ -134,13 +134,6 @@ struct Access {
     locks: BTreeSet<Sym>,
 }
 
-fn substitute(sym: Sym, args: &[Sym]) -> Sym {
-    match sym {
-        Sym::Arg(i) => args.get(usize::from(i)).copied().unwrap_or(Sym::Unknown),
-        other => other,
-    }
-}
-
 /// Computes, per method, every field access reachable from it (its own
 /// plus its callees', substituted), via the same monotone summary
 /// fixpoint as the lock-order pass.
@@ -167,10 +160,10 @@ fn summarize(facts: &[MethodLockFacts]) -> BTreeMap<u16, BTreeSet<Access>> {
                 };
                 for a in callee.clone() {
                     let mut locks: BTreeSet<Sym> =
-                        a.locks.iter().map(|&l| substitute(l, &call.args)).collect();
+                        a.locks.iter().map(|&l| l.substitute(&call.args)).collect();
                     locks.extend(call.held.iter().copied());
                     s.insert(Access {
-                        obj: substitute(a.obj, &call.args),
+                        obj: a.obj.substitute(&call.args),
                         field: a.field,
                         write: a.write,
                         locks,

@@ -74,13 +74,6 @@ struct Summary {
     edges: BTreeSet<(Sym, Sym)>,
 }
 
-fn substitute(sym: Sym, args: &[Sym]) -> Sym {
-    match sym {
-        Sym::Arg(i) => args.get(usize::from(i)).copied().unwrap_or(Sym::Unknown),
-        other => other,
-    }
-}
-
 /// Builds the lock-order graph from per-method lock facts.
 pub fn build(facts: &[MethodLockFacts]) -> LockOrderReport {
     let by_id: BTreeMap<u16, &MethodLockFacts> = facts.iter().map(|f| (f.method_id, f)).collect();
@@ -107,7 +100,7 @@ pub fn build(facts: &[MethodLockFacts]) -> LockOrderReport {
                 };
                 let callee = callee.clone();
                 for &a in &callee.acquires {
-                    let ga = substitute(a, &call.args);
+                    let ga = a.substitute(&call.args);
                     s.acquires.insert(ga);
                     // Everything held at the call site orders before
                     // everything the callee may acquire.
@@ -117,7 +110,7 @@ pub fn build(facts: &[MethodLockFacts]) -> LockOrderReport {
                 }
                 for &(x, y) in &callee.edges {
                     s.edges
-                        .insert((substitute(x, &call.args), substitute(y, &call.args)));
+                        .insert((x.substitute(&call.args), y.substitute(&call.args)));
                 }
             }
             if s != summaries[&f.method_id] {

@@ -49,6 +49,16 @@ impl Sym {
             Sym::Unknown
         }
     }
+
+    /// This callee symbol in the caller's namespace at a call site whose
+    /// arguments are `args`: an argument maps to the caller's symbol for
+    /// it ([`Sym::Unknown`] past the end), any other symbol to itself.
+    pub(crate) fn substitute(self, args: &[Sym]) -> Sym {
+        match self {
+            Sym::Arg(i) => args.get(usize::from(i)).copied().unwrap_or(Sym::Unknown),
+            other => other,
+        }
+    }
 }
 
 impl fmt::Display for Sym {

@@ -106,13 +106,6 @@ impl Depth {
     }
 }
 
-fn substitute(sym: Sym, args: &[Sym]) -> Sym {
-    match sym {
-        Sym::Arg(i) => args.get(usize::from(i)).copied().unwrap_or(Sym::Unknown),
-        other => other,
-    }
-}
-
 /// Computes per-pool nest-depth bounds from lock-stack facts.
 ///
 /// `D(m, s)` is the maximum number of simultaneous holds of symbol `s`
@@ -149,7 +142,7 @@ pub fn analyze(facts: &[MethodLockFacts]) -> NestDepthReport {
                     if mid != call.callee {
                         continue;
                     }
-                    let ground = substitute(csym, &call.args);
+                    let ground = csym.substitute(&call.args);
                     let entry = callee_sum.entry(ground).or_insert(Depth::Finite(0));
                     *entry = match (*entry, d) {
                         (Depth::Finite(a), Depth::Finite(b)) => Depth::Finite(a + b).add(0),
@@ -195,7 +188,7 @@ pub fn analyze(facts: &[MethodLockFacts]) -> NestDepthReport {
                 let held_any = !call.held.is_empty();
                 for &(mid, csym) in snapshot.keys() {
                     if mid == call.callee && held_any {
-                        let ground = substitute(csym, &call.args);
+                        let ground = csym.substitute(&call.args);
                         depths.insert((f.method_id, ground), Depth::Unbounded);
                         for &h in &call.held {
                             depths.insert((f.method_id, h), Depth::Unbounded);

@@ -55,8 +55,8 @@ pub enum ProtocolKind {
     Jdk111,
     /// IBM JDK 1.1.2 hot locks.
     Ibm112,
-    /// Compact Java Monitors (`thinlock::cjm`): deflation plus a bounded
-    /// recycling monitor pool; see BACKENDS.md.
+    /// Compact Java Monitors (`thinlock::cjm`): deflation into a bounded
+    /// monitor table whose freed slots are recycled; see BACKENDS.md.
     Cjm,
     /// Fissile locks (`thinlock::fissile`): thin fast path that fissions
     /// into FIFO ticket admission under contention and re-coheres when

@@ -26,11 +26,11 @@ use crate::{CjmLocks, FissileLocks, HapaxLocks, ThinLocks};
 /// The protocols selectable by name from harness CLIs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendChoice {
-    /// The paper's protocol: one-way inflation into a grow-only monitor
-    /// table ([`ThinLocks`]).
+    /// The paper's protocol: one-way inflation, each published monitor
+    /// backing its object for the heap's lifetime ([`ThinLocks`]).
     Thin,
-    /// Compact Java Monitors: deflation plus a bounded recycling monitor
-    /// pool ([`CjmLocks`]).
+    /// Compact Java Monitors: deflation into a bounded monitor table
+    /// whose freed slots are recycled ([`CjmLocks`]).
     Cjm,
     /// Thin fast path that fissions into a FIFO ticket queue under
     /// contention and re-coheres when it drains ([`FissileLocks`]).

@@ -1,5 +1,5 @@
-//! Compact Java Monitors: thin locks with *deflation* and a bounded,
-//! recycling monitor pool.
+//! Compact Java Monitors: thin locks with *deflation* into a bounded,
+//! recycling monitor table.
 //!
 //! The paper's protocol inflates one-way: once an object's lock word
 //! points at a fat monitor, it points there until the heap dies
@@ -13,8 +13,9 @@
 //! contended* objects instead of the number ever contended.
 //!
 //! Everything but the [`Cjm`] policy is the shared [`LockCore`]: the
-//! thin fast path and the contention inflation are the paper's; CJM
-//! adds revalidation after a fat acquisition, deflation on the sole
+//! thin fast path, the contention inflation and the monitor table are
+//! the paper's, and the core compiles in revalidation after a fat
+//! acquisition for a deflating policy; CJM adds deflation on the sole
 //! quiescent release, [`reclaim_idle`](LockCore::reclaim_idle) and a
 //! monitor bound.
 //!
@@ -44,13 +45,12 @@
 //!   ([`FatLock::is_sole_quiescent_owner`]). Threads that enqueue
 //!   *after* the snapshot revalidate the lock word once they acquire
 //!   the monitor and retry if it moved on.
-//! * **Bounded population:** monitors come from a recycling
-//!   [`MonitorPool`]; a deflated slot returns to the free list, so the
-//!   live population is bounded by the number of simultaneously
-//!   inflated objects, not by the total ever inflated. The deflating
-//!   owner counts its slot out of the population *before* the neutral
-//!   store, so a contender that re-inflates the object right after never
-//!   finds it holding two slots.
+//! * **Bounded population:** a deflated slot returns to the monitor
+//!   table's free list, so the live population is bounded by the number
+//!   of simultaneously inflated objects, not by the total ever inflated.
+//!   The deflating owner counts its slot out of the population *before*
+//!   the neutral store, so a contender that re-inflates the object right
+//!   after never finds it holding two slots.
 //!
 //! # The deflate / re-inflate races
 //!
@@ -66,131 +66,37 @@
 //!    fresh word.
 //! 2. **Recycled-slot ABA.** The stale monitor may have been re-bound
 //!    to a *different* object by the time the contender acquires it.
-//!    The pool therefore tracks a per-slot object binding, published
+//!    The table therefore tracks a per-slot object binding, published
 //!    before the fat word and cleared before the slot is freed:
 //!    revalidation accepts the acquisition only if the word still
 //!    carries this index *and* the slot is still bound to this object.
 //!    A transient foreign acquisition is harmless — the mistaken holder
 //!    releases immediately and never blocks while holding.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use thinlock_monitor::{FatLock, MonitorPool};
-use thinlock_runtime::arch::LockWordCell;
+use thinlock_monitor::FatLock;
 use thinlock_runtime::error::SyncResult;
 use thinlock_runtime::events::TraceEventKind;
 use thinlock_runtime::fault::InjectionPoint;
 use thinlock_runtime::heap::{Heap, ObjRef};
 use thinlock_runtime::hooks::{Hooks, Site};
-use thinlock_runtime::lockword::{LockWord, MonitorIndex};
+use thinlock_runtime::lockword::MonitorIndex;
 use thinlock_runtime::registry::{ThreadRegistry, ThreadToken};
 use thinlock_runtime::schedule::SchedPoint;
 
 use crate::config::{DynamicConfig, FastPathConfig};
-use crate::lockcore::{LockCore, Monitors, Policy};
-
-#[inline]
-fn obj_index(obj: ObjRef) -> u32 {
-    u32::try_from(obj.index()).expect("heap index fits in 32 bits")
-}
-
-/// The recycling pool: a slot is bound to its object while inflated and
-/// returns to the free list on deflation.
-impl Monitors for MonitorPool {
-    #[inline]
-    fn get(&self, idx: MonitorIndex) -> Option<&FatLock> {
-        MonitorPool::get(self, idx)
-    }
-
-    /// The slot may be recycled and transiently held by a stale acquirer,
-    /// so an owned installation adopts the monitor through its queue
-    /// (`lock_n`, under the caller's `hooks`) instead of constructing a
-    /// pre-owned monitor.
-    #[inline]
-    fn install<H: Hooks>(
-        &self,
-        obj: ObjRef,
-        owner: Option<(ThreadToken, u32)>,
-        registry: &ThreadRegistry,
-        hooks: &H,
-    ) -> SyncResult<MonitorIndex> {
-        let idx = self.acquire(obj_index(obj), hooks)?;
-        if let Some((t, count)) = owner {
-            let monitor = MonitorPool::get(self, idx).expect("acquired slot resolves");
-            if let Err(e) = monitor.lock_n(t, count, registry, hooks) {
-                // Adoption failed (stale token): unbind and return the slot
-                // before anyone can see it.
-                self.release(idx);
-                return Err(e);
-            }
-        }
-        Ok(idx)
-    }
-
-    /// Unlike the one-way table, the pool takes a slot that lost its
-    /// installing race back instead of leaking it.
-    #[inline]
-    fn discard(&self, idx: MonitorIndex) {
-        self.release(idx);
-    }
-
-    #[inline]
-    fn live(&self) -> usize {
-        MonitorPool::live(self)
-    }
-
-    #[inline]
-    fn peak(&self) -> usize {
-        MonitorPool::peak(self)
-    }
-
-    #[inline]
-    fn allocated(&self) -> u64 {
-        self.allocated_total()
-    }
-}
+use crate::lockcore::{LockCore, Policy};
 
 /// The CJM rule: the thin protocol's contention inflation into a bounded
-/// [`MonitorPool`], revalidation after every fresh fat acquisition, and
-/// deflation on the sole quiescent release.
+/// monitor table, and deflation on the sole quiescent release.
 #[derive(Debug)]
-pub struct Cjm {
-    pool: MonitorPool,
-    inflations: AtomicU64,
-    deflations: AtomicU64,
-}
+pub struct Cjm;
 
 impl Policy for Cjm {
-    type Monitors = MonitorPool;
     const NAME: &'static str = "CJM";
     const TYPE_NAME: &'static str = "CjmLocks";
     const DEFLATES: bool = true;
-
-    #[inline]
-    fn monitors(&self) -> &MonitorPool {
-        &self.pool
-    }
-
-    #[inline]
-    fn inflated(&self) {
-        self.inflations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The acquisition stands only if the word still carries this index
-    /// *and* the slot is still bound to this object. Evaluated while
-    /// holding the monitor, so a `true` answer cannot be invalidated
-    /// concurrently — deflation requires sole ownership.
-    #[inline]
-    fn revalidate(
-        &self,
-        cell: &LockWordCell,
-        obj: ObjRef,
-        word: LockWord,
-        idx: MonitorIndex,
-    ) -> bool {
-        cell.load_acquire() == word && self.pool.binding(idx) == Some(obj_index(obj))
-    }
 
     /// Deflate iff the releaser is the sole quiescent owner — one atomic
     /// snapshot; see [`FatLock::is_sole_quiescent_owner`] for why the
@@ -206,21 +112,11 @@ impl Policy for Cjm {
             .is_sole_quiescent_owner(t)
             .then(|| core.deflate_and_release(obj, idx, monitor, t))
     }
-
-    #[inline]
-    fn inflation_count(&self) -> u64 {
-        self.inflations.load(Ordering::Relaxed)
-    }
-
-    #[inline]
-    fn deflation_count(&self) -> u64 {
-        self.deflations.load(Ordering::Relaxed)
-    }
 }
 
 /// The Compact-Java-Monitors protocol: the thin-lock fast path, plus
 /// deflation back to the neutral word when a monitor quiesces, over a
-/// bounded recycling [`MonitorPool`].
+/// bounded recycling monitor table.
 ///
 /// # Example — the deflation lifecycle
 ///
@@ -258,9 +154,9 @@ pub type CjmLocks = LockCore<Cjm>;
 
 impl CjmLocks {
     /// Creates a protocol over a fresh heap of `capacity` objects, with
-    /// the monitor pool bound equal to the heap capacity (every object
-    /// simultaneously inflated is the worst case, so acquisition can
-    /// only fail on pool exhaustion if something leaks).
+    /// the monitor bound equal to the heap capacity (every object
+    /// simultaneously inflated is the worst case, so inflation can only
+    /// fail on exhaustion if something leaks).
     pub fn with_capacity(capacity: usize) -> Self {
         Self::new(
             Arc::new(Heap::with_capacity(capacity)),
@@ -268,35 +164,25 @@ impl CjmLocks {
         )
     }
 
-    /// Creates a protocol over an existing heap and registry, pool bound
-    /// equal to the heap capacity.
+    /// Creates a protocol over an existing heap and registry, monitor
+    /// bound equal to the heap capacity.
     pub fn new(heap: Arc<Heap>, registry: ThreadRegistry) -> Self {
         let bound = heap.capacity();
         Self::with_monitor_bound(heap, registry, bound)
     }
 
-    /// Creates a protocol with an explicit monitor-pool bound — the hard
-    /// ceiling on simultaneously live monitors. A bound below the number
+    /// Creates a protocol with an explicit monitor bound — the monitor
+    /// table's capacity, the hard ceiling on simultaneously live monitors. A bound below the number
     /// of simultaneously contended objects makes inflation fail with
     /// [`SyncError::MonitorIndexExhausted`](thinlock_runtime::SyncError);
     /// contention inflation tolerates that (contenders keep spinning),
     /// `wait`/`notify` surface it to the caller.
     pub fn with_monitor_bound(heap: Arc<Heap>, registry: ThreadRegistry, bound: usize) -> Self {
-        let policy = Cjm {
-            pool: MonitorPool::with_capacity(bound),
-            inflations: AtomicU64::new(0),
-            deflations: AtomicU64::new(0),
-        };
-        LockCore::from_parts(heap, registry, policy, DynamicConfig::default())
+        LockCore::from_parts(heap, registry, Cjm, DynamicConfig::default(), bound)
     }
 }
 
 impl<C: FastPathConfig, H: Hooks> LockCore<Cjm, C, H> {
-    /// The monitor pool — population gauges for benchmarks and tests.
-    pub fn pool(&self) -> &MonitorPool {
-        &self.policy.pool
-    }
-
     /// The deflating release: the caller holds `monitor` as its sole
     /// quiescent owner. Unbinds the slot, restores the neutral word
     /// *before* releasing the monitor (a contender that acquired first
@@ -320,19 +206,17 @@ impl<C: FastPathConfig, H: Hooks> LockCore<Cjm, C, H> {
         // a contender may thin-lock the neutral word and re-inflate at
         // once, and must not find this object still holding a slot. We
         // hold the monitor throughout, so revalidation is unaffected.
-        let pool = &self.policy.pool;
-        pool.unbind(idx);
+        self.monitors.unbind(idx);
         let cell = self.cell(obj);
         let current = cell.load_relaxed();
         debug_assert!(current.is_fat(), "only the sole owner deflates");
         cell.store_release(current.with_lock_field_clear());
-        self.policy.deflations.fetch_add(1, Ordering::Relaxed);
         self.emit(t, obj, TraceEventKind::Deflated { index: idx.get() });
         // Release wakes the front of the entry queue, if any contender
         // slipped in after the snapshot; it will revalidate and retry.
         let r = monitor.unlock(t, &self.registry);
         debug_assert!(r.is_ok(), "sole owner release cannot fail");
-        pool.recycle(idx);
+        self.monitors.recycle(idx);
         self.emit(t, obj, TraceEventKind::UnlockFat);
         r
     }
@@ -348,12 +232,11 @@ impl<C: FastPathConfig, H: Hooks> LockCore<Cjm, C, H> {
     pub fn reclaim_idle(&self, t: ThreadToken) -> usize {
         let mut reclaimed = 0;
         for obj in self.heap.iter() {
-            let cell = self.cell(obj);
-            let word = cell.load_acquire();
+            let word = self.cell(obj).load_acquire();
             let Some(idx) = word.monitor_index().filter(|_| word.is_fat()) else {
                 continue;
             };
-            let Some(monitor) = self.policy.pool.get(idx) else {
+            let Some(monitor) = self.monitors.get(idx) else {
                 continue;
             };
             // Try to become the owner without blocking; holding the
@@ -362,7 +245,7 @@ impl<C: FastPathConfig, H: Hooks> LockCore<Cjm, C, H> {
             if !monitor.try_lock(t) {
                 continue;
             }
-            if self.policy.revalidate(cell, obj, word, idx) && monitor.is_sole_quiescent_owner(t) {
+            if self.stands(obj, word, idx) && monitor.is_sole_quiescent_owner(t) {
                 if self.deflate_and_release(obj, idx, monitor, t).is_ok() {
                     reclaimed += 1;
                 }
@@ -377,6 +260,7 @@ impl<C: FastPathConfig, H: Hooks> LockCore<Cjm, C, H> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::thread;
     use std::time::Duration;
     use thinlock_runtime::backend::SyncBackend;
@@ -491,7 +375,7 @@ mod tests {
         assert_eq!(p.inflation_count(), ROUNDS);
         assert_eq!(p.deflation_count(), ROUNDS);
         assert_eq!(p.monitors_allocated(), ROUNDS, "slot recycled each round");
-        assert!(p.pool().recycled_total() >= ROUNDS - 1);
+        assert_eq!(p.monitors.len(), 1, "one slot ever materialized");
     }
 
     #[test]
@@ -653,7 +537,7 @@ mod tests {
         }
         assert_eq!(p.monitors_live(), 0);
         assert_eq!(p.monitors_peak(), K);
-        assert!(p.pool().footprint() <= K, "footprint bounded by peak");
+        assert!(p.monitors.len() <= K, "footprint bounded by peak");
     }
 
     #[test]

@@ -44,6 +44,7 @@ macro_rules! rows {
             orphaned_fat_lock_is_reclaimed_and_queue_woken,
             injected_cas_failure_routes_through_slow_path,
             monitor_allocation_is_traced_and_injected_exhaustion_consumes_no_slot,
+            lost_pre_inflate_cas_gives_its_slot_back,
             counting_sink_pins_the_scenario_totals,
             failed_wait_and_notify_are_not_counted,
         );
@@ -438,6 +439,72 @@ pub(crate) fn monitor_allocation_is_traced_and_injected_exhaustion_consumes_no_s
     let second = if p.deflation_capable() { 0 } else { 1 };
     assert_eq!(*allocations.0.lock().unwrap(), [0, second]);
     assert_eq!(p.monitors_allocated(), 2);
+}
+
+/// A thread thin-locks the object between `pre_inflate`'s install and its
+/// CAS: the installed slot goes back to the table, so nothing is live or
+/// counted and the next inflation reuses it. Every live monitor backs a
+/// fat word at each step.
+pub(crate) fn lost_pre_inflate_cas_gives_its_slot_back<P: Policy>(fresh: Fresh<P>) {
+    /// Holds the first allocation at `MonitorAllocate` while the racer
+    /// takes the lock: the racer waits on the barrier, locks, waits again.
+    #[derive(Debug)]
+    struct RaceAtInstall(AtomicBool, Barrier);
+    impl FaultInjector for RaceAtInstall {
+        fn decide(&self, point: InjectionPoint) -> FaultAction {
+            if point == InjectionPoint::MonitorAllocate && !self.0.swap(true, Ordering::Relaxed) {
+                self.1.wait();
+                self.1.wait();
+            }
+            FaultAction::Proceed
+        }
+    }
+
+    let race = Arc::new(RaceAtInstall(AtomicBool::new(false), Barrier::new(2)));
+    let p = Arc::new(fresh(4).with_hooks(HookSet::new().fault_injector(Arc::clone(&race) as _)));
+    let obj = p.heap().alloc().unwrap();
+    let population_matches_fat_words = || {
+        let fat = p.heap().iter().filter(|&o| p.lock_word(o).is_fat()).count();
+        assert_eq!(
+            p.monitors_live(),
+            fat,
+            "every live monitor backs a fat word"
+        );
+    };
+    let done = Arc::new(Barrier::new(2));
+    let racer = {
+        let (p, race, done) = (Arc::clone(&p), Arc::clone(&race), Arc::clone(&done));
+        thread::spawn(move || {
+            let r = p.registry().register().unwrap();
+            race.1.wait();
+            p.lock(obj, r.token()).unwrap();
+            race.1.wait();
+            done.wait(); // the caller has checked the lost race
+            p.unlock(obj, r.token()).unwrap();
+        })
+    };
+    assert_eq!(p.pre_inflate(obj), Ok(false), "the installing CAS lost");
+    assert!(p.lock_word(obj).is_thin_shape());
+    assert_eq!(p.inflation_count(), 0, "a lost install is no inflation");
+    assert_eq!(p.monitors_live(), 0, "the slot went back");
+    population_matches_fat_words();
+    done.wait();
+    racer.join().unwrap();
+    population_matches_fat_words();
+
+    let r = p.registry().register().unwrap();
+    let t = r.token();
+    p.lock(obj, t).unwrap();
+    p.notify(obj, t).unwrap(); // inflates
+    assert_eq!(
+        p.lock_word(obj).monitor_index().map(|i| i.get()),
+        Some(0),
+        "the next inflation reuses index 0"
+    );
+    assert_eq!(p.inflation_count(), 1);
+    population_matches_fat_words();
+    p.unlock(obj, t).unwrap();
+    population_matches_fat_words();
 }
 
 pub(crate) fn counting_sink_pins_the_scenario_totals<P: Policy>(fresh: Fresh<P>) {

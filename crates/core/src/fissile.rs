@@ -68,7 +68,6 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
-use thinlock_monitor::MonitorTable;
 use thinlock_runtime::heap::{Heap, ObjRef};
 use thinlock_runtime::hooks::Hooks;
 use thinlock_runtime::registry::ThreadRegistry;
@@ -93,7 +92,6 @@ const PINNED: u8 = 2;
 /// object into FIFO ticket admission until its queue drains.
 #[derive(Debug)]
 pub struct Fissile {
-    monitors: MonitorTable,
     tickets: TicketLedger,
     modes: Box<[AtomicU8]>,
 }
@@ -114,15 +112,9 @@ impl Fissile {
 }
 
 impl Policy for Fissile {
-    type Monitors = MonitorTable;
     const NAME: &'static str = "Fissile";
     const TYPE_NAME: &'static str = "FissileLocks";
     const FISSION_BUDGET: Option<u64> = Some(FISSION_SPIN_BUDGET);
-
-    #[inline]
-    fn monitors(&self) -> &MonitorTable {
-        &self.monitors
-    }
 
     #[inline]
     fn tickets(&self) -> Option<&TicketLedger> {
@@ -175,11 +167,10 @@ impl FissileLocks {
     pub fn new(heap: Arc<Heap>, registry: ThreadRegistry) -> Self {
         let objects = heap.capacity();
         let policy = Fissile {
-            monitors: MonitorTable::with_capacity(objects),
             tickets: TicketLedger::new(objects, registry.max_threads()),
             modes: (0..objects).map(|_| AtomicU8::new(COHERED)).collect(),
         };
-        LockCore::from_parts(heap, registry, policy, DynamicConfig::default())
+        LockCore::from_parts(heap, registry, policy, DynamicConfig::default(), objects)
     }
 }
 

@@ -72,7 +72,6 @@
 
 use std::sync::Arc;
 
-use thinlock_monitor::MonitorTable;
 use thinlock_runtime::heap::{Heap, ObjRef};
 use thinlock_runtime::hooks::Hooks;
 use thinlock_runtime::registry::ThreadRegistry;
@@ -85,19 +84,12 @@ use crate::ticket::TicketLedger;
 /// admitted in FIFO order.
 #[derive(Debug)]
 pub struct Hapax {
-    monitors: MonitorTable,
     tickets: TicketLedger,
 }
 
 impl Policy for Hapax {
-    type Monitors = MonitorTable;
     const NAME: &'static str = "Hapax";
     const TYPE_NAME: &'static str = "HapaxLocks";
-
-    #[inline]
-    fn monitors(&self) -> &MonitorTable {
-        &self.monitors
-    }
 
     #[inline]
     fn tickets(&self) -> Option<&TicketLedger> {
@@ -133,11 +125,11 @@ impl HapaxLocks {
     /// Creates a protocol over an existing heap and registry. The
     /// monitor table and ticket ledger are sized to the heap.
     pub fn new(heap: Arc<Heap>, registry: ThreadRegistry) -> Self {
+        let objects = heap.capacity();
         let policy = Hapax {
-            monitors: MonitorTable::with_capacity(heap.capacity()),
-            tickets: TicketLedger::new(heap.capacity(), registry.max_threads()),
+            tickets: TicketLedger::new(objects, registry.max_threads()),
         };
-        LockCore::from_parts(heap, registry, policy, DynamicConfig::default())
+        LockCore::from_parts(heap, registry, policy, DynamicConfig::default(), objects)
     }
 }
 

@@ -54,9 +54,10 @@
 //!
 //! Every backend is the same [`LockCore`] — the word protocol above, owner
 //! inflation, timed and non-blocking acquisition, `wait`/`notify`, the
-//! orphan sweep and the instrumentation hook — with a [`Policy`](lockcore::Policy) type
-//! parameter that adds only a contention and release rule: [`ThinLocks`]
-//! (the paper), [`CjmLocks`] (deflation into a bounded pool),
+//! orphan sweep, the instrumentation hook and one monitor table — with a
+//! [`Policy`](lockcore::Policy) type parameter that adds only a
+//! contention and release rule: [`ThinLocks`] (the paper), [`CjmLocks`]
+//! (deflation into a bounded table),
 //! [`FissileLocks`] (FIFO tickets once spinning fails) and
 //! [`HapaxLocks`] (FIFO tickets always).
 

@@ -7,13 +7,14 @@
 //! everything that does not depend on that choice: the heap, registry
 //! and instrumentation hook, the fast and nested paths, owner
 //! inflation and hints, `try_lock`/`lock_deadline`, `wait`/`notify`,
-//! the waits-for guard and the orphan sweep. A [`Policy`] adds only its
-//! contention and release rule:
+//! the waits-for guard and the orphan sweep, and the one
+//! [`MonitorTable`] with the gauges counted from it. A [`Policy`] adds
+//! only its contention and release rule:
 //!
 //! | policy | contention | release |
 //! |---|---|---|
 //! | [`Thin`](crate::thin::Thin) | spin, acquire, inflate | store |
-//! | [`Cjm`](crate::cjm::Cjm) | spin, acquire, inflate into a pool | store; deflate when quiescent |
+//! | [`Cjm`](crate::cjm::Cjm) | spin, acquire, inflate | store; deflate when quiescent |
 //! | [`Fissile`](crate::fissile::Fissile) | spin, then FIFO tickets | store, retire ticket, re-cohere |
 //! | [`Hapax`](crate::hapax::Hapax) | FIFO tickets | store, retire ticket |
 //!
@@ -62,94 +63,9 @@ fn fat_acquired(depth: u32, contended: bool) -> TraceEventKind {
     }
 }
 
-/// A store of fat monitors addressed by the lock word's monitor index:
-/// the grow-only [`MonitorTable`] or the recycling
-/// [`MonitorPool`](thinlock_monitor::MonitorPool).
-pub trait Monitors: Send + Sync {
-    /// The monitor at `idx`, if one is installed there.
-    fn get(&self, idx: MonitorIndex) -> Option<&FatLock>;
-
-    /// Installs a monitor for `obj`, owned `count` times by the thread
-    /// of `owner`, or unowned for `None`, under `hooks`: the store passes
-    /// the [`InjectionPoint::MonitorAllocate`] site, tells `hooks` the
-    /// [`TraceEventKind::MonitorAllocated`] index, and adopts the monitor
-    /// through its queue under them when it must.
-    ///
-    /// # Errors
-    ///
-    /// [`SyncError::MonitorIndexExhausted`] when the store is full (or
-    /// `hooks` injects exhaustion, which consumes no slot).
-    fn install<H: Hooks>(
-        &self,
-        obj: ObjRef,
-        owner: Option<(ThreadToken, u32)>,
-        registry: &ThreadRegistry,
-        hooks: &H,
-    ) -> SyncResult<MonitorIndex>;
-
-    /// Takes back an unowned monitor whose installing CAS lost.
-    fn discard(&self, idx: MonitorIndex) {
-        let _ = idx;
-    }
-
-    /// Monitors currently backing a fat word.
-    fn live(&self) -> usize;
-
-    /// High-water mark of [`Monitors::live`].
-    fn peak(&self) -> usize;
-
-    /// Monitors installed over the store's lifetime.
-    fn allocated(&self) -> u64;
-}
-
-/// The grow-only table: every monitor ever installed still backs its
-/// fat word, so live == peak == allocated, and a monitor that lost its
-/// installing CAS leaks one slot. (Store and policy hooks are
-/// `#[inline]` because the generic lock paths calling them monomorphize
-/// in the backend's user crate.)
-impl Monitors for MonitorTable {
-    #[inline]
-    fn get(&self, idx: MonitorIndex) -> Option<&FatLock> {
-        MonitorTable::get(self, idx)
-    }
-
-    #[inline]
-    fn install<H: Hooks>(
-        &self,
-        _obj: ObjRef,
-        owner: Option<(ThreadToken, u32)>,
-        _registry: &ThreadRegistry,
-        hooks: &H,
-    ) -> SyncResult<MonitorIndex> {
-        let lock = match owner {
-            Some((t, count)) => FatLock::new_owned(t, count),
-            None => FatLock::new(),
-        };
-        self.allocate(lock, hooks)
-    }
-
-    #[inline]
-    fn live(&self) -> usize {
-        self.len()
-    }
-
-    #[inline]
-    fn peak(&self) -> usize {
-        self.len()
-    }
-
-    #[inline]
-    fn allocated(&self) -> u64 {
-        self.len() as u64
-    }
-}
-
 /// A backend's contention and release rule over [`LockCore`]. Every hook
 /// has the thin protocol's answer as its default.
 pub trait Policy: Send + Sync + Sized + 'static {
-    /// Where inflated words find their monitors.
-    type Monitors: Monitors;
-
     /// The name [`SyncProtocol::name`] reports.
     const NAME: &'static str;
 
@@ -158,15 +74,12 @@ pub trait Policy: Send + Sync + Sized + 'static {
 
     /// Whether a fat word can return to the neutral shape — picks the
     /// model checker's invariant set (one-way inflation or deflation
-    /// safety).
+    /// safety) and compiles in the revalidation of fat acquisitions.
     const DEFLATES: bool = false;
 
     /// Spin rounds a thin contender tolerates before it calls
     /// [`Policy::fission`]; `None` spins until the word is released.
     const FISSION_BUDGET: Option<u64> = None;
-
-    /// The monitor store.
-    fn monitors(&self) -> &Self::Monitors;
 
     /// The FIFO ticket ledger of a policy that answers contention with
     /// a queue instead of inflation. Such a policy announces
@@ -199,23 +112,6 @@ pub trait Policy: Send + Sync + Sized + 'static {
         false
     }
 
-    /// Counts one published inflation.
-    fn inflated(&self) {}
-
-    /// Whether a fresh (depth-1) acquisition of monitor `idx`, reached
-    /// through `word`, still stands for `obj`. Evaluated while holding
-    /// the monitor.
-    fn revalidate(
-        &self,
-        cell: &LockWordCell,
-        obj: ObjRef,
-        word: LockWord,
-        idx: MonitorIndex,
-    ) -> bool {
-        let _ = (cell, obj, word, idx);
-        true
-    }
-
     /// Releases the fat lock `t` holds through monitor `idx` when the
     /// policy does so differently; `None` falls through to the plain
     /// monitor release.
@@ -228,16 +124,6 @@ pub trait Policy: Send + Sync + Sized + 'static {
     ) -> Option<SyncResult<()>> {
         let _ = (core, obj, t, idx, monitor);
         None
-    }
-
-    /// Thin-to-fat transitions so far.
-    fn inflation_count(&self) -> u64 {
-        self.monitors().allocated()
-    }
-
-    /// Fat-to-thin transitions so far.
-    fn deflation_count(&self) -> u64 {
-        0
     }
 }
 
@@ -254,21 +140,26 @@ pub trait Policy: Send + Sync + Sized + 'static {
 pub struct LockCore<P: Policy, C: FastPathConfig = DynamicConfig, H: Hooks = NoHooks> {
     pub(crate) heap: Arc<Heap>,
     pub(crate) registry: ThreadRegistry,
+    pub(crate) monitors: Arc<MonitorTable>,
     pub(crate) policy: Arc<P>,
     config: C,
     hooks: H,
 }
 
 impl<P: Policy, C: FastPathConfig> LockCore<P, C> {
+    /// A backend over `heap` and `registry` whose monitor table holds
+    /// `monitors` slots.
     pub(crate) fn from_parts(
         heap: Arc<Heap>,
         registry: ThreadRegistry,
         policy: P,
         config: C,
+        monitors: usize,
     ) -> Self {
         LockCore {
             heap,
             registry,
+            monitors: Arc::new(MonitorTable::with_capacity(monitors)),
             policy: Arc::new(policy),
             config,
             hooks: NoHooks,
@@ -296,6 +187,7 @@ impl<P: Policy, C: FastPathConfig> LockCore<P, C> {
         LockCore {
             heap: self.heap,
             registry: self.registry,
+            monitors: self.monitors,
             policy: self.policy,
             config: self.config,
             hooks,
@@ -326,6 +218,7 @@ impl<P: Policy, C: FastPathConfig, H: Hooks + Clone + 'static> LockCore<P, C, H>
     pub fn enable_orphan_recovery(&self) {
         self.registry.set_exit_sweeper(Arc::new(OrphanSweeper {
             heap: Arc::clone(&self.heap),
+            monitors: Arc::clone(&self.monitors),
             policy: Arc::clone(&self.policy),
             hooks: self.hooks.clone(),
             profile: self.config.profile(),
@@ -341,7 +234,7 @@ impl<P: Policy, C: FastPathConfig, H: Hooks> LockCore<P, C, H> {
 
     /// Number of locks inflated so far.
     pub fn inflated_count(&self) -> usize {
-        self.policy.inflation_count() as usize
+        self.monitors.allocated() as usize
     }
 
     /// The raw lock word of `obj` — diagnostics and tests.
@@ -408,19 +301,31 @@ impl<P: Policy, C: FastPathConfig, H: Hooks> LockCore<P, C, H> {
         }
     }
 
-    /// Installs a monitor for `obj` in the policy's store under the
-    /// core's hook ([`Monitors::install`]).
+    /// Installs a monitor for `obj` under the core's hook
+    /// ([`MonitorTable::install`]).
     fn install(&self, obj: ObjRef, owner: Option<(ThreadToken, u32)>) -> SyncResult<MonitorIndex> {
-        self.policy
-            .monitors()
+        self.monitors
             .install(obj, owner, &self.registry, &self.hooks)
     }
 
-    /// Resolves the fat lock of an inflated word. A recycling store may
+    /// Resolves the fat lock of an inflated word. A deflating policy may
     /// have freed the slot already; callers revalidate after acquiring.
     fn monitor_of(&self, word: LockWord) -> Option<(MonitorIndex, &FatLock)> {
         let idx = word.monitor_index()?;
-        Some((idx, self.policy.monitors().get(idx)?))
+        Some((idx, self.monitors.get(idx)?))
+    }
+
+    /// Whether a fresh (depth-1) acquisition of monitor `idx`, reached
+    /// through `word`, still stands for `obj`: the word still carries the
+    /// index *and* the slot is still bound to `obj`. Evaluated while
+    /// holding the monitor, so a `true` answer cannot be invalidated
+    /// concurrently — deflation requires sole ownership. Only deflation
+    /// can leave a fat word's index stale, so under a one-way policy this
+    /// is the constant `true`.
+    #[inline]
+    pub(crate) fn stands(&self, obj: ObjRef, word: LockWord, idx: MonitorIndex) -> bool {
+        !P::DEFLATES
+            || (self.cell(obj).load_acquire() == word && self.monitors.binding(idx) == Some(obj))
     }
 
     /// Owner-only inflation: the calling thread holds the thin lock with
@@ -448,13 +353,8 @@ impl<P: Policy, C: FastPathConfig, H: Hooks> LockCore<P, C, H> {
             Some(t.index().get())
         );
         cell.store_release(current.inflated(idx));
-        self.policy.inflated();
         self.emit(t, obj, TraceEventKind::Inflated { cause });
-        Ok(self
-            .policy
-            .monitors()
-            .get(idx)
-            .expect("installed monitor resolves"))
+        Ok(self.monitors.get(idx).expect("installed monitor resolves"))
     }
 
     /// The 257th acquisition: the caller holds the thin lock at the
@@ -602,8 +502,8 @@ impl<P: Policy, C: FastPathConfig, H: Hooks> LockCore<P, C, H> {
     /// monitor's state word, with no mutex and no registry traffic; only
     /// an acquisition that must park publishes a waits-for edge (it is
     /// the only one that can deadlock). Returns `false` if the
-    /// acquisition does not stand for `obj` (the policy's revalidation
-    /// failed); the caller retries from a fresh word.
+    /// acquisition does not stand for `obj` (revalidation under a
+    /// deflating policy failed); the caller retries from a fresh word.
     #[inline]
     pub(crate) fn lock_fat(
         &self,
@@ -632,7 +532,7 @@ impl<P: Policy, C: FastPathConfig, H: Hooks> LockCore<P, C, H> {
         };
         // A re-entrant acquisition (depth > 1) needs no check: we already
         // held the monitor, so the word cannot have moved on.
-        if depth == 1 && !self.policy.revalidate(self.cell(obj), obj, word, idx) {
+        if depth == 1 && !self.stands(obj, word, idx) {
             let r = monitor.unlock(t, &self.registry);
             debug_assert!(r.is_ok());
             // Advisory spin point so a serializing scheduler regains
@@ -768,9 +668,9 @@ impl<P: Policy, C: FastPathConfig, H: Hooks> LockCore<P, C, H> {
     /// Best-effort: returns `Ok(true)` if this call inflated the object,
     /// `Ok(false)` if the object was already inflated, currently thin-held
     /// (the owner must inflate; we cannot), or the installing CAS lost a
-    /// race. A lost race leaks one slot of a grow-only table, which is
-    /// fine for the intended use — hints are applied during
-    /// single-threaded set-up.
+    /// race. A lost race gives its slot back
+    /// ([`MonitorTable::discard`]): it is neither live nor counted as an
+    /// inflation.
     ///
     /// # Errors
     ///
@@ -788,13 +688,12 @@ impl<P: Policy, C: FastPathConfig, H: Hooks> LockCore<P, C, H> {
             .try_cas(word, word.inflated(idx), self.config.profile())
             .is_ok()
         {
-            self.policy.inflated();
             let cause = InflationCause::Hint;
             self.hooks
                 .after(None, Some(obj), TraceEventKind::Inflated { cause });
             Ok(true)
         } else {
-            self.policy.monitors().discard(idx);
+            self.monitors.discard(idx);
             Ok(false)
         }
     }
@@ -867,7 +766,7 @@ impl<P: Policy, C: FastPathConfig, H: Hooks> LockCore<P, C, H> {
                     return Ok(false);
                 }
                 let depth = monitor.count();
-                if depth == 1 && !self.policy.revalidate(cell, obj, word, idx) {
+                if depth == 1 && !self.stands(obj, word, idx) {
                     let r = monitor.unlock(t, &self.registry);
                     debug_assert!(r.is_ok());
                     continue;
@@ -930,7 +829,7 @@ impl<P: Policy, C: FastPathConfig, H: Hooks> LockCore<P, C, H> {
                 match monitor.lock_n_deadline(t, 1, &self.registry, deadline, &self.hooks) {
                     Ok(()) => {
                         let depth = monitor.count();
-                        if depth == 1 && !self.policy.revalidate(self.cell(obj), obj, word, idx) {
+                        if depth == 1 && !self.stands(obj, word, idx) {
                             let r = monitor.unlock(t, &self.registry);
                             debug_assert!(r.is_ok());
                             if Instant::now() >= deadline {
@@ -1005,6 +904,7 @@ impl Drop for BlockedOnGuard {
 /// stays installed (unowned) for the next release to handle.
 struct OrphanSweeper<P, H> {
     heap: Arc<Heap>,
+    monitors: Arc<MonitorTable>,
     policy: Arc<P>,
     hooks: H,
     profile: ArchProfile,
@@ -1026,7 +926,7 @@ impl<P: Policy, H: Hooks + 'static> ExitSweeper for OrphanSweeper<P, H> {
             let fat = word.is_fat();
             let reclaimed = if fat {
                 word.monitor_index()
-                    .and_then(|idx| self.policy.monitors().get(idx))
+                    .and_then(|idx| self.monitors.get(idx))
                     .is_some_and(|monitor| monitor.reclaim_orphan(dead, registry))
             } else if word.thin_owner() == Some(dead) {
                 // Snapshot before the clearing CAS, mirroring unlock: the
@@ -1208,24 +1108,33 @@ impl<P: Policy, C: FastPathConfig, H: Hooks> SyncBackend for LockCore<P, C, H> {
         P::DEFLATES
     }
 
+    /// Every published install is one inflation.
     fn inflation_count(&self) -> u64 {
-        self.policy.inflation_count()
+        self.monitors.allocated()
     }
 
+    /// A published install is either still live or was deflated. Exact
+    /// whenever no inflation or deflation is in flight; 0 under a one-way
+    /// policy.
     fn deflation_count(&self) -> u64 {
-        self.policy.deflation_count()
+        let live = self.monitors.live() as u64;
+        if P::DEFLATES {
+            self.monitors.allocated().saturating_sub(live)
+        } else {
+            0
+        }
     }
 
     fn monitors_live(&self) -> usize {
-        self.policy.monitors().live()
+        self.monitors.live()
     }
 
     fn monitors_peak(&self) -> usize {
-        self.policy.monitors().peak()
+        self.monitors.peak()
     }
 
     fn monitors_allocated(&self) -> u64 {
-        self.policy.monitors().allocated()
+        self.monitors.allocated()
     }
 }
 

@@ -18,42 +18,33 @@
 //!
 //! * **Owner-only writes:** after the acquiring CAS, the lock word of a
 //!   thin-held object is written only by its owner, with plain stores.
-//! * **One-way inflation:** a shape bit of 1 is never cleared; monitors
-//!   are never recycled while the heap lives.
+//! * **One-way inflation:** a shape bit of 1 is never cleared; a
+//!   published monitor is never recycled while the heap lives.
 //! * **Header preservation:** the low 8 bits of the header word are never
 //!   changed by any lock operation.
 //!
-//! Everything above is the shared [`LockCore`]; the [`Thin`] policy is
-//! the core's defaults over a grow-only [`MonitorTable`]: a contender
-//! spins until the owner releases, acquires, then inflates
+//! Everything above is the shared [`LockCore`], monitor table included;
+//! the [`Thin`] policy is the core's defaults: a contender spins until
+//! the owner releases, acquires, then inflates
 //! ([`InflationCause::Contention`](thinlock_runtime::stats::InflationCause))
 //! so the next contender queues instead of spinning.
 
 use std::sync::Arc;
 
-use thinlock_monitor::MonitorTable;
 use thinlock_runtime::heap::Heap;
 use thinlock_runtime::registry::ThreadRegistry;
 
 use crate::config::{DynamicConfig, FastPathConfig};
 use crate::lockcore::{LockCore, Policy};
 
-/// The paper's contention rule: spin, acquire, inflate into a grow-only
-/// monitor table sized to the heap (each object inflates at most once).
+/// The paper's contention rule: spin, acquire, inflate, each object at
+/// most once.
 #[derive(Debug)]
-pub struct Thin {
-    monitors: MonitorTable,
-}
+pub struct Thin;
 
 impl Policy for Thin {
-    type Monitors = MonitorTable;
     const NAME: &'static str = "ThinLock";
     const TYPE_NAME: &'static str = "ThinLocks";
-
-    #[inline]
-    fn monitors(&self) -> &MonitorTable {
-        &self.monitors
-    }
 }
 
 /// The thin-lock monitor protocol.
@@ -101,8 +92,8 @@ impl<C: FastPathConfig> ThinLocks<C> {
     /// The monitor table is sized to the heap: each object inflates at
     /// most once, so `heap.capacity()` monitors can never be exceeded.
     pub fn with_config(heap: Arc<Heap>, registry: ThreadRegistry, config: C) -> Self {
-        let monitors = MonitorTable::with_capacity(heap.capacity());
-        LockCore::from_parts(heap, registry, Thin { monitors }, config)
+        let monitors = heap.capacity();
+        LockCore::from_parts(heap, registry, Thin, config, monitors)
     }
 }
 

@@ -60,6 +60,14 @@ struct TicketState {
     admitted: AtomicU64,
 }
 
+/// One thread's wait publication, on a cache line of its own. Every
+/// queued acquisition writes its thread's slot twice; two threads whose
+/// slots shared a line would miss on each other's writes, and whether
+/// they did depended on where the allocator placed the array.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct WaitSlot(AtomicU64);
+
 /// The side table: per-object ticket counters plus per-thread
 /// wait-publication slots, sized once at backend construction.
 #[derive(Debug)]
@@ -68,7 +76,7 @@ pub struct TicketLedger {
     /// Indexed by `ThreadIndex::get()`; packs `(obj.index()+1) << 32 |
     /// ticket` while that thread blocks on an un-admitted ticket, 0
     /// otherwise.
-    slots: Box<[AtomicU64]>,
+    slots: Box<[WaitSlot]>,
 }
 
 // The lock paths that call these monomorphize in the backend's user
@@ -82,7 +90,7 @@ impl TicketLedger {
         TicketLedger {
             objects: (0..objects).map(|_| TicketState::default()).collect(),
             slots: (0..usize::from(max_threads) + 1)
-                .map(|_| AtomicU64::new(0))
+                .map(|_| WaitSlot::default())
                 .collect(),
         }
     }
@@ -163,7 +171,7 @@ impl TicketLedger {
     pub(crate) fn publish_wait(&self, t: ThreadToken, obj: ObjRef, ticket: u32) {
         if let Some(slot) = self.slots.get(usize::from(t.index().get())) {
             let packed = ((obj.index() as u64 + 1) << 32) | u64::from(ticket);
-            slot.store(packed, Ordering::Release);
+            slot.0.store(packed, Ordering::Release);
         }
     }
 
@@ -172,7 +180,7 @@ impl TicketLedger {
     #[inline]
     pub(crate) fn clear_wait(&self, t: ThreadToken) {
         if let Some(slot) = self.slots.get(usize::from(t.index().get())) {
-            slot.store(0, Ordering::Release);
+            slot.0.store(0, Ordering::Release);
         }
     }
 
@@ -182,7 +190,7 @@ impl TicketLedger {
     #[inline]
     pub(crate) fn clear_wait_index(&self, index: thinlock_runtime::lockword::ThreadIndex) {
         if let Some(slot) = self.slots.get(usize::from(index.get())) {
-            slot.store(0, Ordering::Release);
+            slot.0.store(0, Ordering::Release);
         }
     }
 
@@ -190,7 +198,7 @@ impl TicketLedger {
     #[inline]
     pub(crate) fn waiting_ticket(&self, t: ThreadToken, obj: ObjRef) -> Option<u32> {
         let slot = self.slots.get(usize::from(t.index().get()))?;
-        let packed = slot.load(Ordering::Acquire);
+        let packed = slot.0.load(Ordering::Acquire);
         if packed >> 32 == obj.index() as u64 + 1 {
             Some(packed as u32)
         } else {

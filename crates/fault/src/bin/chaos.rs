@@ -7,7 +7,7 @@
 //!
 //! With positional seeds, runs exactly those schedules; otherwise
 //! sweeps `S .. S+N`. `--backend` picks the protocol under test
-//! (`thin` by default, `cjm` for the deflating bounded-pool backend,
+//! (`thin` by default, `cjm` for the deflating bounded-table backend,
 //! `fissile`/`hapax` for the FIFO ticket queues); every backend gets the
 //! monitor-population bound checked at every convergence. Every run is
 //! checked against

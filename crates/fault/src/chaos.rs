@@ -21,10 +21,10 @@
 //!
 //! Every backend gets one extra convergence check: the monitor
 //! population must respect its bound — the peak never exceeds the
-//! object count (one bound monitor per object) and no monitor can be
-//! live at the end beyond that same ceiling. Under CJM this is the
-//! chaos-side witness for the bounded-pool claim: thousands of faulted
-//! inflate/deflate cycles may not leak a single pool slot.
+//! object count (one bound monitor per object), and at the end the live
+//! monitors are exactly the objects' fat words. Under CJM this is the
+//! chaos-side witness for the bounded-table claim: thousands of faulted
+//! inflate/deflate cycles may not leak a single slot.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -104,10 +104,10 @@ pub struct ChaosReport {
     /// Timed waits performed.
     pub waits: u64,
     /// Timed waits a bounded deflating backend refused with
-    /// [`SyncError::MonitorIndexExhausted`] — the pool was transiently
-    /// full (deflation frees a slot only *after* the neutral store), the
-    /// caller still held the thin lock, and the run degraded gracefully
-    /// instead of diverging.
+    /// [`SyncError::MonitorIndexExhausted`] — the monitor table was
+    /// transiently full (deflation frees a slot only *after* the neutral
+    /// store), the caller still held the thin lock, and the run degraded
+    /// gracefully instead of diverging.
     pub waits_refused: u64,
     /// Whether a worker died owning a lock (and the orphan was swept).
     pub orphaned: bool,
@@ -279,17 +279,22 @@ pub fn run_schedule(cfg: ChaosConfig) -> Result<ChaosReport, String> {
     }
 
     // Monitor-population bound: at most one monitor can be bound per
-    // object, so neither the peak nor the leftover live population may
-    // ever exceed the object count. On CJM a violation here means the
-    // pool leaked a slot through a faulted inflate/deflate cycle.
+    // object, so the peak population may never exceed the object count,
+    // and at convergence every live monitor backs exactly one fat word.
+    // A violation here means a slot leaked through a faulted
+    // inflate/deflate cycle or a lost installing race.
     report.inflations = shared.locks.inflation_count();
     report.deflations = shared.locks.deflation_count();
     report.monitors_peak = shared.locks.monitors_peak();
     report.monitors_live = shared.locks.monitors_live();
-    if report.monitors_peak > cfg.objects || report.monitors_live > cfg.objects {
+    let fat = objs
+        .iter()
+        .filter(|&&obj| shared.locks.probe_word(obj).is_fat())
+        .count();
+    if report.monitors_peak > cfg.objects || report.monitors_live != fat {
         return Err(format!(
-            "seed {}: monitor population exceeded its bound on `{}`: peak {} live {} over {} objects",
-            cfg.seed, cfg.backend, report.monitors_peak, report.monitors_live, cfg.objects
+            "seed {}: monitor population broke its bound on `{}`: peak {} live {} over {} objects, {} fat",
+            cfg.seed, cfg.backend, report.monitors_peak, report.monitors_live, cfg.objects, fat
         ));
     }
     report.fires = plan.fire_counts();
@@ -454,7 +459,7 @@ fn worker_body(
                     Ok(_) => report.waits += 1,
                     // A bounded deflating backend can transiently refuse
                     // the inflation `wait` needs (deflation frees the
-                    // pool slot only after the neutral store). The thin
+                    // table slot only after the neutral store). The thin
                     // lock is still held, so this is graceful
                     // degradation, not divergence — like `Timeout` from
                     // `lock_deadline`.

@@ -17,15 +17,14 @@
 //!   and a QUEUED bit share one atomic word, so an uncontended acquire or
 //!   release is one compare-and-swap and an ownership probe one load; a
 //!   mutex guards only the two queues (DESIGN.md §21).
-//! * [`table::MonitorTable`] — the vector mapping 23-bit monitor indices to
-//!   fat locks, sized so every heap object can inflate at most once, with
-//!   wait-free lookups ("the fat lock pointer is simply obtained by
-//!   shifting the monitor index to the right and indexing into the vector",
-//!   Section 3.3).
-//! * [`pool::MonitorPool`] — the recycling sibling of the table for
-//!   *deflating* backends (Compact Java Monitors): same wait-free lookup,
-//!   but slots return to a free list when their monitor deflates, so a
-//!   bounded pool serves unbounded churn (BACKENDS.md).
+//! * [`table::MonitorTable`] — the one table every backend uses, mapping
+//!   23-bit monitor indices to fat locks with wait-free lookups ("the fat
+//!   lock pointer is simply obtained by shifting the monitor index to the
+//!   right and indexing into the vector", Section 3.3). Each slot is
+//!   bound to the object it backs; a slot given back — by a deflating
+//!   backend (Compact Java Monitors), or after an installing CAS lost —
+//!   returns to a free list ([`pool`]), so a bounded table serves
+//!   unbounded churn (BACKENDS.md).
 //!
 //! Thin locks (the `thinlock` crate) are "implemented as a veneer over the
 //! existing heavy-weight locking facilities" — i.e., over this crate. The
@@ -40,5 +39,4 @@ pub mod pool;
 pub mod table;
 
 pub use fatlock::FatLock;
-pub use pool::MonitorPool;
 pub use table::MonitorTable;

@@ -182,7 +182,8 @@ pub trait SyncBackend: SyncProtocol {
     }
 
     /// Monitor allocations performed over the backend's lifetime
-    /// (monotone; recycling a slot does not decrement it).
+    /// (recycling a slot does not decrement it; an allocation whose
+    /// installing CAS lost is taken back).
     fn monitors_allocated(&self) -> u64 {
         0
     }

@@ -19,8 +19,11 @@ cargo build --release --offline
 echo "== tier-1: cargo test -q"
 cargo test -q --offline
 
+# --locked: lockbench/Cargo.lock belongs to the benchmark, so a change
+# that would rewrite it (a dependency edge added or dropped) fails here
+# instead of editing it silently.
 echo "== lockbench's own tests (library-1t checksum, traced lock spans per VM request)"
-cargo test -q --offline --manifest-path lockbench/Cargo.toml
+cargo test -q --offline --locked --manifest-path lockbench/Cargo.toml
 
 echo "== core, monitor and baselines crate tests in release (deflation, admission, fat-monitor arrival/release and baseline promote/evict races need optimized timing)"
 cargo test -q --release --offline -p thinlock -p thinlock-monitor -p thinlock-baselines
