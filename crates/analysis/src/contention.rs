@@ -444,8 +444,8 @@ pub fn contended_acquisitions(object: &ObjectProfile) -> u64 {
 /// The objects a *dynamic* profile pins: those whose
 /// [`contended_acquisitions`] reach `threshold`. Kept here, next to the
 /// static planner, so `lockcheck --plan` derives the dynamic side of the
-/// agreement check from the same code the bench harness's
-/// `plan_from_profile` applies.
+/// agreement check from the same code whose set the bench harness's
+/// `fairness` section pins.
 ///
 /// # Panics
 ///

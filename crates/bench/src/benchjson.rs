@@ -279,8 +279,9 @@ impl BenchRecord {
 }
 
 /// Host metadata stamped into each report so numbers are never compared
-/// across machines by accident (informational — the gate only enforces
-/// config equality, since CI hosts rotate hardware ids).
+/// across machines by accident. The gate names a mismatch (`HOST
+/// MISMATCH`) but only enforces config equality, since CI hosts rotate
+/// hardware ids.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostInfo {
     /// `std::env::consts::OS`.

@@ -121,6 +121,10 @@ pub struct GateOutcome {
     /// configurations (iters/scale) — timing comparison would be
     /// meaningless, so this alone fails a full gate.
     pub config_mismatch: Option<String>,
+    /// Set when the two reports ran on different hosts (os, arch or
+    /// cpus). Named in the rendering so a failing timed row can be read
+    /// against it, but never fails the gate by itself.
+    pub host_mismatch: Option<String>,
     /// True when values were ignored and only id coverage was checked.
     pub ids_only: bool,
 }
@@ -149,6 +153,9 @@ impl GateOutcome {
         use fmt::Write;
         if let Some(msg) = &self.config_mismatch {
             let _ = writeln!(out, "CONFIG MISMATCH: {msg}");
+        }
+        if let Some(msg) = &self.host_mismatch {
+            let _ = writeln!(out, "HOST MISMATCH: {msg}");
         }
         let interesting: Vec<&DeltaRow> = self
             .rows
@@ -233,6 +240,14 @@ pub fn compare(
     } else {
         None
     };
+    let host = |r: &BenchReport| format!("{}/{} cpus={}", r.host.os, r.host.arch, r.host.cpus);
+    let host_mismatch = (baseline.host != current.host).then(|| {
+        format!(
+            "baseline ran on {}, current on {}",
+            host(baseline),
+            host(current)
+        )
+    });
 
     let mut rows = Vec::new();
     for base in &baseline.benchmarks {
@@ -289,6 +304,7 @@ pub fn compare(
     GateOutcome {
         rows,
         config_mismatch,
+        host_mismatch,
         ids_only,
     }
 }
@@ -567,5 +583,29 @@ mod tests {
         assert!(text.contains("REGRESSED"));
         assert!(text.contains("MISSING"));
         assert!(text.contains("FAIL"));
+    }
+
+    #[test]
+    fn host_mismatch_is_named_but_does_not_fail() {
+        let base = report(vec![record(
+            "a",
+            GateClass::Micro,
+            Direction::LowerIsBetter,
+            100.0,
+        )]);
+        let same = compare(&base, &base, &Tolerances::default(), false);
+        assert!(same.pass());
+        assert!(!same.render().contains("HOST MISMATCH"));
+
+        let mut cur = base.clone();
+        cur.host.cpus = base.host.cpus + 1;
+        let out = compare(&base, &cur, &Tolerances::default(), false);
+        assert!(out.pass(), "a host difference alone passes");
+        let text = out.render();
+        assert!(text.contains("HOST MISMATCH"), "{text}");
+        assert!(
+            text.contains(&format!("cpus={}", base.host.cpus + 1)),
+            "{text}"
+        );
     }
 }

@@ -10,7 +10,10 @@
 //! | Figure 6 | [`run_variant`] | `fig6` |
 //!
 //! [`report::run_sections`] is the one driver of every artifact: the
-//! `reproduce` binary prints and records its sections.
+//! `reproduce` binary prints and records its sections, and `benchgate`
+//! diffs the recorded report against the committed baseline
+//! `scripts/bench_baseline.json`, which is also the one list of the
+//! record ids a full run emits.
 //!
 //! Absolute times are host-dependent; what the harness (and the
 //! assertions in `tests/`) check is the paper's *shape*: who wins, by
@@ -28,14 +31,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use thinlock::config::{DynamicConfig, FastPathConfig, StaticMp, StaticUp};
-use thinlock::fissile::Fissile;
-use thinlock::{BackendChoice, CjmLocks, FissileLocks, LockCore, ThinLocks};
+use thinlock::{BackendChoice, CjmLocks, FissileLocks, ThinLocks};
 use thinlock_baselines::{HotLocks, MonitorCache};
 use thinlock_runtime::arch::ArchProfile;
 use thinlock_runtime::backend::SyncBackend;
 use thinlock_runtime::error::SyncResult;
 use thinlock_runtime::heap::{Heap, ObjRef};
-use thinlock_runtime::hooks::{HookSet, Hooks};
+use thinlock_runtime::hooks::HookSet;
 use thinlock_runtime::protocol::{SyncProtocol, WaitOutcome};
 use thinlock_runtime::registry::{ThreadRegistry, ThreadToken};
 use thinlock_trace::characterize::{characterize, TraceCharacterization};
@@ -876,9 +878,12 @@ pub fn run_fairness(choice: BackendChoice, threads: usize, acquisitions: u64) ->
 /// instance and object: returns the per-thread acquisition counts and
 /// every per-acquisition `lock()` wall time in ns, in no particular
 /// order across threads. [`run_fairness`] wraps this in fresh-instance
-/// repetitions; the adaptive pipeline calls it directly — once to
-/// record a contention profile on a traced [`FissileLocks`] instance,
-/// and again after [`apply_plan`] to re-measure the pinned object.
+/// repetitions; the `fairness` section's adaptive pipeline calls it
+/// directly — once to record a contention profile on a traced
+/// [`FissileLocks`] instance, and again to re-measure the object it
+/// pinned: the one [`dynamic_pins`](thinlock_analysis::contention::dynamic_pins)
+/// selects from that profile, through
+/// [`pin_fifo`](thinlock::LockCore::pin_fifo).
 pub fn fairness_rep(
     locks: &Arc<dyn SyncBackend + Send + Sync>,
     obj: ObjRef,
@@ -930,71 +935,6 @@ pub fn fairness_rep(
         }
     });
     (counts, latencies)
-}
-
-/// A per-object strategy plan for the fissile backend: which objects a
-/// contention profile says should rest in FIFO mode. See
-/// [`plan_from_profile`] and [`apply_plan`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AdaptivePlan {
-    /// Objects to pin into FIFO admission.
-    pub pin: Vec<ObjRef>,
-    /// Contended-acquisition threshold the plan was derived with.
-    pub threshold: u64,
-}
-
-/// Derives an [`AdaptivePlan`] from an observed contention profile: an
-/// object is pinned when the profile attributes it at least `threshold`
-/// contended acquisitions (spun-on thin acquisitions plus contended fat
-/// acquisitions), by the analysis crate's
-/// [`dynamic_pins`](thinlock_analysis::contention::dynamic_pins), the
-/// same rule `lockcheck --plan` checks the static plan against. This is
-/// the profile → policy half the core crate deliberately leaves to its
-/// consumers (it sits below `thinlock-obs` in the dependency order); the
-/// mechanism half is
-/// [`FissileLocks::pin_fifo`](thinlock::LockCore::pin_fifo).
-///
-/// # Panics
-///
-/// If `threshold` is zero (it would pin every object ever touched).
-pub fn plan_from_profile(
-    profile: &thinlock_obs::ContentionProfile,
-    threshold: u64,
-) -> AdaptivePlan {
-    AdaptivePlan {
-        pin: thinlock_analysis::contention::dynamic_pins(profile, threshold),
-        threshold,
-    }
-}
-
-/// Applies an [`AdaptivePlan`]: pins every object the plan names and
-/// releases any existing pin the plan dropped, so re-planning from a
-/// fresh profile converges instead of accumulating stale pins.
-///
-/// ```
-/// use thinlock::FissileLocks;
-/// use thinlock_bench::{apply_plan, AdaptivePlan};
-/// use thinlock_runtime::protocol::SyncProtocol;
-///
-/// let locks = FissileLocks::with_capacity(4);
-/// let hot = locks.heap().alloc()?;
-/// apply_plan(&locks, &AdaptivePlan { pin: vec![hot], threshold: 1 });
-/// assert!(locks.pinned(hot));
-/// // A later profile disagrees: the stale pin is released.
-/// apply_plan(&locks, &AdaptivePlan { pin: vec![], threshold: 1 });
-/// assert!(!locks.pinned(hot));
-/// # Ok::<(), thinlock_runtime::SyncError>(())
-/// ```
-pub fn apply_plan<H: Hooks>(locks: &LockCore<Fissile, DynamicConfig, H>, plan: &AdaptivePlan) {
-    for index in 0..locks.heap().capacity() {
-        let obj = ObjRef::from_index(index);
-        if locks.pinned(obj) && !plan.pin.contains(&obj) {
-            locks.release_fifo(obj);
-        }
-    }
-    for &obj in &plan.pin {
-        locks.pin_fifo(obj);
-    }
 }
 
 /// One row of the nest-count-width ablation: for each candidate width,
@@ -1242,6 +1182,7 @@ impl SyncProtocol for NullProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use thinlock_analysis::contention::dynamic_pins;
 
     fn tiny_trace_config() -> TraceConfig {
         TraceConfig {
@@ -1476,24 +1417,14 @@ mod tests {
         });
 
         let profile = ContentionProfile::build(&tracer.snapshot());
-        let plan = plan_from_profile(&profile, 1);
-        assert!(plan.pin.contains(&hot), "contended object pinned: {plan:?}");
-        assert!(
-            !plan.pin.contains(&cold),
-            "uncontended object left reactive"
-        );
+        let pins = dynamic_pins(&profile, 1);
+        assert!(pins.contains(&hot), "contended object pinned: {pins:?}");
+        assert!(!pins.contains(&cold), "uncontended object left reactive");
 
-        apply_plan(&locks, &plan);
+        for &obj in &pins {
+            locks.pin_fifo(obj);
+        }
         assert!(locks.pinned(hot) && !locks.pinned(cold));
-        // Re-planning with an empty plan releases the stale pin.
-        apply_plan(
-            &locks,
-            &AdaptivePlan {
-                pin: Vec::new(),
-                threshold: 1,
-            },
-        );
-        assert!(!locks.pinned(hot));
     }
 
     #[test]
@@ -1531,14 +1462,13 @@ mod tests {
         }
         let profile = ContentionProfile::build(&tracer.snapshot());
 
-        let plan = plan_from_profile(&profile, 8);
         assert_eq!(
-            plan.pin,
+            dynamic_pins(&profile, 8),
             vec![at],
             "count == threshold pins; count == threshold - 1 does not"
         );
         // One notch up neither object qualifies.
-        assert!(plan_from_profile(&profile, 9).pin.is_empty());
+        assert!(dynamic_pins(&profile, 9).is_empty());
         // Uncontended fat acquisitions must not count toward the sum.
         tracer.record(
             None,
@@ -1546,7 +1476,7 @@ mod tests {
             TraceEventKind::AcquireFat { contended: false },
         );
         let profile = ContentionProfile::build(&tracer.snapshot());
-        assert_eq!(plan_from_profile(&profile, 8).pin, vec![at]);
+        assert_eq!(dynamic_pins(&profile, 8), vec![at]);
     }
 
     #[test]
@@ -1559,7 +1489,7 @@ mod tests {
         });
         let profile = ContentionProfile::build(&tracer.snapshot());
         assert!(profile.objects.is_empty());
-        assert!(plan_from_profile(&profile, 1).pin.is_empty());
+        assert!(dynamic_pins(&profile, 1).is_empty());
     }
 
     #[test]
@@ -1583,14 +1513,13 @@ mod tests {
         // A single thread can never observe contention, so even the
         // loosest threshold must leave everything reactive.
         assert!(
-            plan_from_profile(&profile, 1).pin.is_empty(),
+            dynamic_pins(&profile, 1).is_empty(),
             "single-thread workload produced a pin: {profile:?}"
         );
     }
 
     #[test]
     fn plan_formula_matches_static_dynamic_pins() {
-        use thinlock_analysis::contention::dynamic_pins;
         use thinlock_obs::{ContentionProfile, LockTracer, TracerConfig};
         use thinlock_runtime::events::{TraceEventKind, TraceSink};
 
@@ -1614,16 +1543,18 @@ mod tests {
             );
         }
         let profile = ContentionProfile::build(&tracer.snapshot());
-        // The analysis crate's agreement gate checks the static plan
-        // against this pin set; if the bench pipeline pinned anything
-        // else, the static↔dynamic cross-check would silently diverge
-        // from what the pipeline actually applies.
-        for threshold in [1, 2, 6, 11, 64] {
-            assert_eq!(
-                plan_from_profile(&profile, threshold).pin,
-                dynamic_pins(&profile, threshold),
-                "threshold {threshold}"
-            );
+        // The fairness section pins this set and the analysis crate's
+        // agreement gate checks the static plan against it: object `i`
+        // carries `5i + 1` contended acquisitions, so it is pinned
+        // exactly when that sum reaches the threshold.
+        for threshold in [1u64, 2, 6, 11, 64] {
+            let mut pins = dynamic_pins(&profile, threshold);
+            pins.sort_by_key(|o| o.index());
+            let want: Vec<ObjRef> = (0..4usize)
+                .filter(|&i| i as u64 * 5 + 1 >= threshold)
+                .map(ObjRef::from_index)
+                .collect();
+            assert_eq!(pins, want, "threshold {threshold}");
         }
     }
 
@@ -1720,7 +1651,7 @@ mod tests {
                 .sum();
             assert_eq!(contended, 0, "{choice}: nesting counted as queueing");
             assert!(
-                plan_from_profile(&profile, 1).pin.is_empty(),
+                dynamic_pins(&profile, 1).is_empty(),
                 "{choice}: one thread's nesting pinned its object"
             );
         }

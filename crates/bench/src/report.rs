@@ -5,8 +5,10 @@
 //! section function here both prints the same rows the paper presents
 //! and pushes a [`BenchRecord`] per cell, so one run produces the
 //! human-readable transcript *and* `BENCH_thinlock.json`. The record ids
-//! are stable ([`expected_ids`] enumerates the full set) — `benchgate`
-//! joins on them when diffing a run against the committed baseline.
+//! are stable: the committed baseline `scripts/bench_baseline.json`
+//! lists the full set in emission order, `benchgate` joins on them when
+//! diffing a run against it, and the smoke test in
+//! `tests/bench_pipeline.rs` holds an `all` run to exactly that list.
 
 use thinlock_trace::generator::TraceConfig;
 use thinlock_trace::table1::median;
@@ -88,7 +90,6 @@ pub const FIG6_BENCHES: [MicroBench; 4] = [
     MicroBench::CallSync,
 ];
 
-const SPIN_POLICIES: [&str; 3] = ["spin-then-yield", "yield-only", "spin-hard"];
 const CONCURRENT_BENCHES: [&str; 3] = ["javac", "jacorb", "javalex"];
 const INFLATION_CAUSES: [&str; 4] = ["contention", "overflow", "wait", "hint"];
 
@@ -558,7 +559,7 @@ fn fairness(iters: i32, backends: &[thinlock::BackendChoice], out: &mut BenchRep
     }
 
     // The adaptive pipeline, end to end: burst-load a traced instance,
-    // derive the pin plan from its contention profile, apply it, and
+    // pin the objects its contention profile shows contended, and
     // re-measure the pinned object.
     let tracer = Arc::new(thinlock_obs::LockTracer::new(thinlock_obs::TracerConfig {
         max_threads: threads as u16 + 1,
@@ -579,11 +580,13 @@ fn fairness(iters: i32, backends: &[thinlock::BackendChoice], out: &mut BenchRep
         }
     }
     let profile = thinlock_obs::ContentionProfile::build(&tracer.snapshot());
-    let plan = crate::plan_from_profile(&profile, (pool / 16).max(1));
-    crate::apply_plan(&adaptive, &plan);
+    let pins = thinlock_analysis::contention::dynamic_pins(&profile, (pool / 16).max(1));
+    for &obj in &pins {
+        adaptive.pin_fifo(obj);
+    }
     assert!(
         adaptive.pinned(hot) && !adaptive.pinned(cold),
-        "the burst-contended object (and only it) must be pinned: {plan:?}"
+        "the burst-contended object (and only it) must be pinned: {pins:?}"
     );
     // Best-of-3 repetitions: the claim is about the pinned mechanism,
     // not one scheduler roll.
@@ -595,7 +598,7 @@ fn fairness(iters: i32, backends: &[thinlock::BackendChoice], out: &mut BenchRep
         .fold(0.0, f64::max);
     println!(
         "  -> adaptive: profile pinned {} of {} traced objects; pinned-object Jain {pinned_jain:.3}",
-        plan.pin.len(),
+        pins.len(),
         profile.objects.len()
     );
     out.push(BenchRecord::scalar(
@@ -605,7 +608,7 @@ fn fairness(iters: i32, backends: &[thinlock::BackendChoice], out: &mut BenchRep
         "count",
         GateClass::Exact,
         Direction::Informational,
-        plan.pin.len() as f64,
+        pins.len() as f64,
     ));
     out.push(BenchRecord::scalar(
         "fairness/adaptive/pinned_jain",
@@ -988,7 +991,7 @@ fn profile_section(profile_json: Option<&str>, out: &mut BenchReport) -> Result<
 ///
 /// `backend` narrows the `churn` section to one protocol (`reproduce
 /// --backend`); `None` runs the full [`CHURN_BACKENDS`] head-to-head,
-/// which is what the committed baseline and [`expected_ids`] describe.
+/// which is what the committed baseline describes.
 ///
 /// # Errors
 ///
@@ -1052,123 +1055,4 @@ pub fn run_sections(
         profile_section(profile_json, &mut out)?;
     }
     Ok(out)
-}
-
-/// Every benchmark id an `all` run emits, in emission order — the
-/// contract the smoke test in `tests/bench_pipeline.rs` holds
-/// [`run_sections`] to. Derived from the same constants the section
-/// functions iterate, so adding a benchmark updates both sides together.
-pub fn expected_ids() -> Vec<String> {
-    let mut ids = Vec::new();
-    let macro_names: Vec<&str> = thinlock_trace::table1::MACRO_BENCHMARKS
-        .iter()
-        .map(|p| p.name)
-        .collect();
-
-    for name in &macro_names {
-        ids.push(format!("table1/{name}/syncs_per_object"));
-    }
-    ids.push("table1/median_syncs_per_object".into());
-
-    for name in &macro_names {
-        ids.push(format!("fig3/{name}/first_lock_fraction"));
-    }
-    ids.push("fig3/median_first_lock_fraction".into());
-
-    for bench in FIG4_SINGLE {
-        for kind in ProtocolKind::ALL {
-            ids.push(format!("fig4/{bench}/{}", kind.name()));
-        }
-        if bench == MicroBench::Sync {
-            ids.push("fig4/Sync/speedup_vs_JDK111".into());
-            ids.push("fig4/Sync/speedup_vs_IBM112".into());
-        }
-    }
-    for n in MULTISYNC_SIZES {
-        for kind in ProtocolKind::ALL {
-            ids.push(format!("fig4/multisync/n={n}/{}", kind.name()));
-        }
-    }
-    for n in THREAD_COUNTS {
-        for kind in ProtocolKind::ALL {
-            ids.push(format!("fig4/threads/n={n}/{}", kind.name()));
-        }
-    }
-
-    for name in &macro_names {
-        for proto in ["ThinLock", "JDK111", "IBM112"] {
-            ids.push(format!("fig5/{name}/{proto}"));
-        }
-    }
-    ids.push("fig5/median_speedup_thin".into());
-    ids.push("fig5/median_speedup_ibm112".into());
-    ids.push("fig5/max_speedup_thin".into());
-
-    for bench in FIG6_BENCHES {
-        for v in Variant::ALL {
-            ids.push(format!("fig6/{bench}/{}", v.name()));
-        }
-    }
-
-    ids.push("ablations/phased/thin_private_ns".into());
-    ids.push("ablations/phased/cjm_private_ns".into());
-    ids.push("ablations/phased/private_phase_speedup".into());
-    ids.push("ablations/phased/cjm_inflations".into());
-    ids.push("ablations/phased/cjm_deflations".into());
-    for bits in 1..=8 {
-        ids.push(format!(
-            "ablations/count_width/bits={bits}/worst_overflow_fraction"
-        ));
-    }
-    for name in SPIN_POLICIES {
-        ids.push(format!("ablations/spin/{name}"));
-    }
-    for name in CONCURRENT_BENCHES {
-        for kind in ProtocolKind::ALL_BACKENDS {
-            ids.push(format!("ablations/concurrent/{name}/{}", kind.name()));
-        }
-    }
-
-    for choice in CHURN_BACKENDS {
-        ids.push(format!("churn/{choice}/ns_per_op"));
-        ids.push(format!("churn/{choice}/monitors_live"));
-        ids.push(format!("churn/{choice}/inflations"));
-        if choice.deflation_capable() {
-            ids.push(format!("churn/{choice}/monitors_peak"));
-            ids.push(format!("churn/{choice}/deflations"));
-        }
-    }
-
-    for choice in FAIRNESS_BACKENDS {
-        ids.push(format!(
-            "fairness/t{}/{choice}/jain_index",
-            crate::FAIRNESS_THREADS
-        ));
-        for tail in ["handoff_p50", "handoff_p95", "handoff_p99"] {
-            ids.push(format!(
-                "fairness/t{}/{choice}/{tail}",
-                crate::FAIRNESS_THREADS
-            ));
-        }
-    }
-    ids.push("fairness/adaptive/pinned_objects".into());
-    ids.push("fairness/adaptive/pinned_jain".into());
-
-    ids.push("predict/saving_ns_per_call".into());
-    ids.push("predict/predicted_saving_ns".into());
-    ids.push("predict/measured_saving_ns".into());
-    ids.push("predict/measured_over_predicted".into());
-
-    ids.push("lockcheck/programs".into());
-    ids.push("lockcheck/diagnostics".into());
-    ids.push("lockcheck/deadlock_cycles".into());
-    ids.push("lockcheck/elidable_ops".into());
-    ids.push("lockcheck/pre_inflation_hints".into());
-
-    for cause in INFLATION_CAUSES {
-        ids.push(format!("profile/inflations/{cause}"));
-    }
-    ids.push("profile/events".into());
-
-    ids
 }

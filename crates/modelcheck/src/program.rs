@@ -307,7 +307,7 @@ pub fn run_execution(
     sched: &Arc<CoopScheduler>,
     sink: Option<Arc<dyn TraceSink>>,
     max_steps: usize,
-    mut pick: impl FnMut(usize, &[WorkerView], &[usize]) -> Pick,
+    pick: impl FnMut(usize, &[WorkerView], &[usize]) -> Pick,
 ) -> ExecutionRecord {
     let n = program.workers();
     let backend = program.backend.build_with(
@@ -349,41 +349,106 @@ pub fn run_execution(
 
     let driver = DriverState::new(n, program.objects);
     let mut invariants = InvariantState::new(backend.as_ref(), &objs);
-    sched.reset(n);
+    let bodies = program
+        .threads
+        .iter()
+        .zip(&tokens)
+        .enumerate()
+        .map(|(w, (ops, &token))| {
+            let (driver, objs, sched) = (&driver, &objs, &**sched);
+            Box::new(move || worker_body(proto, sched, driver, objs, token, w, ops))
+                as Box<dyn FnOnce() + Send + '_>
+        })
+        .collect();
+    drive(
+        backend.as_ref(),
+        sched,
+        &tokens,
+        bodies,
+        max_steps,
+        |finished| {
+            if let Some(msg) = driver.take_violation() {
+                return Some(("balanced-ops", msg));
+            }
+            let state = invariants.check_state(backend.as_ref(), &objs, &tokens, &driver);
+            if state.is_some() || !finished {
+                return state;
+            }
+            invariants.check_end(backend.as_ref(), &objs, &tokens, &driver)
+        },
+        pick,
+    )
+}
+
+/// Runs arbitrary worker bodies under the scheduler against a caller-
+/// built protocol instance — the custom-harness sibling of
+/// [`run_execution`] for workloads the [`McOp`] language cannot express
+/// (e.g. exhaustive exploration of VM bytecode programs). The caller
+/// constructs the backend with the scheduler attached (e.g.
+/// `ThinLocks::with_hooks` with a `HookSet` holding the schedule and
+/// any trace sink), registers one
+/// token per body (used for enabledness of the gated park/spin points),
+/// and supplies one closure per worker. No invariant suite or op model
+/// runs; the only violation this harness itself reports is a quiescent
+/// deadlock. Bodies that panic propagate after the worker is drained.
+pub fn run_bodies<'a, B: SyncBackend + ?Sized>(
+    backend: &Arc<B>,
+    sched: &Arc<CoopScheduler>,
+    tokens: &[ThreadToken],
+    bodies: Vec<Box<dyn FnOnce() + Send + 'a>>,
+    max_steps: usize,
+    pick: impl FnMut(usize, &[WorkerView], &[usize]) -> Pick,
+) -> ExecutionRecord {
+    drive(
+        backend.as_ref(),
+        sched,
+        tokens,
+        bodies,
+        max_steps,
+        |_| None,
+        pick,
+    )
+}
+
+/// The one step loop under [`run_execution`] and [`run_bodies`]: spawns
+/// one worker per body and, at every quiescent state, runs `check`
+/// (told whether every worker has finished), then reports a quiescent
+/// deadlock, enforces the step budget, or grants the worker `pick`
+/// chooses. A violation, deadlock, exhausted budget or [`Pick::Stop`]
+/// aborts the remaining workers and drains them.
+fn drive<'a, B: SyncBackend + ?Sized>(
+    backend: &B,
+    sched: &Arc<CoopScheduler>,
+    tokens: &[ThreadToken],
+    bodies: Vec<Box<dyn FnOnce() + Send + 'a>>,
+    max_steps: usize,
+    mut check: impl FnMut(bool) -> Option<Violation>,
+    mut pick: impl FnMut(usize, &[WorkerView], &[usize]) -> Pick,
+) -> ExecutionRecord {
+    assert_eq!(tokens.len(), bodies.len(), "one token per body");
+    sched.reset(bodies.len());
+    let stop = || {
+        sched.abort_all();
+        sched.wait_all_finished();
+    };
 
     std::thread::scope(|s| {
-        for (w, &token) in tokens.iter().enumerate() {
+        for (w, body) in bodies.into_iter().enumerate() {
             let sched = Arc::clone(sched);
-            let driver = &driver;
-            let objs = &objs;
-            let ops = &program.threads[w];
             s.spawn(move || {
-                crate::sched::run_worker(&sched, w, || {
-                    worker_body(proto, &sched, driver, objs, token, w, ops);
-                });
+                crate::sched::run_worker(&sched, w, body);
             });
         }
 
         let mut rec = ExecutionRecord::default();
         loop {
             let views = sched.wait_quiescent();
-            if let Some(msg) = driver.take_violation() {
-                rec.violation = Some(("balanced-ops", msg));
-            } else if let Some(v) =
-                invariants.check_state(backend.as_ref(), &objs, &tokens, &driver)
-            {
-                rec.violation = Some(v);
-            }
-            let all_finished = views.iter().all(|v| v.status == WorkerStatus::Finished);
-            if rec.violation.is_some() {
-                if !all_finished {
-                    sched.abort_all();
-                    sched.wait_all_finished();
+            let finished = views.iter().all(|v| v.status == WorkerStatus::Finished);
+            rec.violation = check(finished);
+            if rec.violation.is_some() || finished {
+                if !finished {
+                    stop();
                 }
-                break;
-            }
-            if all_finished {
-                rec.violation = invariants.check_end(backend.as_ref(), &objs, &tokens, &driver);
                 break;
             }
             let enabled: Vec<usize> = views
@@ -392,8 +457,7 @@ pub fn run_execution(
                 .filter(|(w, v)| {
                     v.status == WorkerStatus::Blocked
                         && v.pending
-                            .map(|l| label_enabled(backend.as_ref(), tokens[*w], l))
-                            .unwrap_or(false)
+                            .is_some_and(|l| label_enabled(backend, tokens[*w], l))
                 })
                 .map(|(w, _)| w)
                 .collect();
@@ -415,14 +479,12 @@ pub fn run_execution(
                     "no-lost-wakeup",
                     format!("quiescent deadlock: {}", stuck.join(", ")),
                 ));
-                sched.abort_all();
-                sched.wait_all_finished();
+                stop();
                 break;
             }
             if rec.steps.len() >= max_steps {
                 rec.truncated = true;
-                sched.abort_all();
-                sched.wait_all_finished();
+                stop();
                 break;
             }
             match pick(rec.steps.len(), &views, &enabled) {
@@ -438,95 +500,7 @@ pub fn run_execution(
                 }
                 Pick::Stop => {
                     rec.aborted = true;
-                    sched.abort_all();
-                    sched.wait_all_finished();
-                    break;
-                }
-            }
-        }
-        drop(regs);
-        rec
-    })
-}
-
-/// Runs arbitrary worker bodies under the scheduler against a caller-
-/// built protocol instance — the custom-harness sibling of
-/// [`run_execution`] for workloads the [`McOp`] language cannot express
-/// (e.g. exhaustive exploration of VM bytecode programs). The caller
-/// constructs the backend with the scheduler attached (e.g.
-/// `ThinLocks::with_hooks` with a `HookSet` holding the schedule and
-/// any trace sink), registers one
-/// token per body (used for enabledness of the gated park/spin points),
-/// and supplies one closure per worker. No invariant suite or op model
-/// runs; the only violation this harness itself reports is a quiescent
-/// deadlock. Bodies that panic propagate after the worker is drained.
-pub fn run_bodies<'a, B: SyncBackend + ?Sized>(
-    backend: &Arc<B>,
-    sched: &Arc<CoopScheduler>,
-    tokens: &[ThreadToken],
-    bodies: Vec<Box<dyn FnOnce() + Send + 'a>>,
-    max_steps: usize,
-    mut pick: impl FnMut(usize, &[WorkerView], &[usize]) -> Pick,
-) -> ExecutionRecord {
-    let n = bodies.len();
-    assert_eq!(tokens.len(), n, "one token per body");
-    sched.reset(n);
-
-    std::thread::scope(|s| {
-        for (w, body) in bodies.into_iter().enumerate() {
-            let sched = Arc::clone(sched);
-            s.spawn(move || {
-                crate::sched::run_worker(&sched, w, body);
-            });
-        }
-
-        let mut rec = ExecutionRecord::default();
-        loop {
-            let views = sched.wait_quiescent();
-            if views.iter().all(|v| v.status == WorkerStatus::Finished) {
-                break;
-            }
-            let enabled: Vec<usize> = views
-                .iter()
-                .enumerate()
-                .filter(|(w, v)| {
-                    v.status == WorkerStatus::Blocked
-                        && v.pending
-                            .map(|l| label_enabled(backend.as_ref(), tokens[*w], l))
-                            .unwrap_or(false)
-                })
-                .map(|(w, _)| w)
-                .collect();
-            if enabled.is_empty() {
-                rec.violation = Some((
-                    "no-lost-wakeup",
-                    "quiescent deadlock in custom-body execution".to_string(),
-                ));
-                sched.abort_all();
-                sched.wait_all_finished();
-                break;
-            }
-            if rec.steps.len() >= max_steps {
-                rec.truncated = true;
-                sched.abort_all();
-                sched.wait_all_finished();
-                break;
-            }
-            match pick(rec.steps.len(), &views, &enabled) {
-                Pick::Grant(w) => {
-                    assert!(enabled.contains(&w), "picked worker {w} is not enabled");
-                    rec.steps.push(StepRecord {
-                        worker: w,
-                        label: views[w].pending.expect("enabled worker has a label"),
-                        enabled: enabled.clone(),
-                        labels: views.iter().map(|v| v.pending).collect(),
-                    });
-                    sched.grant(w);
-                }
-                Pick::Stop => {
-                    rec.aborted = true;
-                    sched.abort_all();
-                    sched.wait_all_finished();
+                    stop();
                     break;
                 }
             }

@@ -310,11 +310,11 @@ pub trait SyncProtocolExt: SyncProtocol {
 
 impl<P: SyncProtocol + ?Sized> SyncProtocolExt for P {}
 
-/// A trivial protocol for tests of generic machinery: a global mutex table
-/// keyed by object index. Not a reproduction artifact — exists so substrate
-/// crates can test `SyncProtocol`-generic code without depending on the
-/// real protocols (which live upstack).
-#[cfg(any(test, feature = "testing"))]
+/// A trivial protocol for this crate's tests of generic machinery: a
+/// global mutex table keyed by object index. Not a reproduction artifact —
+/// exists so the substrate can test `SyncProtocol`-generic code without
+/// depending on the real protocols (which live upstack).
+#[cfg(test)]
 pub mod testing {
     use super::*;
     use std::collections::HashMap;

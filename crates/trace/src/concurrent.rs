@@ -19,7 +19,7 @@ use thinlock_runtime::heap::ObjRef;
 use thinlock_runtime::prng::Prng;
 use thinlock_runtime::protocol::SyncProtocol;
 
-use crate::generator::TraceConfig;
+use crate::generator::{sample_depth, TraceConfig};
 use crate::replay::spin_work;
 use crate::table1::BenchmarkProfile;
 
@@ -216,21 +216,6 @@ pub fn generate_concurrent(
         per_thread,
         lock_ops,
     }
-}
-
-/// Burst-depth sampling identical to the single-threaded generator.
-fn sample_depth(fractions: &[f64; 4], rng: &mut Prng) -> u32 {
-    let f1 = fractions[0].max(f64::MIN_POSITIVE);
-    let x: f64 = rng.next_f64();
-    let mut d = 1;
-    for k in 2..=4 {
-        if x < fractions[k - 1] / f1 {
-            d = k as u32;
-        } else {
-            break;
-        }
-    }
-    d
 }
 
 /// Result of a concurrent replay.

@@ -103,35 +103,6 @@ pub struct LockTrace {
 }
 
 impl LockTrace {
-    /// Builds a trace directly from an operation sequence — for tests and
-    /// hand-crafted workloads. Counters are derived from the ops.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`validate`](LockTrace::validate) error if the sequence
-    /// is not well-formed.
-    pub fn from_ops(name: impl Into<String>, ops: Vec<TraceOp>) -> Result<Self, String> {
-        let total_objects = ops.iter().filter(|o| matches!(o, TraceOp::Alloc)).count() as u32;
-        let lock_ops = ops.iter().filter(|o| matches!(o, TraceOp::Lock(_))).count() as u64;
-        let mut locked = vec![false; total_objects as usize];
-        for op in &ops {
-            if let TraceOp::Lock(o) = *op {
-                if let Some(slot) = locked.get_mut(o as usize) {
-                    *slot = true;
-                }
-            }
-        }
-        let trace = LockTrace {
-            name: name.into(),
-            ops,
-            total_objects,
-            sync_objects: locked.iter().filter(|&&b| b).count() as u32,
-            lock_ops,
-        };
-        trace.validate()?;
-        Ok(trace)
-    }
-
     /// The profile name this trace was generated from.
     pub fn name(&self) -> &str {
         &self.name
@@ -248,7 +219,7 @@ fn sample_cumulative(cum: &[f64], rng: &mut Prng) -> usize {
 }
 
 /// Samples a burst depth `d ∈ 1..=4` with `P(d ≥ k) = f_k / f_1`.
-fn sample_depth(fractions: &[f64; 4], rng: &mut Prng) -> u32 {
+pub(crate) fn sample_depth(fractions: &[f64; 4], rng: &mut Prng) -> u32 {
     let f1 = fractions[0].max(f64::MIN_POSITIVE);
     let x: f64 = rng.next_f64();
     // d >= k  iff  x < f_k / f_1; find the deepest k satisfied.

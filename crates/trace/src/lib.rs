@@ -20,14 +20,16 @@
 //! verifies the samples match), and [`replay`] runs a trace against any
 //! [`SyncProtocol`](thinlock_runtime::protocol::SyncProtocol) — which is
 //! how the Figure 5 speedups are regenerated. See DESIGN.md §5 for why
-//! this substitution preserves the relevant behaviour. [`concurrent`]
-//! extends the model to the paper's multithreaded design target: the same
-//! distributions split across worker threads with the hottest objects
-//! shared. [`vmreplay`] runs the VM's seeded concurrent bytecode
-//! programs under barrier-released worker threads with seed-derived
-//! schedule perturbation, streaming every lock and field event through a
-//! caller-supplied sink — the harness behind the static/dynamic
-//! race-detector cross-check.
+//! this substitution preserves the relevant behaviour. Traces are never
+//! stored: generation is a pure function of (profile, seed, scale), so
+//! a run regenerates exactly the trace an earlier run replayed.
+//! [`concurrent`] extends the model to the paper's multithreaded design
+//! target: the same distributions split across worker threads with the
+//! hottest objects shared. [`vmreplay`] runs the VM's seeded concurrent
+//! bytecode programs under barrier-released worker threads with
+//! seed-derived schedule perturbation, streaming every lock and field
+//! event through a caller-supplied sink — the harness behind the
+//! static/dynamic race-detector cross-check.
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
@@ -35,7 +37,6 @@
 pub mod characterize;
 pub mod concurrent;
 pub mod generator;
-pub mod io;
 pub mod replay;
 pub mod table1;
 pub mod vmreplay;

@@ -1,10 +1,9 @@
 //! End-to-end tests of the benchmark telemetry pipeline: schema
 //! round-trip, `benchgate` verdicts on synthetic baseline/current pairs,
 //! and smoke runs of the report collector at tiny iteration counts
-//! checking that every expected benchmark id is emitted and that the
-//! scale-independent exact records equal the committed baseline.
-
-use std::collections::BTreeSet;
+//! checking them against the committed baseline
+//! `scripts/bench_baseline.json`: an `all` run emits exactly its ids in
+//! its order, and the scale-independent exact records equal its values.
 
 use thinlock_bench::benchjson::{
     summarize, BenchRecord, BenchReport, Direction, GateClass, Summary,
@@ -133,25 +132,44 @@ fn gate_round_trips_through_json() {
     assert!(compare(&b, &b2, &Tolerances::default(), false).pass());
 }
 
+/// The committed reference report `scripts/bench_baseline.json`.
+fn baseline() -> BenchReport {
+    BenchReport::from_json(include_str!("../scripts/bench_baseline.json"))
+        .expect("committed baseline parses")
+}
+
 /// The smoke test the check.sh fast tier relies on: a full `all` run at
-/// tiny iteration counts must emit exactly the expected id set. This is
-/// the slowest test in the suite (it replays every trace three times per
-/// protocol), but it is what proves `reproduce --json` and the committed
-/// baseline can never drift apart silently.
+/// tiny iteration counts must emit exactly the committed baseline's ids,
+/// in the baseline's order, each with the baseline's class, direction
+/// and unit. This is the slowest test in the suite (it replays every
+/// trace three times per protocol), but it is what proves `reproduce
+/// --json` and the committed baseline can never drift apart silently.
 #[test]
 fn tiny_all_run_emits_every_expected_id() {
+    let baseline = baseline();
     let report = report::run_sections(&["all".to_string()], 300, 50_000, None, None)
         .expect("tiny reproduction run succeeds");
-    let got: BTreeSet<&str> = report.benchmarks.iter().map(|r| r.id.as_str()).collect();
-    let want_vec = report::expected_ids();
-    let want: BTreeSet<&str> = want_vec.iter().map(String::as_str).collect();
-    let missing: Vec<&&str> = want.difference(&got).collect();
-    let extra: Vec<&&str> = got.difference(&want).collect();
-    assert!(
-        missing.is_empty() && extra.is_empty(),
-        "id drift — missing: {missing:?}, unexpected: {extra:?}"
-    );
-    assert_eq!(report.benchmarks.len(), want_vec.len(), "no duplicate ids");
+    let got: Vec<&str> = report.benchmarks.iter().map(|r| r.id.as_str()).collect();
+    let want: Vec<&str> = baseline.benchmarks.iter().map(|r| r.id.as_str()).collect();
+    if got != want {
+        let missing: Vec<&&str> = want.iter().filter(|id| !got.contains(id)).collect();
+        let extra: Vec<&&str> = got.iter().filter(|id| !want.contains(id)).collect();
+        let first = got.iter().zip(&want).position(|(g, w)| g != w);
+        panic!(
+            "id drift from the baseline — missing: {missing:?}, unexpected: {extra:?}, \
+             first differing position: {first:?} ({} emitted, {} in the baseline)",
+            got.len(),
+            want.len()
+        );
+    }
+    for (cur, base) in report.benchmarks.iter().zip(&baseline.benchmarks) {
+        assert_eq!(
+            (cur.class, cur.direction, cur.unit.as_str()),
+            (base.class, base.direction, base.unit.as_str()),
+            "{}",
+            cur.id
+        );
+    }
     // The report must also survive its own serialization.
     let parsed = BenchReport::from_json(&report.to_json()).unwrap();
     assert_eq!(parsed, report);
@@ -164,8 +182,7 @@ fn tiny_all_run_emits_every_expected_id() {
 /// scale, so it is left to the full gate.)
 #[test]
 fn scale_independent_exact_records_match_the_baseline() {
-    let baseline = BenchReport::from_json(include_str!("../scripts/bench_baseline.json"))
-        .expect("committed baseline parses");
+    let baseline = baseline();
     let sections = ["ablations", "churn", "lockcheck", "profile"].map(String::from);
     let report = report::run_sections(&sections, 300, 50_000, None, None)
         .expect("smoke-setting run succeeds");

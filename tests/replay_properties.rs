@@ -1,14 +1,21 @@
 //! Randomized integration tests: arbitrary well-formed lock traces
-//! replay successfully and equivalently under every protocol, and the
-//! characterizer agrees with an independent reference computation.
-//! Driven by the in-repo deterministic PRNG.
+//! replay successfully and equivalently under every protocol, the
+//! characterizer agrees with an independent reference computation, and
+//! the thin protocol's event stream, counted by `LockStats`, agrees with
+//! the characterizer. Driven by the in-repo deterministic PRNG.
 
+use std::sync::Arc;
+
+use thinlock::ThinLocks;
 use thinlock_bench::ProtocolKind;
+use thinlock_runtime::hooks::HookSet;
 use thinlock_runtime::prng::Prng;
+use thinlock_runtime::protocol::SyncProtocol;
+use thinlock_runtime::stats::{LockScenario, LockStats};
 use thinlock_trace::characterize::characterize;
-use thinlock_trace::generator::{generate, LockTrace, TraceConfig, TraceOp};
+use thinlock_trace::generator::{generate, quick_config, TraceConfig, TraceOp};
 use thinlock_trace::replay::replay;
-use thinlock_trace::table1::MACRO_BENCHMARKS;
+use thinlock_trace::table1::{BenchmarkProfile, MACRO_BENCHMARKS};
 
 const CASES: usize = 48;
 
@@ -124,34 +131,86 @@ fn replay_is_protocol_independent() {
     }
 }
 
-/// A hand-built pathological trace (deep nesting on one object, many cold
+/// A pathological trace (deep nesting on one hot object, many cold
 /// objects) exercises the same paths outside the randomized sweeps.
 #[test]
 fn pathological_trace_replays_everywhere() {
-    let mut ops = Vec::new();
-    for _ in 0..300 {
-        ops.push(TraceOp::Alloc);
-    }
-    // Deep nesting bursts on object 0 (depth 4, the paper's max).
-    for _ in 0..50 {
-        for _ in 0..4 {
-            ops.push(TraceOp::Lock(0));
-        }
-        for _ in 0..4 {
-            ops.push(TraceOp::Unlock(0));
-        }
-    }
-    // One touch each on the cold tail.
-    for o in 1..300u32 {
-        ops.push(TraceOp::Lock(o));
-        ops.push(TraceOp::Unlock(o));
-    }
-    let trace = LockTrace::from_ops("pathological", ops).expect("well-formed");
-    assert_eq!(trace.lock_ops(), 50 * 4 + 299);
+    // Every burst nests four deep (the paper's max), and a steep skew
+    // sends nearly all of them to object 0 after the generator's first
+    // pass has touched each of the 300 objects once.
+    let profile = BenchmarkProfile {
+        name: "pathological",
+        description: "deep nesting on one hot object, many cold objects",
+        app_bytecode_bytes: 0,
+        lib_bytecode_bytes: 0,
+        objects_created: 300,
+        synchronized_objects: 300,
+        sync_operations: 300 + 50 * 4,
+        depth_fractions: [1.0; 4],
+        paper_speedup_thin: 1.0,
+        paper_speedup_ibm112: 1.0,
+    };
+    let cfg = TraceConfig {
+        scale: 1,
+        skew: 8.0,
+        work_per_sync: 0,
+        work_per_alloc: 0,
+        ..TraceConfig::default()
+    };
+    let trace = generate(&profile, &cfg);
+    assert_eq!(trace.lock_ops(), 300 + 50 * 4);
+    assert_eq!(characterize(&trace).depth_histogram[..4], [350, 50, 50, 50]);
+    let hot = trace
+        .ops()
+        .iter()
+        .filter(|&&op| op == TraceOp::Lock(0))
+        .count();
+    assert!(hot > 150, "object 0 takes most bursts: {hot} locks");
     for kind in ProtocolKind::ALL_BACKENDS {
         let p = kind.build(trace.required_heap_capacity(), 0);
         let reg = p.registry().register().unwrap();
         let out = replay(&*p, &trace, reg.token()).unwrap();
         assert_eq!(out.lock_ops, trace.lock_ops(), "{kind}");
+    }
+}
+
+/// The protocol's own event stream reproduces Figure 3: replaying
+/// generated Table 1 traces under thin locks with a [`LockStats`] sink
+/// attached counts exactly the nesting-depth histogram the characterizer
+/// computes from the trace, one thin unlock per lock, and — the traces
+/// being single-threaded — no contention, no fat lock and no inflation.
+#[test]
+fn lock_stats_reproduce_figure3_depth_histogram() {
+    let cfg = TraceConfig {
+        work_per_sync: 0,
+        work_per_alloc: 0,
+        ..quick_config()
+    };
+    for profile in &MACRO_BENCHMARKS {
+        let trace = generate(profile, &cfg);
+        let want = characterize(&trace);
+        let stats = Arc::new(LockStats::new());
+        let locks = ThinLocks::with_capacity(trace.required_heap_capacity())
+            .with_hooks(HookSet::new().sink(Arc::clone(&stats) as _));
+        let reg = locks.registry().register().unwrap();
+        replay(&locks, &trace, reg.token()).unwrap();
+
+        let got = stats.snapshot();
+        let name = profile.name;
+        assert_eq!(got.depth_histogram, want.depth_histogram, "{name}");
+        assert_eq!(got.total_locks(), want.sync_operations, "{name}");
+        assert_eq!(got.unlocks_thin, want.sync_operations, "{name}");
+        for (scenario, count) in LockScenario::ALL.iter().zip(got.scenario_counts) {
+            if matches!(
+                scenario,
+                LockScenario::ContendedThin
+                    | LockScenario::FatUncontended
+                    | LockScenario::FatContended
+            ) {
+                assert_eq!(count, 0, "{name}: {scenario}");
+            }
+        }
+        assert_eq!(got.total_inflations(), 0, "{name}");
+        assert_eq!(got.unlocks_fat, 0, "{name}");
     }
 }
