@@ -15,7 +15,7 @@
 //!   candidates. CI wires this into `scripts/check.sh`.
 //! * `--plan` — additionally runs the contention-shape pass over the
 //!   concurrent library, executes each program under the lock tracer,
-//!   and cross-checks the static `SyncPlan` against the dynamic
+//!   and cross-checks each site's static plan flags against the dynamic
 //!   `ContentionProfile` per allocation site: every site must agree, or
 //!   diverge only toward the conservative side (static protection on a
 //!   site the run left cold). Static shapes are also checked against
@@ -89,16 +89,16 @@ fn print_text(check: &Lockcheck) {
             if let Some(err) = &run.run_error {
                 println!("    RUN ERROR: {err}");
             }
-            for site in &run.sites {
-                let verdict = match site.agreement {
+            for row in &run.sites {
+                let verdict = match row.agreement {
                     Agreement::Agree => "agree",
                     Agreement::Conservative => "conservative (allowed)",
                     Agreement::Disagree => "DISAGREE",
                 };
                 let flags: Vec<&str> = [
-                    (site.plan.elide, "elide"),
-                    (site.plan.pre_inflate, "pre-inflate"),
-                    (site.plan.pin_fifo, "pin-fifo"),
+                    (row.site.elide, "elide"),
+                    (row.site.pre_inflate, "pre-inflate"),
+                    (row.site.pin_fifo, "pin-fifo"),
                 ]
                 .into_iter()
                 .filter_map(|(set, flag)| set.then_some(flag))
@@ -110,15 +110,15 @@ fn print_text(check: &Lockcheck) {
                 };
                 println!(
                     "    pool[{}] static={} hint={} flags={} dynamic: contended={} waits={} — {verdict}",
-                    site.pool,
-                    site.shape,
-                    site.plan.backend_hint.as_str(),
+                    row.site.pool,
+                    row.site.shape,
+                    row.site.backend_hint.as_str(),
                     flags,
-                    site.contended,
-                    site.waits,
+                    row.contended,
+                    row.waits,
                 );
-                if let Some(expected) = site.expected {
-                    if expected != site.shape {
+                if let Some(expected) = row.expected {
+                    if expected != row.site.shape.as_str() {
                         println!("      SHAPE MISMATCH: labeled ground truth is {expected}");
                     }
                 }
@@ -208,20 +208,20 @@ fn print_json(check: &Lockcheck) {
                 w.field_str("run_error", err);
             }
             w.begin_named_array("sites");
-            for site in &run.sites {
+            for row in &run.sites {
                 w.begin_object();
-                w.field_u64("pool", u64::from(site.pool));
-                w.field_str("static_shape", site.shape);
-                w.field_bool("elide", site.plan.elide);
-                w.field_bool("pre_inflate", site.plan.pre_inflate);
-                w.field_bool("pin_fifo", site.plan.pin_fifo);
-                w.field_str("backend_hint", site.plan.backend_hint.as_str());
-                if let Some(expected) = site.expected {
+                w.field_u64("pool", u64::from(row.site.pool));
+                w.field_str("static_shape", row.site.shape.as_str());
+                w.field_bool("elide", row.site.elide);
+                w.field_bool("pre_inflate", row.site.pre_inflate);
+                w.field_bool("pin_fifo", row.site.pin_fifo);
+                w.field_str("backend_hint", row.site.backend_hint.as_str());
+                if let Some(expected) = row.expected {
                     w.field_str("expected_shape", expected);
                 }
-                w.field_u64("dynamic_contended", site.contended);
-                w.field_u64("dynamic_waits", site.waits);
-                w.field_str("agreement", site.agreement.as_str());
+                w.field_u64("dynamic_contended", row.contended);
+                w.field_u64("dynamic_waits", row.waits);
+                w.field_str("agreement", row.agreement.as_str());
                 w.end_object();
             }
             w.end_array();

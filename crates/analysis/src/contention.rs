@@ -28,21 +28,20 @@
 //! | [`Shape::Churn`] | only dynamic (`aloadpool`) lock identities | deflating backend |
 //! | [`Shape::Uncontended`] | everything else | thin default |
 //!
-//! The result is a machine-readable [`SyncPlan`] the VM applies at
-//! startup
-//! (`Vm::apply_sync_plan`) and the bench harness can consume in place
-//! of a dynamic profile-derived plan. `lockcheck --plan` checks the
-//! static plan against the dynamic [`ContentionProfile`] per site; the
-//! agreement contract (divergence allowed only toward the conservative
-//! side) is stated in DESIGN.md §18 and enforced by
-//! [`classify_agreement`].
+//! Each [`SiteShape`] carries the plan its shape implies: the `elide`,
+//! `pre_inflate` and `pin_fifo` flags and a [`BackendHint`]. The plan is
+//! advisory: a caller acts on a flag through the matching protocol hint
+//! (`SyncProtocol::pre_inflate_hint`, `SyncProtocol::pin_fifo_hint`),
+//! and `lockcheck --plan` checks the static plan against the dynamic
+//! [`ContentionProfile`] per site; the agreement contract (divergence
+//! allowed only toward the conservative side) is stated in DESIGN.md §18
+//! and enforced by [`classify_agreement`].
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use thinlock_obs::{ContentionProfile, ObjectProfile};
 use thinlock_runtime::heap::ObjRef;
-use thinlock_vm::plan::{BackendHint, PlanEntry, SyncPlan};
 use thinlock_vm::program::{Method, Program};
 
 use crate::escape::EscapeReport;
@@ -110,6 +109,43 @@ impl fmt::Display for Shape {
     }
 }
 
+/// Which lock representation a site's predicted contention shape favors.
+///
+/// Advisory: it names a protocol *capability*, not a concrete backend.
+/// The mapping to backends goes through the capability probes on
+/// `BackendChoice` (`fifo_admission`, `deflation_capable`, ...).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
+pub enum BackendHint {
+    /// The featherweight default: a thin lock word is enough.
+    #[default]
+    Thin,
+    /// Park-heavy: start fat so waiters never inflate mid-wait.
+    Fat,
+    /// Hot and multi-threaded: FIFO admission keeps handoff fair.
+    Fifo,
+    /// Many short-lived monitors: a deflating backend bounds the
+    /// monitor population.
+    Deflating,
+}
+
+impl BackendHint {
+    /// Stable lowercase name used in JSON reports.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            BackendHint::Thin => "thin",
+            BackendHint::Fat => "fat",
+            BackendHint::Fifo => "fifo",
+            BackendHint::Deflating => "deflating",
+        }
+    }
+}
+
+impl fmt::Display for BackendHint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
 /// The contention verdict for one pool index.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SiteShape {
@@ -128,6 +164,15 @@ pub struct SiteShape {
     pub notifies: u64,
     /// One-line human-readable justification.
     pub reason: String,
+    /// Monitor operations on this site are provably thread-local and
+    /// may be removed (see `transform::elide_local_sync`).
+    pub elide: bool,
+    /// Switch to the expensive lock shape before the workload runs.
+    pub pre_inflate: bool,
+    /// Pin the object to FIFO admission for fair handoff.
+    pub pin_fifo: bool,
+    /// Preferred lock representation for this site.
+    pub backend_hint: BackendHint,
 }
 
 /// Result of the contention pass over one program.
@@ -140,8 +185,6 @@ pub struct ContentionReport {
     /// arguments) — the evidence behind [`Shape::Churn`], and a
     /// coverage caveat like `GuardsReport::unresolved_accesses`.
     pub unknown_weight: u64,
-    /// The machine-readable startup plan derived from the shapes.
-    pub plan: SyncPlan,
 }
 
 impl ContentionReport {
@@ -160,19 +203,14 @@ impl fmt::Display for ContentionReport {
             self.unknown_weight
         )?;
         for s in &self.sites {
-            let entry = self.plan.entry(s.pool).copied().unwrap_or_else(|| {
-                // Every site gets a plan entry; this is unreachable in
-                // reports built by `analyze`, but Display must not lie.
-                PlanEntry::neutral(s.pool)
-            });
             let mut flags = Vec::new();
-            if entry.elide {
+            if s.elide {
                 flags.push("elide");
             }
-            if entry.pre_inflate {
+            if s.pre_inflate {
                 flags.push("pre-inflate");
             }
-            if entry.pin_fifo {
+            if s.pin_fifo {
                 flags.push("pin-fifo");
             }
             let flags = if flags.is_empty() {
@@ -183,7 +221,7 @@ impl fmt::Display for ContentionReport {
             writeln!(
                 f,
                 "  pool[{}]: {} ({}){} [hint {}]",
-                s.pool, s.shape, s.reason, flags, entry.backend_hint
+                s.pool, s.shape, s.reason, flags, s.backend_hint
             )?;
         }
         Ok(())
@@ -307,8 +345,8 @@ struct PoolStats {
 }
 
 /// Runs the contention pass: grounds the per-role summaries at the
-/// entry roles, classifies every pool site, and derives the startup
-/// [`SyncPlan`].
+/// entry roles, classifies every pool site, and derives each site's
+/// plan flags from its shape.
 pub fn analyze(
     program: &Program,
     facts: &[MethodLockFacts],
@@ -356,7 +394,6 @@ pub fn analyze(
 
     let hinted: BTreeSet<u32> = nest.hints.iter().copied().collect();
     let mut sites = Vec::new();
-    let mut entries = Vec::new();
     for pool in 0..program.pool_size() {
         let s = stats.get(&pool).copied().unwrap_or_default();
         let locked_dynamically =
@@ -394,19 +431,13 @@ pub fn analyze(
         let pre_inflate = shape == Shape::WaitHeavy || (!elide && hinted.contains(&pool));
         let pin_fifo = shape == Shape::HotMutex;
         let backend_hint = match shape {
-            Shape::ThreadLocal => BackendHint::Thin,
             Shape::WaitHeavy => BackendHint::Fat,
             Shape::HotMutex => BackendHint::Fifo,
             Shape::Churn => BackendHint::Deflating,
-            Shape::Uncontended => {
-                if pre_inflate {
-                    // A nest-depth hint (predicted count overflow)
-                    // wants the fat shape even without contention.
-                    BackendHint::Fat
-                } else {
-                    BackendHint::Thin
-                }
-            }
+            // A nest-depth hint (predicted count overflow) wants the fat
+            // shape even without contention.
+            Shape::Uncontended if pre_inflate => BackendHint::Fat,
+            Shape::ThreadLocal | Shape::Uncontended => BackendHint::Thin,
         };
         sites.push(SiteShape {
             pool,
@@ -416,9 +447,6 @@ pub fn analyze(
             waits: s.waits,
             notifies: s.notifies,
             reason,
-        });
-        entries.push(PlanEntry {
-            pool,
             elide,
             pre_inflate,
             pin_fifo,
@@ -429,7 +457,6 @@ pub fn analyze(
     ContentionReport {
         sites,
         unknown_weight,
-        plan: SyncPlan { entries },
     }
 }
 
@@ -492,7 +519,7 @@ impl fmt::Display for Agreement {
     }
 }
 
-/// Compares one site's static plan entry against its dynamic profile.
+/// Compares one site's static plan against its dynamic profile.
 ///
 /// `contended` is the dynamic [`contended_acquisitions`] count, `waits` the
 /// dynamic wait count. The static side *protects* a site when it pins
@@ -505,10 +532,9 @@ impl fmt::Display for Agreement {
 ///   (`contended <= AGREE_COLD`, no waits) is a conservative
 ///   divergence;
 /// * everything else agrees.
-pub fn classify_agreement(entry: Option<&PlanEntry>, contended: u64, waits: u64) -> Agreement {
-    let protects = entry.is_some_and(|e| e.pin_fifo || e.pre_inflate);
-    let pre_inflates = entry.is_some_and(|e| e.pre_inflate);
-    if waits > 0 && !pre_inflates {
+pub fn classify_agreement(site: &SiteShape, contended: u64, waits: u64) -> Agreement {
+    let protects = site.pin_fifo || site.pre_inflate;
+    if waits > 0 && !site.pre_inflate {
         return Agreement::Disagree;
     }
     if contended >= AGREE_HOT && !protects {
@@ -601,9 +627,8 @@ mod tests {
         assert_eq!(site.shape, Shape::HotMutex, "{}", site.reason);
         assert_eq!(site.threads, 4);
         assert!(site.weight >= LOOP_WEIGHT * 4);
-        let entry = r.plan.entry(0).unwrap();
-        assert!(entry.pin_fifo && !entry.elide && !entry.pre_inflate);
-        assert_eq!(entry.backend_hint, BackendHint::Fifo);
+        assert!(site.pin_fifo && !site.elide && !site.pre_inflate);
+        assert_eq!(site.backend_hint, BackendHint::Fifo);
     }
 
     #[test]
@@ -622,8 +647,8 @@ mod tests {
         let r = run(&p, &EscapeContext::single_threaded());
         let site = r.site(0).unwrap();
         assert_eq!(site.shape, Shape::ThreadLocal);
-        assert!(r.plan.entry(0).unwrap().elide);
-        assert!(r.plan.pin_pools().is_empty());
+        assert!(site.elide);
+        assert!(!site.pin_fifo);
     }
 
     #[test]
@@ -645,8 +670,7 @@ mod tests {
         let r = run(&p, &EscapeContext::threads(4));
         let site = r.site(0).unwrap();
         assert_eq!(site.shape, Shape::Uncontended, "{}", site.reason);
-        let entry = r.plan.entry(0).unwrap();
-        assert!(!entry.pin_fifo && !entry.pre_inflate && !entry.elide);
+        assert!(!site.pin_fifo && !site.pre_inflate && !site.elide);
     }
 
     #[test]
@@ -668,9 +692,8 @@ mod tests {
         let site = r.site(0).unwrap();
         assert_eq!(site.shape, Shape::WaitHeavy, "{}", site.reason);
         assert!(site.waits > 0 && site.notifies > 0);
-        let entry = r.plan.entry(0).unwrap();
-        assert!(entry.pre_inflate && !entry.pin_fifo);
-        assert_eq!(entry.backend_hint, BackendHint::Fat);
+        assert!(site.pre_inflate && !site.pin_fifo);
+        assert_eq!(site.backend_hint, BackendHint::Fat);
     }
 
     #[test]
@@ -709,10 +732,7 @@ mod tests {
         for pool in 0..3 {
             let site = r.site(pool).unwrap();
             assert_eq!(site.shape, Shape::Churn, "pool[{pool}]: {}", site.reason);
-            assert_eq!(
-                r.plan.entry(pool).unwrap().backend_hint,
-                BackendHint::Deflating
-            );
+            assert_eq!(site.backend_hint, BackendHint::Deflating);
         }
     }
 
@@ -821,42 +841,59 @@ mod tests {
 
     #[test]
     fn agreement_rules_cover_the_lattice() {
-        let protect = PlanEntry {
-            pin_fifo: true,
-            ..PlanEntry::neutral(0)
+        let site = |pin_fifo, pre_inflate| SiteShape {
+            pool: 0,
+            shape: Shape::Uncontended,
+            threads: 0,
+            weight: 0,
+            waits: 0,
+            notifies: 0,
+            reason: String::new(),
+            elide: false,
+            pre_inflate,
+            pin_fifo,
+            backend_hint: BackendHint::Thin,
         };
-        let inflate = PlanEntry {
-            pre_inflate: true,
-            ..PlanEntry::neutral(0)
-        };
-        let neutral = PlanEntry::neutral(0);
+        let protect = site(true, false);
+        let inflate = site(false, true);
+        let neutral = site(false, false);
         // Hot dynamic site without static protection: disagree.
         assert_eq!(
-            classify_agreement(Some(&neutral), AGREE_HOT, 0),
+            classify_agreement(&neutral, AGREE_HOT, 0),
             Agreement::Disagree
         );
-        assert_eq!(classify_agreement(None, AGREE_HOT, 0), Agreement::Disagree);
         // Dynamic waiters demand pre-inflation specifically.
-        assert_eq!(
-            classify_agreement(Some(&protect), 0, 1),
-            Agreement::Disagree
-        );
-        assert_eq!(classify_agreement(Some(&inflate), 0, 1), Agreement::Agree);
+        assert_eq!(classify_agreement(&protect, 0, 1), Agreement::Disagree);
+        assert_eq!(classify_agreement(&inflate, 0, 1), Agreement::Agree);
         // Static protection on a cold site: conservative, enumerated.
         assert_eq!(
-            classify_agreement(Some(&protect), AGREE_COLD, 0),
+            classify_agreement(&protect, AGREE_COLD, 0),
             Agreement::Conservative
         );
         // The hysteresis band agrees either way.
         assert_eq!(
-            classify_agreement(Some(&protect), AGREE_COLD + 1, 0),
+            classify_agreement(&protect, AGREE_COLD + 1, 0),
             Agreement::Agree
         );
         assert_eq!(
-            classify_agreement(Some(&neutral), AGREE_HOT - 1, 0),
+            classify_agreement(&neutral, AGREE_HOT - 1, 0),
             Agreement::Agree
         );
         // Cold and unprotected: agree.
-        assert_eq!(classify_agreement(Some(&neutral), 0, 0), Agreement::Agree);
+        assert_eq!(classify_agreement(&neutral, 0, 0), Agreement::Agree);
+    }
+
+    #[test]
+    fn backend_hint_names_are_stable() {
+        for (h, s) in [
+            (BackendHint::Thin, "thin"),
+            (BackendHint::Fat, "fat"),
+            (BackendHint::Fifo, "fifo"),
+            (BackendHint::Deflating, "deflating"),
+        ] {
+            assert_eq!(h.as_str(), s);
+            assert_eq!(h.to_string(), s);
+        }
+        assert_eq!(BackendHint::default(), BackendHint::Thin);
     }
 }

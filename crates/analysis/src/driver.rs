@@ -4,9 +4,9 @@
 //! [`run`] analyzes the sequential catalog and, on request, the
 //! concurrent program library twice over: the race pass compares the
 //! guards pass with each program's ground-truth race label, and the
-//! plan pass replays each program under the lock tracer and checks the
-//! static `SyncPlan` against the dynamic `ContentionProfile`, site by
-//! site. Printing is the caller's: the binary renders text or JSON, the
+//! plan pass replays each program under the lock tracer and checks each
+//! site's static plan flags against the dynamic `ContentionProfile`.
+//! Printing is the caller's: the binary renders text or JSON, the
 //! reproduction harness a summary. [`sanitize`] is the dynamic Eraser
 //! replay that cross-checks the race pass.
 
@@ -15,11 +15,10 @@ use std::sync::Arc;
 use thinlock_obs::{ContentionProfile, EraserSanitizer, LockTracer, TracerConfig};
 use thinlock_trace::vmreplay::run_concurrent_program;
 use thinlock_vm::library;
-use thinlock_vm::plan::PlanEntry;
 use thinlock_vm::program::Program;
 use thinlock_vm::programs::{self, ConcurrentProgram, MicroBench};
 
-use crate::contention::{classify_agreement, contended_acquisitions, Agreement};
+use crate::contention::{classify_agreement, contended_acquisitions, Agreement, SiteShape};
 use crate::escape::EscapeContext;
 use crate::report::{analyze_concurrent, analyze_program, AnalysisReport};
 
@@ -99,12 +98,8 @@ pub struct RaceRun {
 /// One allocation site cross-checked static plan vs dynamic profile.
 #[derive(Debug)]
 pub struct PlanSite {
-    /// Pool index of the site.
-    pub pool: u32,
-    /// Static contention shape (stable lowercase name).
-    pub shape: &'static str,
-    /// The site's static plan entry.
-    pub plan: PlanEntry,
+    /// The site's static shape and plan flags.
+    pub site: SiteShape,
     /// Ground-truth label from `ConcurrentProgram::expected_shapes`,
     /// when the program carries one for this pool index.
     pub expected: Option<&'static str>,
@@ -263,7 +258,7 @@ fn analyze_races(totals: &mut Totals) -> Vec<RaceRun> {
         .collect()
 }
 
-/// The plan pass: static `SyncPlan` inference per concurrent program, a
+/// The plan pass: static plan inference per concurrent program, a
 /// traced dynamic run of the same program, and a per-site agreement
 /// verdict between the two.
 fn analyze_plans(totals: &mut Totals) -> Vec<PlanRun> {
@@ -280,7 +275,7 @@ fn analyze_plans(totals: &mut Totals) -> Vec<PlanRun> {
             let sites: Vec<PlanSite> = report
                 .contention
                 .sites
-                .iter()
+                .into_iter()
                 .map(|site| {
                     // The replay pool is allocated in order, so a profile
                     // object's heap index is its pool index.
@@ -290,13 +285,7 @@ fn analyze_plans(totals: &mut Totals) -> Vec<PlanRun> {
                         .find(|o| o.obj.index() == site.pool as usize)
                         .map(|o| (contended_acquisitions(o), o.waits))
                         .unwrap_or((0, 0));
-                    let plan = report
-                        .contention
-                        .plan
-                        .entry(site.pool)
-                        .copied()
-                        .unwrap_or_else(|| PlanEntry::neutral(site.pool));
-                    let agreement = classify_agreement(Some(&plan), contended, waits);
+                    let agreement = classify_agreement(&site, contended, waits);
                     let expected = entry
                         .expected_shapes
                         .iter()
@@ -312,9 +301,7 @@ fn analyze_plans(totals: &mut Totals) -> Vec<PlanRun> {
                         totals.plan_shape_mismatches += 1;
                     }
                     PlanSite {
-                        pool: site.pool,
-                        shape: site.shape.as_str(),
-                        plan,
+                        site,
                         expected,
                         contended,
                         waits,

@@ -198,7 +198,6 @@ struct FieldState {
 /// Runs the guards pass: lockset intersection per field across every
 /// access reachable from the given concurrent entry roles.
 pub fn analyze(
-    program: &Program,
     facts: &[MethodLockFacts],
     roles: &[EntryRole],
     ctx: &EscapeContext,
@@ -275,7 +274,6 @@ pub fn analyze(
             });
         }
     }
-    let _ = program; // reserved: the pass only needs the lockstack facts
     report
 }
 
@@ -341,7 +339,7 @@ mod tests {
     fn run(program: &Program, threads: u32) -> GuardsReport {
         let facts = lockstack::analyze_program(program);
         let ctx = EscapeContext::threads(threads);
-        analyze(program, &facts, &default_roles(program, &ctx), &ctx)
+        analyze(&facts, &default_roles(program, &ctx), &ctx)
     }
 
     #[test]
@@ -371,7 +369,7 @@ mod tests {
         let facts = lockstack::analyze_program(&p);
         // Two threads, but the pool object is not shared by the harness.
         let ctx = EscapeContext::with_shared(2, std::iter::empty());
-        let r = analyze(&p, &facts, &default_roles(&p, &ctx), &ctx);
+        let r = analyze(&facts, &default_roles(&p, &ctx), &ctx);
         assert!(r.is_race_free(), "unshared object cannot race");
     }
 
@@ -449,7 +447,7 @@ mod tests {
                 threads: 2,
             },
         ];
-        let r = analyze(&p, &facts, &roles, &ctx);
+        let r = analyze(&facts, &roles, &ctx);
         assert!(!r.is_race_free());
         assert_eq!(r.races[0].threads, 3);
         assert!(r.facts.is_empty());

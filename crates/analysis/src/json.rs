@@ -203,13 +203,13 @@ pub fn write_report(w: &mut JsonWriter, name: &str, thread_count: u32, report: &
     w.end_array();
     w.field_u64("unknown_weight", report.contention.unknown_weight);
     w.begin_named_array("plan");
-    for entry in &report.contention.plan.entries {
+    for site in &report.contention.sites {
         w.begin_object();
-        w.field_u64("pool", u64::from(entry.pool));
-        w.field_bool("elide", entry.elide);
-        w.field_bool("pre_inflate", entry.pre_inflate);
-        w.field_bool("pin_fifo", entry.pin_fifo);
-        w.field_str("backend_hint", entry.backend_hint.as_str());
+        w.field_u64("pool", u64::from(site.pool));
+        w.field_bool("elide", site.elide);
+        w.field_bool("pre_inflate", site.pre_inflate);
+        w.field_bool("pin_fifo", site.pin_fifo);
+        w.field_str("backend_hint", site.backend_hint.as_str());
         w.end_object();
     }
     w.end_array();

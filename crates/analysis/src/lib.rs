@@ -29,9 +29,11 @@
 //!   sanitizer in `thinlock_obs`.
 //! * [`contention`] — interprocedural contention-shape inference: loop
 //!   weights times thread roles classify every pool site (thread-local,
-//!   uncontended, hot-mutex, wait-heavy, churn) and emit a startup
-//!   `SyncPlan` (elision, pre-inflation, FIFO pinning, backend hints)
-//!   the VM applies via `Vm::apply_sync_plan`. `lockcheck --plan`
+//!   uncontended, hot-mutex, wait-heavy, churn), and each site's verdict
+//!   carries the plan its shape implies (elision, pre-inflation, FIFO
+//!   pinning, a backend hint). The plan is advisory: a caller delivers
+//!   a flag through the protocol's `pre_inflate_hint` or
+//!   `pin_fifo_hint`. `lockcheck --plan`
 //!   cross-checks the static plan against the dynamic
 //!   `ContentionProfile` of the same program, site by site.
 //!

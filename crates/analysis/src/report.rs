@@ -93,7 +93,7 @@ pub fn analyze_program_with_roles(
     let lock_order = lockorder::build(&methods);
     let escape = escape::analyze(program, &methods, ctx);
     let nest = nestdepth::analyze(&methods);
-    let guards = guards::analyze(program, &methods, roles, ctx);
+    let guards = guards::analyze(&methods, roles, ctx);
     let contention = contention::analyze(program, &methods, roles, &escape, &nest);
     AnalysisReport {
         verify_errors,

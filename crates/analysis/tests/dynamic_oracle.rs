@@ -21,6 +21,7 @@ use thinlock::ThinLocks;
 use thinlock_analysis::analyze_program;
 use thinlock_analysis::escape::EscapeContext;
 use thinlock_analysis::lockstack::Sym;
+use thinlock_runtime::backend::SyncBackend;
 use thinlock_runtime::heap::{Heap, ObjRef};
 use thinlock_runtime::hooks::HookSet;
 use thinlock_runtime::protocol::{SyncProtocol, WaitOutcome};
@@ -256,7 +257,7 @@ fn elided_program_computes_same_result_with_zero_lock_traffic() {
         for &obj in &pool2 {
             assert!(locks2.lock_word(obj).is_unlocked(), "{bench}");
         }
-        assert_eq!(locks2.inflated_count(), 0, "{bench}");
+        assert_eq!(locks2.inflation_count(), 0, "{bench}");
     }
 }
 
@@ -318,7 +319,7 @@ fn pre_inflation_hints_eliminate_overflow_inflation_impl() {
         "hints must prevent overflow: {warm:?}"
     );
     assert_eq!(warm.inflations[3], 1);
-    assert_eq!(locks.inflated_count(), 1);
+    assert_eq!(locks.inflation_count(), 1);
 }
 
 #[test]

@@ -7,7 +7,7 @@
 //! | Figure 3 | [`figure3_rows`] | `fig3` |
 //! | Figure 4 | [`run_micro`], [`run_micro_threads`] | `fig4` |
 //! | Figure 5 | [`macro_speedups`] | `fig5` |
-//! | Figure 6 | [`run_variant`] | `fig6` |
+//! | Figure 6 | [`run_variant_sampled`] | `fig6` |
 //!
 //! [`report::run_sections`] is the one driver of every artifact: the
 //! `reproduce` binary prints and records its sections, and `benchgate`
@@ -169,14 +169,14 @@ impl fmt::Display for MicroResult {
     }
 }
 
-/// Repetitions used by [`min_time`] / [`median_time`]: enough to shed
-/// scheduler noise on a shared host without exploding runtime.
+/// Repetitions used by [`min_time`]: enough to shed scheduler noise on a
+/// shared host without exploding runtime.
 pub const DEFAULT_REPS: usize = 5;
 
 /// Runs `f` `reps` times and returns every repetition's duration, in
-/// execution order. [`min_time`] and [`median_time`] summarize this; the
-/// benchmark telemetry pipeline ([`benchjson`]) keeps the raw samples
-/// for its MAD/bootstrap statistics.
+/// execution order. [`min_time`] summarizes this; the benchmark
+/// telemetry pipeline ([`benchjson`]) keeps the raw samples for its
+/// MAD/bootstrap statistics.
 pub fn sample_times(reps: usize, mut f: impl FnMut()) -> Vec<Duration> {
     assert!(reps > 0);
     (0..reps)
@@ -186,13 +186,6 @@ pub fn sample_times(reps: usize, mut f: impl FnMut()) -> Vec<Duration> {
             start.elapsed()
         })
         .collect()
-}
-
-/// Runs `f` `reps` times and returns the median duration.
-pub fn median_time(reps: usize, f: impl FnMut()) -> Duration {
-    let mut times = sample_times(reps, f);
-    times.sort_unstable();
-    times[times.len() / 2]
 }
 
 /// Runs `f` `reps` times and returns the fastest duration.
@@ -402,13 +395,9 @@ impl fmt::Display for Variant {
     }
 }
 
-/// Runs one Figure 6 cell: `bench` under the given thin-lock variant.
-pub fn run_variant(variant: Variant, bench: MicroBench, iters: i32) -> MicroResult {
-    run_variant_sampled(variant, bench, iters).0
-}
-
-/// [`run_variant`] plus the raw per-repetition samples (ns per
-/// iteration, execution order). As in [`run_micro_sampled`], each
+/// Runs one Figure 6 cell, `bench` under the given thin-lock variant,
+/// returning the fastest time and the raw per-repetition samples (ns
+/// per iteration, execution order). As in [`run_micro_sampled`], each
 /// repetition gets a freshly built protocol instance.
 pub fn run_variant_sampled(
     variant: Variant,
@@ -565,80 +554,6 @@ pub fn figure3_rows(config: &TraceConfig) -> Vec<(&'static str, [f64; 4])> {
             )
         })
         .collect()
-}
-
-/// Result of the phased (contend-then-private) ablation comparing one-way
-/// inflation against deflation. See [`phased_ablation`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PhasedAblation {
-    /// Time the base protocol (permanently inflated after phase 1) took
-    /// for the private phase.
-    pub thin_private: Duration,
-    /// Time the deflating CJM protocol took for the private phase.
-    pub cjm_private: Duration,
-    /// Inflations performed by the deflating protocol.
-    pub cjm_inflations: u64,
-    /// Deflations performed by the deflating protocol.
-    pub cjm_deflations: u64,
-}
-
-impl PhasedAblation {
-    /// How much faster the deflating backend runs the private phase
-    /// (thin over CJM).
-    pub fn private_phase_speedup(&self) -> f64 {
-        self.thin_private.as_secs_f64() / self.cjm_private.as_secs_f64().max(f64::MIN_POSITIVE)
-    }
-}
-
-/// The ablation of the paper's one-way-inflation rule: a lock sees one
-/// burst of `wait`-induced inflation (phase 1), then `private_iters` of
-/// single-threaded lock/unlock (phase 2).
-///
-/// Under the paper's design the lock stays fat and phase 2 pays the
-/// monitor cost forever; under CJM the quiet release deflates it and
-/// phase 2 runs at thin-lock speed. The return value quantifies the gap —
-/// and `cjm_inflations` shows the price (re-inflation on each
-/// contended episode) that made the paper choose permanence for
-/// simplicity.
-pub fn phased_ablation(private_iters: u32) -> PhasedAblation {
-    fn contend_once<P: SyncProtocol>(p: &P) {
-        let reg = p.registry().register().expect("registry");
-        let t = reg.token();
-        let obj = ObjRef::from_index(0);
-        p.lock(obj, t).expect("lock");
-        let _ = p.wait(obj, t, Some(Duration::from_millis(1)));
-        p.unlock(obj, t).expect("unlock");
-    }
-    fn private_phase<P: SyncProtocol>(p: &P, iters: u32) -> Duration {
-        let reg = p.registry().register().expect("registry");
-        let t = reg.token();
-        let obj = ObjRef::from_index(0);
-        min_time(DEFAULT_REPS, || {
-            for _ in 0..iters {
-                p.lock(obj, t).expect("lock");
-                p.unlock(obj, t).expect("unlock");
-            }
-        })
-    }
-
-    let thin = ThinLocks::with_capacity(2);
-    thin.heap().alloc().expect("alloc");
-    contend_once(&thin);
-    assert!(thin.lock_word(ObjRef::from_index(0)).is_fat());
-    let thin_private = private_phase(&thin, private_iters);
-
-    let cjm = CjmLocks::with_capacity(2);
-    cjm.heap().alloc().expect("alloc");
-    contend_once(&cjm);
-    assert!(cjm.lock_word(ObjRef::from_index(0)).is_unlocked());
-    let cjm_private = private_phase(&cjm, private_iters);
-
-    PhasedAblation {
-        thin_private,
-        cjm_private,
-        cjm_inflations: cjm.inflation_count(),
-        cjm_deflations: cjm.deflation_count(),
-    }
 }
 
 /// Objects the churn workload rotates over (also the monitor-population
@@ -883,7 +798,7 @@ pub fn run_fairness(choice: BackendChoice, threads: usize, acquisitions: u64) ->
 /// [`FissileLocks`] instance, and again to re-measure the object it
 /// pinned: the one [`dynamic_pins`](thinlock_analysis::contention::dynamic_pins)
 /// selects from that profile, through
-/// [`pin_fifo`](thinlock::LockCore::pin_fifo).
+/// [`pin_fifo_hint`](SyncProtocol::pin_fifo_hint).
 pub fn fairness_rep(
     locks: &Arc<dyn SyncBackend + Send + Sync>,
     obj: ObjRef,
@@ -1227,7 +1142,7 @@ mod tests {
     #[test]
     fn all_variants_run() {
         for v in Variant::ALL {
-            let r = run_variant(v, MicroBench::Sync, 50);
+            let (r, _) = run_variant_sampled(v, MicroBench::Sync, 50);
             assert_eq!(r.implementation, v.name());
         }
     }
@@ -1284,12 +1199,17 @@ mod tests {
 
     #[test]
     fn phased_ablation_shows_deflation_benefit() {
-        let r = phased_ablation(2_000);
-        assert_eq!(r.cjm_deflations, 1);
-        assert_eq!(r.cjm_inflations, 1);
+        // The `ablations/phased/*` records: one contended episode, then
+        // one private phase, per backend.
+        let thin = run_churn(BackendChoice::Thin, 1, 1, 2_000);
+        let cjm = run_churn(BackendChoice::Cjm, 1, 1, 2_000);
+        assert_eq!(thin.monitors_live, 1, "thin stays fat after the episode");
+        assert_eq!(cjm.monitors_live, 0, "cjm deflates after the episode");
+        assert_eq!(cjm.deflations, 1);
+        assert_eq!(cjm.inflations, 1);
         assert!(
-            r.private_phase_speedup() > 1.0,
-            "deflated private phase must be faster: {r:?}"
+            thin.ns_per_op > cjm.ns_per_op,
+            "deflated private phase must be faster: thin {thin:?} vs cjm {cjm:?}"
         );
     }
 
@@ -1422,7 +1342,7 @@ mod tests {
         assert!(!pins.contains(&cold), "uncontended object left reactive");
 
         for &obj in &pins {
-            locks.pin_fifo(obj);
+            assert!(locks.pin_fifo_hint(obj));
         }
         assert!(locks.pinned(hot) && !locks.pinned(cold));
     }
@@ -1560,17 +1480,17 @@ mod tests {
 
     #[test]
     fn static_plan_reproduces_pinned_fairness() {
-        // Statically infer the SyncPlan for the hot-object program — no
+        // Statically infer the plan for the hot-object program — no
         // dynamic profiling anywhere in this test.
         let entry = thinlock_vm::programs::concurrent_library()
             .into_iter()
             .find(|e| e.name == "hot-object")
             .expect("hot-object is in the concurrent library");
         let report = thinlock_analysis::analyze_concurrent(&entry);
-        let plan = &report.contention.plan;
+        let sites = &report.contention.sites;
         assert!(
-            plan.entry(0).is_some_and(|e| e.pin_fifo),
-            "static pass pins the hot site: {plan:?}"
+            report.contention.site(0).is_some_and(|s| s.pin_fifo),
+            "static pass pins the hot site: {sites:?}"
         );
 
         // Apply the static plan to a fresh fissile backend and measure
@@ -1582,8 +1502,8 @@ mod tests {
         let pool: Vec<ObjRef> = (0..entry.program.pool_size())
             .map(|_| adaptive.heap().alloc().unwrap())
             .collect();
-        for pin in plan.pin_pools() {
-            adaptive.pin_fifo(pool[pin as usize]);
+        for site in sites.iter().filter(|s| s.pin_fifo) {
+            assert!(adaptive.pin_fifo_hint(pool[site.pool as usize]));
         }
         assert!(adaptive.pinned(pool[0]));
 
@@ -1674,11 +1594,5 @@ mod tests {
         assert_eq!(profile.dropped, 0, "rings sized for the corpus");
         // The hot object dominates the ranking.
         assert_eq!(profile.objects[0].acquire_unlocked, 1_000);
-    }
-
-    #[test]
-    fn median_time_is_monotone_reasonable() {
-        let d = median_time(3, || std::thread::sleep(Duration::from_millis(2)));
-        assert!(d >= Duration::from_millis(1));
     }
 }

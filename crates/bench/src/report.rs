@@ -582,7 +582,7 @@ fn fairness(iters: i32, backends: &[thinlock::BackendChoice], out: &mut BenchRep
     let profile = thinlock_obs::ContentionProfile::build(&tracer.snapshot());
     let pins = thinlock_analysis::contention::dynamic_pins(&profile, (pool / 16).max(1));
     for &obj in &pins {
-        adaptive.pin_fifo(obj);
+        adaptive.pin_fifo_hint(obj);
     }
     assert!(
         adaptive.pinned(hot) && !adaptive.pinned(cold),
@@ -712,16 +712,21 @@ fn ablations(cfg: &TraceConfig, iters: i32, out: &mut BenchReport) {
     heading("Ablations: the paper's design choices, measured (DESIGN.md §8)");
 
     println!("(a) One-way inflation vs deflation (CJM):");
-    let phased = crate::phased_ablation((iters / 4).max(1_000) as u32);
+    // One contended episode, then one private phase: the churn workload
+    // on one object for one round.
+    let private_iters = (iters / 4).max(1_000) as u32;
+    let [thin, cjm] = [thinlock::BackendChoice::Thin, thinlock::BackendChoice::Cjm]
+        .map(|choice| crate::run_churn(choice, 1, 1, private_iters));
+    let private_ns = |run: &crate::ChurnRun| run.ns_per_op * f64::from(private_iters);
+    let speedup = thin.ns_per_op / cjm.ns_per_op.max(f64::MIN_POSITIVE);
     println!(
-        "    private phase after one contended episode: permanent-fat {:.2?} vs deflating {:.2?} ({:.1}x)",
-        phased.thin_private,
-        phased.cjm_private,
-        phased.private_phase_speedup()
+        "    private phase after one contended episode: permanent-fat {:.0} ns vs deflating {:.0} ns ({speedup:.1}x)",
+        private_ns(&thin),
+        private_ns(&cjm),
     );
     println!(
         "    deflating backend performed {} inflation(s) / {} deflation(s)",
-        phased.cjm_inflations, phased.cjm_deflations
+        cjm.inflations, cjm.deflations
     );
     out.push(BenchRecord::scalar(
         "ablations/phased/thin_private_ns",
@@ -730,7 +735,7 @@ fn ablations(cfg: &TraceConfig, iters: i32, out: &mut BenchReport) {
         "ns",
         GateClass::Macro,
         Direction::LowerIsBetter,
-        phased.thin_private.as_nanos() as f64,
+        private_ns(&thin),
     ));
     out.push(BenchRecord::scalar(
         "ablations/phased/cjm_private_ns",
@@ -739,7 +744,7 @@ fn ablations(cfg: &TraceConfig, iters: i32, out: &mut BenchReport) {
         "ns",
         GateClass::Macro,
         Direction::LowerIsBetter,
-        phased.cjm_private.as_nanos() as f64,
+        private_ns(&cjm),
     ));
     out.push(BenchRecord::scalar(
         "ablations/phased/private_phase_speedup",
@@ -748,7 +753,7 @@ fn ablations(cfg: &TraceConfig, iters: i32, out: &mut BenchReport) {
         "ratio",
         GateClass::Ratio,
         Direction::Informational,
-        phased.private_phase_speedup(),
+        speedup,
     ));
     out.push(BenchRecord::scalar(
         "ablations/phased/cjm_inflations",
@@ -757,7 +762,7 @@ fn ablations(cfg: &TraceConfig, iters: i32, out: &mut BenchReport) {
         "count",
         GateClass::Exact,
         Direction::Informational,
-        phased.cjm_inflations as f64,
+        cjm.inflations as f64,
     ));
     out.push(BenchRecord::scalar(
         "ablations/phased/cjm_deflations",
@@ -766,7 +771,7 @@ fn ablations(cfg: &TraceConfig, iters: i32, out: &mut BenchReport) {
         "count",
         GateClass::Exact,
         Direction::Informational,
-        phased.cjm_deflations as f64,
+        cjm.deflations as f64,
     ));
 
     println!("(b) Nest-count width (paper: \"2 or 3 bits is probably sufficient\"):");
@@ -889,15 +894,15 @@ fn lockcheck(out: &mut BenchReport) {
         if let Some(e) = &run.run_error {
             println!("    {}: replay failed: {e}", run.entry.name);
         }
-        for site in &run.sites {
+        for row in &run.sites {
             println!(
                 "    {:22} pool[{}] static={:12} contended={:3} waits={:3} — {}",
                 run.entry.name,
-                site.pool,
-                site.shape,
-                site.contended,
-                site.waits,
-                site.agreement.as_str(),
+                row.site.pool,
+                row.site.shape.as_str(),
+                row.contended,
+                row.waits,
+                row.agreement.as_str(),
             );
         }
     }

@@ -47,6 +47,7 @@ macro_rules! rows {
             lost_pre_inflate_cas_gives_its_slot_back,
             counting_sink_pins_the_scenario_totals,
             failed_wait_and_notify_are_not_counted,
+            pin_fifo_hint_pins_only_on_fifo_backends,
         );
     };
     (@each $fresh:expr; $($name:ident),* $(,)?) => {
@@ -92,7 +93,7 @@ pub(crate) fn lock_unlock_restores_word_exactly<P: Policy>(fresh: Fresh<P>) {
     assert_eq!(held.header_bits(), before.header_bits());
     p.unlock(obj, t).unwrap();
     assert_eq!(p.lock_word(obj), before, "word restored bit-for-bit");
-    assert_eq!(p.inflated_count(), 0);
+    assert_eq!(p.inflation_count(), 0);
 }
 
 pub(crate) fn unlock_errors_mirror_java<P: Policy>(fresh: Fresh<P>) {
@@ -122,7 +123,7 @@ pub(crate) fn count_overflow_inflates_at_257th_lock<P: Policy>(fresh: Fresh<P>) 
     assert_eq!(u32::from(p.lock_word(obj).thin_count()), 255);
     p.lock(obj, t).unwrap(); // the paper's "excessive" 257th
     assert!(p.lock_word(obj).is_fat());
-    assert_eq!(p.inflated_count(), 1);
+    assert_eq!(p.inflation_count(), 1);
     // All 257 unlocks must succeed through the fat path.
     for _ in 0..257 {
         p.unlock(obj, t).unwrap();
@@ -198,7 +199,7 @@ pub(crate) fn wait_notify_inflates_and_works<P: Policy>(fresh: Fresh<P>) {
     p.notify(obj, t).unwrap();
     p.unlock(obj, t).unwrap();
     assert_eq!(waiter.join().unwrap(), WaitOutcome::Notified);
-    assert_eq!(p.inflated_count(), 1);
+    assert_eq!(p.inflation_count(), 1);
 }
 
 pub(crate) fn try_lock_thin_nested_and_contended<P: Policy>(fresh: Fresh<P>) {
@@ -244,7 +245,7 @@ pub(crate) fn try_lock_count_overflow_inflates_at_257th<P: Policy>(fresh: Fresh<
     assert_eq!(u32::from(p.lock_word(obj).thin_count()), 255);
     assert_eq!(p.try_lock(obj, t), Ok(true), "the 257th");
     assert!(p.lock_word(obj).is_fat());
-    assert_eq!(p.inflated_count(), 1);
+    assert_eq!(p.inflation_count(), 1);
     for _ in 0..257 {
         p.unlock(obj, t).unwrap();
     }
@@ -425,7 +426,7 @@ pub(crate) fn monitor_allocation_is_traced_and_injected_exhaustion_consumes_no_s
         "exhaustion left the word thin"
     );
     assert_eq!(
-        p.monitors_allocated(),
+        p.inflation_count(),
         0,
         "injected exhaustion consumed no slot"
     );
@@ -438,7 +439,7 @@ pub(crate) fn monitor_allocation_is_traced_and_injected_exhaustion_consumes_no_s
     // a fresh slot per object, a deflating one recycles the first.
     let second = if p.deflation_capable() { 0 } else { 1 };
     assert_eq!(*allocations.0.lock().unwrap(), [0, second]);
-    assert_eq!(p.monitors_allocated(), 2);
+    assert_eq!(p.inflation_count(), 2);
 }
 
 /// A thread thin-locks the object between `pre_inflate`'s install and its
@@ -561,4 +562,42 @@ pub(crate) fn failed_wait_and_notify_are_not_counted<P: Policy>(fresh: Fresh<P>)
     assert_eq!(p.notify_all(obj, t), Err(SyncError::NotLocked));
     let snap = stats.snapshot();
     assert_eq!((snap.waits, snap.notifies), (0, 0));
+}
+
+/// `pin_fifo_hint` is the one pin entry point. Fissile and hapax honor
+/// it: a pinned object is still in FIFO admission after its queue drains
+/// (fissile keeps the pin until `release_fifo`, see
+/// `fissile::tests::pinning_survives_queue_drain`; hapax admits every
+/// object in FIFO order). Thin and cjm refuse it, and a pinned object's
+/// lock word and lock/unlock events are those of an unpinned one.
+pub(crate) fn pin_fifo_hint_pins_only_on_fifo_backends<P: Policy>(fresh: Fresh<P>) {
+    // One lock/unlock pair on a fresh object, pinned first or not: the
+    // hint's answer, the held word, whether the object is in FIFO
+    // admission after the release retired its only ticket, and the
+    // events the pair emitted.
+    let pair = |pin: bool| {
+        let stats = Arc::new(LockStats::new());
+        let p = fresh(4).with_hooks(HookSet::new().sink(Arc::clone(&stats) as _));
+        let r = p.registry().register().unwrap();
+        let t = r.token();
+        let obj = p.heap().alloc().unwrap();
+        let neutral = p.lock_word(obj);
+        let pinned = pin && p.pin_fifo_hint(obj);
+        assert_eq!(p.lock_word(obj), neutral, "a pin leaves the word alone");
+        p.lock(obj, t).unwrap();
+        let held = p.lock_word(obj);
+        p.unlock(obj, t).unwrap();
+        assert_eq!(p.lock_word(obj), neutral);
+        let fifo = p.policy.queue(obj).is_some();
+        (pinned, held, fifo, stats.snapshot())
+    };
+    let fifo_backend = matches!(P::NAME, "Fissile" | "Hapax");
+    let (pinned, held, fifo, events) = pair(true);
+    assert_eq!(pinned, fifo_backend, "pin_fifo_hint on {}", P::NAME);
+    assert_eq!(fifo, fifo_backend, "FIFO admission after the drain");
+    if !fifo_backend {
+        let (_, plain_held, _, plain_events) = pair(false);
+        assert_eq!(held, plain_held);
+        assert_eq!(events, plain_events);
+    }
 }

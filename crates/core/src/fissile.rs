@@ -18,7 +18,7 @@
 //!      │        retired, none outstanding)            │ FIFO tickets
 //!      └──────────────────────────────────────────────┘
 //!
-//!   PINNED: FISSIONED forced by a pin (a contention profile's plan);
+//!   PINNED: FISSIONED forced by a pin (`SyncProtocol::pin_fifo_hint`);
 //!   never re-coheres until [`release_fifo`](LockCore::release_fifo).
 //! ```
 //!
@@ -48,6 +48,7 @@
 //!
 //! ```
 //! use thinlock::FissileLocks;
+//! use thinlock_runtime::backend::SyncBackend;
 //! use thinlock_runtime::protocol::SyncProtocol;
 //!
 //! let locks = FissileLocks::with_capacity(8);
@@ -61,7 +62,7 @@
 //! assert!(locks.is_fissioned(obj));
 //! locks.unlock(obj, me)?;           // retires the last ticket...
 //! assert!(!locks.is_fissioned(obj)); // ...so the lock re-coheres
-//! assert_eq!(locks.inflated_count(), 0, "fission is not inflation");
+//! assert_eq!(locks.inflation_count(), 0, "fission is not inflation");
 //! # Ok::<(), thinlock_runtime::SyncError>(())
 //! ```
 
@@ -189,13 +190,6 @@ impl<C: FastPathConfig, H: Hooks> LockCore<Fissile, C, H> {
         self.policy.shift(obj, COHERED, FISSIONED)
     }
 
-    /// Pins `obj` into FIFO mode: like [`fission`](LockCore::fission)
-    /// but exempt from re-cohesion, for objects a contention profile has
-    /// classified as persistently contended.
-    pub fn pin_fifo(&self, obj: ObjRef) {
-        self.policy.pin(obj);
-    }
-
     /// Releases a pin, restoring the cohered fast path. Outstanding
     /// tickets keep draining through the exactly-once retirement rule;
     /// new lockers go back to the thin fast path.
@@ -214,6 +208,7 @@ mod tests {
     use super::*;
     use std::thread;
     use std::time::Duration;
+    use thinlock_runtime::backend::SyncBackend;
     use thinlock_runtime::protocol::SyncProtocol;
 
     fn fresh(capacity: usize) -> FissileLocks {
@@ -236,7 +231,7 @@ mod tests {
         p.unlock(obj, t).unwrap();
         assert!(!p.is_fissioned(obj), "drained queue re-coheres");
         assert!(p.lock_word(obj).is_unlocked());
-        assert_eq!(p.inflated_count(), 0);
+        assert_eq!(p.inflation_count(), 0);
         // And the cohered fast path works again.
         p.lock(obj, t).unwrap();
         p.unlock(obj, t).unwrap();
@@ -248,7 +243,7 @@ mod tests {
         let r = p.registry().register().unwrap();
         let t = r.token();
         let obj = p.heap().alloc().unwrap();
-        p.pin_fifo(obj);
+        p.pin_fifo_hint(obj);
         assert!(p.pinned(obj));
         p.lock(obj, t).unwrap();
         p.unlock(obj, t).unwrap();
@@ -279,7 +274,7 @@ mod tests {
         barrier.wait();
         p.lock(obj, t).unwrap(); // exhausts the budget, fissions, queues
         assert!(p.holds_lock(obj, t));
-        assert_eq!(p.inflated_count(), 0, "contention must not inflate");
+        assert_eq!(p.inflation_count(), 0, "contention must not inflate");
         p.unlock(obj, t).unwrap();
         owner.join().unwrap();
         assert!(!p.is_fissioned(obj), "queue drained, lock re-cohered");
@@ -304,7 +299,7 @@ mod tests {
             }
             assert!(p.lock_word(obj).is_unlocked());
         }
-        assert_eq!(p.inflated_count(), 0);
+        assert_eq!(p.inflation_count(), 0);
     }
 
     #[test]
@@ -339,7 +334,7 @@ mod tests {
         assert!(p.lock_word(obj).is_unlocked(), "sweeper cleared the word");
         assert!(!p.is_fissioned(obj), "sweeper re-cohered the drained queue");
         // A pinned object keeps its pin through the same repair.
-        p.pin_fifo(obj);
+        p.pin_fifo_hint(obj);
         {
             let r = p.registry().register().unwrap();
             p.lock(obj, r.token()).unwrap();

@@ -147,6 +147,7 @@ mod tests {
     use super::*;
     use std::sync::Mutex;
     use std::thread;
+    use thinlock_runtime::backend::SyncBackend;
     use thinlock_runtime::protocol::SyncProtocol;
 
     fn fresh(capacity: usize) -> HapaxLocks {
@@ -205,7 +206,7 @@ mod tests {
         }
         assert_eq!(*order.lock().unwrap(), vec![0, 1, 2], "FIFO admission");
         assert_eq!(p.queue_depth(obj), 0);
-        assert_eq!(p.inflated_count(), 0, "contention never inflates");
+        assert_eq!(p.inflation_count(), 0, "contention never inflates");
     }
 
     #[test]

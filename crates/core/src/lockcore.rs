@@ -232,11 +232,6 @@ impl<P: Policy, C: FastPathConfig, H: Hooks> LockCore<P, C, H> {
         &self.config
     }
 
-    /// Number of locks inflated so far.
-    pub fn inflated_count(&self) -> usize {
-        self.monitors.allocated() as usize
-    }
-
     /// The raw lock word of `obj` — diagnostics and tests.
     pub fn lock_word(&self, obj: ObjRef) -> LockWord {
         self.cell(obj).load_relaxed()
@@ -252,14 +247,6 @@ impl<P: Policy, C: FastPathConfig, H: Hooks> LockCore<P, C, H> {
         } else {
             None
         }
-    }
-
-    /// The thread currently holding `obj`'s lock, thin or fat.
-    ///
-    /// Advisory: the answer can be stale by the time the caller acts on
-    /// it. The deadlock watchdog uses this to build waits-for edges.
-    pub fn owner_of(&self, obj: ObjRef) -> Option<ThreadIndex> {
-        SyncBackend::owner_of(self, obj)
     }
 
     #[inline]
@@ -1131,10 +1118,6 @@ impl<P: Policy, C: FastPathConfig, H: Hooks> SyncBackend for LockCore<P, C, H> {
 
     fn monitors_peak(&self) -> usize {
         self.monitors.peak()
-    }
-
-    fn monitors_allocated(&self) -> u64 {
-        self.monitors.allocated()
     }
 }
 

@@ -103,6 +103,7 @@ mod tests {
     use std::sync::Mutex;
     use std::thread;
     use std::time::Duration;
+    use thinlock_runtime::backend::SyncBackend;
     use thinlock_runtime::error::SyncError;
     use thinlock_runtime::events::{TraceEventKind, TraceSink};
     use thinlock_runtime::fault::{FaultAction, FaultInjector, InjectionPoint};
@@ -142,7 +143,7 @@ mod tests {
             p.unlock(obj, t).unwrap();
         }
         assert!(p.lock_word(obj).is_unlocked());
-        assert_eq!(p.inflated_count(), 0, "nesting alone never inflates");
+        assert_eq!(p.inflation_count(), 0, "nesting alone never inflates");
     }
 
     #[test]
@@ -221,7 +222,7 @@ mod tests {
         assert!(p.holds_lock(obj, t));
         p.unlock(obj, t).unwrap();
         owner.join().unwrap();
-        assert_eq!(p.inflated_count(), 1, "inflated exactly once");
+        assert_eq!(p.inflation_count(), 1, "inflated exactly once");
     }
 
     #[test]
@@ -349,7 +350,7 @@ mod tests {
         assert!(!p.holds_lock(obj, t));
         let snap = stats.snapshot();
         assert_eq!(snap.inflations, [0, 0, 0, 1], "only the hint inflation");
-        assert_eq!(p.inflated_count(), 1);
+        assert_eq!(p.inflation_count(), 1);
     }
 
     #[test]
@@ -527,6 +528,6 @@ mod tests {
         );
         p.unlock(obj, t).unwrap();
         owner.join().unwrap();
-        assert_eq!(p.inflated_count(), 0);
+        assert_eq!(p.inflation_count(), 0);
     }
 }

@@ -112,7 +112,7 @@ fn monitor_exhaustion_leaves_thin_locking_intact() {
         Some(SyncError::MonitorIndexExhausted)
     );
     assert_eq!(
-        locks.inflated_count(),
+        locks.inflation_count(),
         0,
         "failed inflation left no monitor"
     );
@@ -125,7 +125,7 @@ fn monitor_exhaustion_leaves_thin_locking_intact() {
 
     // Budget spent: the same object now inflates and locks fat.
     assert_eq!(locks.pre_inflate(obj), Ok(true));
-    assert_eq!(locks.inflated_count(), 1);
+    assert_eq!(locks.inflation_count(), 1);
     locks.lock(obj, t).unwrap();
     locks.unlock(obj, t).unwrap();
     assert_eq!(plan.fires(InjectionPoint::MonitorAllocate), 1);

@@ -7,6 +7,7 @@ use std::sync::Arc;
 
 use thinlock::ThinLocks;
 use thinlock_fault::FaultPlan;
+use thinlock_runtime::backend::SyncBackend;
 use thinlock_runtime::error::SyncError;
 use thinlock_runtime::fault::{FaultAction, InjectionPoint};
 use thinlock_runtime::heap::Heap;

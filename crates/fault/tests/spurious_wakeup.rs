@@ -14,6 +14,7 @@ use std::time::{Duration, Instant};
 use thinlock::thin::Thin;
 use thinlock::{DynamicConfig, LockCore, ThinLocks};
 use thinlock_fault::{FaultPlan, PPM};
+use thinlock_runtime::backend::SyncBackend;
 use thinlock_runtime::error::SyncError;
 use thinlock_runtime::fault::{FaultAction, InjectionPoint};
 use thinlock_runtime::hooks::HookSet;
@@ -132,7 +133,7 @@ fn notification_is_delivered_through_full_spurious_interference() {
     });
 
     // Wait until the waiter has released the monitor into its wait.
-    while locks.owner_of(obj).is_some() || locks.inflated_count() == 0 {
+    while locks.owner_of(obj).is_some() || locks.inflation_count() == 0 {
         std::thread::yield_now();
     }
     std::thread::sleep(Duration::from_millis(10));

@@ -6,6 +6,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use thinlock::{ThinLocks, Watchdog};
+use thinlock_runtime::backend::SyncBackend;
 use thinlock_runtime::error::SyncError;
 use thinlock_runtime::protocol::SyncProtocol;
 

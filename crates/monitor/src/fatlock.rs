@@ -520,22 +520,6 @@ impl FatLock {
         Ok(())
     }
 
-    /// Releases the monitor entirely regardless of depth, returning the
-    /// depth that was held. Pairs with [`lock_n`](FatLock::lock_n) inside
-    /// `wait`.
-    ///
-    /// # Errors
-    ///
-    /// [`SyncError::NotOwner`] / [`SyncError::NotLocked`] as for `unlock`.
-    pub fn release_all(&self, t: ThreadToken, registry: &ThreadRegistry) -> SyncResult<u32> {
-        let me = t.index();
-        let word = self.state.load(Ordering::Relaxed);
-        check_owner(word, me)?;
-        let depth = word_count(word);
-        self.release(held_by(me, depth), registry);
-        Ok(depth)
-    }
-
     /// Java `Object.wait([timeout])`: atomically releases the monitor
     /// (all levels), sleeps until notified / timed out / interrupted, then
     /// re-acquires the monitor to the saved depth before returning.
@@ -1103,20 +1087,6 @@ mod tests {
     }
 
     #[test]
-    fn release_all_returns_depth() {
-        let (lock, reg) = setup();
-        let r = reg.register().unwrap();
-        let t = r.token();
-        for _ in 0..4 {
-            lock.lock(t, &reg, &NoHooks).unwrap();
-        }
-        assert_eq!(lock.release_all(t, &reg).unwrap(), 4);
-        assert_eq!(lock.owner(), None);
-        assert_eq!(lock.release_all(t, &reg), Err(SyncError::NotLocked));
-        assert_queued_invariant(&lock);
-    }
-
-    #[test]
     fn display_shows_state() {
         let (lock, reg) = setup();
         assert!(lock.to_string().contains("free"));
@@ -1231,7 +1201,10 @@ mod tests {
         )
         .unwrap();
         assert_eq!(lock.count(), 3);
-        lock.release_all(t, &reg).unwrap();
+        for _ in 0..3 {
+            lock.unlock(t, &reg).unwrap();
+        }
+        assert_eq!(lock.owner(), None);
         assert_queued_invariant(&lock);
     }
 

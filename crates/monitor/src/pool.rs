@@ -190,7 +190,8 @@ mod tests {
         let a = table.install(obj, Some((t, 2)), &reg, &NoHooks).unwrap();
         let m = table.get(a).unwrap();
         assert_eq!(m.count(), 2, "a fresh slot is built owned");
-        m.release_all(t, &reg).unwrap();
+        m.unlock(t, &reg).unwrap();
+        m.unlock(t, &reg).unwrap();
         release(&table, a);
 
         // Same slot, new object: the existing FatLock is re-owned.

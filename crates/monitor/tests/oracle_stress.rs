@@ -202,31 +202,3 @@ fn heavy_reentrancy_stress() {
     assert_eq!(lock.owner(), None);
     assert_queued_invariant(&lock, &registry);
 }
-
-#[test]
-fn release_all_under_contention_restores_consistency() {
-    let lock = Arc::new(FatLock::new());
-    let registry = ThreadRegistry::new();
-    std::thread::scope(|scope| {
-        for who in 0..3usize {
-            let lock = Arc::clone(&lock);
-            let registry = registry.clone();
-            scope.spawn(move || {
-                let reg = registry.register().unwrap();
-                let t = reg.token();
-                for i in 0..200 {
-                    let depth = (who + i) % 5 + 1;
-                    for _ in 0..depth {
-                        lock.lock(t, &registry, &NoHooks).unwrap();
-                    }
-                    let released = lock.release_all(t, &registry).unwrap();
-                    assert_eq!(released as usize, depth);
-                }
-            });
-        }
-    });
-    assert_eq!(lock.owner(), None);
-    assert_eq!(lock.entry_queue_len(), 0);
-    assert_eq!(lock.wait_set_len(), 0);
-    assert_queued_invariant(&lock, &registry);
-}

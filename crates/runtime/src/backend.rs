@@ -90,8 +90,7 @@ impl MonitorProbe {
 /// * The population gauges count *distinct live monitors*, so a
 ///   deflating backend's [`monitors_live`](SyncBackend::monitors_live)
 ///   can fall back toward zero while
-///   [`monitors_allocated`](SyncBackend::monitors_allocated) only ever
-///   grows.
+///   [`inflation_count`](SyncBackend::inflation_count) only ever grows.
 /// * [`deflation_capable`](SyncBackend::deflation_capable) tells the
 ///   model checker which invariant to arm: one-way inflation for
 ///   `false`, deflation safety (never deflate an owned or waited-on
@@ -105,13 +104,7 @@ pub trait SyncBackend: SyncProtocol {
 
     /// Snapshot of the object's fat monitor, or `None` while the word
     /// is not fat (or its monitor index does not resolve).
-    ///
-    /// The default is for protocols with no fat representation at all
-    /// (oracles); real word-based backends must override it.
-    fn monitor_probe(&self, obj: ObjRef) -> Option<MonitorProbe> {
-        let _ = obj;
-        None
-    }
+    fn monitor_probe(&self, obj: ObjRef) -> Option<MonitorProbe>;
 
     /// The thread currently holding `obj`'s monitor, if any — thin
     /// owner from the word, fat owner from the monitor probe.
@@ -125,27 +118,16 @@ pub trait SyncBackend: SyncProtocol {
     }
 
     /// True while thread `t` is parked in a `wait` on `obj`'s monitor.
-    fn in_wait_set(&self, obj: ObjRef, t: ThreadToken) -> bool {
-        let _ = (obj, t);
-        false
-    }
+    fn in_wait_set(&self, obj: ObjRef, t: ThreadToken) -> bool;
 
     /// Whether a spin step by thread `t` on `obj` can make progress —
     /// the enabledness the model checker consults before granting a
     /// `LockSpin` step, so exhaustive exploration never schedules a
-    /// spinner that is guaranteed to loop back to the same state.
-    ///
-    /// The default matches spin-until-released protocols: a spinner can
-    /// advance once the word is unlocked (the CAS can win) or fat (the
-    /// monitor path takes over). FIFO-admission backends override this
-    /// to also require that the spinner's ticket has been granted;
-    /// without the override the checker would explore ungranted CAS
-    /// attempts that the protocol itself never makes.
-    fn spin_enabled(&self, obj: ObjRef, t: ThreadToken) -> bool {
-        let _ = t;
-        let word = self.probe_word(obj);
-        word.is_unlocked() || word.is_fat()
-    }
+    /// spinner that is guaranteed to loop back to the same state: a
+    /// spin-until-released spinner can advance once the word is unlocked
+    /// (the CAS can win) or fat (the monitor path takes over), and a
+    /// FIFO-admission spinner also needs its ticket granted.
+    fn spin_enabled(&self, obj: ObjRef, t: ThreadToken) -> bool;
 
     /// True if this backend can restore a fat word back to the neutral
     /// thin shape. Backends that return `true` emit
@@ -154,129 +136,30 @@ pub trait SyncBackend: SyncProtocol {
     /// [`SchedPoint::Deflate`](crate::schedule::SchedPoint::Deflate);
     /// backends that return `false` promise one-way inflation and the
     /// model checker holds them to it.
-    fn deflation_capable(&self) -> bool {
-        false
-    }
+    fn deflation_capable(&self) -> bool;
 
-    /// Total thin-to-fat transitions performed so far.
-    fn inflation_count(&self) -> u64 {
-        0
-    }
+    /// Total thin-to-fat transitions performed so far: monitor
+    /// allocations over the backend's lifetime (recycling a slot does not
+    /// decrement it; an allocation whose installing CAS lost is taken
+    /// back).
+    fn inflation_count(&self) -> u64;
 
     /// Total fat-to-thin transitions performed so far. Always 0 for
     /// backends where [`deflation_capable`](SyncBackend::deflation_capable)
     /// is `false`.
-    fn deflation_count(&self) -> u64 {
-        0
-    }
+    fn deflation_count(&self) -> u64;
 
     /// Monitors currently backing a fat word — the population a
     /// deflating backend exists to bound.
-    fn monitors_live(&self) -> usize {
-        0
-    }
+    fn monitors_live(&self) -> usize;
 
     /// High-water mark of [`monitors_live`](SyncBackend::monitors_live).
-    fn monitors_peak(&self) -> usize {
-        0
-    }
-
-    /// Monitor allocations performed over the backend's lifetime
-    /// (recycling a slot does not decrement it; an allocation whose
-    /// installing CAS lost is taken back).
-    fn monitors_allocated(&self) -> u64 {
-        0
-    }
+    fn monitors_peak(&self) -> usize;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::{SyncError, SyncResult};
-    use crate::heap::Heap;
-    use crate::protocol::WaitOutcome;
-    use crate::registry::ThreadRegistry;
-    use std::time::Duration;
-
-    /// Minimal backend over a bare heap: single global spin-less lock
-    /// model, enough to exercise the trait defaults.
-    #[derive(Debug)]
-    struct BareBackend {
-        heap: Heap,
-        registry: ThreadRegistry,
-    }
-
-    impl SyncProtocol for BareBackend {
-        fn lock(&self, _obj: ObjRef, _t: ThreadToken) -> SyncResult<()> {
-            Ok(())
-        }
-        fn unlock(&self, _obj: ObjRef, _t: ThreadToken) -> SyncResult<()> {
-            Ok(())
-        }
-        fn wait(
-            &self,
-            _obj: ObjRef,
-            _t: ThreadToken,
-            _timeout: Option<Duration>,
-        ) -> SyncResult<WaitOutcome> {
-            Err(SyncError::NotOwner)
-        }
-        fn notify(&self, _obj: ObjRef, _t: ThreadToken) -> SyncResult<()> {
-            Ok(())
-        }
-        fn notify_all(&self, _obj: ObjRef, _t: ThreadToken) -> SyncResult<()> {
-            Ok(())
-        }
-        fn holds_lock(&self, _obj: ObjRef, _t: ThreadToken) -> bool {
-            false
-        }
-        fn heap(&self) -> &Heap {
-            &self.heap
-        }
-        fn registry(&self) -> &ThreadRegistry {
-            &self.registry
-        }
-        fn name(&self) -> &'static str {
-            "Bare"
-        }
-    }
-
-    impl SyncBackend for BareBackend {}
-
-    #[test]
-    fn defaults_describe_a_thin_only_backend() {
-        let b = BareBackend {
-            heap: Heap::with_capacity(2),
-            registry: ThreadRegistry::new(),
-        };
-        let obj = b.heap.alloc().unwrap();
-        assert!(b.probe_word(obj).is_unlocked());
-        assert!(b.monitor_probe(obj).is_none());
-        assert_eq!(b.owner_of(obj), None);
-        let r = b.registry.register().unwrap();
-        assert!(
-            b.spin_enabled(obj, r.token()),
-            "spinning on an unlocked word is enabled by default"
-        );
-        assert!(!b.deflation_capable());
-        assert_eq!(b.inflation_count(), 0);
-        assert_eq!(b.deflation_count(), 0);
-        assert_eq!(b.monitors_live(), 0);
-        assert_eq!(b.monitors_peak(), 0);
-        assert_eq!(b.monitors_allocated(), 0);
-    }
-
-    #[test]
-    fn backend_is_object_safe() {
-        let b = BareBackend {
-            heap: Heap::with_capacity(1),
-            registry: ThreadRegistry::new(),
-        };
-        let obj = b.heap.alloc().unwrap();
-        let d: &dyn SyncBackend = &b;
-        assert_eq!(d.owner_of(obj), None);
-        assert_eq!(d.name(), "Bare");
-    }
 
     #[test]
     fn idle_probe_requires_empty_queues_and_no_owner() {

@@ -271,41 +271,6 @@ pub trait SyncProtocolExt: SyncProtocol {
         let _guard = self.enter(obj, t)?;
         Ok(f())
     }
-
-    /// Attempts [`SyncProtocol::try_lock`]; on success returns a guard
-    /// that releases on drop, on contention returns `Ok(None)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SyncProtocol::try_lock`] errors.
-    fn try_enter(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<Option<MonitorGuard<'_, Self>>> {
-        Ok(self.try_lock(obj, t)?.then(|| MonitorGuard {
-            protocol: self,
-            obj,
-            token: t,
-        }))
-    }
-
-    /// Acquires with [`SyncProtocol::lock_deadline`] and returns a guard
-    /// that releases on drop.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SyncProtocol::lock_deadline`] errors, including
-    /// [`SyncError::Timeout`].
-    fn enter_deadline(
-        &self,
-        obj: ObjRef,
-        t: ThreadToken,
-        timeout: Duration,
-    ) -> SyncResult<MonitorGuard<'_, Self>> {
-        self.lock_deadline(obj, t, timeout)?;
-        Ok(MonitorGuard {
-            protocol: self,
-            obj,
-            token: t,
-        })
-    }
 }
 
 impl<P: SyncProtocol + ?Sized> SyncProtocolExt for P {}
@@ -585,32 +550,5 @@ mod tests {
             .unwrap();
         assert!(p.holds_lock(obj, rb.token()));
         p.unlock(obj, rb.token()).unwrap();
-    }
-
-    #[test]
-    fn try_enter_guard_and_contention() {
-        let p = TableMonitor::new(4);
-        let ra = p.registry().register().unwrap();
-        let rb = p.registry().register().unwrap();
-        let obj = p.heap().alloc().unwrap();
-        {
-            let g = p.try_enter(obj, ra.token()).unwrap();
-            assert!(g.is_some());
-            assert!(p.try_enter(obj, rb.token()).unwrap().is_none());
-        }
-        assert!(!p.holds_lock(obj, ra.token()), "guard released on drop");
-    }
-
-    #[test]
-    fn enter_deadline_returns_guard() {
-        let p = TableMonitor::new(4);
-        let reg = p.registry().register().unwrap();
-        let t = reg.token();
-        let obj = p.heap().alloc().unwrap();
-        {
-            let _g = p.enter_deadline(obj, t, Duration::from_millis(5)).unwrap();
-            assert!(p.holds_lock(obj, t));
-        }
-        assert!(!p.holds_lock(obj, t));
     }
 }

@@ -316,6 +316,7 @@ mod tests {
     use crate::table1::{BenchmarkProfile, MACRO_BENCHMARKS};
     use thinlock::{CjmLocks, ThinLocks};
     use thinlock_baselines::MonitorCache;
+    use thinlock_runtime::backend::SyncBackend;
 
     fn small_config(threads: u32) -> ConcurrentConfig {
         ConcurrentConfig {
@@ -379,7 +380,7 @@ mod tests {
         let out = replay_concurrent(&locks, &trace).unwrap();
         assert!(out.exclusion_verified);
         // Single-threaded: thin locks never inflate.
-        assert_eq!(locks.inflated_count(), 0);
+        assert_eq!(locks.inflation_count(), 0);
     }
 
     #[test]

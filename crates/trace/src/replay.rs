@@ -141,6 +141,7 @@ mod tests {
     use std::sync::Arc;
     use thinlock::ThinLocks;
     use thinlock_baselines::{HotLocks, MonitorCache};
+    use thinlock_runtime::backend::SyncBackend;
     use thinlock_runtime::heap::Heap;
     use thinlock_runtime::registry::ThreadRegistry;
 
@@ -155,7 +156,7 @@ mod tests {
         assert_eq!(out.unlock_ops, trace.lock_ops());
         assert_eq!(out.allocs, u64::from(trace.total_objects()));
         // Single-threaded: nothing should have inflated.
-        assert_eq!(locks.inflated_count(), 0);
+        assert_eq!(locks.inflation_count(), 0);
     }
 
     #[test]

@@ -150,33 +150,6 @@ impl<'p, P: SyncProtocol + ?Sized> Vm<'p, P> {
             .count()
     }
 
-    /// Applies a startup [`SyncPlan`](crate::plan::SyncPlan): every
-    /// `pre_inflate` entry is delivered through
-    /// [`SyncProtocol::pre_inflate_hint`] and every `pin_fifo` entry
-    /// through [`SyncProtocol::pin_fifo_hint`], generalizing
-    /// [`apply_pre_inflation_hints`](Self::apply_pre_inflation_hints) to
-    /// the full plan vocabulary. `elide` entries are not acted on here —
-    /// elision is a bytecode transform that must run before the `Vm` is
-    /// built — and `backend_hint` is advisory input to backend
-    /// selection, not to a running protocol. Returns how many hints the
-    /// protocol honored (representation changed or pin accepted).
-    /// Out-of-range pool indices are ignored: the plan is advisory.
-    pub fn apply_sync_plan(&self, plan: &crate::plan::SyncPlan) -> usize {
-        let mut applied = 0;
-        for entry in &plan.entries {
-            let Some(&obj) = self.pool.get(entry.pool as usize) else {
-                continue;
-            };
-            if entry.pre_inflate && self.protocol.pre_inflate_hint(obj) {
-                applied += 1;
-            }
-            if entry.pin_fifo && self.protocol.pin_fifo_hint(obj) {
-                applied += 1;
-            }
-        }
-        applied
-    }
-
     /// Runs method `name` with `args` on the calling thread.
     ///
     /// # Errors
@@ -619,6 +592,7 @@ mod tests {
     use super::*;
     use crate::program::MethodFlags;
     use thinlock::ThinLocks;
+    use thinlock_runtime::backend::SyncBackend;
 
     fn setup(pool: u32, fields: usize) -> (ThinLocks, Vec<ObjRef>) {
         let heap = std::sync::Arc::new(thinlock_runtime::heap::Heap::with_capacity_and_fields(
@@ -763,7 +737,7 @@ mod tests {
         let vm = Vm::new(&locks, &p, pool.clone()).unwrap();
         vm.run("f", reg.token(), &[]).unwrap();
         assert!(locks.lock_word(pool[0]).is_unlocked());
-        assert_eq!(locks.inflated_count(), 0);
+        assert_eq!(locks.inflation_count(), 0);
     }
 
     #[test]

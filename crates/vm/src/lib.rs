@@ -38,7 +38,6 @@ pub mod bytecode;
 pub mod error;
 pub mod interp;
 pub mod library;
-pub mod plan;
 pub mod program;
 pub mod programs;
 pub mod transform;

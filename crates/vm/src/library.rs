@@ -317,6 +317,7 @@ mod tests {
     use crate::verify::{verify_program, VerifyOptions};
     use std::sync::Arc;
     use thinlock::ThinLocks;
+    use thinlock_runtime::backend::SyncBackend;
     use thinlock_runtime::heap::{Heap, ObjRef};
     use thinlock_runtime::protocol::SyncProtocol;
     use thinlock_runtime::registry::ThreadRegistry;
@@ -374,7 +375,7 @@ end:
         // get(9) = 9, size = 10.
         assert_eq!(out, Some(Value::Int(19)));
         assert!(locks.lock_word(pool[0]).is_unlocked());
-        assert_eq!(locks.inflated_count(), 0, "single-threaded: all thin");
+        assert_eq!(locks.inflation_count(), 0, "single-threaded: all thin");
     }
 
     #[test]
@@ -485,7 +486,7 @@ method main args=1 locals=1 returns {
         assert_eq!(out, Some(Value::Int(javalex_expected(n))));
         assert!(locks.lock_word(pool[0]).is_unlocked());
         assert_eq!(
-            locks.inflated_count(),
+            locks.inflation_count(),
             0,
             "the library tax is pure uncontended synchronization"
         );

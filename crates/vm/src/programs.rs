@@ -841,6 +841,7 @@ mod tests {
     use crate::value::Value;
     use std::sync::Arc;
     use thinlock::ThinLocks;
+    use thinlock_runtime::backend::SyncBackend;
     use thinlock_runtime::heap::{Heap, ObjRef};
     use thinlock_runtime::protocol::SyncProtocol;
     use thinlock_runtime::registry::ThreadRegistry;
@@ -893,7 +894,7 @@ mod tests {
     fn no_sync_counts_iterations() {
         let (out, locks, _) = run_bench(MicroBench::NoSync, 500);
         assert_eq!(out, 500);
-        assert_eq!(locks.inflated_count(), 0);
+        assert_eq!(locks.inflation_count(), 0);
     }
 
     #[test]
@@ -901,7 +902,7 @@ mod tests {
         let (out, locks, pool) = run_bench(MicroBench::Sync, 200);
         assert_eq!(out, 200);
         assert!(locks.lock_word(pool[0]).is_unlocked());
-        assert_eq!(locks.inflated_count(), 0, "single thread: stays thin");
+        assert_eq!(locks.inflation_count(), 0, "single thread: stays thin");
     }
 
     #[test]
@@ -910,7 +911,7 @@ mod tests {
         assert_eq!(out, 200);
         assert!(locks.lock_word(pool[0]).is_unlocked());
         assert_eq!(
-            locks.inflated_count(),
+            locks.inflation_count(),
             0,
             "nesting depth 2 never overflows the count"
         );
@@ -950,7 +951,7 @@ mod tests {
         let (out, locks, pool) = run_bench(MicroBench::MixedSync, 100);
         assert_eq!(out, 100);
         assert!(locks.lock_word(pool[0]).is_unlocked());
-        assert_eq!(locks.inflated_count(), 0, "depth 3 stays thin");
+        assert_eq!(locks.inflation_count(), 0, "depth 3 stays thin");
     }
 
     #[test]

@@ -291,6 +291,7 @@ mod tests {
     use crate::value::Value;
     use crate::verify::{verify_program, VerifyOptions};
     use thinlock::ThinLocks;
+    use thinlock_runtime::backend::SyncBackend;
     use thinlock_runtime::heap::ObjRef;
     use thinlock_runtime::protocol::SyncProtocol;
 
@@ -359,7 +360,7 @@ mod tests {
         let vm = Vm::new(&locks, &stripped, pool.clone()).unwrap();
         vm.run("main", reg.token(), &[Value::Int(100)]).unwrap();
         assert!(locks.lock_word(pool[0]).is_unlocked());
-        assert_eq!(locks.inflated_count(), 0);
+        assert_eq!(locks.inflation_count(), 0);
     }
 
     #[test]

@@ -13,6 +13,7 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use thinlock::ThinLocks;
+use thinlock_runtime::backend::SyncBackend;
 use thinlock_runtime::error::SyncResult;
 use thinlock_runtime::heap::ObjRef;
 use thinlock_runtime::protocol::{SyncProtocol, SyncProtocolExt};
@@ -111,8 +112,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!(
         "buffer monitor inflated (wait/notify forces a fat lock): {} monitor(s) created",
-        locks.inflated_count()
+        locks.inflation_count()
     );
-    assert!(locks.inflated_count() >= 1);
+    assert!(locks.inflation_count() >= 1);
     Ok(())
 }

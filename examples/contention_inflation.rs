@@ -14,6 +14,7 @@ use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use thinlock::ThinLocks;
+use thinlock_runtime::backend::SyncBackend;
 use thinlock_runtime::hooks::HookSet;
 use thinlock_runtime::protocol::SyncProtocol;
 use thinlock_runtime::stats::LockStats;
@@ -39,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "after 1000 uncontended syncs: {} (monitors: {})",
         locks.lock_word(shared),
-        locks.inflated_count()
+        locks.inflation_count()
     );
 
     // Phase 2: forced contention — thread A holds the lock while B
@@ -66,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "after contention: {} (monitors: {})",
         locks.lock_word(shared),
-        locks.inflated_count()
+        locks.inflation_count()
     );
 
     // Phase 3: heavy mixed traffic on the now-fat lock.
@@ -91,7 +92,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         1_000 + 4 * 2_000
     );
     assert_eq!(counter.load(Ordering::Relaxed), 1_000 + 4 * 2_000);
-    assert_eq!(locks.inflated_count(), 1, "one inflation, ever");
+    assert_eq!(locks.inflation_count(), 1, "one inflation, ever");
 
     println!("\nscenario statistics (Section 2's frequency ranking):");
     print!("{}", stats.snapshot());

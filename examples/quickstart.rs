@@ -7,6 +7,7 @@
 //! inflated — printing the lock word at each step.
 
 use thinlock::ThinLocks;
+use thinlock_runtime::backend::SyncBackend;
 use thinlock_runtime::protocol::{SyncProtocol, SyncProtocolExt};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -46,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     guard.notify()?;
     drop(guard);
     println!("after notify:      {}", locks.lock_word(account));
-    println!("monitors created:  {}", locks.inflated_count());
+    println!("monitors created:  {}", locks.inflation_count());
 
     Ok(())
 }

@@ -17,6 +17,7 @@ use std::time::Instant;
 
 use thinlock::ThinLocks;
 use thinlock_baselines::{HotLocks, MonitorCache};
+use thinlock_runtime::backend::SyncBackend;
 use thinlock_runtime::error::SyncResult;
 use thinlock_runtime::heap::ObjRef;
 use thinlock_runtime::protocol::{SyncProtocol, SyncProtocolExt};
@@ -116,6 +117,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         jdk_time.as_secs_f64() / thin_time.as_secs_f64()
     );
     // The lock stayed thin the whole time: no contention, no wait/notify.
-    assert_eq!(thin.inflated_count(), 0);
+    assert_eq!(thin.inflation_count(), 0);
     Ok(())
 }

@@ -28,13 +28,19 @@ cargo test -q --offline --locked --manifest-path lockbench/Cargo.toml
 echo "== core, monitor and baselines crate tests in release (deflation, admission, fat-monitor arrival/release and baseline promote/evict races need optimized timing)"
 cargo test -q --release --offline -p thinlock -p thinlock-monitor -p thinlock-baselines
 
-# lockcheck --deny-races is static analysis only, so its output is
-# deterministic and pinned byte for byte in scripts/lockcheck/. The plan
-# gate replays the programs on real threads: its per-site contended
-# counts follow the host's schedule, so only its exit code is checked.
+# lockcheck --deny-races and --json are static analysis only, so their
+# outputs are deterministic and pinned byte for byte in scripts/lockcheck/
+# (--json holds every catalog program's contention sites and plan flags).
+# The plan gate replays the programs on real threads: its per-site
+# contended counts follow the host's schedule, so only its exit code is
+# checked.
 echo "== lockcheck: race verdicts must match ground truth"
 cargo run -q --release --offline -p thinlock-analysis --bin lockcheck -- \
     --deny-races | diff -u scripts/lockcheck/deny-races.txt -
+
+echo "== lockcheck: the JSON report is unchanged"
+cargo run -q --release --offline -p thinlock-analysis --bin lockcheck -- \
+    --json | diff -u scripts/lockcheck/json.txt -
 
 echo "== lockcheck: static SyncPlan must agree with the dynamic contention profile"
 cargo run -q --release --offline -p thinlock-analysis --bin lockcheck -- --deny-disagreement >/dev/null

@@ -7,6 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use thinlock_bench::ProtocolKind;
+use thinlock_runtime::backend::SyncBackend;
 use thinlock_runtime::error::SyncError;
 use thinlock_runtime::protocol::{SyncProtocol, SyncProtocolExt};
 
@@ -161,7 +162,7 @@ fn monitor_exhaustion_reported_not_corrupting() {
     locks.lock(obj, t).unwrap();
     locks.notify(obj, t).unwrap(); // inflates, table now full
     locks.unlock(obj, t).unwrap();
-    assert_eq!(locks.inflated_count(), 1);
+    assert_eq!(locks.inflation_count(), 1);
     for _ in 0..10 {
         locks.lock(obj, t).unwrap();
         locks.unlock(obj, t).unwrap();

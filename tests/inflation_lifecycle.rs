@@ -9,6 +9,7 @@ use thinlock::config::{DynamicConfig, FastPathConfig, StaticKernelCas, StaticMp,
 use thinlock::thin::Thin;
 use thinlock::{LockCore, ThinLocks};
 use thinlock_runtime::arch::ArchProfile;
+use thinlock_runtime::backend::SyncBackend;
 use thinlock_runtime::heap::Heap;
 use thinlock_runtime::hooks::{HookSet, Hooks};
 use thinlock_runtime::protocol::SyncProtocol;
@@ -127,7 +128,7 @@ fn stats_record_each_inflation_cause() {
     assert_eq!(snap.inflations[0], 1, "one contention inflation");
     assert_eq!(snap.inflations[1], 1, "one overflow inflation");
     assert_eq!(snap.inflations[2], 1, "one wait inflation");
-    assert_eq!(locks.inflated_count(), 3);
+    assert_eq!(locks.inflation_count(), 3);
 }
 
 #[test]
@@ -143,7 +144,7 @@ fn object_capacity_bounds_monitor_table() {
         locks.notify(obj, t).unwrap(); // force inflation
         locks.unlock(obj, t).unwrap();
     }
-    assert_eq!(locks.inflated_count(), 5);
+    assert_eq!(locks.inflation_count(), 5);
 }
 
 #[test]
@@ -171,5 +172,5 @@ fn many_objects_inflate_independently_under_contention() {
     for &obj in &objs {
         assert!(!locks.holds_lock(obj, reg.token()));
     }
-    assert!(locks.inflated_count() <= objs.len());
+    assert!(locks.inflation_count() <= objs.len() as u64);
 }
