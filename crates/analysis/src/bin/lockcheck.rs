@@ -79,7 +79,7 @@ fn print_text(check: &Lockcheck) {
         println!();
     }
     if let Some(plans) = &check.plans {
-        println!("== plan: static SyncPlan vs dynamic contention profile");
+        println!("== plan: static site plan flags vs dynamic contention profile");
         for run in plans {
             println!(
                 "  {} [{} thread(s), iters={PLAN_ITERS}, seed={PLAN_SEED:#x}]",

@@ -46,7 +46,7 @@ use thinlock_vm::program::{Method, Program};
 
 use crate::escape::EscapeReport;
 use crate::guards::EntryRole;
-use crate::lockstack::{MethodLockFacts, Sym};
+use crate::lockstack::{summary_fixpoint, MethodLockFacts, Sym};
 use crate::nestdepth::NestDepthReport;
 
 /// Abstract trip-count multiplier per loop-nesting level.
@@ -277,7 +277,7 @@ fn fold(dst: &mut BTreeMap<Sym, u64>, src: &BTreeMap<Sym, u64>, args: &[Sym], ca
 }
 
 /// Computes, per method, the weighted lock activity reachable from it,
-/// via the same monotone summary fixpoint as the guards pass. Weights
+/// via the summary fixpoint shared with the guards pass. Weights
 /// saturate at [`WEIGHT_CAP`], so recursion converges.
 fn summarize(program: &Program, facts: &[MethodLockFacts]) -> BTreeMap<u16, Summary> {
     let weights: BTreeMap<u16, Vec<u64>> = facts
@@ -287,53 +287,35 @@ fn summarize(program: &Program, facts: &[MethodLockFacts]) -> BTreeMap<u16, Summ
             Some((f.method_id, loop_weights(method)))
         })
         .collect();
-    let mut summaries: BTreeMap<u16, Summary> = facts
-        .iter()
-        .map(|f| (f.method_id, Summary::default()))
-        .collect();
-    loop {
-        let mut changed = false;
-        for f in facts {
-            let at = |pc: usize| {
-                weights
-                    .get(&f.method_id)
-                    .and_then(|w| w.get(pc))
-                    .copied()
-                    .unwrap_or(1)
-                    .max(1)
+    summary_fixpoint::<Summary>(facts, |f, calls| {
+        let at = |pc: usize| {
+            weights
+                .get(&f.method_id)
+                .and_then(|w| w.get(pc))
+                .copied()
+                .unwrap_or(1)
+                .max(1)
+        };
+        let mut s = Summary::default();
+        for a in &f.acquires {
+            bump(&mut s.acquires, a.sym, at(a.pc));
+        }
+        for c in &f.cond_ops {
+            let map = if c.is_wait {
+                &mut s.waits
+            } else {
+                &mut s.notifies
             };
-            let mut s = Summary::default();
-            for a in &f.acquires {
-                bump(&mut s.acquires, a.sym, at(a.pc));
-            }
-            for c in &f.cond_ops {
-                let map = if c.is_wait {
-                    &mut s.waits
-                } else {
-                    &mut s.notifies
-                };
-                bump(map, c.sym, at(c.pc));
-            }
-            for call in &f.invokes {
-                let Some(callee) = summaries.get(&call.callee) else {
-                    continue;
-                };
-                let callee = callee.clone();
-                let cw = at(call.pc);
-                fold(&mut s.acquires, &callee.acquires, &call.args, cw);
-                fold(&mut s.waits, &callee.waits, &call.args, cw);
-                fold(&mut s.notifies, &callee.notifies, &call.args, cw);
-            }
-            if s != summaries[&f.method_id] {
-                summaries.insert(f.method_id, s);
-                changed = true;
-            }
+            bump(map, c.sym, at(c.pc));
         }
-        if !changed {
-            break;
+        for (call, callee) in calls {
+            let cw = at(call.pc);
+            fold(&mut s.acquires, &callee.acquires, &call.args, cw);
+            fold(&mut s.waits, &callee.waits, &call.args, cw);
+            fold(&mut s.notifies, &callee.notifies, &call.args, cw);
         }
-    }
-    summaries
+        s
+    })
 }
 
 #[derive(Debug, Clone, Copy, Default)]

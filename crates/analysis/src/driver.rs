@@ -318,3 +318,50 @@ fn analyze_plans(totals: &mut Totals) -> Vec<PlanRun> {
         })
         .collect()
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::lockstack;
+    use thinlock_vm::verify::{verify_method, VerifyOptions};
+
+    /// The three lock-discipline findings the verifier rejects a method
+    /// for; non-LIFO release and wait/notify without the monitor are
+    /// findings only.
+    fn is_structural(message: &str) -> bool {
+        message.contains("without matching monitorenter")
+            || message.contains("while holding")
+            || message.contains("lock-stack depth mismatch")
+    }
+
+    #[test]
+    fn verifier_verdict_follows_the_structural_lock_findings() {
+        let library = programs::concurrent_library()
+            .into_iter()
+            .map(|e| e.program);
+        let (mut accepted, mut rejected) = (0, 0);
+        for program in catalog().into_iter().map(|(_, _, p)| p).chain(library) {
+            let facts = lockstack::analyze_program(&program);
+            // No method fails a type or stack check, so each has facts.
+            assert_eq!(facts.len(), program.methods().len());
+            for (m, method) in facts.iter().zip(program.methods()) {
+                let structural = m.diagnostics.iter().any(|d| is_structural(&d.message));
+                match verify_method(&program, method, VerifyOptions::default()) {
+                    Ok(summary) => {
+                        assert!(!structural, "{}: {:?}", m.name, m.diagnostics);
+                        assert_eq!(summary.max_monitors, m.max_lock_stack, "{}", m.name);
+                        accepted += 1;
+                    }
+                    Err(e) => {
+                        assert!(structural, "{e} without a structural finding");
+                        rejected += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            accepted > 0 && rejected > 0,
+            "{accepted} accepted, {rejected} rejected"
+        );
+    }
+}

@@ -28,7 +28,7 @@ use thinlock_vm::program::Program;
 use thinlock_vm::programs::ConcurrentProgram;
 
 use crate::escape::EscapeContext;
-use crate::lockstack::{FieldId, MethodLockFacts, Sym};
+use crate::lockstack::{summary_fixpoint, FieldId, MethodLockFacts, Sym};
 
 /// One concurrent entry point: `threads` worker threads each run the
 /// entry method, the way the benchmark harness runs `main` on every
@@ -135,51 +135,33 @@ struct Access {
 }
 
 /// Computes, per method, every field access reachable from it (its own
-/// plus its callees', substituted), via the same monotone summary
-/// fixpoint as the lock-order pass.
+/// plus its callees', substituted), via the summary fixpoint shared with
+/// the lock-order pass.
 fn summarize(facts: &[MethodLockFacts]) -> BTreeMap<u16, BTreeSet<Access>> {
-    let mut summaries: BTreeMap<u16, BTreeSet<Access>> = facts
-        .iter()
-        .map(|f| (f.method_id, BTreeSet::new()))
-        .collect();
-    loop {
-        let mut changed = false;
-        for f in facts {
-            let mut s = summaries[&f.method_id].clone();
-            for a in &f.field_accesses {
+    summary_fixpoint::<BTreeSet<Access>>(facts, |f, calls| {
+        let mut s: BTreeSet<Access> = (f.field_accesses.iter())
+            .map(|a| Access {
+                obj: a.obj,
+                field: a.field,
+                write: a.is_write,
+                locks: a.held.iter().copied().collect(),
+            })
+            .collect();
+        for (call, callee) in calls {
+            for a in callee {
+                let mut locks: BTreeSet<Sym> =
+                    a.locks.iter().map(|&l| l.substitute(&call.args)).collect();
+                locks.extend(call.held.iter().copied());
                 s.insert(Access {
-                    obj: a.obj,
+                    obj: a.obj.substitute(&call.args),
                     field: a.field,
-                    write: a.is_write,
-                    locks: a.held.iter().copied().collect(),
+                    write: a.write,
+                    locks,
                 });
             }
-            for call in &f.invokes {
-                let Some(callee) = summaries.get(&call.callee) else {
-                    continue;
-                };
-                for a in callee.clone() {
-                    let mut locks: BTreeSet<Sym> =
-                        a.locks.iter().map(|&l| l.substitute(&call.args)).collect();
-                    locks.extend(call.held.iter().copied());
-                    s.insert(Access {
-                        obj: a.obj.substitute(&call.args),
-                        field: a.field,
-                        write: a.write,
-                        locks,
-                    });
-                }
-            }
-            if s != summaries[&f.method_id] {
-                summaries.insert(f.method_id, s);
-                changed = true;
-            }
         }
-        if !changed {
-            break;
-        }
-    }
-    summaries
+        s
+    })
 }
 
 /// Per-(pool, field) aggregation across roles.

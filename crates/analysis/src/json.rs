@@ -8,35 +8,17 @@
 //! [`Bound`](crate::nestdepth::Bound)) use their `Display` forms, which
 //! are stable one-token strings.
 
-use thinlock_obs::{JsonValue, JsonWriter};
+use thinlock_obs::JsonWriter;
 
 use crate::escape::SharedPool;
 use crate::lockstack::MethodLockFacts;
 use crate::AnalysisReport;
 
 /// Version of the per-program JSON document produced by
-/// [`write_report`].
-///
-/// * **v1** (implicit — documents without a `schema_version` field):
-///   sections `lock_order`, `escape`, `nest`, `guards`; method facts
-///   without `cond_ops`.
-/// * **v2**: adds the explicit `schema_version` field, the
-///   `contention` section (per-site shapes plus the derived `plan`),
-///   and per-method `cond_ops` (`wait`/`notify` sites).
-///
-/// Every v1 field is preserved unchanged, so v1 consumers keep working
-/// on v2 documents; [`schema_version`] recovers the version when
-/// reading either.
+/// [`write_report`], emitted as its `schema_version` field. Version 2
+/// added that field, the `contention` section (per-site shapes plus the
+/// derived `plan`) and per-method `cond_ops` (`wait`/`notify` sites).
 pub const SCHEMA_VERSION: u64 = 2;
-
-/// The schema version of a parsed report document: the explicit
-/// `schema_version` field, or 1 for documents that predate it.
-pub fn schema_version(value: &JsonValue) -> u64 {
-    value
-        .get("schema_version")
-        .and_then(JsonValue::as_u64)
-        .unwrap_or(1)
-}
 
 /// Serializes one named program's report as a JSON object into `w`.
 /// The caller brackets it inside an array or named field.
@@ -332,7 +314,10 @@ mod tests {
         for key in ["lock_order", "escape", "nest", "guards", "contention"] {
             assert!(value.get(key).is_some(), "missing section {key}");
         }
-        assert_eq!(schema_version(&value), SCHEMA_VERSION);
+        assert_eq!(
+            value.get("schema_version").and_then(|v| v.as_u64()),
+            Some(SCHEMA_VERSION)
+        );
         let contention = value.get("contention").unwrap();
         let sites = contention
             .get("sites")
@@ -347,41 +332,5 @@ mod tests {
         for entry in plan {
             assert!(entry.get("backend_hint").and_then(|v| v.as_str()).is_some());
         }
-    }
-
-    #[test]
-    fn v1_documents_without_schema_version_still_parse() {
-        // A pre-v2 document: no `schema_version`, no `contention`
-        // section, no per-method `cond_ops`. Consumers must read it
-        // with the v1 default rather than rejecting it.
-        let v1 = r#"{
-            "program": "legacy",
-            "threads": 2,
-            "clean": true,
-            "verify_errors": [],
-            "methods": [{
-                "method_id": 0,
-                "name": "main",
-                "synchronized": false,
-                "max_lock_stack": 1,
-                "diagnostics": [],
-                "acquires": [{"pc": 1, "sym": "pool[0]", "held": []}],
-                "monitor_ops": [],
-                "invokes": [],
-                "field_accesses": []
-            }],
-            "lock_order": {"edges": [], "cycles": [], "unresolved_edges": 0},
-            "nest": {"bounds": [], "hints": [], "dynamic_depth": "1"}
-        }"#;
-        let value = thinlock_obs::parse(v1).expect("v1 parses");
-        assert_eq!(schema_version(&value), 1);
-        assert!(value.get("contention").is_none());
-        let method = &value.get("methods").and_then(|v| v.as_array()).unwrap()[0];
-        assert!(method.get("cond_ops").is_none(), "v1 has no cond_ops");
-        assert_eq!(
-            method.get("name").and_then(|v| v.as_str()),
-            Some("main"),
-            "v1 fields remain readable"
-        );
     }
 }

@@ -1,15 +1,19 @@
 //! `lockcheck`: static lock-discipline analysis for the thin-locks VM.
 //!
-//! Four passes layered on the abstract-interpretation verifier of
+//! Passes layered on the abstract-interpretation verifier of
 //! `thinlock_vm::verify`, each exploiting a premise of the paper (locking
 //! is shallow, uncontended, and mostly thread-local) to prove facts about
-//! a program's `MonitorEnter`/`MonitorExit` behaviour *before* it runs:
+//! a program's `MonitorEnter`/`MonitorExit` behaviour *before* it runs.
+//! The verifier's fixpoint is the only dataflow over the bytecode; every
+//! pass starts from the facts [`lockstack`] reads off it:
 //!
-//! * [`lockstack`] — a symbolic lock-stack dataflow that upgrades the
-//!   verifier's boolean monitor-balance counter to track *which*
-//!   pool-constant or argument each held lock came from at every program
-//!   point, with instruction-precise diagnostics for unbalanced or
-//!   mismatched monitor operations.
+//! * [`lockstack`] — one walk over the verifier's per-pc frames, which
+//!   track *which* pool constant or argument each held lock came from at
+//!   every program point, turning them into acquire, monitor, cond,
+//!   invoke and field-access sites, with instruction-precise diagnostics
+//!   for unbalanced or mismatched monitor operations. Its
+//!   `summary_fixpoint` is the interprocedural summary loop the
+//!   lock-order, guards and contention passes share.
 //! * [`lockorder`] — a lock-order graph built from held-while-acquiring
 //!   edges across all methods (interprocedurally, through `Invoke`), with
 //!   cycle detection that flags potential deadlocks.

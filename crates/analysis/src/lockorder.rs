@@ -20,7 +20,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use crate::lockstack::{MethodLockFacts, Sym};
+use crate::lockstack::{summary_fixpoint, MethodLockFacts, Sym};
 
 /// One held-while-acquiring edge between two pool objects.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -77,51 +77,33 @@ struct Summary {
 /// Builds the lock-order graph from per-method lock facts.
 pub fn build(facts: &[MethodLockFacts]) -> LockOrderReport {
     let by_id: BTreeMap<u16, &MethodLockFacts> = facts.iter().map(|f| (f.method_id, f)).collect();
-    let mut summaries: BTreeMap<u16, Summary> = facts
-        .iter()
-        .map(|f| (f.method_id, Summary::default()))
-        .collect();
-
-    // Monotone fixpoint: summaries only grow, and the symbol universe per
-    // method (pool constants, argument indices, Unknown) is finite.
-    loop {
-        let mut changed = false;
-        for f in facts {
-            let mut s = summaries[&f.method_id].clone();
-            for a in &f.acquires {
-                s.acquires.insert(a.sym);
-                for &h in &a.held {
-                    s.edges.insert((h, a.sym));
-                }
-            }
-            for call in &f.invokes {
-                let Some(callee) = summaries.get(&call.callee) else {
-                    continue;
-                };
-                let callee = callee.clone();
-                for &a in &callee.acquires {
-                    let ga = a.substitute(&call.args);
-                    s.acquires.insert(ga);
-                    // Everything held at the call site orders before
-                    // everything the callee may acquire.
-                    for &h in &call.held {
-                        s.edges.insert((h, ga));
-                    }
-                }
-                for &(x, y) in &callee.edges {
-                    s.edges
-                        .insert((x.substitute(&call.args), y.substitute(&call.args)));
-                }
-            }
-            if s != summaries[&f.method_id] {
-                summaries.insert(f.method_id, s);
-                changed = true;
+    // Summaries only grow, and the symbol universe per method (pool
+    // constants, argument indices, Unknown) is finite.
+    let summaries = summary_fixpoint::<Summary>(facts, |f, calls| {
+        let mut s = Summary::default();
+        for a in &f.acquires {
+            s.acquires.insert(a.sym);
+            for &h in &a.held {
+                s.edges.insert((h, a.sym));
             }
         }
-        if !changed {
-            break;
+        for (call, callee) in calls {
+            for &a in &callee.acquires {
+                let ga = a.substitute(&call.args);
+                s.acquires.insert(ga);
+                // Everything held at the call site orders before
+                // everything the callee may acquire.
+                for &h in &call.held {
+                    s.edges.insert((h, ga));
+                }
+            }
+            for &(x, y) in &callee.edges {
+                s.edges
+                    .insert((x.substitute(&call.args), y.substitute(&call.args)));
+            }
         }
-    }
+        s
+    });
 
     // Union the grounded edges; attribute each to the first method whose
     // summary contains it.

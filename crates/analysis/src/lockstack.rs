@@ -1,72 +1,62 @@
-//! Symbolic lock-stack dataflow.
+//! Symbolic lock-stack facts, read off the verifier's fixpoint.
 //!
-//! Upgrades the verifier's boolean monitor counter (`Frame::monitors` in
-//! `thinlock_vm::verify`) to a *stack of symbolic lock identities*: at
-//! every program point we know not just how many monitors are held but
-//! which pool constant or incoming argument each one came from. That is
-//! the substrate for all downstream passes — lock-order edges need to
-//! know *what* is held while acquiring, escape analysis needs to know
-//! what each `monitorenter` names, and nest-depth bounds need the
-//! multiplicity of each identity in the held set.
-//!
-//! Unlike the verifier, this pass does not abort on the first violation:
-//! it records instruction-precise diagnostics (orphan `monitorexit`,
-//! non-LIFO release, imbalance at a join, monitors held at return) and
-//! keeps going, so one malformed method still yields facts for the rest.
+//! `thinlock_vm::verify` is the one abstract interpreter of the bytecode:
+//! its per-pc entry frames already carry a *stack of symbolic lock
+//! identities* — at every program point not just how many monitors are
+//! held but which pool constant or incoming argument each one came from
+//! — and it records the structural lock-discipline findings (orphan
+//! `monitorexit`, monitors held at return, imbalance at a join) at their
+//! pc. This pass walks those frames once and turns them into the
+//! substrate of all downstream passes: lock-order edges need to know
+//! *what* is held while acquiring, escape analysis needs to know what
+//! each `monitorenter` names, and nest-depth bounds need the multiplicity
+//! of each identity in the held set. It adds two findings of its own
+//! that the verifier does not reject: non-LIFO release, and
+//! `wait`/`notify` on an object whose monitor is provably not held.
 //!
 //! Besides monitor operations, the pass records every field access
 //! (`GetField`/`PutField` and the dynamic forms) with its symbolic
-//! object, resolved [`FieldId`], and the held-set around it. Integer
-//! constants are tracked through the operand stack, so
+//! object, resolved [`FieldId`], and the held-set around it. The
+//! verifier tracks integer constants through the operand stack, so
 //! `GetFieldDyn`/`PutFieldDyn` with a provably constant index resolve to
 //! the same precision as the indexed forms; only a genuinely dynamic
 //! index degrades to [`FieldId::Unknown`].
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 
 use thinlock_vm::bytecode::Op;
 use thinlock_vm::program::{Method, Program};
+use thinlock_vm::verify::{dataflow, AbsVal, VerifyError, VerifyOptions};
 
-/// Symbolic identity of a lockable reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Sym {
-    /// Object-pool constant `pool[i]` (from `AConst(i)`).
-    Pool(u32),
-    /// The method's `i`-th incoming argument, unmodified.
-    Arg(u8),
-    /// Statically unresolvable (e.g. `ALoadPool` with a dynamic index,
-    /// or two different identities meeting at a join).
-    Unknown,
-}
+pub use thinlock_vm::verify::{LockDiag, Sym};
 
-impl Sym {
-    /// Least upper bound: equal symbols survive a join, others collapse.
-    fn join(self, other: Sym) -> Sym {
-        if self == other {
-            self
-        } else {
-            Sym::Unknown
+/// Iterates one summary per method to a fixpoint. `step` builds a
+/// method's summary from its own facts and, for each call site whose
+/// callee has facts, the callee's current summary, which the step
+/// substitutes into the caller's namespace with [`Sym::substitute`].
+/// Sweeps repeat until no summary changes, so each step must be monotone
+/// in its callees' summaries over a finite lattice.
+pub(crate) fn summary_fixpoint<S: Default + PartialEq>(
+    facts: &[MethodLockFacts],
+    mut step: impl FnMut(&MethodLockFacts, Vec<(&InvokeSite, &S)>) -> S,
+) -> BTreeMap<u16, S> {
+    let mut summaries: BTreeMap<u16, S> =
+        facts.iter().map(|f| (f.method_id, S::default())).collect();
+    loop {
+        let mut changed = false;
+        for f in facts {
+            let calls = (f.invokes.iter())
+                .filter_map(|call| Some((call, summaries.get(&call.callee)?)))
+                .collect();
+            let s = step(f, calls);
+            if s != summaries[&f.method_id] {
+                summaries.insert(f.method_id, s);
+                changed = true;
+            }
         }
-    }
-
-    /// This callee symbol in the caller's namespace at a call site whose
-    /// arguments are `args`: an argument maps to the caller's symbol for
-    /// it ([`Sym::Unknown`] past the end), any other symbol to itself.
-    pub(crate) fn substitute(self, args: &[Sym]) -> Sym {
-        match self {
-            Sym::Arg(i) => args.get(usize::from(i)).copied().unwrap_or(Sym::Unknown),
-            other => other,
-        }
-    }
-}
-
-impl fmt::Display for Sym {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            Sym::Pool(i) => write!(f, "pool[{i}]"),
-            Sym::Arg(i) => write!(f, "arg{i}"),
-            Sym::Unknown => f.write_str("?"),
+        if !changed {
+            return summaries;
         }
     }
 }
@@ -85,75 +75,22 @@ pub enum FieldId {
     Unknown,
 }
 
-impl fmt::Display for FieldId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            FieldId::Const(i) => write!(f, "f{i}"),
-            FieldId::Unknown => f.write_str("f?"),
-        }
-    }
-}
-
-/// Abstract value for one stack slot or local.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AbsVal {
-    /// Argument `i`, kind not yet constrained by use.
-    ArgAny(u8),
-    /// An integer.
-    Int,
-    /// A known integer constant (from `IConst`), tracked so the dynamic
-    /// field ops can resolve their index operand.
-    Const(i32),
-    /// A reference with a symbolic identity.
-    Ref(Sym),
-    /// Irreconcilable or untracked.
-    Top,
-}
-
-impl AbsVal {
-    fn join(self, other: AbsVal) -> AbsVal {
-        use AbsVal::*;
-        match (self, other) {
-            (a, b) if a == b => a,
-            (ArgAny(_) | Const(_), Int) | (Int, ArgAny(_) | Const(_)) => Int,
-            (ArgAny(_), Const(_)) | (Const(_), ArgAny(_)) | (Const(_), Const(_)) => Int,
-            (ArgAny(i), Ref(s)) | (Ref(s), ArgAny(i)) => Ref(Sym::Arg(i).join(s)),
-            (Ref(a), Ref(b)) => Ref(a.join(b)),
-            _ => Top,
-        }
-    }
-
-    /// The symbolic lock identity if this value were used as a reference.
-    fn as_sym(self) -> Sym {
-        match self {
-            AbsVal::ArgAny(i) => Sym::Arg(i),
-            AbsVal::Ref(s) => s,
-            _ => Sym::Unknown,
-        }
-    }
-
-    /// The field index this value resolves to when used as a dynamic
-    /// field-index operand.
-    fn as_field_id(self) -> FieldId {
-        match self {
+impl FieldId {
+    /// The field a dynamic field op's index operand names.
+    fn of_index(v: AbsVal) -> FieldId {
+        match v {
             AbsVal::Const(k) => u16::try_from(k).map_or(FieldId::Unknown, FieldId::Const),
             _ => FieldId::Unknown,
         }
     }
 }
 
-/// One instruction-precise finding from the lock-stack pass.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct LockDiag {
-    /// Program counter of the offending instruction (or join point).
-    pub pc: usize,
-    /// Human-readable description.
-    pub message: String,
-}
-
-impl fmt::Display for LockDiag {
+impl fmt::Display for FieldId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "pc {}: {}", self.pc, self.message)
+        match *self {
+            FieldId::Const(i) => write!(f, "f{i}"),
+            FieldId::Unknown => f.write_str("f?"),
+        }
     }
 }
 
@@ -258,91 +195,32 @@ pub struct MethodLockFacts {
     pub max_lock_stack: usize,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Frame {
-    stack: Vec<AbsVal>,
-    locals: Vec<Option<AbsVal>>,
-    /// Innermost-last stack of held lock identities (body locks only).
-    lock_stack: Vec<Sym>,
-}
-
-impl Frame {
-    /// Merge `other` into `self`; returns the merged frame if anything
-    /// changed, `None` if `self` already covers `other`. A lock-stack
-    /// depth mismatch is reported through `diag` and poisons the join
-    /// (no propagation), mirroring the verifier's hard error.
-    fn merge(&self, other: &Frame) -> Result<Option<Frame>, String> {
-        if self.stack.len() != other.stack.len() {
-            return Err(format!(
-                "operand stack depth mismatch at join: {} vs {}",
-                self.stack.len(),
-                other.stack.len()
-            ));
-        }
-        if self.lock_stack.len() != other.lock_stack.len() {
-            return Err(format!(
-                "lock-stack depth mismatch at join: {} monitors held on one path, {} on another",
-                self.lock_stack.len(),
-                other.lock_stack.len()
-            ));
-        }
-        let mut changed = false;
-        let mut stack = Vec::with_capacity(self.stack.len());
-        for (&a, &b) in self.stack.iter().zip(&other.stack) {
-            let j = a.join(b);
-            changed |= j != a;
-            stack.push(j);
-        }
-        let mut locals = Vec::with_capacity(self.locals.len());
-        for (&a, &b) in self.locals.iter().zip(&other.locals) {
-            let j = match (a, b) {
-                (Some(x), Some(y)) => Some(x.join(y)),
-                _ => None,
-            };
-            changed |= j != a;
-            locals.push(j);
-        }
-        let mut lock_stack = Vec::with_capacity(self.lock_stack.len());
-        for (&a, &b) in self.lock_stack.iter().zip(&other.lock_stack) {
-            let j = a.join(b);
-            changed |= j != a;
-            lock_stack.push(j);
-        }
-        Ok(changed.then_some(Frame {
-            stack,
-            locals,
-            lock_stack,
-        }))
-    }
-}
-
-/// Runs the symbolic lock-stack dataflow over one method.
+/// Reads one method's lock facts off the verifier's fixpoint.
 ///
-/// The method is expected to have passed the base verifier with
-/// `structured_locking` *off* (types and stack depths are sound); this
-/// pass layers lock-discipline checking on top and never panics on
-/// discipline violations — it records them in
-/// [`MethodLockFacts::diagnostics`] instead.
-pub fn analyze_method(program: &Program, method_id: u16, method: &Method) -> MethodLockFacts {
-    let code = method.code();
+/// # Errors
+///
+/// The verifier's error when the method fails a type or stack check;
+/// such a method has no lock facts. Lock-discipline violations are not
+/// errors here: they land in [`MethodLockFacts::diagnostics`].
+pub fn analyze_method(
+    program: &Program,
+    method_id: u16,
+    method: &Method,
+) -> Result<MethodLockFacts, VerifyError> {
+    let flow = dataflow(program, method, VerifyOptions::default())?;
     let synchronized = method.flags().synchronized;
-    let base_held: Vec<Sym> = if synchronized {
-        vec![Sym::Arg(0)]
-    } else {
-        Vec::new()
-    };
-
+    let base_held: &[Sym] = if synchronized { &[Sym::Arg(0)] } else { &[] };
     let mut facts = MethodLockFacts {
         method_id,
         name: method.name().to_string(),
         synchronized,
-        diagnostics: Vec::new(),
+        diagnostics: flow.findings,
         acquires: Vec::new(),
         monitor_ops: Vec::new(),
         cond_ops: Vec::new(),
         invokes: Vec::new(),
         field_accesses: Vec::new(),
-        max_lock_stack: 0,
+        max_lock_stack: flow.summary.max_monitors,
     };
     if synchronized {
         // The interpreter acquires the receiver before the body runs.
@@ -352,402 +230,107 @@ pub fn analyze_method(program: &Program, method_id: u16, method: &Method) -> Met
             held: Vec::new(),
         });
     }
-    if code.is_empty() {
-        facts.diagnostics.push(LockDiag {
-            pc: 0,
-            message: "empty method body".into(),
-        });
-        return facts;
-    }
 
-    let mut entry_locals: Vec<Option<AbsVal>> = vec![None; usize::from(method.max_locals())];
-    for (i, slot) in entry_locals
-        .iter_mut()
-        .take(usize::from(method.arg_count()))
-        .enumerate()
-    {
-        *slot = Some(AbsVal::ArgAny(i as u8));
-    }
-
-    // Phase 1: fixpoint over per-pc entry frames. Joins that cannot
-    // reconcile (depth mismatches) are diagnosed once and the edge is
-    // dropped, which keeps the fixpoint terminating even for code that
-    // leaks a monitor around a loop.
-    let mut states: Vec<Option<Frame>> = vec![None; code.len()];
-    states[0] = Some(Frame {
-        stack: Vec::new(),
-        locals: entry_locals,
-        lock_stack: Vec::new(),
-    });
-    let mut join_diags: BTreeSet<(usize, String)> = BTreeSet::new();
-    let mut worklist: VecDeque<usize> = VecDeque::from([0]);
-    while let Some(pc) = worklist.pop_front() {
-        let frame = states[pc].clone().expect("worklist entries have states");
-        let Some(op) = code.get(pc).copied() else {
-            join_diags.insert((pc, "control flow leaves the method".into()));
-            continue;
-        };
-        let Some((next, successors, falls_through)) = transfer(program, &frame, op) else {
-            // Stack underflow / malformed op: the base verifier reports
-            // this path; stop following it here.
-            join_diags.insert((pc, format!("{op}: malformed operand stack")));
-            continue;
-        };
-
-        let mut propagate = |target: usize,
-                             frame: &Frame,
-                             states: &mut Vec<Option<Frame>>,
-                             worklist: &mut VecDeque<usize>| {
-            if target >= code.len() {
-                join_diags.insert((pc, format!("control flow target {target} out of range")));
-                return;
-            }
-            match &states[target] {
-                None => {
-                    states[target] = Some(frame.clone());
-                    worklist.push_back(target);
-                }
-                Some(existing) => match existing.merge(frame) {
-                    Ok(Some(merged)) => {
-                        states[target] = Some(merged);
-                        worklist.push_back(target);
-                    }
-                    Ok(None) => {}
-                    Err(msg) => {
-                        join_diags.insert((target, msg));
-                    }
-                },
-            }
-        };
-
-        if let Some(h) = method.handler_for(pc) {
-            // The handler sees the frame as it was at instruction entry,
-            // with the stack reduced to the thrown exception.
-            let entry = states[pc].clone().expect("current state exists");
-            let handler_frame = Frame {
-                stack: vec![AbsVal::Ref(Sym::Unknown)],
-                locals: entry.locals,
-                lock_stack: entry.lock_stack,
-            };
-            propagate(h.target, &handler_frame, &mut states, &mut worklist);
-        }
-        for succ in successors {
-            propagate(succ, &next, &mut states, &mut worklist);
-        }
-        if falls_through {
-            propagate(pc + 1, &next, &mut states, &mut worklist);
-        }
-    }
-
-    // Phase 2: one deterministic pass over the fixpoint states to emit
-    // events and instruction-level diagnostics exactly once per pc.
-    let mut op_diags: BTreeSet<(usize, String)> = BTreeSet::new();
-    for (pc, state) in states.iter().enumerate() {
-        let Some(frame) = state else { continue }; // unreachable pc
-        let op = code[pc];
-        facts.max_lock_stack = facts.max_lock_stack.max(frame.lock_stack.len());
-        let held_with_base = |lock_stack: &[Sym]| -> Vec<Sym> {
-            let mut h = base_held.clone();
-            h.extend_from_slice(lock_stack);
-            h
-        };
+    // One deterministic pass over the fixpoint frames emits every site
+    // exactly once per reachable pc. The verifier checked that each
+    // instruction finds the operands it pops.
+    for (pc, frame) in flow.frames.iter().enumerate() {
+        let Some(frame) = frame else { continue };
+        let op = method.code()[pc];
+        let held = || [base_held, &frame.locks[..]].concat();
+        // The operand `back` slots below the stack top.
+        let operand = |back: usize| frame.stack[frame.stack.len() - back];
+        let top = frame.stack.last().map_or(Sym::Unknown, |v| v.sym());
         match op {
             Op::MonitorEnter => {
-                let sym = frame.stack.last().map_or(Sym::Unknown, |v| v.as_sym());
                 facts.monitor_ops.push(MonitorSite {
                     pc,
                     is_enter: true,
-                    sym,
+                    sym: top,
                 });
                 facts.acquires.push(AcquireSite {
                     pc,
-                    sym,
-                    held: held_with_base(&frame.lock_stack),
+                    sym: top,
+                    held: held(),
                 });
-                facts.max_lock_stack = facts.max_lock_stack.max(frame.lock_stack.len() + 1);
             }
             Op::MonitorExit => {
-                let sym = frame.stack.last().map_or(Sym::Unknown, |v| v.as_sym());
                 facts.monitor_ops.push(MonitorSite {
                     pc,
                     is_enter: false,
-                    sym,
+                    sym: top,
                 });
-                match frame.lock_stack.last() {
-                    None => {
-                        op_diags.insert((
+                // An exit with nothing held is the verifier's finding.
+                if let Some(&inner) = frame.locks.last() {
+                    if inner != top && inner != Sym::Unknown && top != Sym::Unknown {
+                        facts.diagnostics.push(LockDiag {
                             pc,
-                            format!("monitorexit on {sym} without matching monitorenter"),
-                        ));
-                    }
-                    Some(&top) => {
-                        if top != sym && top != Sym::Unknown && sym != Sym::Unknown {
-                            op_diags.insert((
-                                pc,
-                                format!(
-                                    "non-LIFO monitorexit: releases {sym} while the \
-                                     innermost held lock is {top}"
-                                ),
-                            ));
-                        }
+                            message: format!(
+                                "non-LIFO monitorexit: releases {top} while the \
+                                 innermost held lock is {inner}"
+                            ),
+                        });
                     }
                 }
             }
             Op::Wait | Op::Notify => {
-                let sym = frame.stack.last().map_or(Sym::Unknown, |v| v.as_sym());
-                let held = held_with_base(&frame.lock_stack);
-                if sym != Sym::Unknown && !held.iter().any(|&h| h == sym || h == Sym::Unknown) {
-                    op_diags.insert((
+                let held = held();
+                if top != Sym::Unknown && !held.iter().any(|&h| h == top || h == Sym::Unknown) {
+                    facts.diagnostics.push(LockDiag {
                         pc,
-                        format!("{} on {sym} without holding its monitor", op.mnemonic()),
-                    ));
+                        message: format!("{} on {top} without holding its monitor", op.mnemonic()),
+                    });
                 }
                 facts.cond_ops.push(CondSite {
                     pc,
                     is_wait: matches!(op, Op::Wait),
-                    sym,
+                    sym: top,
                     held,
                 });
             }
             Op::GetField(_) | Op::PutField(_) | Op::GetFieldDyn | Op::PutFieldDyn => {
-                // Peek the operand `back` slots from the stack top.
-                let peek = |back: usize| {
-                    frame
-                        .stack
-                        .len()
-                        .checked_sub(back)
-                        .and_then(|k| frame.stack.get(k))
-                        .copied()
-                };
                 let (obj, field, is_write) = match op {
-                    Op::GetField(i) => (peek(1), FieldId::Const(i), false),
-                    Op::PutField(i) => (peek(2), FieldId::Const(i), true),
-                    Op::GetFieldDyn => (
-                        peek(2),
-                        peek(1).map_or(FieldId::Unknown, AbsVal::as_field_id),
-                        false,
-                    ),
-                    _ => (
-                        peek(3),
-                        peek(2).map_or(FieldId::Unknown, AbsVal::as_field_id),
-                        true,
-                    ),
+                    Op::GetField(i) => (operand(1), FieldId::Const(i), false),
+                    Op::PutField(i) => (operand(2), FieldId::Const(i), true),
+                    Op::GetFieldDyn => (operand(2), FieldId::of_index(operand(1)), false),
+                    _ => (operand(3), FieldId::of_index(operand(2)), true),
                 };
                 facts.field_accesses.push(FieldAccessSite {
                     pc,
-                    obj: obj.map_or(Sym::Unknown, AbsVal::as_sym),
+                    obj: obj.sym(),
                     field,
                     is_write,
-                    held: held_with_base(&frame.lock_stack),
+                    held: held(),
                 });
             }
             Op::Invoke(id) => {
-                if let Some(callee) = program.method(id) {
-                    let argc = usize::from(callee.arg_count());
-                    let args: Vec<Sym> = if frame.stack.len() >= argc {
-                        frame.stack[frame.stack.len() - argc..]
-                            .iter()
-                            .map(|v| v.as_sym())
-                            .collect()
-                    } else {
-                        vec![Sym::Unknown; argc]
-                    };
-                    facts.invokes.push(InvokeSite {
-                        pc,
-                        callee: id,
-                        args,
-                        held: held_with_base(&frame.lock_stack),
-                    });
-                }
-            }
-            Op::Return | Op::IReturn if !frame.lock_stack.is_empty() => {
-                let held: Vec<String> = frame.lock_stack.iter().map(|s| s.to_string()).collect();
-                op_diags.insert((
+                let callee = program
+                    .method(id)
+                    .expect("the verifier resolved the callee");
+                let argc = usize::from(callee.arg_count());
+                facts.invokes.push(InvokeSite {
                     pc,
-                    format!(
-                        "{} while holding {} monitor(s): [{}]",
-                        op.mnemonic(),
-                        frame.lock_stack.len(),
-                        held.join(", ")
-                    ),
-                ));
+                    callee: id,
+                    args: frame.stack[frame.stack.len() - argc..]
+                        .iter()
+                        .map(|v| v.sym())
+                        .collect(),
+                    held: held(),
+                });
             }
             _ => {}
         }
     }
-
-    facts.diagnostics = join_diags
-        .into_iter()
-        .chain(op_diags)
-        .map(|(pc, message)| LockDiag { pc, message })
-        .collect();
     facts.diagnostics.sort();
-    facts
+    Ok(facts)
 }
 
-/// Applies `op` to `frame`, returning the successor frame, explicit
-/// branch targets, and whether the instruction falls through. Returns
-/// `None` on operand-stack underflow (malformed code the base verifier
-/// rejects).
-#[allow(clippy::too_many_lines)]
-fn transfer(program: &Program, frame: &Frame, op: Op) -> Option<(Frame, Vec<usize>, bool)> {
-    let mut f = frame.clone();
-    let mut successors: Vec<usize> = Vec::with_capacity(1);
-    let mut falls_through = true;
-    macro_rules! pop {
-        () => {
-            f.stack.pop()?
-        };
-    }
-    macro_rules! local {
-        ($slot:expr) => {{
-            let s = usize::from($slot);
-            if s >= f.locals.len() {
-                return None;
-            }
-            s
-        }};
-    }
-    match op {
-        Op::IConst(v) => f.stack.push(AbsVal::Const(v)),
-        Op::ILoad(s) => {
-            let s = local!(s);
-            f.locals[s] = Some(AbsVal::Int);
-            f.stack.push(AbsVal::Int);
-        }
-        Op::IStore(s) => {
-            pop!();
-            let s = local!(s);
-            f.locals[s] = Some(AbsVal::Int);
-        }
-        Op::IInc(s, _) => {
-            let s = local!(s);
-            f.locals[s] = Some(AbsVal::Int);
-        }
-        Op::IAdd
-        | Op::ISub
-        | Op::IMul
-        | Op::IRem
-        | Op::IAnd
-        | Op::IOr
-        | Op::IXor
-        | Op::IShl
-        | Op::IShr => {
-            pop!();
-            pop!();
-            f.stack.push(AbsVal::Int);
-        }
-        Op::INeg => {
-            pop!();
-            f.stack.push(AbsVal::Int);
-        }
-        Op::ALoad(s) => {
-            let s = local!(s);
-            let v = match f.locals[s] {
-                Some(v @ (AbsVal::ArgAny(_) | AbsVal::Ref(_))) => AbsVal::Ref(v.as_sym()),
-                _ => AbsVal::Ref(Sym::Unknown),
-            };
-            f.locals[s] = Some(v);
-            f.stack.push(v);
-        }
-        Op::AStore(s) => {
-            let v = pop!();
-            let s = local!(s);
-            f.locals[s] = Some(AbsVal::Ref(v.as_sym()));
-        }
-        Op::AConst(i) => f.stack.push(AbsVal::Ref(Sym::Pool(i))),
-        Op::ALoadPool => {
-            pop!();
-            f.stack.push(AbsVal::Ref(Sym::Unknown));
-        }
-        Op::GetField(_) => {
-            pop!();
-            f.stack.push(AbsVal::Int);
-        }
-        Op::PutField(_) => {
-            pop!();
-            pop!();
-        }
-        Op::GetFieldDyn => {
-            pop!();
-            pop!();
-            f.stack.push(AbsVal::Int);
-        }
-        Op::PutFieldDyn => {
-            pop!();
-            pop!();
-            pop!();
-        }
-        Op::Dup => {
-            let v = pop!();
-            f.stack.push(v);
-            f.stack.push(v);
-        }
-        Op::Pop => {
-            pop!();
-        }
-        Op::Goto(t) => {
-            successors.push(t);
-            falls_through = false;
-        }
-        Op::IfICmpLt(t) | Op::IfICmpGe(t) | Op::IfICmpEq(t) => {
-            pop!();
-            pop!();
-            successors.push(t);
-        }
-        Op::IfEq(t) => {
-            pop!();
-            successors.push(t);
-        }
-        Op::MonitorEnter => {
-            let v = pop!();
-            f.lock_stack.push(v.as_sym());
-        }
-        Op::MonitorExit => {
-            pop!();
-            // Pop the lock stack even when empty or mismatched so one
-            // orphan exit yields one diagnostic, not a cascade.
-            f.lock_stack.pop();
-        }
-        Op::Wait | Op::Notify => {
-            // Consume the monitor operand; the held-set is unchanged
-            // (wait releases and re-acquires atomically from the
-            // bytecode's point of view).
-            pop!();
-        }
-        Op::Invoke(id) => {
-            let callee = program.method(id)?;
-            let argc = usize::from(callee.arg_count());
-            if f.stack.len() < argc {
-                return None;
-            }
-            f.stack.truncate(f.stack.len() - argc);
-            if callee.flags().returns_value {
-                f.stack.push(AbsVal::Int);
-            }
-        }
-        Op::Throw => {
-            pop!();
-            falls_through = false;
-        }
-        Op::Return | Op::IReturn => {
-            if matches!(op, Op::IReturn) {
-                pop!();
-            }
-            falls_through = false;
-        }
-        Op::Nop => {}
-    }
-    Some((f, successors, falls_through))
-}
-
-/// Runs the lock-stack pass over every method of a program.
+/// Runs the lock-stack pass over every method of a program; a method the
+/// verifier rejects for a type or stack error is left out.
 pub fn analyze_program(program: &Program) -> Vec<MethodLockFacts> {
-    program
-        .methods()
-        .iter()
-        .enumerate()
-        .map(|(id, m)| analyze_method(program, id as u16, m))
+    (0u16..)
+        .zip(program.methods())
+        .filter_map(|(id, m)| analyze_method(program, id, m).ok())
         .collect()
 }
 

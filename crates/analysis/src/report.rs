@@ -4,7 +4,6 @@ use std::fmt;
 
 use thinlock_vm::program::Program;
 use thinlock_vm::programs::ConcurrentProgram;
-use thinlock_vm::verify::{verify_method, VerifyOptions};
 
 use crate::contention::{self, ContentionReport};
 use crate::escape::{self, EscapeContext, EscapeReport};
@@ -16,11 +15,11 @@ use crate::nestdepth::{self, NestDepthReport};
 /// The combined result of running `lockcheck` over one program.
 #[derive(Debug, Clone)]
 pub struct AnalysisReport {
-    /// Base-verifier failures (types/stack), one message per method that
-    /// failed; such methods still get lock-stack facts on a best-effort
-    /// basis.
+    /// Verifier failures (types/stack), one message per method that
+    /// failed; such methods have no lock-stack facts.
     pub verify_errors: Vec<String>,
-    /// Per-method symbolic lock-stack facts and diagnostics.
+    /// Per-method symbolic lock-stack facts and diagnostics, for every
+    /// method the verifier's dataflow completes on.
     pub methods: Vec<MethodLockFacts>,
     /// The program-wide lock-order graph and any deadlock cycles.
     pub lock_order: LockOrderReport,
@@ -71,25 +70,23 @@ pub fn analyze_concurrent(entry: &ConcurrentProgram) -> AnalysisReport {
 /// Like [`analyze_program`], but grounds the guards pass at explicit
 /// concurrent entry roles (one per worker kind, as the harness runs them).
 ///
-/// The base verifier runs first with `structured_locking` off: its job
-/// here is only to guarantee operand-stack sanity so the symbolic pass
-/// is meaningful; lock discipline is this crate's richer reimplementation.
+/// Each method runs through the verifier's dataflow once: a type or
+/// stack error becomes a verify error, and otherwise the lock-stack pass
+/// reads the method's facts, lock-discipline findings included, off the
+/// same fixpoint.
 pub fn analyze_program_with_roles(
     program: &Program,
     ctx: &EscapeContext,
     roles: &[EntryRole],
 ) -> AnalysisReport {
-    let base = VerifyOptions {
-        structured_locking: false,
-        ..VerifyOptions::default()
-    };
     let mut verify_errors = Vec::new();
-    for method in program.methods() {
-        if let Err(e) = verify_method(program, method, base) {
-            verify_errors.push(e.to_string());
+    let mut methods = Vec::new();
+    for (id, method) in (0u16..).zip(program.methods()) {
+        match lockstack::analyze_method(program, id, method) {
+            Ok(facts) => methods.push(facts),
+            Err(e) => verify_errors.push(e.to_string()),
         }
     }
-    let methods = lockstack::analyze_program(program);
     let lock_order = lockorder::build(&methods);
     let escape = escape::analyze(program, &methods, ctx);
     let nest = nestdepth::analyze(&methods);

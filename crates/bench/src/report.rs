@@ -888,7 +888,7 @@ fn lockcheck(out: &mut BenchReport) {
     }
 
     println!(
-        "  plan: static SyncPlan vs dynamic contention profile (iters={PLAN_ITERS}, seed={PLAN_SEED:#x})"
+        "  plan: static site plan flags vs dynamic contention profile (iters={PLAN_ITERS}, seed={PLAN_SEED:#x})"
     );
     for run in check.plans.iter().flatten() {
         if let Some(e) = &run.run_error {

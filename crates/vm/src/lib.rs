@@ -22,8 +22,11 @@
 //!   property-testing the encoding;
 //! * [`programs`] — generators for every micro-benchmark of Table 2 plus
 //!   the `MixedSync` variant of Figure 6;
-//! * [`verify`] — a JVM-style static verifier (dataflow over stack depth,
-//!   value kinds, definite assignment, and structured locking);
+//! * [`verify`] — a JVM-style static verifier and the one abstract
+//!   interpreter of the bytecode: a dataflow over stack depth, value
+//!   kinds, definite assignment and a symbolic lock stack, enforcing
+//!   structured locking, whose per-pc frames the static analyzer in
+//!   `thinlock-analysis` reads;
 //! * [`library`] — a synchronized `Vector`/`Hashtable` class library in
 //!   bytecode, plus a `javalex`-shaped workload (the paper's motivating
 //!   "library tax" example);

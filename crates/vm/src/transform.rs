@@ -325,16 +325,7 @@ mod tests {
             let original = bench.program();
             let stripped = strip_synchronization(&original);
             stripped.validate().unwrap();
-            verify_program(
-                &stripped,
-                VerifyOptions {
-                    // Stripped programs no longer balance monitors (there
-                    // are none); the structural check must be off.
-                    structured_locking: false,
-                    ..VerifyOptions::default()
-                },
-            )
-            .unwrap();
+            verify_program(&stripped, VerifyOptions::default()).unwrap();
             let n = 37;
             assert_eq!(
                 run_program(&original, bench.pool_size(), n),

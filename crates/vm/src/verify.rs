@@ -1,61 +1,140 @@
-//! A static bytecode verifier: abstract interpretation of stack depth and
-//! value kinds.
+//! A static bytecode verifier: abstract interpretation of stack depth,
+//! value kinds and held monitors.
 //!
 //! The real JVM rules out most dynamic failures of our interpreter —
 //! stack underflow, type confusion, reading uninitialized locals, falling
 //! off the end of a method — with a dataflow verifier run at class-load
-//! time. This module is that verifier for the miniature instruction set:
-//! a fixpoint over the control-flow graph with a small type lattice
+//! time. This module is that verifier for the miniature instruction set,
+//! and the one abstract interpreter of the bytecode: a fixpoint over the
+//! control-flow graph whose per-pc entry [`Frame`]s the static analyzer
+//! (`thinlock_analysis::lockstack`) reads instead of re-deriving them.
+//! Stack slots and locals take values in
 //!
 //! ```text
-//!        Conflict            stack slots and locals
-//!        /      \
-//!      Int      Ref          (Ref includes null)
-//!        \      /
-//!        Unknown             (unconstrained method argument)
+//!                 Conflict
+//!                /        \
+//!             Int          Ref(?)
+//!            /   \        /      \
+//!      Const(k)   \   Ref(pool[i])  Ref(arg i)
+//!                  \                 /
+//!                   `---- Arg(i) ---'    argument i, kind not yet constrained
 //! ```
 //!
-//! plus an optional *structured locking* analysis that checks
-//! `monitorenter`/`monitorexit` balance along every path — stricter than
-//! the JVM (which permits unstructured locking) but true of all code the
-//! generators in this crate emit.
+//! and every frame carries a *lock stack*: the [`Sym`] of each monitor
+//! the body holds, innermost last. Locking must be structured — stricter
+//! than the JVM (which permits unstructured locking) but true of all code
+//! the generators in this crate emit: each join sees one lock depth on
+//! every path, each `monitorexit` has a matching `monitorenter`, and no
+//! `return` holds a monitor. A violation is a [`LockDiag`] finding
+//! recorded at its pc while the fixpoint continues (a join whose lock
+//! depths differ drops the incoming edge); type and stack errors abort at
+//! once. [`verify_method`] rejects a method with any finding, and
+//! [`dataflow`] returns the fixpoint with its findings either way.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
 use crate::bytecode::Op;
 use crate::program::{Method, Program};
 
-/// Abstract value kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VType {
-    /// Unconstrained (a method argument not yet used).
+/// Symbolic identity of a lockable reference.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Sym {
+    /// Object-pool constant `pool[i]` (from `AConst(i)`).
+    Pool(u32),
+    /// The method's `i`-th incoming argument, unmodified.
+    Arg(u8),
+    /// Statically unresolvable (e.g. `ALoadPool` with a dynamic index,
+    /// or two different identities meeting at a join).
     Unknown,
-    /// A 32-bit integer.
-    Int,
-    /// An object reference or null.
-    Ref,
 }
 
-impl VType {
-    /// Least upper bound; `None` is the ⊤ (conflict) element.
-    fn join(self, other: VType) -> Option<VType> {
-        match (self, other) {
-            (a, b) if a == b => Some(a),
-            (VType::Unknown, x) | (x, VType::Unknown) => Some(x),
-            _ => None,
+impl Sym {
+    /// Least upper bound: equal symbols survive a join, others collapse.
+    fn join(self, other: Sym) -> Sym {
+        if self == other {
+            self
+        } else {
+            Sym::Unknown
+        }
+    }
+
+    /// This callee symbol in the caller's namespace at a call site whose
+    /// arguments are `args`: an argument maps to the caller's symbol for
+    /// it ([`Sym::Unknown`] past the end), any other symbol to itself.
+    pub fn substitute(self, args: &[Sym]) -> Sym {
+        match self {
+            Sym::Arg(i) => args.get(usize::from(i)).copied().unwrap_or(Sym::Unknown),
+            other => other,
         }
     }
 }
 
-impl fmt::Display for VType {
+impl fmt::Display for Sym {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            VType::Unknown => "unknown",
-            VType::Int => "int",
-            VType::Ref => "ref",
-        };
-        f.write_str(s)
+        match *self {
+            Sym::Pool(i) => write!(f, "pool[{i}]"),
+            Sym::Arg(i) => write!(f, "arg{i}"),
+            Sym::Unknown => f.write_str("?"),
+        }
+    }
+}
+
+/// Abstract value of one stack slot or local.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AbsVal {
+    /// Argument `i`, kind not yet constrained by use.
+    Arg(u8),
+    /// An integer.
+    Int,
+    /// A known integer constant (from `IConst`), tracked so the dynamic
+    /// field ops can resolve their index operand.
+    Const(i32),
+    /// An object reference or null, with its symbolic identity.
+    Ref(Sym),
+}
+
+/// The kinds a check asks for, and the values of unknown identity.
+const INT: AbsVal = AbsVal::Int;
+const REF: AbsVal = AbsVal::Ref(Sym::Unknown);
+/// A kind check every value passes: an unconstrained argument joins
+/// with anything.
+const ANY: AbsVal = AbsVal::Arg(0);
+
+impl AbsVal {
+    /// Least upper bound; `None` is the conflict element.
+    fn join(self, other: AbsVal) -> Option<AbsVal> {
+        use AbsVal::{Arg, Int, Ref};
+        match (self, other) {
+            (a, b) if a == b => Some(a),
+            (Arg(i), Ref(s)) | (Ref(s), Arg(i)) => Some(Ref(Sym::Arg(i).join(s))),
+            (Ref(a), Ref(b)) => Some(Ref(a.join(b))),
+            (Ref(_), _) | (_, Ref(_)) => None,
+            // Integers and constants meeting each other or an argument.
+            // (Two arguments never meet: each stays in its own local slot
+            // until a load gives it a kind.)
+            _ => Some(Int),
+        }
+    }
+
+    /// The symbolic identity of this value used as a reference.
+    pub fn sym(self) -> Sym {
+        match self {
+            AbsVal::Arg(i) => Sym::Arg(i),
+            AbsVal::Ref(s) => s,
+            AbsVal::Int | AbsVal::Const(_) => Sym::Unknown,
+        }
+    }
+}
+
+impl fmt::Display for AbsVal {
+    /// The value's kind, as verify errors name it.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            AbsVal::Arg(_) => "unknown",
+            AbsVal::Int | AbsVal::Const(_) => "int",
+            AbsVal::Ref(_) => "ref",
+        })
     }
 }
 
@@ -78,105 +157,124 @@ impl fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
+/// One instruction-precise lock-discipline finding.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct LockDiag {
+    /// Program counter of the offending instruction (or join point).
+    pub pc: usize,
+    /// Human-readable description.
+    pub message: String,
+}
+
+impl fmt::Display for LockDiag {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "pc {}: {}", self.pc, self.message)
+    }
+}
+
 /// Facts proven about a verified method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MethodSummary {
     /// Maximum operand-stack depth over all paths.
     pub max_stack: usize,
-    /// Maximum `monitorenter` nesting along any path (only meaningful when
-    /// structured locking was requested and holds).
+    /// Maximum lock-stack depth along any path (body locks only: a
+    /// synchronized method's receiver is not on the lock stack).
     pub max_monitors: usize,
 }
 
+/// The abstract state on entry to one instruction.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct Frame {
-    stack: Vec<VType>,
-    locals: Vec<Option<VType>>, // None = definitely unassigned
-    monitors: usize,
+pub struct Frame {
+    /// Operand stack, top last.
+    pub stack: Vec<AbsVal>,
+    /// Locals; `None` where unassigned, or irreconcilable, on some path.
+    locals: Vec<Option<AbsVal>>,
+    /// The monitors held, innermost last.
+    pub locks: Vec<Sym>,
 }
 
 impl Frame {
-    fn merge(&self, other: &Frame) -> Result<Option<Frame>, String> {
-        if self.stack.len() != other.stack.len() {
+    /// Joins `other` into this entry frame of `pc`: the grown frame, or
+    /// `None` when this one already covers `other`. Lock depths that
+    /// differ are a finding, and the edge is dropped.
+    fn merge(
+        &self,
+        other: &Frame,
+        pc: usize,
+        findings: &mut BTreeSet<LockDiag>,
+    ) -> Result<Option<Frame>, String> {
+        let (depth, other_depth) = (self.stack.len(), other.stack.len());
+        if depth != other_depth {
             return Err(format!(
-                "stack depth mismatch at join: {} vs {}",
-                self.stack.len(),
-                other.stack.len()
+                "stack depth mismatch at join: {depth} vs {other_depth}"
             ));
         }
-        if self.monitors != other.monitors {
-            return Err(format!(
-                "monitor depth mismatch at join: {} vs {}",
-                self.monitors, other.monitors
-            ));
+        let (held, other_held) = (self.locks.len(), other.locks.len());
+        if held != other_held {
+            let message = format!(
+                "lock-stack depth mismatch at join: {held} monitors held on one path, \
+                 {other_held} on another"
+            );
+            findings.insert(LockDiag { pc, message });
+            return Ok(None);
         }
-        let mut changed = false;
-        let mut stack = Vec::with_capacity(self.stack.len());
+        let mut stack = Vec::with_capacity(depth);
         for (&a, &b) in self.stack.iter().zip(&other.stack) {
-            let j = a
-                .join(b)
-                .ok_or_else(|| format!("irreconcilable stack types at join: {a} vs {b}"))?;
-            changed |= j != a;
-            stack.push(j);
+            let join = a.join(b);
+            stack.push(
+                join.ok_or_else(|| format!("irreconcilable stack types at join: {a} vs {b}"))?,
+            );
         }
-        let mut locals = Vec::with_capacity(self.locals.len());
-        for (&a, &b) in self.locals.iter().zip(&other.locals) {
-            let j = match (a, b) {
-                (Some(x), Some(y)) => x.join(y).map(Some).unwrap_or(None),
-                _ => None, // assigned on only one path: unusable after join
-            };
-            changed |= j != a;
-            locals.push(j);
-        }
-        Ok(changed.then_some(Frame {
+        let merged = Frame {
             stack,
-            locals,
-            monitors: self.monitors,
-        }))
+            // Assigned on only one path, or irreconcilable: unusable.
+            locals: (self.locals.iter().zip(&other.locals))
+                .map(|(&a, &b)| a.zip(b).and_then(|(x, y)| x.join(y)))
+                .collect(),
+            locks: (self.locks.iter().zip(&other.locks))
+                .map(|(&a, &b)| a.join(b))
+                .collect(),
+        };
+        Ok((merged != *self).then_some(merged))
     }
+}
+
+/// The verifier's fixpoint over one method.
+#[derive(Debug, Clone)]
+pub struct Dataflow {
+    /// The entry frame of every pc; `None` where no path reaches it.
+    pub frames: Vec<Option<Frame>>,
+    /// Lock-discipline findings, sorted: joins whose lock depths differ,
+    /// orphan `monitorexit`s, and returns that still hold a monitor.
+    pub findings: Vec<LockDiag>,
+    /// Depth bounds over every path.
+    pub summary: MethodSummary,
 }
 
 /// Options controlling [`verify_method`] / [`verify_program`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VerifyOptions {
-    /// Require every path to balance `monitorenter`/`monitorexit` and to
-    /// hold no monitors at any `return` (stricter than the JVM).
-    pub structured_locking: bool,
     /// Maximum permitted operand-stack depth.
     pub max_stack: usize,
 }
 
 impl Default for VerifyOptions {
     fn default() -> Self {
-        VerifyOptions {
-            structured_locking: true,
-            max_stack: 64,
-        }
+        VerifyOptions { max_stack: 64 }
     }
 }
 
-/// Verifies one method of `program`.
+/// Runs the verifier's fixpoint over one method of `program`, recording
+/// lock-discipline violations as findings.
 ///
 /// # Errors
 ///
-/// The first dataflow violation found, as a [`VerifyError`].
-///
-/// # Example
-///
-/// ```
-/// use thinlock_vm::programs::MicroBench;
-/// use thinlock_vm::verify::{verify_program, VerifyOptions};
-///
-/// let program = MicroBench::Sync.program();
-/// let summaries = verify_program(&program, VerifyOptions::default())?;
-/// assert!(summaries[0].max_stack <= 4);
-/// # Ok::<(), thinlock_vm::verify::VerifyError>(())
-/// ```
-pub fn verify_method(
+/// The first type or stack violation found, as a [`VerifyError`].
+pub fn dataflow(
     program: &Program,
     method: &Method,
     options: VerifyOptions,
-) -> Result<MethodSummary, VerifyError> {
+) -> Result<Dataflow, VerifyError> {
     let err = |pc: usize, message: String| VerifyError {
         method: method.name().to_string(),
         pc,
@@ -189,58 +287,35 @@ pub fn verify_method(
 
     // Entry frame: arguments occupy the first locals; a synchronized
     // method's receiver must be a reference.
-    let mut entry_locals: Vec<Option<VType>> = vec![None; usize::from(method.max_locals())];
-    for slot in entry_locals
-        .iter_mut()
-        .take(usize::from(method.arg_count()))
-    {
-        *slot = Some(VType::Unknown);
+    let mut locals: Vec<Option<AbsVal>> = vec![None; usize::from(method.max_locals())];
+    for (i, slot) in (0..method.arg_count()).zip(&mut locals) {
+        *slot = Some(AbsVal::Arg(i));
     }
     if method.flags().synchronized {
-        match entry_locals.first_mut() {
-            Some(first) => *first = Some(VType::Ref),
-            None => {
-                return Err(err(
-                    0,
-                    "synchronized method needs a receiver argument".into(),
-                ))
-            }
-        }
+        let receiver = locals
+            .first_mut()
+            .ok_or_else(|| err(0, "synchronized method needs a receiver argument".into()))?;
+        *receiver = Some(AbsVal::Ref(Sym::Arg(0)));
     }
 
     let mut states: Vec<Option<Frame>> = vec![None; code.len()];
     states[0] = Some(Frame {
         stack: Vec::new(),
-        locals: entry_locals,
-        monitors: 0,
+        locals,
+        locks: Vec::new(),
     });
     let mut worklist: VecDeque<usize> = VecDeque::from([0]);
     let mut max_stack = 0usize;
     let mut max_monitors = 0usize;
+    // A join finding is kept per message; an instruction's is rewritten
+    // at each visit, so the one made at its final frame stands.
+    let mut join_findings: BTreeSet<LockDiag> = BTreeSet::new();
+    let mut op_findings: BTreeMap<usize, String> = BTreeMap::new();
 
     while let Some(pc) = worklist.pop_front() {
         let mut frame = states[pc].clone().expect("worklist entries have states");
-        let op = *code
-            .get(pc)
-            .ok_or_else(|| err(pc, "control flow leaves the method".into()))?;
+        let op = code[pc];
 
-        macro_rules! pop {
-            () => {
-                frame
-                    .stack
-                    .pop()
-                    .ok_or_else(|| err(pc, "operand stack underflow".into()))?
-            };
-        }
-        macro_rules! pop_kind {
-            ($want:expr) => {{
-                let v = pop!();
-                match v.join($want) {
-                    Some(_) => {}
-                    None => return Err(err(pc, format!("expected {} on stack, found {v}", $want))),
-                }
-            }};
-        }
         macro_rules! push {
             ($t:expr) => {{
                 frame.stack.push($t);
@@ -260,37 +335,9 @@ pub fn verify_method(
             }};
         }
 
-        let mut successors: Vec<usize> = Vec::with_capacity(2);
-        let mut falls_through = true;
-
-        match op {
-            Op::IConst(_) => push!(VType::Int),
-            Op::ILoad(s) => {
-                let s = local!(s);
-                match frame.locals[s] {
-                    Some(t) if t.join(VType::Int).is_some() => {
-                        frame.locals[s] = Some(VType::Int);
-                    }
-                    Some(t) => return Err(err(pc, format!("iload of {t} local"))),
-                    None => return Err(err(pc, "iload of unassigned local".into())),
-                }
-                push!(VType::Int);
-            }
-            Op::IStore(s) => {
-                pop_kind!(VType::Int);
-                let s = local!(s);
-                frame.locals[s] = Some(VType::Int);
-            }
-            Op::IInc(s, _) => {
-                let s = local!(s);
-                match frame.locals[s] {
-                    Some(t) if t.join(VType::Int).is_some() => {
-                        frame.locals[s] = Some(VType::Int);
-                    }
-                    Some(t) => return Err(err(pc, format!("iinc of {t} local"))),
-                    None => return Err(err(pc, "iinc of unassigned local".into())),
-                }
-            }
+        // The operand kinds `op` pops, top of stack first, and whether it
+        // then pushes an int.
+        let (wants, pushes_int): (&[AbsVal], bool) = match op {
             Op::IAdd
             | Op::ISub
             | Op::IMul
@@ -299,103 +346,88 @@ pub fn verify_method(
             | Op::IOr
             | Op::IXor
             | Op::IShl
-            | Op::IShr => {
-                pop_kind!(VType::Int);
-                pop_kind!(VType::Int);
-                push!(VType::Int);
+            | Op::IShr => (&[INT, INT], true),
+            Op::IfICmpLt(_) | Op::IfICmpGe(_) | Op::IfICmpEq(_) => (&[INT, INT], false),
+            Op::IStore(_) | Op::ALoadPool | Op::IfEq(_) | Op::IReturn => (&[INT], false),
+            Op::INeg => (&[INT], true),
+            Op::GetField(_) => (&[REF], true),
+            Op::GetFieldDyn => (&[INT, REF], true),
+            Op::PutField(_) => (&[INT, REF], false),
+            Op::PutFieldDyn => (&[INT, INT, REF], false),
+            Op::Dup | Op::Pop => (&[ANY], false),
+            // Wait and notify consume their monitor like `monitorexit`;
+            // ownership is dynamic, so no surrounding enter is required.
+            Op::AStore(_)
+            | Op::MonitorEnter
+            | Op::MonitorExit
+            | Op::Wait
+            | Op::Notify
+            | Op::Throw => (&[REF], false),
+            _ => (&[], false),
+        };
+        // The last operand popped: what a store, `dup` or monitor
+        // operation acts on.
+        let mut popped = ANY;
+        for &want in wants {
+            let v = (frame.stack.pop()).ok_or_else(|| err(pc, "operand stack underflow".into()))?;
+            if v.join(want).is_none() {
+                return Err(err(pc, format!("expected {want} on stack, found {v}")));
+            }
+            popped = v;
+        }
+        if pushes_int {
+            push!(INT);
+        }
+
+        match op {
+            Op::IConst(k) => push!(AbsVal::Const(k)),
+            Op::ILoad(s) | Op::IInc(s, _) => {
+                let s = local!(s);
+                match frame.locals[s] {
+                    Some(t) if t.join(INT).is_some() => frame.locals[s] = Some(INT),
+                    Some(t) => return Err(err(pc, format!("{} of {t} local", op.mnemonic()))),
+                    None => return Err(err(pc, format!("{} of unassigned local", op.mnemonic()))),
+                }
+                if let Op::ILoad(_) = op {
+                    push!(INT);
+                }
             }
             Op::ALoad(s) => {
                 let s = local!(s);
-                match frame.locals[s] {
-                    Some(t) if t.join(VType::Ref).is_some() => {
-                        frame.locals[s] = Some(VType::Ref);
-                    }
+                let v = match frame.locals[s] {
+                    Some(t) if t.join(REF).is_some() => AbsVal::Ref(t.sym()),
                     Some(t) => return Err(err(pc, format!("aload of {t} local"))),
                     None => return Err(err(pc, "aload of unassigned local".into())),
-                }
-                push!(VType::Ref);
+                };
+                frame.locals[s] = Some(v);
+                push!(v);
             }
-            Op::AStore(s) => {
-                pop_kind!(VType::Ref);
+            Op::IStore(s) | Op::AStore(s) => {
                 let s = local!(s);
-                frame.locals[s] = Some(VType::Ref);
+                frame.locals[s] = Some(popped);
             }
             Op::AConst(i) => {
                 if i >= program.pool_size() {
                     return Err(err(pc, format!("pool index {i} out of range")));
                 }
-                push!(VType::Ref);
+                push!(AbsVal::Ref(Sym::Pool(i)));
             }
-            Op::ALoadPool => {
-                pop_kind!(VType::Int);
-                push!(VType::Ref);
-            }
-            Op::GetField(_) => {
-                pop_kind!(VType::Ref);
-                push!(VType::Int);
-            }
-            Op::PutField(_) => {
-                pop_kind!(VType::Int);
-                pop_kind!(VType::Ref);
-            }
-            Op::GetFieldDyn => {
-                pop_kind!(VType::Int);
-                pop_kind!(VType::Ref);
-                push!(VType::Int);
-            }
-            Op::PutFieldDyn => {
-                pop_kind!(VType::Int);
-                pop_kind!(VType::Int);
-                pop_kind!(VType::Ref);
-            }
+            Op::ALoadPool => push!(REF),
             Op::Dup => {
-                let v = pop!();
-                push!(v);
-                push!(v);
-            }
-            Op::Pop => {
-                let _ = pop!();
-            }
-            Op::Goto(t) => {
-                successors.push(t);
-                falls_through = false;
-            }
-            Op::INeg => {
-                pop_kind!(VType::Int);
-                push!(VType::Int);
-            }
-            Op::IfICmpLt(t) | Op::IfICmpGe(t) | Op::IfICmpEq(t) => {
-                pop_kind!(VType::Int);
-                pop_kind!(VType::Int);
-                successors.push(t);
-            }
-            Op::IfEq(t) => {
-                pop_kind!(VType::Int);
-                successors.push(t);
+                push!(popped);
+                push!(popped);
             }
             Op::MonitorEnter => {
-                pop_kind!(VType::Ref);
-                // Only track depth under structured locking: exits do not
-                // decrement otherwise, and a stale count would poison the
-                // depth check in `Frame::merge` at every loop join.
-                if options.structured_locking {
-                    frame.monitors += 1;
-                    max_monitors = max_monitors.max(frame.monitors);
-                }
+                frame.locks.push(popped.sym());
+                max_monitors = max_monitors.max(frame.locks.len());
             }
             Op::MonitorExit => {
-                pop_kind!(VType::Ref);
-                if options.structured_locking {
-                    frame.monitors = frame.monitors.checked_sub(1).ok_or_else(|| {
-                        err(pc, "monitorexit without matching monitorenter".into())
-                    })?;
+                let released = frame.locks.pop();
+                if released.is_none() {
+                    let sym = popped.sym();
+                    let message = format!("monitorexit on {sym} without matching monitorenter");
+                    op_findings.insert(pc, message);
                 }
-            }
-            Op::Wait | Op::Notify => {
-                // Stack-wise these are monitorexit-shaped: consume one ref.
-                // Monitor ownership is a dynamic property, so the verifier
-                // does not require a surrounding monitorenter here.
-                pop_kind!(VType::Ref);
             }
             Op::Invoke(id) => {
                 let callee = program
@@ -408,7 +440,7 @@ pub fn verify_method(
                 // Receiver of a synchronized callee must be a reference.
                 if callee.flags().synchronized && argc > 0 {
                     let recv = frame.stack[frame.stack.len() - argc];
-                    if recv.join(VType::Ref).is_none() {
+                    if recv.join(REF).is_none() {
                         return Err(err(
                             pc,
                             format!("synchronized callee receiver must be ref, found {recv}"),
@@ -417,94 +449,106 @@ pub fn verify_method(
                 }
                 frame.stack.truncate(frame.stack.len() - argc);
                 if callee.flags().returns_value {
-                    push!(VType::Int);
+                    push!(INT);
                 }
             }
-            Op::Throw => {
-                pop_kind!(VType::Ref);
-                falls_through = false;
+            Op::Return | Op::IReturn => {
+                let returns = op == Op::IReturn;
+                if returns != method.flags().returns_value {
+                    let not = if returns { "not " } else { "" };
+                    let message = format!("{} in a method {not}declared `returns`", op.mnemonic());
+                    return Err(err(pc, message));
+                }
+                if !frame.locks.is_empty() {
+                    let held: Vec<String> = frame.locks.iter().map(Sym::to_string).collect();
+                    let (n, held) = (held.len(), held.join(", "));
+                    let message =
+                        format!("{} while holding {n} monitor(s): [{held}]", op.mnemonic());
+                    op_findings.insert(pc, message);
+                }
             }
-            Op::Return => {
-                if method.flags().returns_value {
-                    return Err(err(pc, "return in a method declared `returns`".into()));
-                }
-                if options.structured_locking && frame.monitors != 0 {
-                    return Err(err(pc, "return while holding a monitor".into()));
-                }
-                falls_through = false;
-            }
-            Op::IReturn => {
-                pop_kind!(VType::Int);
-                if !method.flags().returns_value {
-                    return Err(err(pc, "ireturn in a method not declared `returns`".into()));
-                }
-                if options.structured_locking && frame.monitors != 0 {
-                    return Err(err(pc, "ireturn while holding a monitor".into()));
-                }
-                falls_through = false;
-            }
-            Op::Nop => {}
-        }
-
-        if falls_through {
-            successors.push(pc + 1);
+            _ => {}
         }
 
         // Any instruction inside a protected range may transfer to its
         // handler with the stack reduced to the exception object. Seed the
         // handler with the frame at instruction *entry* (locals and
-        // monitor depth as they were before the op).
+        // lock stack as they were before the op).
+        let mut edges: Vec<(usize, Frame)> = Vec::with_capacity(3);
         if let Some(h) = method.handler_for(pc) {
-            let entry = states[pc].clone().expect("current state exists");
-            let handler_frame = Frame {
-                stack: vec![VType::Ref],
-                locals: entry.locals,
-                monitors: entry.monitors,
-            };
             if h.target >= code.len() {
                 return Err(err(pc, format!("handler target {} out of range", h.target)));
             }
-            match &states[h.target] {
-                None => {
-                    states[h.target] = Some(handler_frame);
-                    worklist.push_back(h.target);
-                }
-                Some(existing) => match existing.merge(&handler_frame) {
-                    Ok(Some(merged)) => {
-                        states[h.target] = Some(merged);
-                        worklist.push_back(h.target);
-                    }
-                    Ok(None) => {}
-                    Err(msg) => return Err(err(h.target, msg)),
-                },
-            }
+            let mut handler = states[pc].clone().expect("the current pc has a state");
+            handler.stack = vec![REF];
+            edges.push((h.target, handler));
         }
-
-        for succ in successors {
+        let ends = matches!(op, Op::Goto(_) | Op::Throw | Op::Return | Op::IReturn);
+        let fall_through = (!ends).then_some(pc + 1);
+        for succ in op.branch_target().into_iter().chain(fall_through) {
             if succ >= code.len() {
                 return Err(err(pc, format!("control flow target {succ} out of range")));
             }
-            match &states[succ] {
-                None => {
-                    states[succ] = Some(frame.clone());
-                    worklist.push_back(succ);
-                }
-                Some(existing) => match existing.merge(&frame) {
-                    Ok(Some(merged)) => {
-                        states[succ] = Some(merged);
-                        worklist.push_back(succ);
-                    }
-                    Ok(None) => {}
-                    Err(msg) => return Err(err(succ, msg)),
-                },
+            edges.push((succ, frame.clone()));
+        }
+        for (target, incoming) in edges {
+            let grown = match &states[target] {
+                None => Some(incoming),
+                Some(existing) => existing
+                    .merge(&incoming, target, &mut join_findings)
+                    .map_err(|message| err(target, message))?,
+            };
+            if let Some(frame) = grown {
+                states[target] = Some(frame);
+                worklist.push_back(target);
             }
         }
     }
 
-    Ok(MethodSummary {
-        max_stack,
-        max_monitors,
+    let mut findings = join_findings;
+    findings.extend((op_findings.into_iter()).map(|(pc, message)| LockDiag { pc, message }));
+    Ok(Dataflow {
+        frames: states,
+        findings: findings.into_iter().collect(),
+        summary: MethodSummary {
+            max_stack,
+            max_monitors,
+        },
     })
+}
+
+/// Verifies one method of `program`.
+///
+/// # Errors
+///
+/// The first type or stack violation found, or else the first
+/// lock-discipline finding, as a [`VerifyError`].
+///
+/// # Example
+///
+/// ```
+/// use thinlock_vm::programs::MicroBench;
+/// use thinlock_vm::verify::{verify_program, VerifyOptions};
+///
+/// let program = MicroBench::Sync.program();
+/// let summaries = verify_program(&program, VerifyOptions::default())?;
+/// assert!(summaries[0].max_stack <= 4);
+/// # Ok::<(), thinlock_vm::verify::VerifyError>(())
+/// ```
+pub fn verify_method(
+    program: &Program,
+    method: &Method,
+    options: VerifyOptions,
+) -> Result<MethodSummary, VerifyError> {
+    let flow = dataflow(program, method, options)?;
+    match flow.findings.into_iter().next() {
+        Some(LockDiag { pc, message }) => Err(VerifyError {
+            method: method.name().to_string(),
+            pc,
+            message,
+        }),
+        None => Ok(flow.summary),
+    }
 }
 
 /// Verifies every method of a program.
@@ -645,7 +689,12 @@ mod tests {
         let code = vec![Op::AConst(0), Op::MonitorEnter, Op::Return];
         let (p, m) = method(void_flags(), 0, 0, code);
         let e = verify_method(&p, &m, VerifyOptions::default()).unwrap_err();
-        assert!(e.message.contains("holding a monitor"), "{e}");
+        assert_eq!(e.pc, 2);
+        assert!(
+            e.message
+                .contains("return while holding 1 monitor(s): [pool[0]]"),
+            "{e}"
+        );
 
         // Orphan exit.
         let code = vec![Op::AConst(0), Op::MonitorExit, Op::Return];
@@ -655,14 +704,35 @@ mod tests {
     }
 
     #[test]
-    fn structured_locking_can_be_disabled() {
-        let code = vec![Op::AConst(0), Op::MonitorEnter, Op::Return];
+    fn lock_findings_are_recorded_at_their_pc_while_the_fixpoint_continues() {
+        // An orphan exit at pc 1, then a monitor leaked at the return.
+        let code = vec![
+            Op::AConst(0),    // 0
+            Op::MonitorExit,  // 1: nothing held
+            Op::AConst(0),    // 2
+            Op::MonitorEnter, // 3
+            Op::Return,       // 4: still holding pool[0]
+        ];
         let (p, m) = method(void_flags(), 0, 0, code);
-        let opts = VerifyOptions {
-            structured_locking: false,
-            ..VerifyOptions::default()
-        };
-        verify_method(&p, &m, opts).unwrap();
+        let flow = dataflow(&p, &m, VerifyOptions::default()).unwrap();
+        let found: Vec<String> = flow.findings.iter().map(LockDiag::to_string).collect();
+        assert_eq!(
+            found,
+            [
+                "pc 1: monitorexit on pool[0] without matching monitorenter",
+                "pc 4: return while holding 1 monitor(s): [pool[0]]",
+            ]
+        );
+        assert!(flow.frames.iter().all(Option::is_some), "every pc reached");
+        assert_eq!(flow.frames[4].as_ref().unwrap().locks, [Sym::Pool(0)]);
+        assert_eq!(flow.summary.max_monitors, 1);
+        // The verdict is the first finding.
+        let e = verify_method(&p, &m, VerifyOptions::default()).unwrap_err();
+        assert_eq!(e.pc, 1);
+        assert_eq!(
+            e.message,
+            "monitorexit on pool[0] without matching monitorenter"
+        );
     }
 
     #[test]
@@ -725,25 +795,30 @@ mod tests {
         p.add_method(m.clone());
         let e = verify_method(&p, &m, VerifyOptions::default()).unwrap_err();
         assert_eq!(e.pc, 5);
-        assert!(e.message.contains("holding a monitor"), "{e}");
+        assert!(
+            e.message
+                .contains("return while holding 1 monitor(s): [pool[0]]"),
+            "{e}"
+        );
     }
 
     #[test]
-    fn unstructured_mode_accepts_balanced_loops() {
-        // With structured locking off, monitor depth must not be tracked
-        // at all — a stale only-incremented count would fail the join
-        // check at the loop head of any balanced looping program.
+    fn balanced_loops_record_no_findings() {
+        // Every loop head joins the back edge at the depth it entered
+        // with, so looping programs that balance their monitors leave
+        // the lock stack empty at every return.
         use crate::programs::MicroBench;
-        let opts = VerifyOptions {
-            structured_locking: false,
-            ..VerifyOptions::default()
-        };
         for b in [
             MicroBench::MixedSync,
             MicroBench::Sync,
             MicroBench::MultiSync(4),
         ] {
-            verify_program(&b.program(), opts).unwrap_or_else(|e| panic!("{b}: {e}"));
+            let program = b.program();
+            for m in program.methods() {
+                let flow = dataflow(&program, m, VerifyOptions::default())
+                    .unwrap_or_else(|e| panic!("{b}: {e}"));
+                assert!(flow.findings.is_empty(), "{b}: {:?}", flow.findings);
+            }
         }
     }
 

@@ -42,7 +42,7 @@ echo "== lockcheck: the JSON report is unchanged"
 cargo run -q --release --offline -p thinlock-analysis --bin lockcheck -- \
     --json | diff -u scripts/lockcheck/json.txt -
 
-echo "== lockcheck: static SyncPlan must agree with the dynamic contention profile"
+echo "== lockcheck: static site plan flags must agree with the dynamic contention profile"
 cargo run -q --release --offline -p thinlock-analysis --bin lockcheck -- --deny-disagreement >/dev/null
 
 # lockmc's quick output is deterministic, so it is pinned byte for byte
