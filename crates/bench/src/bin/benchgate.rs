@@ -6,8 +6,8 @@
 //!           [--micro-tol F] [--macro-tol F] [--ratio-tol F]
 //! ```
 //!
-//! Defaults compare `BENCH_thinlock.json` (a fresh `reproduce --json`
-//! run) against `scripts/bench_baseline.json` (committed). `--ids-only`
+//! Defaults compare `out/BENCH_thinlock.json` (a fresh `reproduce --json`
+//! run) against `BENCH_thinlock.json` (the committed baseline). `--ids-only`
 //! checks benchmark coverage but ignores values — the mode the fast
 //! smoke tier uses, where iteration counts are too small for timing to
 //! mean anything. Tolerances and the pass/fail rules are documented in
@@ -27,8 +27,8 @@ struct Options {
 
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
-        baseline: "scripts/bench_baseline.json".to_string(),
-        current: "BENCH_thinlock.json".to_string(),
+        baseline: "BENCH_thinlock.json".to_string(),
+        current: "out/BENCH_thinlock.json".to_string(),
         ids_only: false,
         tolerances: Tolerances::default(),
     };

@@ -12,8 +12,8 @@
 //! [`report::run_sections`] is the one driver of every artifact: the
 //! `reproduce` binary prints and records its sections, and `benchgate`
 //! diffs the recorded report against the committed baseline
-//! `scripts/bench_baseline.json`, which is also the one list of the
-//! record ids a full run emits.
+//! `BENCH_thinlock.json`, which is also the one list of the record ids
+//! a full run emits.
 //!
 //! Absolute times are host-dependent; what the harness (and the
 //! assertions in `tests/`) check is the paper's *shape*: who wins, by

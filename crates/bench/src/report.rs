@@ -4,8 +4,8 @@
 //! The `reproduce` binary is a thin CLI over [`run_sections`]; each
 //! section function here both prints the same rows the paper presents
 //! and pushes a [`BenchRecord`] per cell, so one run produces the
-//! human-readable transcript *and* `BENCH_thinlock.json`. The record ids
-//! are stable: the committed baseline `scripts/bench_baseline.json`
+//! human-readable transcript *and* a `BENCH_thinlock.json` report. The
+//! record ids are stable: the committed baseline `BENCH_thinlock.json`
 //! lists the full set in emission order, `benchgate` joins on them when
 //! diffing a run against it, and the smoke test in
 //! `tests/bench_pipeline.rs` holds an `all` run to exactly that list.

@@ -1,11 +1,11 @@
 //! A minimal JSON parser — the read half of [`crate::json`].
 //!
 //! The workspace is dependency-free by policy (DESIGN.md §6), so the
-//! benchmark pipeline's machine-readable artifacts (`BENCH_thinlock.json`,
-//! `scripts/bench_baseline.json`) are read back by this small recursive-
-//! descent parser instead of a serialization crate. It accepts exactly
-//! the JSON the [`JsonWriter`](crate::json::JsonWriter) emits (plus
-//! insignificant whitespace), which is all the repo ever needs to parse.
+//! benchmark pipeline's machine-readable reports (`BENCH_thinlock.json`)
+//! are read back by this small recursive-descent parser instead of a
+//! serialization crate. It accepts exactly the JSON the
+//! [`JsonWriter`](crate::json::JsonWriter) emits (plus insignificant
+//! whitespace), which is all the repo ever needs to parse.
 //!
 //! Numbers round-trip exactly: Rust's `f64` `Display` prints the shortest
 //! representation that parses back to the same bits, and `str::parse`

@@ -195,19 +195,12 @@ struct MethodBuilder {
     arg_count: u8,
     max_locals: u8,
     flags: MethodFlags,
-    code: Vec<PendingOp>,
+    code: Vec<Op>,
+    /// `(pc, label, line)` of each branch to a label, whose target is set
+    /// when the method ends.
+    branches: Vec<(usize, String, usize)>,
     labels: HashMap<String, usize>,
     catches: Vec<(String, String, String, usize)>,
-}
-
-#[derive(Debug)]
-enum PendingOp {
-    Ready(Op),
-    Branch {
-        mnemonic: String,
-        target: String,
-        line: usize,
-    },
 }
 
 impl MethodBuilder {
@@ -244,6 +237,7 @@ impl MethodBuilder {
             max_locals: max_locals.ok_or_else(|| err(line, "missing locals="))?,
             flags,
             code: Vec::new(),
+            branches: Vec::new(),
             labels: HashMap::new(),
             catches: Vec::new(),
         })
@@ -281,204 +275,46 @@ impl MethodBuilder {
         let mut parts = text.split_whitespace();
         let mnemonic = parts.next().expect("non-empty line");
         let operands: Vec<&str> = parts.collect();
-        let want = |n: usize| -> Result<(), AsmError> {
-            if operands.len() == n {
-                Ok(())
-            } else {
-                Err(err(
-                    line,
-                    format!(
-                        "`{mnemonic}` expects {n} operand(s), got {}",
-                        operands.len()
-                    ),
-                ))
-            }
-        };
-        let int = |s: &str| -> Result<i64, AsmError> {
-            s.parse()
-                .map_err(|_| err(line, format!("invalid operand `{s}`")))
-        };
-
-        let op = match mnemonic {
-            "iconst" => {
-                want(1)?;
-                Op::IConst(int(operands[0])? as i32)
-            }
-            "iload" => {
-                want(1)?;
-                Op::ILoad(int(operands[0])? as u8)
-            }
-            "istore" => {
-                want(1)?;
-                Op::IStore(int(operands[0])? as u8)
-            }
-            "iinc" => {
-                want(2)?;
-                Op::IInc(int(operands[0])? as u8, int(operands[1])? as i16)
-            }
-            "iadd" => {
-                want(0)?;
-                Op::IAdd
-            }
-            "isub" => {
-                want(0)?;
-                Op::ISub
-            }
-            "imul" => {
-                want(0)?;
-                Op::IMul
-            }
-            "irem" => {
-                want(0)?;
-                Op::IRem
-            }
-            "ineg" => {
-                want(0)?;
-                Op::INeg
-            }
-            "iand" => {
-                want(0)?;
-                Op::IAnd
-            }
-            "ior" => {
-                want(0)?;
-                Op::IOr
-            }
-            "ixor" => {
-                want(0)?;
-                Op::IXor
-            }
-            "ishl" => {
-                want(0)?;
-                Op::IShl
-            }
-            "ishr" => {
-                want(0)?;
-                Op::IShr
-            }
-            "aload" => {
-                want(1)?;
-                Op::ALoad(int(operands[0])? as u8)
-            }
-            "astore" => {
-                want(1)?;
-                Op::AStore(int(operands[0])? as u8)
-            }
-            "aconst" => {
-                want(1)?;
-                Op::AConst(int(operands[0])? as u32)
-            }
-            "aloadpool" => {
-                want(0)?;
-                Op::ALoadPool
-            }
-            "getfield" => {
-                want(1)?;
-                Op::GetField(int(operands[0])? as u16)
-            }
-            "putfield" => {
-                want(1)?;
-                Op::PutField(int(operands[0])? as u16)
-            }
-            "getfielddyn" => {
-                want(0)?;
-                Op::GetFieldDyn
-            }
-            "putfielddyn" => {
-                want(0)?;
-                Op::PutFieldDyn
-            }
-            "dup" => {
-                want(0)?;
-                Op::Dup
-            }
-            "pop" => {
-                want(0)?;
-                Op::Pop
-            }
-            "monitorenter" => {
-                want(0)?;
-                Op::MonitorEnter
-            }
-            "monitorexit" => {
-                want(0)?;
-                Op::MonitorExit
-            }
-            "wait" => {
-                want(0)?;
-                Op::Wait
-            }
-            "notify" => {
-                want(0)?;
-                Op::Notify
-            }
-            "invoke" => {
-                want(1)?;
-                Op::Invoke(int(operands[0])? as u16)
-            }
-            "return" => {
-                want(0)?;
-                Op::Return
-            }
-            "ireturn" => {
-                want(0)?;
-                Op::IReturn
-            }
-            "nop" => {
-                want(0)?;
-                Op::Nop
-            }
-            "athrow" => {
-                want(0)?;
-                Op::Throw
-            }
-            "goto" | "if_icmplt" | "if_icmpge" | "if_icmpeq" | "ifeq" => {
-                want(1)?;
-                self.code.push(PendingOp::Branch {
-                    mnemonic: mnemonic.to_string(),
-                    target: operands[0].to_string(),
-                    line,
-                });
-                return Ok(());
-            }
-            other => return Err(err(line, format!("unknown mnemonic `{other}`"))),
-        };
-        self.code.push(PendingOp::Ready(op));
+        let template = Op::from_mnemonic(mnemonic)
+            .ok_or_else(|| err(line, format!("unknown mnemonic `{mnemonic}`")))?;
+        let mut label = None;
+        let values = operands
+            .iter()
+            .map(|&s| match s.parse() {
+                Ok(v) => Ok(v),
+                // A branch to a label gets its target when the method ends.
+                Err(_) if template.branch_target().is_some() => {
+                    label = Some(s.to_string());
+                    Ok(0)
+                }
+                Err(_) => Err(err(line, format!("invalid operand `{s}`"))),
+            })
+            .collect::<Result<Vec<i64>, _>>()?;
+        let op = template.with_operands(&values).map_err(|m| err(line, m))?;
+        if let Some(label) = label {
+            self.branches.push((self.code.len(), label, line));
+        }
+        self.code.push(op);
         Ok(())
     }
 
     fn finish(self, end_line: usize) -> Result<Method, AsmError> {
         let labels = self.labels;
-        let len = self.code.len();
-        let resolve = |target: &str, line: usize| -> Result<usize, AsmError> {
-            if let Ok(pc) = target.parse::<usize>() {
-                return Ok(pc);
-            }
+        let label_pc = |label: &str, line: usize| -> Result<usize, AsmError> {
             labels
-                .get(target)
+                .get(label)
                 .copied()
-                .ok_or_else(|| err(line, format!("undefined label `{target}`")))
+                .ok_or_else(|| err(line, format!("undefined label `{label}`")))
         };
-        let mut code = Vec::with_capacity(len);
-        for pending in self.code {
-            code.push(match pending {
-                PendingOp::Ready(op) => op,
-                PendingOp::Branch {
-                    mnemonic,
-                    target,
-                    line,
-                } => {
-                    let pc = resolve(&target, line)?;
-                    match mnemonic.as_str() {
-                        "goto" => Op::Goto(pc),
-                        "if_icmplt" => Op::IfICmpLt(pc),
-                        "if_icmpge" => Op::IfICmpGe(pc),
-                        "if_icmpeq" => Op::IfICmpEq(pc),
-                        "ifeq" => Op::IfEq(pc),
-                        _ => unreachable!("mnemonic filtered at parse time"),
-                    }
-                }
-            });
+        let resolve = |target: &str, line: usize| -> Result<usize, AsmError> {
+            target.parse().or_else(|_| label_pc(target, line))
+        };
+        let mut code = self.code;
+        for (pc, label, line) in self.branches {
+            let target = i64::try_from(label_pc(&label, line)?).expect("a pc fits in i64");
+            code[pc] = code[pc]
+                .with_operands(&[target])
+                .map_err(|m| err(line, m))?;
         }
         if code.is_empty() {
             return Err(err(end_line, "empty method body"));
@@ -576,6 +412,23 @@ done:
                 e.to_string().contains(needle),
                 "error {e} should mention {needle:?}"
             );
+        }
+    }
+
+    #[test]
+    fn out_of_range_operands_are_rejected_on_their_line() {
+        for (instruction, value) in [
+            ("iload 300", "300"),
+            ("aconst -1", "-1"),
+            ("iconst 4294967297", "4294967297"),
+            ("iinc 0 70000", "70000"),
+        ] {
+            let src =
+                format!("pool 1\nmethod m args=0 locals=1 {{\n  {instruction}\n  return\n}}\n");
+            let e = assemble(&src).unwrap_err();
+            assert_eq!(e.line, 3, "{instruction}: {e}");
+            let needle = format!("operand {value} out of range");
+            assert!(e.message.contains(&needle), "{instruction}: {e}");
         }
     }
 

@@ -19,9 +19,12 @@
 //!   receiver around the body exactly like the JVM's `ACC_SYNCHRONIZED`;
 //! * [`interp::Vm`] — the interpreter, generic over the locking protocol;
 //! * [`asm`] — a textual assembler/disassembler for writing programs and
-//!   property-testing the encoding;
-//! * [`programs`] — generators for every micro-benchmark of Table 2 plus
-//!   the `MixedSync` variant of Figure 6;
+//!   property-testing the encoding; it reads the one instruction table,
+//!   [`bytecode::INSTRUCTIONS`], and [`Op::with_operands`], which checks
+//!   each operand against its width;
+//! * [`programs`] — every micro-benchmark of Table 2 plus the `MixedSync`
+//!   variant of Figure 6, the seeded defect programs and the concurrent
+//!   library, written in that assembly;
 //! * [`verify`] — a JVM-style static verifier and the one abstract
 //!   interpreter of the bytecode: a dataflow over stack depth, value
 //!   kinds, definite assignment and a symbolic lock stack, enforcing
@@ -31,7 +34,8 @@
 //!   bytecode, plus a `javalex`-shaped workload (the paper's motivating
 //!   "library tax" example);
 //! * [`transform`] — bytecode transformations: synchronization stripping
-//!   (how Figure 6's "NOP" datapoint was made) and a peephole optimizer.
+//!   (how the paper made Figure 6's "NOP" datapoint), selective elision
+//!   and a peephole optimizer.
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]

@@ -3,8 +3,8 @@
 //! Each benchmark "runs a tight loop for a specified number of iterations;
 //! inside the loop an integer variable is incremented. The benchmarks
 //! differ in what occurs between the outer loop and the inner variable
-//! update" (Section 3.3). The generators here produce the corresponding
-//! bytecode:
+//! update" (Section 3.3). The generators here write the corresponding
+//! programs in the assembly of [`crate::asm`]:
 //!
 //! | program          | loop body                                          |
 //! |------------------|----------------------------------------------------|
@@ -29,8 +29,8 @@
 
 use std::fmt;
 
-use crate::bytecode::Op;
-use crate::program::{Method, MethodFlags, Program};
+use crate::asm::assemble;
+use crate::program::Program;
 
 /// Identifier of a Table 2 micro-benchmark (plus `MixedSync`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -86,64 +86,29 @@ impl MicroBench {
     /// Builds the benchmark's bytecode program. The entry point is always
     /// a method named `main` taking the iteration count.
     pub fn program(self) -> Program {
-        match self {
-            MicroBench::NoSync => looped_program(0, vec![]),
-            MicroBench::Sync | MicroBench::Threads(_) => looped_program(
-                1,
-                vec![
-                    Op::AConst(0),
-                    Op::MonitorEnter,
-                    Op::IInc(2, 1),
-                    Op::AConst(0),
-                    Op::MonitorExit,
-                ],
-            ),
+        let main = match self {
+            MicroBench::NoSync => looped_method("main", ""),
+            MicroBench::Sync | MicroBench::Threads(_) => {
+                looped_method("main", &locked("aconst 0", BUMP))
+            }
             MicroBench::NestedSync => {
-                let body = vec![
-                    Op::AConst(0),
-                    Op::MonitorEnter,
-                    Op::IInc(2, 1),
-                    Op::AConst(0),
-                    Op::MonitorExit,
-                ];
-                wrapped_looped_program(1, body)
+                counted_loop("main", 3, true, COUNTER, &locked("aconst 0", BUMP))
             }
             MicroBench::MultiSync(n) => {
-                let n = n.max(1);
-                let mut body = Vec::with_capacity(5 * n as usize);
-                for k in 0..n {
-                    body.extend([
-                        Op::AConst(k),
-                        Op::MonitorEnter,
-                        Op::IInc(2, 1),
-                        Op::AConst(k),
-                        Op::MonitorExit,
-                    ]);
-                }
-                looped_program(n, body)
+                let body: String = (0..n.max(1))
+                    .map(|k| locked(&format!("aconst {k}"), BUMP))
+                    .collect();
+                looped_method("main", &body)
             }
-            MicroBench::Call => call_program(false, false),
-            MicroBench::CallSync => call_program(true, false),
-            MicroBench::NestedCallSync => call_program(true, true),
-            MicroBench::MixedSync => looped_program(
-                1,
-                vec![
-                    Op::AConst(0),
-                    Op::MonitorEnter,
-                    Op::AConst(0),
-                    Op::MonitorEnter,
-                    Op::AConst(0),
-                    Op::MonitorEnter,
-                    Op::IInc(2, 1),
-                    Op::AConst(0),
-                    Op::MonitorExit,
-                    Op::AConst(0),
-                    Op::MonitorExit,
-                    Op::AConst(0),
-                    Op::MonitorExit,
-                ],
-            ),
-        }
+            MicroBench::Call => call_methods(false, false),
+            MicroBench::CallSync => call_methods(true, false),
+            MicroBench::NestedCallSync => call_methods(true, true),
+            MicroBench::MixedSync => {
+                let inner = locked("aconst 0", &locked("aconst 0", BUMP));
+                looped_method("main", &locked("aconst 0", &inner))
+            }
+        };
+        asm(&format!("pool {}\n{main}", self.pool_size()))
     }
 
     /// Expected return value of `main(iters)` — the iteration count.
@@ -176,162 +141,68 @@ impl fmt::Display for MicroBench {
     }
 }
 
-/// `name(iters)`: the canonical tight loop with `body` between the bounds
-/// check and the induction increment. Locals: 0 = iters, 1 = i,
-/// 2 = counter. Returns the iteration count.
-fn looped_method(name: &str, body: Vec<Op>) -> Method {
-    let mut code = vec![
-        Op::IConst(0),   // 0
-        Op::IStore(1),   // 1: i = 0
-        Op::IConst(0),   // 2
-        Op::IStore(2),   // 3: counter = 0
-        Op::ILoad(1),    // 4: loop head
-        Op::ILoad(0),    // 5
-        Op::IfICmpGe(0), // 6: patched to END below
-    ];
-    code.extend(body);
-    let back_edge = code.len();
-    code.push(Op::IInc(1, 1)); // back_edge
-    code.push(Op::Goto(4));
-    let end = code.len();
-    code[6] = Op::IfICmpGe(end);
-    code.push(Op::ILoad(1));
-    code.push(Op::IReturn);
-    debug_assert!(back_edge > 6);
-
-    Method::new(
-        name,
-        1,
-        3,
-        MethodFlags {
-            synchronized: false,
-            returns_value: true,
-        },
-        code,
-    )
+/// Assembles a catalog program. The sources are this module's own, so
+/// a failure is a bug here.
+fn asm(source: &str) -> Program {
+    assemble(source).unwrap_or_else(|e| panic!("catalog program: {e}\n{source}"))
 }
 
-/// A one-method program whose `main` is [`looped_method`].
-fn looped_program(pool: u32, body: Vec<Op>) -> Program {
-    let mut program = Program::new(pool);
-    program.add_method(looped_method("main", body));
-    program
+/// The Table 2 loop body's `counter++` (local 2).
+const BUMP: &str = "  iinc 2 1\n";
+
+/// `counter = 0`, the Table 2 loops' setup.
+const COUNTER: &str = "  iconst 0\n  istore 2\n";
+
+/// `synchronized(obj) { body }`, where `obj` is the instruction that
+/// pushes the lock object.
+fn locked(obj: &str, body: &str) -> String {
+    format!("  {obj}\n  monitorenter\n{body}  {obj}\n  monitorexit\n")
 }
 
-/// Like [`looped_program`] but the whole loop runs inside
-/// `synchronized(pool[0]) { ... }` — the `NestedSync` shape.
-fn wrapped_looped_program(pool: u32, body: Vec<Op>) -> Program {
-    let mut code = vec![
-        Op::AConst(0),
-        Op::MonitorEnter,
-        Op::IConst(0),   // 2
-        Op::IStore(1),   // 3: i = 0
-        Op::IConst(0),   // 4
-        Op::IStore(2),   // 5: counter = 0
-        Op::ILoad(1),    // 6: loop head
-        Op::ILoad(0),    // 7
-        Op::IfICmpGe(0), // 8: patched
-    ];
-    code.extend(body);
-    code.push(Op::IInc(1, 1));
-    code.push(Op::Goto(6));
-    let end = code.len();
-    code[8] = Op::IfICmpGe(end);
-    code.push(Op::AConst(0));
-    code.push(Op::MonitorExit);
-    code.push(Op::ILoad(1));
-    code.push(Op::IReturn);
-
-    let mut program = Program::new(pool);
-    program.add_method(Method::new(
-        "main",
-        1,
-        3,
-        MethodFlags {
-            synchronized: false,
-            returns_value: true,
-        },
-        code,
-    ));
-    program
+/// `obj.f(field)++` with no lock, where `obj` is the instruction that
+/// pushes the object.
+fn field_inc(obj: &str, field: u16) -> String {
+    format!("  {obj}\n  {obj}\n  getfield {field}\n  iconst 1\n  iadd\n  putfield {field}\n")
 }
 
-/// The `Call`/`CallSync`/`NestedCallSync` programs: the loop body invokes
-/// `bump(pool[0])`, which increments the object's field 0. `sync` makes
-/// `bump` synchronized; `hold` wraps the whole loop in
-/// `synchronized(pool[0])` so every call-site lock is nested.
-fn call_program(sync: bool, hold: bool) -> Program {
-    let mut program = Program::new(1);
-
-    // Placeholder id 0 is main; bump becomes id 1 after both adds. Build
-    // bump first to learn its id, then main referencing it.
-    let bump = Method::new(
-        "bump",
-        1,
-        1,
-        MethodFlags {
-            synchronized: sync,
-            returns_value: false,
-        },
-        vec![
-            Op::ALoad(0),
-            Op::ALoad(0),
-            Op::GetField(0),
-            Op::IConst(1),
-            Op::IAdd,
-            Op::PutField(0),
-            Op::Return,
-        ],
+/// `name(iters)` with `locals` local slots: runs `body` `iters` times and
+/// returns `iters`. Local 0 is `iters` and local 1 the induction variable
+/// `i`; `setup` runs once after `i = 0`, and with `hold` the whole loop
+/// runs inside `synchronized(pool[0])` (the nested benchmarks' shape).
+fn counted_loop(name: &str, locals: u8, hold: bool, setup: &str, body: &str) -> String {
+    let mut code = format!(
+        "  iconst 0
+  istore 1
+{setup}loop:
+  iload 1
+  iload 0
+  if_icmpge end
+{body}  iinc 1 1
+  goto loop
+end:
+"
     );
-
-    let body = |bump_id: u16| vec![Op::AConst(0), Op::Invoke(bump_id)];
-
-    // main is id 0 by convention (added first).
-    let main_flags = MethodFlags {
-        synchronized: false,
-        returns_value: true,
-    };
-    let bump_id: u16 = 1;
-    let mut code;
     if hold {
-        code = vec![
-            Op::AConst(0),
-            Op::MonitorEnter,
-            Op::IConst(0),
-            Op::IStore(1),
-            Op::ILoad(1), // 4: loop
-            Op::ILoad(0),
-            Op::IfICmpGe(0), // 6: patched
-        ];
-        code.extend(body(bump_id));
-        code.push(Op::IInc(1, 1));
-        code.push(Op::Goto(4));
-        let end = code.len();
-        code[6] = Op::IfICmpGe(end);
-        code.push(Op::AConst(0));
-        code.push(Op::MonitorExit);
-        code.push(Op::ILoad(1));
-        code.push(Op::IReturn);
-    } else {
-        code = vec![
-            Op::IConst(0),
-            Op::IStore(1),
-            Op::ILoad(1), // 2: loop
-            Op::ILoad(0),
-            Op::IfICmpGe(0), // 4: patched
-        ];
-        code.extend(body(bump_id));
-        code.push(Op::IInc(1, 1));
-        code.push(Op::Goto(2));
-        let end = code.len();
-        code[4] = Op::IfICmpGe(end);
-        code.push(Op::ILoad(1));
-        code.push(Op::IReturn);
+        code = locked("aconst 0", &code);
     }
-    program.add_method(Method::new("main", 1, 2, main_flags, code));
-    let actual_bump_id = program.add_method(bump);
-    debug_assert_eq!(actual_bump_id, bump_id);
-    program
+    format!("method {name} args=1 locals={locals} returns {{\n{code}  iload 1\n  ireturn\n}}\n")
+}
+
+/// `name(iters)`: the Table 2 loop with `body` between the bounds check
+/// and the induction increment. Locals: 0 = iters, 1 = i, 2 = counter.
+fn looped_method(name: &str, body: &str) -> String {
+    counted_loop(name, 3, false, COUNTER, body)
+}
+
+/// The `Call`/`CallSync`/`NestedCallSync` methods: the loop body invokes
+/// `bump(pool[0])` (method 1), which increments the object's field 0.
+/// `sync` makes `bump` synchronized; `hold` wraps the whole loop in
+/// `synchronized(pool[0])` so every call-site lock is nested.
+fn call_methods(sync: bool, hold: bool) -> String {
+    let main = counted_loop("main", 2, hold, "", "  aconst 0\n  invoke 1\n");
+    let sync = if sync { " sync" } else { "" };
+    let bump = field_inc("aload 0", 0);
+    format!("{main}method bump args=1 locals=1{sync} {{\n{bump}  return\n}}\n")
 }
 
 /// A classic lock-order inversion: `left` acquires `pool[0]` then
@@ -341,45 +212,25 @@ fn call_program(sync: bool, hold: bool) -> Program {
 /// execution is safe, so the program still runs under the dynamic
 /// oracle: `main(iters)` calls both once and returns `iters`.
 pub fn deadlock_pair() -> Program {
-    let ordered = |first: u32, second: u32| {
-        vec![
-            Op::AConst(first),
-            Op::MonitorEnter,
-            Op::AConst(second),
-            Op::MonitorEnter,
-            Op::AConst(second),
-            Op::MonitorExit,
-            Op::AConst(first),
-            Op::MonitorExit,
-            Op::Return,
-        ]
-    };
-    let mut program = Program::new(2);
-    program.add_method(Method::new(
-        "main",
-        1,
-        1,
-        MethodFlags {
-            synchronized: false,
-            returns_value: true,
-        },
-        vec![Op::Invoke(1), Op::Invoke(2), Op::ILoad(0), Op::IReturn],
-    ));
-    program.add_method(Method::new(
-        "left",
-        0,
-        0,
-        MethodFlags::default(),
-        ordered(0, 1),
-    ));
-    program.add_method(Method::new(
-        "right",
-        0,
-        0,
-        MethodFlags::default(),
-        ordered(1, 0),
-    ));
-    program
+    let left = locked("aconst 0", &locked("aconst 1", ""));
+    let right = locked("aconst 1", &locked("aconst 0", ""));
+    asm(&format!(
+        "\
+pool 2
+method main args=1 locals=1 returns {{
+  invoke 1
+  invoke 2
+  iload 0
+  ireturn
+}}
+method left args=0 locals=0 {{
+{left}  return
+}}
+method right args=0 locals=0 {{
+{right}  return
+}}
+"
+    ))
 }
 
 /// `main(n)` recurses `n` levels deep, re-locking `pool[0]` at every
@@ -388,55 +239,40 @@ pub fn deadlock_pair() -> Program {
 /// inflation mid-critical-section; `lockcheck`'s nest-depth pass must
 /// report `pool[0]` as unbounded and emit a pre-inflation hint.
 pub fn deep_nest() -> Program {
-    let mut program = Program::new(1);
-    program.add_method(Method::new(
-        "main",
-        1,
-        1,
-        MethodFlags {
-            synchronized: false,
-            returns_value: true,
-        },
-        vec![Op::ILoad(0), Op::Invoke(1), Op::ILoad(0), Op::IReturn],
-    ));
-    program.add_method(Method::new(
-        "rec",
-        1,
-        1,
-        MethodFlags::default(),
-        vec![
-            Op::ILoad(0),     // 0
-            Op::IfEq(10),     // 1: n == 0 -> return
-            Op::AConst(0),    // 2
-            Op::MonitorEnter, // 3
-            Op::ILoad(0),     // 4
-            Op::IConst(1),    // 5
-            Op::ISub,         // 6
-            Op::Invoke(1),    // 7: rec(n - 1) while holding pool[0]
-            Op::AConst(0),    // 8
-            Op::MonitorExit,  // 9
-            Op::Return,       // 10
-        ],
-    ));
-    program
+    let recurse = locked("aconst 0", "  iload 0\n  iconst 1\n  isub\n  invoke 1\n");
+    asm(&format!(
+        "\
+pool 1
+method main args=1 locals=1 returns {{
+  iload 0
+  invoke 1
+  iload 0
+  ireturn
+}}
+; rec(n): n == 0 returns; otherwise rec(n - 1) while holding pool[0]
+method rec args=1 locals=1 {{
+  iload 0
+  ifeq done
+{recurse}done:
+  return
+}}
+"
+    ))
 }
 
 /// A `monitorexit` with no matching `monitorenter` on any path — the
-/// unbalanced-lock seed `lockcheck` must diagnose at pc 1. Passes the
-/// base verifier with structured locking disabled (types are fine).
+/// unbalanced-lock seed `lockcheck` must diagnose at pc 1. Its types are
+/// fine, so that orphan exit is the verifier's one objection.
 pub fn unbalanced_exit() -> Program {
-    let mut program = Program::new(1);
-    program.add_method(Method::new(
-        "main",
-        1,
-        1,
-        MethodFlags {
-            synchronized: false,
-            returns_value: true,
-        },
-        vec![Op::AConst(0), Op::MonitorExit, Op::ILoad(0), Op::IReturn],
-    ));
-    program
+    asm("\
+pool 1
+method main args=1 locals=1 returns {
+  aconst 0
+  monitorexit
+  iload 0
+  ireturn
+}
+")
 }
 
 /// Balanced lock counts but scrambled identity: acquires `pool[0]` then
@@ -444,29 +280,21 @@ pub fn unbalanced_exit() -> Program {
 /// counter cannot see this; the symbolic lock-stack pass must flag the
 /// non-LIFO release at pc 5.
 pub fn non_lifo_pair() -> Program {
-    let mut program = Program::new(2);
-    program.add_method(Method::new(
-        "main",
-        1,
-        1,
-        MethodFlags {
-            synchronized: false,
-            returns_value: true,
-        },
-        vec![
-            Op::AConst(0),    // 0
-            Op::MonitorEnter, // 1
-            Op::AConst(1),    // 2
-            Op::MonitorEnter, // 3
-            Op::AConst(0),    // 4
-            Op::MonitorExit,  // 5: releases the outer lock first
-            Op::AConst(1),    // 6
-            Op::MonitorExit,  // 7
-            Op::ILoad(0),     // 8
-            Op::IReturn,      // 9
-        ],
-    ));
-    program
+    asm("\
+pool 2
+method main args=1 locals=1 returns {
+  aconst 0
+  monitorenter
+  aconst 1
+  monitorenter
+  aconst 0
+  monitorexit    ; releases the outer lock first
+  aconst 1
+  monitorexit
+  iload 0
+  ireturn
+}
+")
 }
 
 /// One worker kind of a [`ConcurrentProgram`]: `threads` threads each
@@ -521,198 +349,143 @@ impl ConcurrentProgram {
 }
 
 /// `synchronized(pool[lock]) { pool[obj].f(field)++ }`.
-fn guarded_inc(lock: u32, obj: u32, field: u16) -> Vec<Op> {
-    vec![
-        Op::AConst(lock),
-        Op::MonitorEnter,
-        Op::AConst(obj),
-        Op::AConst(obj),
-        Op::GetField(field),
-        Op::IConst(1),
-        Op::IAdd,
-        Op::PutField(field),
-        Op::AConst(lock),
-        Op::MonitorExit,
-    ]
+fn guarded_inc(lock: u32, obj: u32, field: u16) -> String {
+    locked(
+        &format!("aconst {lock}"),
+        &field_inc(&format!("aconst {obj}"), field),
+    )
 }
 
-/// `pool[obj].f(field)++` with no lock.
-fn bare_inc(obj: u32, field: u16) -> Vec<Op> {
-    vec![
-        Op::AConst(obj),
-        Op::AConst(obj),
-        Op::GetField(field),
-        Op::IConst(1),
-        Op::IAdd,
-        Op::PutField(field),
-    ]
-}
+/// `pool[0].f(0)++` through `getfielddyn`/`putfielddyn` with a constant
+/// index operand — exercises the dynamic field forms' constant-index
+/// precision in the static passes.
+const DYN_INC: &str = "  aconst 0
+  iconst 0
+  aconst 0
+  iconst 0
+  getfielddyn
+  iconst 1
+  iadd
+  putfielddyn
+";
 
-/// The increment through `GetFieldDyn`/`PutFieldDyn` with a constant
-/// index operand, optionally under `pool[lock]` — exercises the dynamic
-/// field forms' constant-index precision in the static passes.
-fn dyn_inc(lock: Option<u32>, obj: u32, field: i32) -> Vec<Op> {
-    let mut body = Vec::new();
-    if let Some(l) = lock {
-        body.extend([Op::AConst(l), Op::MonitorEnter]);
+/// One library entry, its arguments in [`ConcurrentProgram`]'s field
+/// order: each role `(method, threads, body)` adds a [`looped_method`]
+/// running `body` to a program over `pool` objects, in role order.
+fn entry(
+    name: &'static str,
+    pool: u32,
+    roles: &[(&'static str, u32, String)],
+    fields: u16,
+    racy_fields: &[(u32, u16)],
+    expected_shapes: &[(u32, &'static str)],
+) -> ConcurrentProgram {
+    let methods: String = roles
+        .iter()
+        .map(|(method, _, body)| looped_method(method, body))
+        .collect();
+    ConcurrentProgram {
+        name,
+        program: asm(&format!("pool {pool}\n{methods}")),
+        roles: roles
+            .iter()
+            .map(|&(method, threads, _)| ThreadRole { method, threads })
+            .collect(),
+        fields,
+        racy: !racy_fields.is_empty(),
+        racy_fields: racy_fields.to_vec(),
+        expected_shapes: expected_shapes.to_vec(),
     }
-    body.extend([
-        Op::AConst(obj),   // put receiver
-        Op::IConst(field), // put index
-        Op::AConst(obj),
-        Op::IConst(field),
-        Op::GetFieldDyn,
-        Op::IConst(1),
-        Op::IAdd,
-        Op::PutFieldDyn,
-    ]);
-    if let Some(l) = lock {
-        body.extend([Op::AConst(l), Op::MonitorExit]);
-    }
-    body
 }
 
-/// `synchronized(pool[0]) { read pool[0].f0 }`.
-fn guarded_read() -> Vec<Op> {
-    vec![
-        Op::AConst(0),
-        Op::MonitorEnter,
-        Op::AConst(0),
-        Op::GetField(0),
-        Op::Pop,
-        Op::AConst(0),
-        Op::MonitorExit,
-    ]
-}
-
-/// The seeded concurrent program library: four statically race-free
+/// The seeded concurrent program library: seven statically race-free
 /// programs and three with a data race by construction. Ground truth
 /// for both race detectors.
 pub fn concurrent_library() -> Vec<ConcurrentProgram> {
-    let worker2 = |method| vec![ThreadRole { method, threads: 2 }];
-    let mut library = Vec::new();
-
-    // Clean: every access of pool[0].f0 holds pool[0].
-    library.push(ConcurrentProgram {
-        name: "guarded-counter",
-        program: looped_program(1, guarded_inc(0, 0, 0)),
-        roles: worker2("main"),
-        fields: 1,
-        racy: false,
-        racy_fields: Vec::new(),
-        expected_shapes: vec![(0, "hot-mutex")],
-    });
-
-    // Clean: same discipline through the dynamic field forms.
-    library.push(ConcurrentProgram {
-        name: "guarded-dyn-counter",
-        program: looped_program(1, dyn_inc(Some(0), 0, 0)),
-        roles: worker2("main"),
-        fields: 1,
-        racy: false,
-        racy_fields: Vec::new(),
-        expected_shapes: vec![(0, "hot-mutex")],
-    });
-
-    // Clean: one writer, two readers, all under pool[0].
-    let mut read_mostly = Program::new(1);
-    read_mostly.add_method(looped_method("writer", guarded_inc(0, 0, 0)));
-    read_mostly.add_method(looped_method("reader", guarded_read()));
-    library.push(ConcurrentProgram {
-        name: "read-mostly",
-        program: read_mostly,
-        roles: vec![
-            ThreadRole {
-                method: "writer",
-                threads: 1,
-            },
-            ThreadRole {
-                method: "reader",
-                threads: 2,
-            },
-        ],
-        fields: 1,
-        racy: false,
-        racy_fields: Vec::new(),
-        expected_shapes: vec![(0, "hot-mutex")],
-    });
-
-    // Clean: pool[1] guards pool[0].f0, pool[0] guards pool[0].f1 — the
-    // guard need not be the object it protects.
-    let mut two_locks = guarded_inc(1, 0, 0);
-    two_locks.extend(guarded_inc(0, 0, 1));
-    library.push(ConcurrentProgram {
-        name: "two-locks-two-fields",
-        program: looped_program(2, two_locks),
-        roles: worker2("main"),
-        fields: 2,
-        racy: false,
-        racy_fields: Vec::new(),
-        expected_shapes: vec![(0, "hot-mutex"), (1, "hot-mutex")],
-    });
-
-    // Racy: two threads increment pool[0].f0 with no lock at all.
-    library.push(ConcurrentProgram {
-        name: "racy-counter",
-        program: looped_program(1, bare_inc(0, 0)),
-        roles: worker2("main"),
-        fields: 1,
-        racy: true,
-        racy_fields: vec![(0, 0)],
-        expected_shapes: vec![(0, "uncontended")],
-    });
-
-    // Racy: the same unguarded increment through the dynamic forms.
-    library.push(ConcurrentProgram {
-        name: "racy-dyn-counter",
-        program: looped_program(1, dyn_inc(None, 0, 0)),
-        roles: worker2("main"),
-        fields: 1,
-        racy: true,
-        racy_fields: vec![(0, 0)],
-        expected_shapes: vec![(0, "uncontended")],
-    });
-
-    // Racy: one disciplined writer plus two bare writers — the per-field
-    // lockset intersection is empty even though one role locks.
-    let mut partial = Program::new(1);
-    partial.add_method(looped_method("locked", guarded_inc(0, 0, 0)));
-    partial.add_method(looped_method("bare", bare_inc(0, 0)));
-    library.push(ConcurrentProgram {
-        name: "racy-partial-guard",
-        program: partial,
-        roles: vec![
-            ThreadRole {
-                method: "locked",
-                threads: 1,
-            },
-            ThreadRole {
-                method: "bare",
-                threads: 2,
-            },
-        ],
-        fields: 1,
-        racy: true,
-        racy_fields: vec![(0, 0)],
-        expected_shapes: vec![(0, "uncontended")],
-    });
-
-    // Clean, hot: four threads hammer one guarded counter — the
-    // canonical hot single-object mutex (the fairness workload's
-    // shape). Statically distinguishable from `guarded-counter` only
-    // by its thread count.
-    library.push(ConcurrentProgram {
-        name: "hot-object",
-        program: looped_program(1, guarded_inc(0, 0, 0)),
-        roles: vec![ThreadRole {
-            method: "main",
-            threads: 4,
-        }],
-        fields: 1,
-        racy: false,
-        racy_fields: Vec::new(),
-        expected_shapes: vec![(0, "hot-mutex")],
-    });
+    let guarded = || guarded_inc(0, 0, 0);
+    let bare = || field_inc("aconst 0", 0);
+    let hot = [(0, "hot-mutex")];
+    let racy = [(0, 0)];
+    let mut library = vec![
+        // Clean: every access of pool[0].f0 holds pool[0].
+        entry(
+            "guarded-counter",
+            1,
+            &[("main", 2, guarded())],
+            1,
+            &[],
+            &hot,
+        ),
+        // Clean: same discipline through the dynamic field forms.
+        entry(
+            "guarded-dyn-counter",
+            1,
+            &[("main", 2, locked("aconst 0", DYN_INC))],
+            1,
+            &[],
+            &hot,
+        ),
+        // Clean: one writer, two readers, all under pool[0].
+        entry(
+            "read-mostly",
+            1,
+            &[
+                ("writer", 1, guarded()),
+                (
+                    "reader",
+                    2,
+                    locked("aconst 0", "  aconst 0\n  getfield 0\n  pop\n"),
+                ),
+            ],
+            1,
+            &[],
+            &hot,
+        ),
+        // Clean: pool[1] guards pool[0].f0, pool[0] guards pool[0].f1 —
+        // the guard need not be the object it protects.
+        entry(
+            "two-locks-two-fields",
+            2,
+            &[("main", 2, guarded_inc(1, 0, 0) + &guarded_inc(0, 0, 1))],
+            2,
+            &[],
+            &[(0, "hot-mutex"), (1, "hot-mutex")],
+        ),
+        // Racy: two threads increment pool[0].f0 with no lock at all.
+        entry(
+            "racy-counter",
+            1,
+            &[("main", 2, bare())],
+            1,
+            &racy,
+            &[(0, "uncontended")],
+        ),
+        // Racy: the same unguarded increment through the dynamic forms.
+        entry(
+            "racy-dyn-counter",
+            1,
+            &[("main", 2, DYN_INC.to_string())],
+            1,
+            &racy,
+            &[(0, "uncontended")],
+        ),
+        // Racy: one disciplined writer plus two bare writers — the
+        // per-field lockset intersection is empty even though one role
+        // locks.
+        entry(
+            "racy-partial-guard",
+            1,
+            &[("locked", 1, guarded()), ("bare", 2, bare())],
+            1,
+            &racy,
+            &[(0, "uncontended")],
+        ),
+        // Clean, hot: four threads hammer one guarded counter — the
+        // canonical hot single-object mutex (the fairness workload's
+        // shape). Statically distinguishable from `guarded-counter` only
+        // by its thread count.
+        entry("hot-object", 1, &[("main", 4, guarded())], 1, &[], &hot),
+    ];
 
     // Clean, churning: each iteration locks a *rotating* pool object
     // (`pool[i % 4]`, through `aloadpool` with a loop-varying index)
@@ -722,68 +495,33 @@ pub fn concurrent_library() -> Vec<ConcurrentProgram> {
     library.push(ConcurrentProgram {
         name: "churn-locks",
         program: churn_program(4),
-        roles: worker2("main"),
+        roles: vec![ThreadRole {
+            method: "main",
+            threads: 2,
+        }],
         fields: 1,
         racy: false,
         racy_fields: Vec::new(),
-        expected_shapes: vec![(0, "churn"), (1, "churn"), (2, "churn"), (3, "churn")],
+        expected_shapes: (0..4).map(|p| (p, "churn")).collect(),
     });
 
     // Clean, wait-heavy: one producer bumps pool[0].f0 and notifies;
     // two consumers wait on pool[0] and read the field, all under
     // pool[0]'s monitor. Parking is part of the protocol, so the site
     // should be fat before the first waiter arrives.
-    let mut pipeline = Program::new(1);
-    pipeline.add_method(looped_method(
-        "producer",
-        vec![
-            Op::AConst(0),
-            Op::MonitorEnter,
-            Op::AConst(0),
-            Op::AConst(0),
-            Op::GetField(0),
-            Op::IConst(1),
-            Op::IAdd,
-            Op::PutField(0),
-            Op::AConst(0),
-            Op::Notify,
-            Op::AConst(0),
-            Op::MonitorExit,
+    let produce = field_inc("aconst 0", 0) + "  aconst 0\n  notify\n";
+    let consume = "  aconst 0\n  wait\n  aconst 0\n  getfield 0\n  pop\n";
+    library.push(entry(
+        "wait-pipeline",
+        1,
+        &[
+            ("producer", 1, locked("aconst 0", &produce)),
+            ("consumer", 2, locked("aconst 0", consume)),
         ],
+        1,
+        &[],
+        &[(0, "wait-heavy")],
     ));
-    pipeline.add_method(looped_method(
-        "consumer",
-        vec![
-            Op::AConst(0),
-            Op::MonitorEnter,
-            Op::AConst(0),
-            Op::Wait,
-            Op::AConst(0),
-            Op::GetField(0),
-            Op::Pop,
-            Op::AConst(0),
-            Op::MonitorExit,
-        ],
-    ));
-    library.push(ConcurrentProgram {
-        name: "wait-pipeline",
-        program: pipeline,
-        roles: vec![
-            ThreadRole {
-                method: "producer",
-                threads: 1,
-            },
-            ThreadRole {
-                method: "consumer",
-                threads: 2,
-            },
-        ],
-        fields: 1,
-        racy: false,
-        racy_fields: Vec::new(),
-        expected_shapes: vec![(0, "wait-heavy")],
-    });
-
     library
 }
 
@@ -793,45 +531,12 @@ pub fn concurrent_library() -> Vec<ConcurrentProgram> {
 /// churns while no single site gets hot. Locals: 0 = iters, 1 = i,
 /// 3 = the iteration's lock object.
 fn churn_program(locks: u32) -> Program {
-    let locks_i32 = i32::try_from(locks).expect("small lock count");
-    let code = vec![
-        Op::IConst(0),         // 0
-        Op::IStore(1),         // 1: i = 0
-        Op::ILoad(1),          // 2: loop head
-        Op::ILoad(0),          // 3
-        Op::IfICmpGe(22),      // 4: -> END
-        Op::ILoad(1),          // 5
-        Op::IConst(locks_i32), // 6
-        Op::IRem,              // 7
-        Op::ALoadPool,         // 8: pool[i % locks]
-        Op::AStore(3),         // 9
-        Op::ALoad(3),          // 10
-        Op::MonitorEnter,      // 11
-        Op::ALoad(3),          // 12
-        Op::ALoad(3),          // 13
-        Op::GetField(0),       // 14
-        Op::IConst(1),         // 15
-        Op::IAdd,              // 16
-        Op::PutField(0),       // 17
-        Op::ALoad(3),          // 18
-        Op::MonitorExit,       // 19
-        Op::IInc(1, 1),        // 20
-        Op::Goto(2),           // 21
-        Op::ILoad(1),          // 22: END
-        Op::IReturn,           // 23
-    ];
-    let mut program = Program::new(locks);
-    program.add_method(Method::new(
-        "main",
-        1,
-        4,
-        MethodFlags {
-            synchronized: false,
-            returns_value: true,
-        },
-        code,
-    ));
-    program
+    let body = format!(
+        "  iload 1\n  iconst {locks}\n  irem\n  aloadpool\n  astore 3\n{}",
+        locked("aload 3", &field_inc("aload 3", 0))
+    );
+    let main = counted_loop("main", 4, false, "", &body);
+    asm(&format!("pool {locks}\n{main}"))
 }
 
 #[cfg(test)]

@@ -6,12 +6,14 @@
 //!
 //! * [`strip_synchronization`] — removes every locking operation from a
 //!   program: `monitorenter`/`monitorexit` become stack-neutral `pop`s
-//!   and `ACC_SYNCHRONIZED` flags are cleared. This is exactly how the
-//!   paper produced its Figure 6 "NOP" datapoint ("these measurements
-//!   were obtained by removing all instructions related to
-//!   synchronization"); running a stripped program on a real protocol
-//!   must compute the same values as the original program, since the
-//!   benchmarks are single-threaded.
+//!   and `ACC_SYNCHRONIZED` flags are cleared. This is how the paper
+//!   produced its Figure 6 "NOP" datapoint ("these measurements were
+//!   obtained by removing all instructions related to
+//!   synchronization"); `reproduce fig6` measures NOP differently, by
+//!   running the unmodified program under `bench::NullProtocol`, whose
+//!   lock operations do nothing. Running a stripped program on a real
+//!   protocol must compute the same values as the original program,
+//!   since the benchmarks are single-threaded.
 //! * [`elide_local_sync`] — the *selective* version: removes only the
 //!   monitor operations an [`ElisionPlan`] names, leaving every other
 //!   lock in place. The plan comes from `thinlock-analysis`'s escape
@@ -20,15 +22,18 @@
 //! * [`peephole`] — a conservative cleanup pass (constant folding of
 //!   `iconst; iconst; iadd/isub/imul`, `push; pop` elimination,
 //!   `nop` removal) that preserves semantics; branch targets are
-//!   re-mapped across deletions. A stand-in for the bytecode
-//!   optimizations a JIT-less JVM performs at load time.
+//!   re-mapped across deletions through [`Op::with_operands`]. A
+//!   stand-in for the bytecode optimizations a JIT-less JVM performs at
+//!   load time.
 
 use std::collections::BTreeSet;
 
 use crate::bytecode::Op;
 use crate::program::{Handler, Method, Program};
 
-/// Removes all synchronization from a program (Figure 6's "NOP" case).
+/// Removes all synchronization from a program, as the paper did for
+/// Figure 6's "NOP" case (`reproduce fig6` runs NOP under
+/// `bench::NullProtocol` instead).
 ///
 /// `monitorenter`/`monitorexit` are replaced by `pop` (they consume one
 /// operand, so the stack shape is preserved — the bytecode-dispatch cost
@@ -252,12 +257,13 @@ fn peephole_method(m: &Method, stats: &mut PeepholeStats) -> Method {
     let new_code: Vec<Op> = slots
         .iter()
         .flatten()
-        .map(|&op| match op {
-            Op::Goto(t) => Op::Goto(remap(t)),
-            Op::IfICmpLt(t) => Op::IfICmpLt(remap(t)),
-            Op::IfICmpGe(t) => Op::IfICmpGe(remap(t)),
-            Op::IfEq(t) => Op::IfEq(remap(t)),
-            other => other,
+        .map(|&op| match op.branch_target() {
+            Some(t) => {
+                let target = i64::try_from(remap(t)).expect("a pc fits in i64");
+                op.with_operands(&[target])
+                    .expect("a pc fits a branch target")
+            }
+            None => op,
         })
         .collect();
 
@@ -497,6 +503,30 @@ mod tests {
         assert_eq!(stats.constants_folded, 0, "fold across a join is illegal");
         // Fall-through path unchanged semantically.
         assert_eq!(run_program(&opt, 0, 1), 30);
+    }
+
+    #[test]
+    fn peephole_remaps_if_icmpeq_targets() {
+        let src = "\
+pool 0
+method main args=1 locals=1 returns {
+  nop
+  iload 0
+  iconst 0
+  if_icmpeq zero
+  iconst 1
+  ireturn
+zero:
+  iconst 2
+  ireturn
+}
+";
+        let (opt, stats) = peephole(&crate::asm::assemble(src).unwrap());
+        assert_eq!(stats.nops_removed, 1);
+        assert_eq!(opt.method(0).unwrap().code()[2], Op::IfICmpEq(5));
+        verify_program(&opt, VerifyOptions::default()).unwrap();
+        assert_eq!(run_program(&opt, 0, 0), 2);
+        assert_eq!(run_program(&opt, 0, 7), 1);
     }
 
     #[test]

@@ -1,74 +1,72 @@
 //! Randomized tests of the assembler: `assemble ∘ disassemble` is the
 //! identity on arbitrary well-formed programs. Programs are generated
-//! with the in-repo deterministic PRNG; invalid draws are skipped, like
-//! a rejection-sampling `prop_assume`.
+//! with the in-repo deterministic PRNG from the instruction table
+//! (`bytecode::INSTRUCTIONS`); an instruction invalid where it is drawn
+//! is drawn again, like a rejection-sampling `prop_assume`.
+
+use std::collections::BTreeSet;
 
 use thinlock_runtime::prng::Prng;
 use thinlock_vm::asm::{assemble, disassemble};
+use thinlock_vm::bytecode::INSTRUCTIONS;
 use thinlock_vm::{Method, MethodFlags, Op, Program};
 
 const CASES: usize = 128;
 
-/// A single random non-branch instruction within the given limits.
-fn gen_plain_op(rng: &mut Prng, max_locals: u8, pool: u32, methods: u16) -> Op {
-    let slot = rng.range_u32(0, u32::from(max_locals.max(1))) as u8;
-    match rng.range_u32(0, 20) {
-        0 => Op::IConst(rng.next_u32() as i32),
-        1 => Op::ILoad(slot),
-        2 => Op::IStore(slot),
-        3 => Op::IInc(slot, rng.next_u32() as i16),
-        4 => Op::IAdd,
-        5 => Op::ISub,
-        6 => Op::ALoad(slot),
-        7 => Op::AStore(slot),
-        8 => Op::AConst(rng.range_u32(0, pool.max(1))),
-        9 => Op::ALoadPool,
-        10 => Op::GetField(rng.range_u32(0, 4) as u16),
-        11 => Op::PutField(rng.range_u32(0, 4) as u16),
-        12 => Op::Dup,
-        13 => Op::Pop,
-        14 => Op::MonitorEnter,
-        15 => Op::MonitorExit,
-        16 => Op::Invoke(rng.range_u32(0, u32::from(methods.max(1))) as u16),
-        17 => Op::Return,
-        18 => Op::IReturn,
-        _ => Op::Nop,
+/// An operand value: usually small (a slot, pool index, method id or
+/// branch target that may be in range), otherwise spread over the
+/// signed 16-bit, signed 32-bit and unsigned 32-bit ranges so every
+/// operand width sees values it cannot hold.
+fn gen_operand(rng: &mut Prng) -> i64 {
+    match rng.range_u32(0, 4) {
+        0 => i64::from(rng.range_u32(0, 8)),
+        1 => i64::from(rng.next_u32() as i16),
+        2 => i64::from(rng.next_u32() as i32),
+        _ => i64::from(rng.next_u32()),
     }
 }
 
-/// A well-formed method: random body with in-range branches, terminated
-/// by a return.
+/// A random instruction drawn from the instruction table, its operands
+/// valid in a `len`-instruction method with `locals` locals, in a
+/// program of `pool` objects and `methods` methods. A draw the table or
+/// the program validator rejects is drawn again.
+fn gen_op(rng: &mut Prng, locals: u8, pool: u32, methods: u16, len: usize) -> Op {
+    loop {
+        let (_, template) = INSTRUCTIONS[rng.range_usize(0, INSTRUCTIONS.len())];
+        let values: Vec<i64> = template
+            .operands()
+            .iter()
+            .map(|_| gen_operand(rng))
+            .collect();
+        let Ok(op) = template.with_operands(&values) else {
+            continue;
+        };
+        let mut probe = Program::new(pool);
+        for _ in 0..methods {
+            let flags = MethodFlags::default();
+            probe.add_method(Method::new("probe", 0, locals, flags, vec![op; len]));
+        }
+        if probe.validate().is_ok() {
+            return op;
+        }
+    }
+}
+
+/// A well-formed method of random instructions, branches included,
+/// terminated by a return.
 fn gen_method(rng: &mut Prng, index: usize, pool: u32, methods: u16) -> Method {
-    let max_locals = rng.range_u32(2, 6) as u8;
-    let extra_locals = rng.range_u32(0, 4) as u8;
+    let locals = rng.range_u32(2, 10) as u8;
     let synchronized = rng.gen_bool(0.5);
     let returns_value = rng.gen_bool(0.5);
-    let locals = max_locals + extra_locals;
-    let body_len = rng.range_usize(1, 20);
-    let mut code: Vec<Op> = (0..body_len)
-        .map(|_| gen_plain_op(rng, locals, pool, methods))
+    let len = rng.range_usize(1, 20) + 1;
+    let mut code: Vec<Op> = (1..len)
+        .map(|_| gen_op(rng, locals, pool, methods, len))
         .collect();
-    // Terminate so fall-through stays in range when assembled.
-    code.push(Op::Return);
-    // Sprinkle branches with targets inside the final code.
-    let len = code.len();
-    for _ in 0..rng.range_usize(0, 4) {
-        let pos = rng.range_usize(0, 100);
-        let forward = rng.gen_bool(0.5);
-        let target = pos % len;
-        let at = pos % len;
-        code[at] = if forward {
-            Op::Goto(target)
-        } else {
-            Op::IfICmpGe(target)
-        };
-    }
-    // Re-terminate in case a branch overwrote the return.
     code.push(Op::Return);
     Method::new(
         format!("m{index}"),
         1,
-        locals.max(1),
+        locals,
         MethodFlags {
             synchronized,
             returns_value,
@@ -87,11 +85,13 @@ fn gen_program(rng: &mut Prng) -> Program {
     p
 }
 
-/// Round trip: disassemble then assemble reproduces the program.
+/// Round trip: disassemble then assemble reproduces the program, and
+/// every instruction of the table takes part.
 #[test]
 fn assembler_round_trips() {
     let mut rng = Prng::seed_from_u64(0xa53b_0001);
     let mut tested = 0usize;
+    let mut seen = BTreeSet::new();
     for _ in 0..CASES {
         let program = gen_program(&mut rng);
         if program.validate().is_err() {
@@ -102,8 +102,16 @@ fn assembler_round_trips() {
         let back = assemble(&text);
         assert!(back.is_ok(), "{}\n{}", back.unwrap_err(), text);
         assert_eq!(program, back.unwrap());
+        for m in program.methods() {
+            seen.extend(m.code().iter().map(|op| op.mnemonic()));
+        }
     }
     assert!(tested > CASES / 2, "only {tested} valid programs generated");
+    assert_eq!(
+        seen.len(),
+        INSTRUCTIONS.len(),
+        "instructions drawn: {seen:?}"
+    );
 }
 
 /// Disassembly is line-oriented and never empty for a valid program.

@@ -4,13 +4,14 @@
 # Usage: scripts/bench.sh [run|gate|refresh-baseline|smoke] [extra reproduce args...]
 #
 #   run               full reproduction at the reference configuration,
-#                     writing BENCH_thinlock.json at the repo root
-#   gate              run, then diff against scripts/bench_baseline.json
-#                     with the default noise tolerances; exits nonzero on
+#                     writing out/BENCH_thinlock.json
+#   gate              run, then diff out/BENCH_thinlock.json against the
+#                     committed baseline BENCH_thinlock.json with the
+#                     default noise tolerances; exits nonzero on
 #                     regression (the per-PR perf check)
 #   refresh-baseline  run, then adopt the fresh report as the committed
-#                     baseline (do this after an intentional perf change,
-#                     and commit both JSON files with the change)
+#                     baseline BENCH_thinlock.json (do this after an
+#                     intentional perf change, and commit it with the change)
 #   smoke             tiny-iteration run into out/, id-coverage diff only
 #                     (fast; wired into scripts/check.sh — timing is
 #                     meaningless at smoke iteration counts)
@@ -22,10 +23,11 @@ shift || true
 
 # The reference configuration EXPERIMENTS.md numbers come from.
 REF_ARGS=(--iters 100000 --scale 2000)
-REPORT=BENCH_thinlock.json
-BASELINE=scripts/bench_baseline.json
+REPORT=out/BENCH_thinlock.json
+BASELINE=BENCH_thinlock.json
 
 cargo build --release --offline -p thinlock-bench
+mkdir -p out
 
 case "$MODE" in
 run)
@@ -38,10 +40,9 @@ gate)
 refresh-baseline)
     ./target/release/reproduce all "${REF_ARGS[@]}" --json "$REPORT" "$@"
     cp "$REPORT" "$BASELINE"
-    echo "baseline refreshed: $BASELINE (commit it together with $REPORT)"
+    echo "baseline refreshed: $BASELINE (commit it with the change)"
     ;;
 smoke)
-    mkdir -p out
     ./target/release/reproduce all --iters 300 --scale 50000 \
         --json out/bench_smoke.json "$@" >out/bench_smoke_output.txt
     ./target/release/benchgate --baseline "$BASELINE" \

@@ -1,9 +1,9 @@
 //! End-to-end tests of the benchmark telemetry pipeline: schema
 //! round-trip, `benchgate` verdicts on synthetic baseline/current pairs,
 //! and smoke runs of the report collector at tiny iteration counts
-//! checking them against the committed baseline
-//! `scripts/bench_baseline.json`: an `all` run emits exactly its ids in
-//! its order, and the scale-independent exact records equal its values.
+//! checking them against the committed baseline `BENCH_thinlock.json`:
+//! an `all` run emits exactly its ids in its order, and the
+//! scale-independent exact records equal its values.
 
 use thinlock_bench::benchjson::{
     summarize, BenchRecord, BenchReport, Direction, GateClass, Summary,
@@ -132,9 +132,9 @@ fn gate_round_trips_through_json() {
     assert!(compare(&b, &b2, &Tolerances::default(), false).pass());
 }
 
-/// The committed reference report `scripts/bench_baseline.json`.
+/// The committed baseline report `BENCH_thinlock.json`.
 fn baseline() -> BenchReport {
-    BenchReport::from_json(include_str!("../scripts/bench_baseline.json"))
+    BenchReport::from_json(include_str!("../BENCH_thinlock.json"))
         .expect("committed baseline parses")
 }
 
