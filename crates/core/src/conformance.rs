@@ -5,11 +5,12 @@
 //! one policy's own mechanism stay with that policy.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{mpsc, Arc, Barrier, Mutex};
 use std::thread;
 use std::time::Duration;
 
 use thinlock_runtime::backend::SyncBackend;
+use thinlock_runtime::backoff::SpinPolicy;
 use thinlock_runtime::error::SyncError;
 use thinlock_runtime::events::{TraceEventKind, TraceSink};
 use thinlock_runtime::fault::{FaultAction, FaultInjector, InjectionPoint};
@@ -48,6 +49,7 @@ macro_rules! rows {
             counting_sink_pins_the_scenario_totals,
             failed_wait_and_notify_are_not_counted,
             pin_fifo_hint_pins_only_on_fifo_backends,
+            fat_contender_spins_a_bounded_while_then_parks,
         );
     };
     (@each $fresh:expr; $($name:ident),* $(,)?) => {
@@ -599,5 +601,69 @@ pub(crate) fn pin_fifo_hint_pins_only_on_fifo_backends<P: Policy>(fresh: Fresh<P
         let (_, plain_held, _, plain_events) = pair(false);
         assert_eq!(held, plain_held);
         assert_eq!(events, plain_events);
+    }
+}
+
+/// A contender on a held fat word spins only through the backoff's busy
+/// phase, then queues and parks (DESIGN.md §28), under every spin policy
+/// the config can carry: it reaches the monitor's park while the owner
+/// still holds, and takes the lock as a contended fat acquisition once
+/// the owner releases. A spin bounded only by `is_yielding` never parks
+/// under `SpinHard`, and fails here by timeout.
+pub(crate) fn fat_contender_spins_a_bounded_while_then_parks<P: Policy>(fresh: Fresh<P>) {
+    /// Reports every visit to the monitor's park.
+    #[derive(Debug)]
+    struct Parks(Mutex<mpsc::Sender<()>>);
+    impl FaultInjector for Parks {
+        fn decide(&self, point: InjectionPoint) -> FaultAction {
+            if point == InjectionPoint::FatPark {
+                let _ = self.0.lock().unwrap().send(());
+            }
+            FaultAction::Proceed
+        }
+    }
+
+    for spin in [
+        SpinPolicy::SpinThenYield,
+        SpinPolicy::YieldOnly,
+        SpinPolicy::SpinHard,
+    ] {
+        let (tx, parked) = mpsc::channel();
+        let parks = Arc::new(Parks(Mutex::new(tx)));
+        let stats = Arc::new(LockStats::new());
+        let mut p = fresh(4);
+        p.config.spin = spin;
+        let hooks = HookSet::new()
+            .fault_injector(parks)
+            .sink(Arc::clone(&stats) as _);
+        let p = Arc::new(p.with_hooks(hooks));
+        let obj = p.heap().alloc().unwrap();
+        assert!(p.pre_inflate(obj).unwrap());
+        let r = p.registry().register().unwrap();
+        let a = r.token();
+        p.lock(obj, a).unwrap();
+        let contender = {
+            let p = Arc::clone(&p);
+            thread::spawn(move || {
+                let r = p.registry().register().unwrap();
+                p.lock(obj, r.token()).unwrap();
+                p.unlock(obj, r.token()).unwrap();
+            })
+        };
+        let parked_while_held = parked.recv_timeout(Duration::from_secs(5)).is_ok();
+        assert!(p.holds_lock(obj, a));
+        p.unlock(obj, a).unwrap();
+        contender.join().unwrap();
+        assert!(
+            parked_while_held,
+            "{spin:?}: the contender must park while the owner holds"
+        );
+        // The owner's acquisition is fat uncontended, the contender's fat
+        // contended.
+        assert_eq!(
+            stats.snapshot().scenario_counts,
+            [0, 0, 0, 0, 1, 1],
+            "{spin:?}"
+        );
     }
 }

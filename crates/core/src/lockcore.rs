@@ -13,10 +13,14 @@
 //!
 //! | policy | contention | release |
 //! |---|---|---|
-//! | [`Thin`](crate::thin::Thin) | spin, acquire, inflate | store |
-//! | [`Cjm`](crate::cjm::Cjm) | spin, acquire, inflate | store; deflate when quiescent |
-//! | [`Fissile`](crate::fissile::Fissile) | spin, then FIFO tickets | store, retire ticket, re-cohere |
-//! | [`Hapax`](crate::hapax::Hapax) | FIFO tickets | store, retire ticket |
+//! | [`Thin`](crate::thin::Thin) | spin, acquire, inflate; on a fat word spin, then park | store |
+//! | [`Cjm`](crate::cjm::Cjm) | spin, acquire, inflate; on a fat word spin, then park | store; deflate when quiescent |
+//! | [`Fissile`](crate::fissile::Fissile) | spin, then FIFO tickets; on a fat word spin, then park | store, retire ticket, re-cohere |
+//! | [`Hapax`](crate::hapax::Hapax) | FIFO tickets; on a fat word spin, then park | store, retire ticket |
+//!
+//! The spin on a fat word is the busy phase of the thin path's backoff
+//! ([`Backoff::in_busy_phase`]): at most six retries of the monitor's
+//! word CAS, none under `YieldOnly`, before the monitor's queue and park.
 //!
 //! The policy is a type parameter, so every backend monomorphizes to its
 //! own lock path with no dynamic dispatch. Policy methods a policy leaves
@@ -142,7 +146,7 @@ pub struct LockCore<P: Policy, C: FastPathConfig = DynamicConfig, H: Hooks = NoH
     pub(crate) registry: ThreadRegistry,
     pub(crate) monitors: Arc<MonitorTable>,
     pub(crate) policy: Arc<P>,
-    config: C,
+    pub(crate) config: C,
     hooks: H,
 }
 
@@ -486,11 +490,12 @@ impl<P: Policy, C: FastPathConfig, H: Hooks> LockCore<P, C, H> {
 
     /// Fat path: queue on the monitor `word` points at. Unowned or
     /// re-entrant acquisitions complete in one atomic operation on the
-    /// monitor's state word, with no mutex and no registry traffic; only
-    /// an acquisition that must park publishes a waits-for edge (it is
-    /// the only one that can deadlock). Returns `false` if the
-    /// acquisition does not stand for `obj` (revalidation under a
-    /// deflating policy failed); the caller retries from a fresh word.
+    /// monitor's state word, with no mutex and no registry traffic; a
+    /// contended one spins a bounded while first, and only an acquisition
+    /// that must park publishes a waits-for edge (it is the only one that
+    /// can deadlock). Returns `false` if the acquisition does not stand
+    /// for `obj` (revalidation under a deflating policy failed); the
+    /// caller retries from a fresh word.
     #[inline]
     pub(crate) fn lock_fat(
         &self,
@@ -511,11 +516,7 @@ impl<P: Policy, C: FastPathConfig, H: Hooks> LockCore<P, C, H> {
         self.yield_point(Site::fault(InjectionPoint::FatAcquire), obj);
         let (depth, contended) = match monitor.lock_uncontended(t) {
             Some(depth) => (depth, false),
-            None => {
-                waiting.publish(&self.registry, t, obj);
-                monitor.lock(t, &self.registry, &self.hooks)?;
-                (monitor.count(), true)
-            }
+            None => (self.lock_fat_contended(obj, t, monitor, waiting)?, true),
         };
         // A re-entrant acquisition (depth > 1) needs no check: we already
         // held the monitor, so the word cannot have moved on.
@@ -529,6 +530,29 @@ impl<P: Policy, C: FastPathConfig, H: Hooks> LockCore<P, C, H> {
         }
         self.emit(t, obj, fat_acquired(depth, contended));
         Ok(true)
+    }
+
+    /// A fat acquisition that found another owner: retries the monitor's
+    /// word CAS through the busy phase of the thin path's backoff, so a
+    /// brief hold is taken without a park and a wake, and only then
+    /// queues and parks (DESIGN.md §28). Returns the depth reached.
+    fn lock_fat_contended(
+        &self,
+        obj: ObjRef,
+        t: ThreadToken,
+        monitor: &FatLock,
+        waiting: &mut BlockedOnGuard,
+    ) -> SyncResult<u32> {
+        let mut backoff = Backoff::jittered(self.config.spin_policy(), u64::from(t.index().get()));
+        while backoff.in_busy_phase() {
+            backoff.snooze();
+            if let Some(depth) = monitor.lock_uncontended(t) {
+                return Ok(depth);
+            }
+        }
+        waiting.publish(&self.registry, t, obj);
+        monitor.lock(t, &self.registry, &self.hooks)?;
+        Ok(monitor.count())
     }
 
     /// A thin acquisition won after `rounds` spin rounds.

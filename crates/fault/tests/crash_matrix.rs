@@ -21,8 +21,9 @@ fn agent_bin() -> PathBuf {
 fn cfg(seed: u64) -> SupervisorConfig {
     SupervisorConfig {
         seed,
-        // Generous budgets: the container may be single-CPU and the
-        // release agent is built on demand.
+        // Generous budgets: the agents share a small host (the reference
+        // host has 2 vCPUs) with the other tests, and the release agent
+        // is built on demand.
         deadline: Duration::from_secs(60),
         heartbeat_grace: Duration::from_secs(30),
         max_retries: 1,

@@ -6,8 +6,10 @@
 //! reducing the cost of spin-locking can be applied"; this module is that
 //! technique: bounded exponential busy-wait that degrades to
 //! `yield_now`, which is also what makes the spin loop livelock-free on a
-//! uniprocessor (such as the single-CPU container this reproduction runs
-//! in — the owner can only make progress if the spinner yields).
+//! uniprocessor, or whenever the spinners outnumber the processors (the
+//! reference host has 2 vCPUs): the owner can only make progress if the
+//! spinner yields. A contender on an inflated lock spins only through the
+//! opening busy-wait ([`Backoff::in_busy_phase`]) before it parks.
 
 use std::fmt;
 use std::time::Duration;
@@ -148,6 +150,17 @@ impl Backoff {
         matches!(self.policy, SpinPolicy::YieldOnly) || self.step > SPIN_LIMIT
     }
 
+    /// True while the next [`snooze`](Self::snooze) is a round of the
+    /// opening busy-wait: the first `SPIN_LIMIT + 1` rounds (fewer than
+    /// 126 `spin_loop` pulses in all, never a yield) under
+    /// [`SpinPolicy::SpinThenYield`] and [`SpinPolicy::SpinHard`], none
+    /// under [`SpinPolicy::YieldOnly`]. It bounds a spin that must fall
+    /// through to blocking: `SpinHard` never reports
+    /// [`is_yielding`](Self::is_yielding), so the round count does.
+    pub fn in_busy_phase(&self) -> bool {
+        !self.is_yielding() && self.rounds <= u64::from(SPIN_LIMIT)
+    }
+
     /// Total snoozes since creation or [`reset`](Self::reset); protocols use
     /// this as the spin count reported to statistics.
     pub fn rounds(&self) -> u64 {
@@ -260,6 +273,20 @@ mod tests {
         }
         assert!(b.is_yielding());
         assert_eq!(b.rounds(), u64::from(SPIN_LIMIT) + 1);
+    }
+
+    #[test]
+    fn busy_phase_is_the_first_six_rounds_under_every_spinning_policy() {
+        for policy in [SpinPolicy::SpinThenYield, SpinPolicy::SpinHard] {
+            let mut b = Backoff::jittered(policy, 3);
+            let mut rounds = 0;
+            while b.in_busy_phase() {
+                b.snooze();
+                rounds += 1;
+            }
+            assert_eq!(rounds, SPIN_LIMIT + 1, "{policy:?}");
+        }
+        assert!(!Backoff::with_policy(SpinPolicy::YieldOnly).in_busy_phase());
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Methods and programs: the static side of the miniature VM.
 
-use std::fmt;
-
 use crate::bytecode::Op;
 
 /// One entry of a method's exception-handler table: when an exception is
@@ -258,35 +256,6 @@ impl Program {
     }
 }
 
-impl fmt::Display for Program {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "; pool {}", self.pool_size)?;
-        for m in &self.methods {
-            let sync = if m.flags().synchronized { " sync" } else { "" };
-            let ret = if m.flags().returns_value {
-                " returns"
-            } else {
-                ""
-            };
-            writeln!(
-                f,
-                "method {} args={} locals={}{sync}{ret} {{",
-                m.name(),
-                m.arg_count(),
-                m.max_locals()
-            )?;
-            for (pc, op) in m.code().iter().enumerate() {
-                writeln!(f, "  {pc:4}: {op}")?;
-            }
-            for h in m.handlers() {
-                writeln!(f, "  .catch {} {} {}", h.start, h.end, h.target)?;
-            }
-            writeln!(f, "}}")?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,15 +328,5 @@ mod tests {
     #[should_panic(expected = "locals must hold the arguments")]
     fn method_locals_must_cover_args() {
         let _ = Method::new("m", 2, 1, MethodFlags::default(), vec![Op::Return]);
-    }
-
-    #[test]
-    fn display_lists_methods() {
-        let mut p = Program::new(2);
-        p.add_method(simple_method());
-        let text = p.to_string();
-        assert!(text.contains("method f"));
-        assert!(text.contains("iconst 1"));
-        assert!(text.contains("; pool 2"));
     }
 }

@@ -2,18 +2,23 @@
 //! any *verified* program, peephole optimization and synchronization
 //! stripping preserve single-threaded results exactly. Programs are
 //! built from stack-neutral snippets drawn with the in-repo PRNG, so
-//! they verify by construction and the properties never starve.
+//! they verify by construction and the properties never starve. Counted
+//! loops and caught throws give peephole branch targets and handler
+//! ranges to remap around the code it removes.
 
 use thinlock::ThinLocks;
 use thinlock_runtime::heap::ObjRef;
 use thinlock_runtime::prng::Prng;
 use thinlock_runtime::protocol::SyncProtocol;
+use thinlock_vm::program::Handler;
 use thinlock_vm::transform::{peephole, strip_synchronization};
 use thinlock_vm::verify::{verify_program, VerifyOptions};
 use thinlock_vm::{Method, MethodFlags, Op, Program, Value, Vm};
 
 const POOL: u32 = 2;
 const LOCALS: u8 = 4;
+/// The loop counter: the one local past the snippets' int locals.
+const COUNTER: u8 = LOCALS;
 const CASES: usize = 128;
 
 /// A stack-neutral, monitor-balanced code snippet.
@@ -33,10 +38,19 @@ enum Snippet {
     Nop,
     /// `synchronized (pool[k]) { inner }`
     Sync(u32, Box<Snippet>),
+    /// `for (counter = 0; counter < n; counter++) if (counter != skip)
+    /// local[dst] += local[a]`, with `iconst; pop` in the body and the
+    /// skip landing on a `nop`, so peephole removes code between each
+    /// branch and its target
+    Loop { n: i32, skip: i32, dst: u8, a: u8 },
+    /// `aconst k; athrow` under a handler that pops the exception
+    Throw(u32),
 }
 
 impl Snippet {
-    fn emit(&self, code: &mut Vec<Op>) {
+    /// Appends the snippet to `code`, whose length is the snippet's first
+    /// pc, and its handlers to `handlers`.
+    fn emit(&self, code: &mut Vec<Op>, handlers: &mut Vec<Handler>) {
         match self {
             Snippet::SetConst(dst, c) => {
                 code.push(Op::IConst(*c));
@@ -75,9 +89,40 @@ impl Snippet {
             Snippet::Sync(k, inner) => {
                 code.push(Op::AConst(*k));
                 code.push(Op::MonitorEnter);
-                inner.emit(code);
+                inner.emit(code, handlers);
                 code.push(Op::AConst(*k));
                 code.push(Op::MonitorExit);
+            }
+            Snippet::Loop { n, skip, dst, a } => {
+                let head = code.len() + 2;
+                code.extend([
+                    Op::IConst(0),
+                    Op::IStore(COUNTER),
+                    Op::ILoad(COUNTER), // head
+                    Op::IConst(*n),
+                    Op::IfICmpGe(head + 15),
+                    Op::ILoad(COUNTER),
+                    Op::IConst(*skip),
+                    Op::IfICmpEq(head + 12),
+                    Op::IConst(*n),
+                    Op::Pop,
+                    Op::ILoad(*dst),
+                    Op::ILoad(*a),
+                    Op::IAdd,
+                    Op::IStore(*dst),
+                    Op::Nop, // head + 12: the skip
+                    Op::IInc(COUNTER, 1),
+                    Op::Goto(head),
+                ]);
+            }
+            Snippet::Throw(k) => {
+                let start = code.len();
+                code.extend([Op::AConst(*k), Op::Throw, Op::Pop]);
+                handlers.push(Handler {
+                    start,
+                    end: start + 2,
+                    target: start + 2,
+                });
             }
         }
     }
@@ -93,7 +138,7 @@ fn gen_snippet(rng: &mut Prng, depth: u32) -> Snippet {
         let k = rng.range_u32(0, POOL);
         return Snippet::Sync(k, Box::new(gen_snippet(rng, depth - 1)));
     }
-    match rng.range_u32(0, 6) {
+    match rng.range_u32(0, 8) {
         0 => Snippet::SetConst(gen_local(rng), rng.range_i32(-100, 100)),
         1 => Snippet::Arith(
             gen_local(rng),
@@ -115,6 +160,13 @@ fn gen_snippet(rng: &mut Prng, depth: u32) -> Snippet {
             rng.range_i32(-50, 50),
         ),
         4 => Snippet::DupAdd(gen_local(rng), gen_local(rng)),
+        5 => Snippet::Loop {
+            n: rng.range_i32(0, 5),
+            skip: rng.range_i32(-1, 5),
+            dst: gen_local(rng),
+            a: gen_local(rng),
+        },
+        6 => Snippet::Throw(rng.range_u32(0, POOL)),
         _ => Snippet::Nop,
     }
 }
@@ -123,13 +175,6 @@ fn gen_program(rng: &mut Prng) -> Program {
     let snippets: Vec<Snippet> = (0..rng.range_usize(0, 10))
         .map(|_| gen_snippet(rng, 2))
         .collect();
-    let body: Vec<Op> = {
-        let mut code = Vec::new();
-        for s in &snippets {
-            s.emit(&mut code);
-        }
-        code
-    };
     // Template: a fixed prologue seeds the locals, the random body runs
     // twice, and the method returns local 1 (always assigned by the
     // prologue).
@@ -141,21 +186,26 @@ fn gen_program(rng: &mut Prng) -> Program {
         Op::IConst(0),
         Op::IStore(3),
     ];
-    code.extend(body.iter().copied());
-    code.extend(body);
+    let mut handlers = Vec::new();
+    for _ in 0..2 {
+        for s in &snippets {
+            s.emit(&mut code, &mut handlers);
+        }
+    }
     code.push(Op::ILoad(1));
     code.push(Op::IReturn);
-    let mut p = Program::new(POOL);
-    p.add_method(Method::new(
+    let main = Method::new(
         "main",
         1,
-        LOCALS,
+        COUNTER + 1,
         MethodFlags {
             synchronized: false,
             returns_value: true,
         },
         code,
-    ));
+    );
+    let mut p = Program::new(POOL);
+    p.add_method(handlers.into_iter().fold(main, Method::with_handler));
     p
 }
 
@@ -174,16 +224,24 @@ fn run(program: &Program, arg: i32) -> Option<i32> {
         .and_then(Value::as_int)
 }
 
-/// Drives `check` over `CASES` random (program, arg) pairs that verify
-/// and run successfully.
+/// The branch targets of `m`'s code, in code order.
+fn branch_targets(m: &Method) -> Vec<usize> {
+    m.code()
+        .iter()
+        .filter_map(|op| op.branch_target())
+        .collect()
+}
+
+/// Drives `check` over `CASES` random (program, arg) pairs that run
+/// successfully; every generated program must verify.
 fn for_valid_cases(seed: u64, mut check: impl FnMut(&Program, i32, i32)) {
     let mut rng = Prng::seed_from_u64(seed);
     let mut tested = 0usize;
     for _ in 0..CASES {
         let program = gen_program(&mut rng);
         let arg = rng.range_i32(-5, 5);
-        if verify_program(&program, VerifyOptions::default()).is_err() {
-            continue;
+        if let Err(e) = verify_program(&program, VerifyOptions::default()) {
+            panic!("a generated program must verify: {e:?}");
         }
         let Some(original) = run(&program, arg) else {
             continue;
@@ -197,14 +255,25 @@ fn for_valid_cases(seed: u64, mut check: impl FnMut(&Program, i32, i32)) {
     );
 }
 
-/// Peephole-optimized programs compute the same results.
+/// Peephole-optimized programs verify and compute the same results, and
+/// the cases reach its branch and handler remap: some move a branch
+/// target, some a handler.
 #[test]
 fn peephole_is_semantics_preserving() {
+    let (mut branches, mut handlers) = (0, 0);
     for_valid_cases(0x7f0e_0001, |program, arg, original| {
         let (optimized, _) = peephole(program);
         assert!(optimized.validate().is_ok());
+        assert!(verify_program(&optimized, VerifyOptions::default()).is_ok());
         assert_eq!(run(&optimized, arg), Some(original));
+        let (before, after) = (&program.methods()[0], &optimized.methods()[0]);
+        branches += usize::from(branch_targets(before) != branch_targets(after));
+        handlers += usize::from(before.handlers() != after.handlers());
     });
+    assert!(
+        branches > 0 && handlers > 0,
+        "moved {branches} branch target lists and {handlers} handler tables"
+    );
 }
 
 /// Stripping synchronization never changes single-threaded results.
@@ -232,13 +301,11 @@ fn transforms_compose() {
 #[test]
 fn peephole_reaches_fixpoint() {
     let mut rng = Prng::seed_from_u64(0x7f0e_0004);
-    let mut tested = 0usize;
     'cases: for _ in 0..CASES {
         let program = gen_program(&mut rng);
-        if verify_program(&program, VerifyOptions::default()).is_err() {
-            continue;
+        if let Err(e) = verify_program(&program, VerifyOptions::default()) {
+            panic!("a generated program must verify: {e:?}");
         }
-        tested += 1;
         let mut current = program;
         for _ in 0..8 {
             let (next, stats) = peephole(&current);
@@ -254,5 +321,4 @@ fn peephole_reaches_fixpoint() {
         let (_, stats) = peephole(&current);
         assert_eq!(stats.total_removed(), 0, "peephole must converge");
     }
-    assert!(tested > CASES / 2, "only {tested} valid programs generated");
 }
