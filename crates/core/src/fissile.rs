@@ -30,11 +30,13 @@
 //! * **Fissioned** — blocking acquisitions draw a ticket and are
 //!   admitted in FIFO order; mutual exclusion itself is still the word
 //!   CAS, so `try_lock` and deadline-bounded acquisitions can barge
-//!   (they hold no ticket and never stall the queue — see the
-//!   exactly-once retirement rule in the `ticket` module).
+//!   (they hold no ticket and never stall the queue: only a ticketed
+//!   holder retires a hand-off, before it clears the word — see the
+//!   `ticket` module).
 //! * **Re-cohesion** — the release that retires the last outstanding
-//!   ticket flips the mode back to cohered, restoring the featherweight
-//!   fast path once contention has drained.
+//!   ticket flips the mode back to cohered once it has cleared the
+//!   word, restoring the featherweight fast path once contention has
+//!   drained.
 //!
 //! Because every queueing structure lives outside the lock word, the
 //! word obeys the same invariants as the thin backend (header
@@ -191,8 +193,8 @@ impl<C: FastPathConfig, H: Hooks> LockCore<Fissile, C, H> {
     }
 
     /// Releases a pin, restoring the cohered fast path. Outstanding
-    /// tickets keep draining through the exactly-once retirement rule;
-    /// new lockers go back to the thin fast path.
+    /// tickets keep draining: each ticketed holder still retires its
+    /// hand-off on release. New lockers go back to the thin fast path.
     pub fn release_fifo(&self, obj: ObjRef) {
         self.policy.modes[obj.index()].store(COHERED, Ordering::Release);
     }

@@ -13,8 +13,8 @@
 //! ```text
 //!   arrive:  ticket ← next.fetch_add(1)            (constant time)
 //!   admit:   spin until serving ≥ ticket (wrapping) and word unlocked
-//!   take:    CAS the word, record the hand-off obligation
-//!   unlock:  clear the word, retire the obligation, serving += 1
+//!   take:    CAS the word, admitted ← ticket + 1
+//!   unlock:  admitted ← 0, serving ← ticket + 1, clear the word
 //!                                                   (constant time)
 //! ```
 //!
@@ -22,21 +22,25 @@
 //! only *sequences* contenders — so the word stays bit-identical to the
 //! thin backend's (header preservation, owner-only writes, one-way
 //! inflation) and nesting, `wait`/`notify` inflation, count overflow,
-//! and the fat-monitor path are unchanged. `try_lock` and
-//! deadline-bounded acquisitions hold no ticket and may barge; the
-//! exactly-once retirement rule in the `ticket` module keeps the queue
-//! sound anyway. Inflation permanently diverts the queue to the fat
-//! monitor (every admission iteration checks the fat shape first), so
-//! stranded tickets are harmless. The [`Hapax`] policy is only "always
-//! queue" over the shared [`LockCore`]; the admission loop, the ticketed
-//! release and the ticket-aware orphan sweep are shared with
+//! and the fat-monitor path are unchanged. Only the word's holder
+//! writes `admitted` and `serving`, so with the default store release
+//! the unlock is three plain stores and no read-modify-write, where the
+//! paper's is one store. `try_lock` and deadline-bounded acquisitions
+//! hold no ticket and may barge; a barger finds no hand-off to retire,
+//! and the admitted thread simply takes the word after it. Inflation
+//! permanently diverts the queue to the fat monitor (every admission
+//! iteration checks the fat shape first), so stranded tickets are
+//! harmless. The [`Hapax`] policy is only "always queue" over the
+//! shared [`LockCore`]; the admission loop, the ticketed release and
+//! the ticket-aware orphan sweep are shared with
 //! [`fissile`](crate::fissile), and no mode byte is read.
 //!
-//! The cost profile is the honest inverse of thin's: the uncontended
-//! acquisition pays one extra `fetch_add` + store, and in exchange the
-//! contended path is first-come-first-served with bounded hand-off —
-//! the fairness/tail benchmarks in `thinlock-bench` measure exactly
-//! this trade.
+//! The cost profile is the honest inverse of thin's: an uncontended
+//! lock/unlock pays two read-modify-writes (the ticket `fetch_add` and
+//! the word CAS) where thin pays one, plus three plain stores to the
+//! ledger, and in exchange the contended path is first-come-first-served
+//! with bounded hand-off — the fairness/tail benchmarks in
+//! `thinlock-bench` measure exactly this trade.
 //!
 //! # FIFO hand-off
 //!

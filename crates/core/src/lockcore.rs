@@ -15,8 +15,8 @@
 //! |---|---|---|
 //! | [`Thin`](crate::thin::Thin) | spin, acquire, inflate; on a fat word spin, then park | store |
 //! | [`Cjm`](crate::cjm::Cjm) | spin, acquire, inflate; on a fat word spin, then park | store; deflate when quiescent |
-//! | [`Fissile`](crate::fissile::Fissile) | spin, then FIFO tickets; on a fat word spin, then park | store, retire ticket, re-cohere |
-//! | [`Hapax`](crate::hapax::Hapax) | FIFO tickets; on a fat word spin, then park | store, retire ticket |
+//! | [`Fissile`](crate::fissile::Fissile) | spin, then FIFO tickets; on a fat word spin, then park | retire ticket, store, re-cohere |
+//! | [`Hapax`](crate::hapax::Hapax) | FIFO tickets; on a fat word spin, then park | retire ticket, store |
 //!
 //! The spin on a fat word is the busy phase of the thin path's backoff
 //! ([`Backoff::in_busy_phase`]): at most six retries of the monitor's
@@ -105,7 +105,8 @@ pub trait Policy: Send + Sync + Sized + 'static {
         let _ = obj;
     }
 
-    /// A release retired the ticketed hand-off of `obj`.
+    /// A release retired the ticketed hand-off of `obj` and cleared its
+    /// word.
     fn retired(&self, obj: ObjRef) {
         let _ = obj;
     }
@@ -589,13 +590,9 @@ impl<P: Policy, C: FastPathConfig, H: Hooks> LockCore<P, C, H> {
         // Common case: thin, owned by us, locked exactly once. Restore the
         // header-only word with a plain store (or CAS under UnlkC&S).
         if word.is_locked_once_by(t.shifted()) {
-            // A queueing policy snapshots the hand-off obligation *before*
-            // the word clear: afterwards a new ticketed owner could arm a
-            // fresh one.
-            let snapshot = self
-                .policy
-                .tickets()
-                .map_or(0, |l| l.admitted_snapshot(obj));
+            // A ticketed holder admits the next ticket while it still
+            // holds the word, so only the holder writes the ledger.
+            let retired = self.policy.tickets().is_some_and(|l| l.retire_held(obj));
             // Deschedule between deciding to release and the store:
             // owner-only writes make this window harmless, which is
             // exactly what the chaos suite checks.
@@ -611,7 +608,11 @@ impl<P: Policy, C: FastPathConfig, H: Hooks> LockCore<P, C, H> {
                     debug_assert!(r.is_ok(), "owner-only discipline violated");
                 }
             }
-            self.retire(obj, snapshot);
+            // Re-cohesion waits for the clear, so a fast-path locker it
+            // lets back in finds the word free.
+            if retired {
+                self.policy.retired(obj);
+            }
             self.emit(t, obj, TraceEventKind::UnlockThin);
             return Ok(());
         }
@@ -626,17 +627,6 @@ impl<P: Policy, C: FastPathConfig, H: Hooks> LockCore<P, C, H> {
         }
 
         self.unlock_slow(obj, t, word)
-    }
-
-    /// Retires the ticketed hand-off a release snapshotted (exactly once
-    /// across racing releasers), admitting the next ticket.
-    #[inline]
-    fn retire(&self, obj: ObjRef, snapshot: u64) {
-        if let Some(tickets) = self.policy.tickets() {
-            if tickets.retire_admitted(obj, snapshot) {
-                self.policy.retired(obj);
-            }
-        }
     }
 
     #[inline(never)]
@@ -745,9 +735,8 @@ impl<P: Policy, C: FastPathConfig, H: Hooks> LockCore<P, C, H> {
     /// One acquisition attempt with no blocking and no spinning. Returns
     /// `Ok(true)` on success (including nesting), `Ok(false)` if the lock
     /// is held by another thread. It holds no ticket: it may barge past a
-    /// queue (and its release may retire a dead ticketed owner's hand-off
-    /// via the exactly-once rule). The loop only absorbs words that moved
-    /// on under a deflating policy.
+    /// queue, and its release finds no hand-off to retire. The loop only
+    /// absorbs words that moved on under a deflating policy.
     fn try_lock_impl(&self, obj: ObjRef, t: ThreadToken) -> SyncResult<bool> {
         let profile = self.config.profile();
         let cell = self.cell(obj);
@@ -940,19 +929,17 @@ impl<P: Policy, H: Hooks + 'static> ExitSweeper for OrphanSweeper<P, H> {
                     .and_then(|idx| self.monitors.get(idx))
                     .is_some_and(|monitor| monitor.reclaim_orphan(dead, registry))
             } else if word.thin_owner() == Some(dead) {
-                // Snapshot before the clearing CAS, mirroring unlock: the
-                // obligation is either 0 or the dead owner's. The owner is
-                // gone and owner-only writes mean nothing else mutates a
-                // thin-held word, so the CAS can only lose to a concurrent
-                // sweep of the same index.
-                let snapshot = tickets.map_or(0, |l| l.admitted_snapshot(obj));
+                // Release for the dead holder, as its unlock would: retire
+                // its hand-off while the word still names it, then clear.
+                // The owner is gone, owner-only writes mean nothing else
+                // mutates a thin-held word, and the registry sweeps an
+                // index once, so the CAS cannot lose.
+                let retired = tickets.is_some_and(|l| l.retire_held(obj));
                 let cleared = cell
                     .try_cas(word, word.with_lock_field_clear(), self.profile)
                     .is_ok();
-                if let Some(tickets) = tickets.filter(|_| cleared) {
-                    if tickets.retire_admitted(obj, snapshot) {
-                        self.policy.retired(obj);
-                    }
+                if retired {
+                    self.policy.retired(obj);
                 }
                 cleared
             } else {

@@ -1,7 +1,7 @@
 //! FIFO admission tickets shared by the [`fissile`](crate::fissile) and
 //! [`hapax`](crate::hapax) policies: the ledger, and the one admission
-//! loop both queue through. The ticketed release (snapshot, clear,
-//! retire) and the ticket-aware orphan sweep live in the
+//! loop both queue through. The ticketed release (retire, then clear)
+//! and the ticket-aware orphan sweep live in the
 //! [`lockcore`](crate::lockcore) paths they extend.
 //!
 //! Both protocols keep the object's lock word bit-identical to the thin
@@ -20,14 +20,25 @@
 //!   unambiguously means "no ticketed owner" even after `u32` ticket
 //!   wraparound.
 //!
-//! The `admitted` cell carries the hand-off obligation across the
-//! release: a releaser (the owner itself, a barging `try_lock` winner
-//! that slipped in between the owner's word-clear and its bookkeeping,
-//! or the orphan sweeper acting for a dead owner) snapshots `admitted`
-//! *before* clearing the word and then retires the snapshot with a
-//! compare-exchange. The compare-exchange makes the serving bump
-//! exactly-once no matter how many releasers race — the invariant the
-//! chaos kill-runs lean on.
+//! Only the word's holder writes `admitted` and `serving`, so neither
+//! needs a read-modify-write. A ticketed thread records `admitted` just
+//! after its word CAS, and its release retires the hand-off — `admitted`
+//! back to 0, then `serving` to `ticket + 1` — *before* it clears the
+//! word. While it holds the word `serving` equals its ticket, so the
+//! store advances `serving` by one, wrapping, as a `fetch_add` would. A
+//! thread that dies holding the word cannot release it; the registry's
+//! exit sweep does so for it, and runs once per dead index, before the
+//! index can be issued again, so a dead holder's hand-off is retired
+//! exactly once too. Every later holder therefore finds
+//! `admitted == 0`: a barger (`try_lock`, `lock_deadline`, a cohered
+//! fissile fast path) holds no ticket and its release retires nothing.
+//!
+//! `serving` and `admitted` keep their own Release/Acquire orderings. A
+//! ticketed successor reads its admission from `serving` with Acquire,
+//! which orders its own `admitted` store after the predecessor's clear
+//! of it. That a barger reads `admitted == 0` rests on the word instead:
+//! the release clear of the word and the acquiring CAS, which every
+//! ticketed backend's default profile (PowerPC MP) provides.
 //!
 //! Admission enabledness also has to be visible to the model checker,
 //! which must not grant a spin step to a thread whose ticket has not
@@ -116,7 +127,7 @@ impl TicketLedger {
     }
 
     /// Records that the admitted `ticket` won the word, arming the
-    /// hand-off obligation its release will retire.
+    /// hand-off its release will retire.
     #[inline]
     pub(crate) fn record_admitted(&self, obj: ObjRef, ticket: u32) {
         self.state(obj)
@@ -124,35 +135,23 @@ impl TicketLedger {
             .store(u64::from(ticket) + 1, Ordering::Release);
     }
 
-    /// Snapshot of the pending hand-off obligation — call *before*
-    /// clearing the lock word, so the value is either 0 or the
-    /// obligation this release must retire (never a future owner's).
+    /// Retires the hand-off of the ticketed thread holding `obj`'s word,
+    /// admitting the next ticket. Call only while the word still names
+    /// that holder: from its release, or from the exit sweep for a dead
+    /// one. Returns `false`, and writes nothing, when the holder holds
+    /// no ticket.
     #[inline]
-    pub(crate) fn admitted_snapshot(&self, obj: ObjRef) -> u64 {
-        self.state(obj).admitted.load(Ordering::Acquire)
-    }
-
-    /// Retires a nonzero [`admitted_snapshot`](Self::admitted_snapshot)
-    /// and bumps `serving`, admitting the next ticket. Returns `true`
-    /// if this call won the retirement; racing releasers (owner vs.
-    /// barger vs. orphan sweeper) agree via the compare-exchange that
-    /// exactly one of them bumps.
-    #[inline]
-    pub(crate) fn retire_admitted(&self, obj: ObjRef, snapshot: u64) -> bool {
-        if snapshot == 0 {
+    pub(crate) fn retire_held(&self, obj: ObjRef) -> bool {
+        let state = self.state(obj);
+        let admitted = state.admitted.load(Ordering::Acquire);
+        if admitted == 0 {
             return false;
         }
-        let state = self.state(obj);
-        if state
-            .admitted
-            .compare_exchange(snapshot, 0, Ordering::AcqRel, Ordering::Relaxed)
-            .is_ok()
-        {
-            state.serving.fetch_add(1, Ordering::AcqRel);
-            true
-        } else {
-            false
-        }
+        state.admitted.store(0, Ordering::Release);
+        // `admitted` is `ticket + 1`; truncated, it is the wrapping
+        // successor of the ticket `serving` holds.
+        state.serving.store(admitted as u32, Ordering::Release);
+        true
     }
 
     /// Tickets issued but not yet retired. 0 means the queue has fully
@@ -272,7 +271,17 @@ impl<P: Policy, C: FastPathConfig, H: Hooks> LockCore<P, C, H> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{mpsc, Arc, Mutex};
+    use std::thread;
+    use std::time::Duration;
+    use thinlock_runtime::fault::{FaultAction, FaultInjector};
+    use thinlock_runtime::heap::Heap;
+    use thinlock_runtime::hooks::HookSet;
+    use thinlock_runtime::lockword::LockWord;
+    use thinlock_runtime::protocol::SyncProtocol;
     use thinlock_runtime::registry::ThreadRegistry;
+
+    use crate::{FissileLocks, HapaxLocks};
 
     fn obj(i: usize) -> ObjRef {
         ObjRef::from_index(i)
@@ -287,24 +296,31 @@ mod tests {
         assert!(ledger.is_admitted(obj(0), a));
         assert!(!ledger.is_admitted(obj(0), b));
         ledger.record_admitted(obj(0), a);
-        let snap = ledger.admitted_snapshot(obj(0));
-        assert!(ledger.retire_admitted(obj(0), snap));
+        assert!(ledger.retire_held(obj(0)));
         assert!(ledger.is_admitted(obj(0), b));
         assert_eq!(ledger.outstanding(obj(0)), 1);
     }
 
     #[test]
-    fn retirement_is_exactly_once_across_racing_releasers() {
+    fn only_the_word_holder_retires_and_only_once() {
         let ledger = TicketLedger::new(1, 8);
-        let t = ledger.take_ticket(obj(0));
-        ledger.record_admitted(obj(0), t);
-        let snap = ledger.admitted_snapshot(obj(0));
-        // Owner and a barger both snapshotted the same obligation; only
-        // one retirement may bump `serving`.
-        assert!(ledger.retire_admitted(obj(0), snap));
-        assert!(!ledger.retire_admitted(obj(0), snap));
-        assert!(!ledger.retire_admitted(obj(0), 0));
+        // A barger holds no ticket: its release finds nothing to retire.
+        assert!(!ledger.retire_held(obj(0)));
         assert_eq!(ledger.outstanding(obj(0)), 0);
+        let t = ledger.take_ticket(obj(0));
+        let next = ledger.take_ticket(obj(0));
+        ledger.record_admitted(obj(0), t);
+        assert!(
+            ledger.retire_held(obj(0)),
+            "the holder admits the next ticket"
+        );
+        assert!(ledger.is_admitted(obj(0), next));
+        assert_eq!(ledger.outstanding(obj(0)), 1);
+        // The hand-off is retired: a second call, or a barger that takes
+        // the word after the clear, admits no one else.
+        assert!(!ledger.retire_held(obj(0)));
+        assert!(!ledger.is_admitted(obj(0), next.wrapping_add(1)));
+        assert_eq!(ledger.outstanding(obj(0)), 1);
     }
 
     #[test]
@@ -317,11 +333,146 @@ mod tests {
         assert_eq!(t, u32::MAX);
         assert!(ledger.is_admitted(obj(0), t));
         ledger.record_admitted(obj(0), t);
-        assert!(ledger.retire_admitted(obj(0), ledger.admitted_snapshot(obj(0))));
+        assert!(ledger.retire_held(obj(0)));
         let wrapped = ledger.take_ticket(obj(0));
         assert_eq!(wrapped, 0, "arrival counter wrapped");
         assert!(ledger.is_admitted(obj(0), wrapped));
         assert_eq!(ledger.outstanding(obj(0)), 1);
+    }
+
+    /// Sends `obj` to the ticket queue: a no-op on hapax, a fission on
+    /// fissile.
+    type Queue<P> = fn(&LockCore<P>, ObjRef);
+
+    fn fissioned(p: &FissileLocks, obj: ObjRef) {
+        assert!(p.fission(obj));
+    }
+
+    /// Records, at each release's yield point between retirement and the
+    /// word clear, the word, whether ticket 1 is admitted, and the
+    /// tickets outstanding.
+    struct AtUnlockStore<P> {
+        policy: Arc<P>,
+        heap: Arc<Heap>,
+        obj: ObjRef,
+        seen: Mutex<Vec<(LockWord, bool, u32)>>,
+    }
+
+    impl<P: Policy> FaultInjector for AtUnlockStore<P> {
+        fn decide(&self, point: InjectionPoint) -> FaultAction {
+            if point == InjectionPoint::UnlockStore {
+                let tickets = self.policy.tickets().unwrap();
+                let word = self.heap.header(self.obj).lock_word().load_acquire();
+                self.seen.lock().unwrap().push((
+                    word,
+                    tickets.is_admitted(self.obj, 1),
+                    tickets.outstanding(self.obj),
+                ));
+            }
+            FaultAction::Proceed
+        }
+    }
+
+    /// The holder (ticket 0) admits the queued waiter (ticket 1) before
+    /// it clears the word.
+    fn release_admits_the_next_ticket_before_it_clears_the_word<P: Policy>(
+        p: LockCore<P>,
+        queue: Queue<P>,
+    ) {
+        let obj = p.heap().alloc().unwrap();
+        queue(&p, obj);
+        let probe = Arc::new(AtUnlockStore {
+            policy: Arc::clone(&p.policy),
+            heap: Arc::clone(&p.heap),
+            obj,
+            seen: Mutex::default(),
+        });
+        let p = Arc::new(p.with_hooks(HookSet::new().fault_injector(Arc::clone(&probe) as _)));
+        let tickets = p.policy.tickets().unwrap();
+        let r = p.registry().register().unwrap();
+        let holder = r.token();
+        p.lock(obj, holder).unwrap();
+        let waiter = {
+            let p = Arc::clone(&p);
+            thread::spawn(move || {
+                let r = p.registry().register().unwrap();
+                p.lock(obj, r.token()).unwrap();
+                p.unlock(obj, r.token()).unwrap();
+            })
+        };
+        while tickets.outstanding(obj) < 2 {
+            thread::yield_now();
+        }
+        p.unlock(obj, holder).unwrap();
+        waiter.join().unwrap();
+        let (word, admitted, outstanding) = probe.seen.lock().unwrap()[0];
+        assert_eq!(
+            word.thin_owner().map(|o| o.get()),
+            Some(holder.index().get()),
+            "the word still names the holder"
+        );
+        assert!(admitted, "the waiter is admitted before the clear");
+        assert_eq!(outstanding, 1, "only the waiter's ticket is outstanding");
+        assert_eq!(tickets.outstanding(obj), 0, "queue drained");
+    }
+
+    #[test]
+    fn hapax_release_admits_the_next_ticket_before_it_clears_the_word() {
+        release_admits_the_next_ticket_before_it_clears_the_word(
+            HapaxLocks::with_capacity(4),
+            |_, _| {},
+        );
+    }
+
+    #[test]
+    fn fissile_release_admits_the_next_ticket_before_it_clears_the_word() {
+        release_admits_the_next_ticket_before_it_clears_the_word(
+            FissileLocks::with_capacity(4),
+            fissioned,
+        );
+    }
+
+    /// A ticketed holder's registration drops while a second thread
+    /// waits on the next ticket: the exit sweep retires the dead
+    /// holder's ticket and clears the word, so the waiter gets in.
+    fn dead_holder_hands_off_to_a_queued_waiter<P: Policy>(p: LockCore<P>, queue: Queue<P>) {
+        let obj = p.heap().alloc().unwrap();
+        queue(&p, obj);
+        let p = Arc::new(p.with_orphan_recovery());
+        let tickets = p.policy.tickets().unwrap();
+        let r = p.registry().register().unwrap();
+        p.lock(obj, r.token()).unwrap();
+        let (acquired, got) = mpsc::channel();
+        let waiter = {
+            let p = Arc::clone(&p);
+            thread::spawn(move || {
+                let r = p.registry().register().unwrap();
+                p.lock(obj, r.token()).unwrap();
+                acquired.send(()).unwrap();
+                p.unlock(obj, r.token()).unwrap();
+            })
+        };
+        while tickets.outstanding(obj) < 2 {
+            thread::yield_now();
+        }
+        drop(r); // the holder "dies" with the waiter queued behind it
+        assert!(
+            got.recv_timeout(Duration::from_secs(5)).is_ok(),
+            "the queued waiter acquires after the sweep"
+        );
+        waiter.join().unwrap();
+        assert_eq!(tickets.outstanding(obj), 0, "queue drained");
+        assert!(p.lock_word(obj).is_unlocked());
+    }
+
+    #[test]
+    fn hapax_dead_holder_hands_off_to_a_queued_waiter() {
+        dead_holder_hands_off_to_a_queued_waiter(HapaxLocks::with_capacity(4), |_, _| {});
+    }
+
+    #[test]
+    fn fissile_dead_holder_hands_off_to_a_queued_waiter() {
+        dead_holder_hands_off_to_a_queued_waiter(FissileLocks::with_capacity(4), fissioned);
     }
 
     #[test]

@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Alternating pairs of two lockbench binaries on one workload.
+"""Alternating pairs of two lockbench binaries on one or more workloads.
 
 One pair per seed: the parent's binary and the change's binary each run
 once on that seed, parent first on odd pairs and the change first on
 even ones, so a slow phase of the host falls on both sides alike. Every
 run is a plain lockbench run (`--trace 0`) of BENCHMARK.json's
-`run_seconds` (30 s); only its final JSON line is read.
+`run_seconds` (30 s); only its final JSON line is read. `--workload`
+takes one workload, a comma-separated list or `all`; the workloads run
+one after another, each over every seed, and each gets its own summary.
 
 For each end-to-end metric in BENCHMARK.json the summary prints each
 side's median and quartiles, the ratio of the medians (change over
@@ -16,24 +18,33 @@ parent), and the pairs the change won. Two verdicts follow:
 * bound: the change's median is worse than the parent's by more than the
   metric's bound.
 
-The exit status is 1 when some metric is worse than its bound or the
-change fails a larger share of its attempted operations.
+The exit status is 1 when, on some workload, a metric is worse than its
+bound or the change fails a larger share of its attempted operations.
 
-Build each side's binary in its own checkout with its own target dir,
-for example from a checkout of the parent commit:
+Build both sides' binaries from one checkout path, one after the other,
+each with its own target dir: put the parent commit's files there and
+build, then the change's files and build again:
 
     CARGO_TARGET_DIR=../lb-parent cargo build --release --offline \\
         --manifest-path lockbench/Cargo.toml
+
+A checkout's path enters the crates' symbol hashes and with them the
+order the code is laid out in. Built from two different paths, one
+change once read about 1.16x on every backend of library-1t, including
+backends that run none of the changed code.
 
 Usage:
 
     python3 scripts/lockbench_pairs.py --parent ../lb-parent/release/lockbench \\
         --change ../lb-change/release/lockbench --workload contended-2t \\
         --seeds 21-30 [--record runs.jsonl]
+    python3 scripts/lockbench_pairs.py --parent ... --change ... \\
+        --workload library-1t,churn-1t    # or --workload all
     python3 scripts/lockbench_pairs.py --self-test
 """
 
 import argparse
+import contextlib
 import io
 import json
 import statistics
@@ -60,6 +71,21 @@ def parse_seeds(text):
     if not seeds:
         raise ValueError(f"no seeds in {text!r}")
     return seeds
+
+
+def parse_workloads(text):
+    """One workload, `a,b` or `all` into a list of workloads, in order."""
+    if text == "all":
+        return list(WORKLOADS)
+    workloads = text.split(",")
+    for w in workloads:
+        if w not in WORKLOADS:
+            raise argparse.ArgumentTypeError(
+                f"unknown workload {w!r}; expected one of {', '.join(WORKLOADS)} or all"
+            )
+    if len(set(workloads)) != len(workloads):
+        raise argparse.ArgumentTypeError(f"a workload repeats in {text!r}")
+    return workloads
 
 
 def run_once(binary, workload, seed, seconds):
@@ -159,6 +185,44 @@ def report(workload, seeds, pairs, rows, out=sys.stdout):
     return not beyond and change_fail <= parent_fail
 
 
+def run_pairs(run, workload, seeds, record=None):
+    """One alternating pair per seed; `run(side, workload, seed)` runs one
+    side and returns its JSON line. Returns the (parent, change) runs."""
+    pairs = []
+    for i, seed in enumerate(seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        got = {}
+        for side in order:
+            got[side] = run(side, workload, seed)
+            if record:
+                with open(record, "a") as f:
+                    line = {"workload": workload, "pair": i + 1, "seed": seed, "side": side}
+                    f.write(json.dumps({**line, "run": got[side]}) + "\n")
+        pairs.append((got["parent"], got["change"]))
+        thin = "ops_per_s.thin"
+        print(
+            f"{workload} pair {i + 1}/{len(seeds)} seed {seed}: {thin}"
+            f" parent {fmt(got['parent']['metrics'][thin]['value'])}"
+            f" change {fmt(got['change']['metrics'][thin]['value'])}",
+            file=sys.stderr,
+            flush=True,
+        )
+    return pairs
+
+
+def run_workloads(run, workloads, seeds, metrics, record=None, out=sys.stdout):
+    """Every workload in turn, one summary each as it completes. True when
+    no workload breaks a bound."""
+    ok = True
+    for k, workload in enumerate(workloads):
+        pairs = run_pairs(run, workload, seeds, record)
+        if k:
+            print(file=out)
+        ok &= report(workload, seeds, pairs, summarize(metrics, pairs), out=out)
+        out.flush()
+    return ok
+
+
 def canned(values):
     """A run's JSON line carrying only the given metric values."""
     return {
@@ -219,6 +283,43 @@ def self_test():
     sink = io.StringIO()
     assert not report("contended-2t", [21], pairs, list(rows.values()), out=sink)
     assert "worse than the bound: ops_per_s.cjm" in sink.getvalue(), sink.getvalue()
+
+    assert parse_workloads("all") == list(WORKLOADS)
+    assert parse_workloads("churn-1t,library-1t") == ["churn-1t", "library-1t"]
+    for bad in ("library-1t,nope", "churn-1t,churn-1t", ""):
+        try:
+            parse_workloads(bad)
+        except argparse.ArgumentTypeError:
+            continue
+        raise AssertionError(f"{bad!r} accepted")
+
+    # Two workloads over three seeds: library-1t holds every bound and
+    # churn-1t breaks cjm's, so the run fails although the first passes.
+    calls = []
+
+    def fake(side, workload, seed):
+        calls.append((workload, seed, side))
+        cjm = 4.2 if side == "change" and workload == "churn-1t" else 6.0
+        return canned({"ops_per_s.thin": 5.0, "ops_per_s.cjm": cjm})
+
+    sink = io.StringIO()
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert not run_workloads(fake, ["library-1t", "churn-1t"], [1, 2, 3], metrics[:2], out=sink)
+    text = sink.getvalue()
+    assert text.count(" pairs, seeds 1,2,3") == 2, text
+    library, churn = text.split("\n\nchurn-1t: ")
+    assert library.startswith("library-1t: 3 pairs") and library.endswith("worse than the bound: none"), text
+    assert churn.rstrip().endswith("worse than the bound: ops_per_s.cjm"), text
+    # Each workload runs every seed, parent first on odd pairs.
+    orders = [("parent", "change"), ("change", "parent"), ("parent", "change")]
+    assert calls == [
+        (w, seed, side)
+        for w in ("library-1t", "churn-1t")
+        for seed, order in zip([1, 2, 3], orders)
+        for side in order
+    ], calls
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert run_workloads(fake, ["library-1t"], [1, 2], metrics[:2], out=io.StringIO())
     print("lockbench_pairs self-test OK")
 
 
@@ -226,7 +327,11 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", help="lockbench binary built from the parent commit")
     ap.add_argument("--change", help="lockbench binary built from the change")
-    ap.add_argument("--workload", choices=WORKLOADS)
+    ap.add_argument(
+        "--workload",
+        type=parse_workloads,
+        help=f"{', '.join(WORKLOADS)}, a comma-separated list of them, or all",
+    )
     ap.add_argument("--seeds", default="21-30", help="one pair per seed: 21-30 or 1,5,9 (default 21-30)")
     ap.add_argument("--record", help="append every run's JSON line to this file")
     ap.add_argument("--self-test", action="store_true", help="check the summary on canned readings")
@@ -238,29 +343,13 @@ def main():
         ap.error("--parent, --change and --workload are required")
 
     seconds = json.loads(BENCHMARK.read_text())["run_seconds"]
-    seeds = parse_seeds(args.seeds)
-    n = len(seeds)
-    pairs = []
-    for i, seed in enumerate(seeds):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        got = {}
-        for side in order:
-            binary = args.parent if side == "parent" else args.change
-            got[side] = run_once(binary, args.workload, seed, seconds)
-            if args.record:
-                with open(args.record, "a") as f:
-                    line = {"workload": args.workload, "pair": i + 1, "seed": seed, "side": side}
-                    f.write(json.dumps({**line, "run": got[side]}) + "\n")
-        pairs.append((got["parent"], got["change"]))
-        thin = "ops_per_s.thin"
-        print(
-            f"pair {i + 1}/{n} seed {seed}: {thin} parent {fmt(got['parent']['metrics'][thin]['value'])}"
-            f" change {fmt(got['change']['metrics'][thin]['value'])}",
-            file=sys.stderr,
-            flush=True,
-        )
-    rows = summarize(load_metrics(BENCHMARK), pairs)
-    return 0 if report(args.workload, seeds, pairs, rows) else 1
+    binaries = {"parent": args.parent, "change": args.change}
+
+    def run(side, workload, seed):
+        return run_once(binaries[side], workload, seed, seconds)
+
+    ok = run_workloads(run, args.workload, parse_seeds(args.seeds), load_metrics(BENCHMARK), args.record)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
